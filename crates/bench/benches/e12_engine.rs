@@ -22,7 +22,7 @@ use gomq_bench::cycle_instance;
 use gomq_core::{IndexedInstance, Instance, RelId, Vocab};
 use gomq_dl::parser::parse_ontology;
 use gomq_dl::translate::to_gf;
-use gomq_engine::Engine;
+use gomq_engine::{Engine, Input, Options};
 use gomq_logic::GfOntology;
 use gomq_rewriting::emit::emit_datalog;
 use gomq_rewriting::ElementTypeSystem;
@@ -78,8 +78,10 @@ fn bench(c: &mut Criterion) {
                     .iter()
                     .map(IndexedInstance::from_interpretation)
                     .collect();
-                let (answers, _) = engine.answer_batch(&plan, &indexed);
-                std::hint::black_box(answers.len())
+                let answered = engine
+                    .answer(&plan, Input::Batch(&indexed), &Options::default())
+                    .expect("unlimited");
+                std::hint::black_box(answered.answers.len())
             })
         });
     }

@@ -7,11 +7,11 @@
 //! chained off the cycle) interleaved with queries at assert:query
 //! ratios 1:10, 1:1 and 10:1. Three pipelines over identical streams:
 //!
-//! * `plain`: `Engine::answer_indexed_budgeted` — the untraced serving
+//! * `plain`: `Engine::answer` — the untraced serving
 //!   executor (the no-certificate baseline; must stay within noise of
 //!   the pre-certificate numbers).
-//! * `certified`: `Engine::answer_indexed_certified` — the traced
-//!   fixpoint plus certificate assembly; the certificate JSON's length
+//! * `certified`: `Engine::answer` with a certificate request — the
+//!   traced fixpoint plus certificate assembly; the certificate JSON's length
 //!   is black-boxed so assembly cannot be optimized away.
 //! * `verified`: certified plus a standalone `gomq_cert::verify` per
 //!   response — what a client that trusts nothing pays end to end.
@@ -25,7 +25,7 @@ use gomq_core::{Fact, IndexedInstance, RelId, Term, Vocab};
 use gomq_datalog::Budget;
 use gomq_dl::parser::parse_ontology;
 use gomq_dl::translate::to_gf;
-use gomq_engine::Engine;
+use gomq_engine::{Certify, Engine, Input, Options};
 use gomq_logic::GfOntology;
 use std::collections::BTreeSet;
 use std::sync::Mutex;
@@ -90,20 +90,32 @@ fn run(
             }
             Op::Query => match mode {
                 Mode::Plain => {
-                    let (a, _) = engine
-                        .answer_indexed_budgeted(plan, &store, &budget)
+                    let opts = Options {
+                        budget,
+                        certify: None,
+                    };
+                    let mut a = engine
+                        .answer(plan, Input::One(&store), &opts)
                         .expect("unlimited");
-                    answers.push(a);
+                    answers.push(a.answers.remove(0));
                 }
                 Mode::Certified { vocab, verify } => {
-                    let (a, cert, _) = engine
-                        .answer_indexed_certified(plan, &store, &budget, vocab, None)
+                    let opts = Options {
+                        budget,
+                        certify: Some(Certify {
+                            vocab,
+                            snapshot: None,
+                        }),
+                    };
+                    let mut a = engine
+                        .answer(plan, Input::One(&store), &opts)
                         .expect("unlimited");
+                    let cert = a.certificate.expect("certificate requested");
                     cert_bytes += cert.len();
                     if *verify {
                         gomq_cert::verify(&cert).expect("certificate verifies");
                     }
-                    answers.push(a);
+                    answers.push(a.answers.remove(0));
                 }
             },
         }

@@ -1,4 +1,4 @@
-//! E20: SQL backend overhead — native fixpoint vs in-process emitted
+//! E20: SQL oracle overhead — native fixpoint vs in-process emitted
 //! SQL on non-recursive (hierarchy) OMQs.
 //!
 //! Workload: a pure concept hierarchy of depth 8 (the only shape both
@@ -6,10 +6,10 @@
 //! SQL-refused), queried at the top concept against ABoxes of `n`
 //! facts spread uniformly over the concepts. Two pipelines per size:
 //!
-//! * `native`: `Engine::answer_indexed_budgeted` — the stratified
-//!   semi-naive executor over interned term columns.
-//! * `sql`: `Engine::answer_indexed_sql` — render the ABox to string
-//!   tables, run the plan's emitted SQL on the `gomq-sqlexec`
+//! * `native`: `Engine::answer` — the stratified semi-naive executor
+//!   over interned term columns.
+//! * `sql`: `backend::sql::eval_sql_budgeted` — render the ABox to
+//!   string tables, run the plan's emitted SQL on the `gomq-sqlexec`
 //!   nested-loop executor, map rows back to terms.
 //!
 //! The SQL path is a portability reference, not a performance contender
@@ -22,8 +22,8 @@ use gomq_core::{IndexedInstance, Vocab};
 use gomq_datalog::Budget;
 use gomq_dl::parser::parse_ontology;
 use gomq_dl::translate::to_gf;
-use gomq_engine::Engine;
-use std::sync::Mutex;
+use gomq_engine::backend::sql::eval_sql_budgeted;
+use gomq_engine::{Engine, Input, Options};
 
 const DEPTH: usize = 8;
 
@@ -51,7 +51,7 @@ fn bench(c: &mut Criterion) {
     let engine = Engine::with_threads(1);
     let (plan, _, _) = engine.plan(&o, goal, &mut v);
     let plan = plan.expect("hierarchies are rewritable");
-    assert!(plan.sql.is_ok(), "hierarchy plans must emit SQL");
+    let sql = plan.sql.as_ref().expect("hierarchy plans must emit SQL");
 
     // CI smoke (xtests/ci.sh) runs the tiny size only; the recorded
     // BENCH_sql.json numbers come from the full sweep.
@@ -64,37 +64,30 @@ fn bench(c: &mut Criterion) {
     for &n in sizes {
         let abox = gomq_core::parse::parse_instance(&abox_text(n), &mut v).expect("abox parses");
         let indexed = IndexedInstance::from_interpretation(&abox);
-        let vocab = Mutex::new(std::mem::take(&mut v));
+        let native = |indexed| {
+            engine
+                .answer(&plan, Input::One(indexed), &Options::default())
+                .expect("unlimited")
+                .answers
+                .remove(0)
+        };
 
-        let (native, _) = engine.answer_indexed(&plan, &indexed);
-        let (sql, _) = engine
-            .answer_indexed_sql(&plan, &indexed, &Budget::UNLIMITED, &vocab)
-            .expect("non-recursive plan runs on the SQL backend");
-        assert_eq!(native, sql, "backends diverged at n={n}");
+        let oracle = eval_sql_budgeted(sql, &indexed, &v, &Budget::UNLIMITED)
+            .expect("non-recursive plan runs as SQL");
+        assert_eq!(native(&indexed), oracle, "backends diverged at n={n}");
 
         group.bench_with_input(BenchmarkId::new("native", n), &n, |b, _| {
-            b.iter(|| {
-                std::hint::black_box(
-                    engine
-                        .answer_indexed_budgeted(&plan, &indexed, &Budget::UNLIMITED)
-                        .expect("unlimited")
-                        .0
-                        .len(),
-                )
-            })
+            b.iter(|| std::hint::black_box(native(&indexed).len()))
         });
         group.bench_with_input(BenchmarkId::new("sql", n), &n, |b, _| {
             b.iter(|| {
                 std::hint::black_box(
-                    engine
-                        .answer_indexed_sql(&plan, &indexed, &Budget::UNLIMITED, &vocab)
+                    eval_sql_budgeted(sql, &indexed, &v, &Budget::UNLIMITED)
                         .expect("non-recursive")
-                        .0
                         .len(),
                 )
             })
         });
-        v = vocab.into_inner().expect("unpoisoned");
     }
     group.finish();
 }

@@ -1,59 +1,22 @@
-//! Executor backends over the shared plan IR.
+//! Executors over the shared plan IR.
 //!
 //! [`OmqPlan::compile`](crate::plan::OmqPlan) lowers an OMQ to a
 //! [`gomq_datalog::ir::PlanIr`] — a stratified rule graph annotated
-//! with recursion and `≠` information — and every backend consumes that
+//! with recursion and `≠` information — and both modules consume that
 //! one IR:
 //!
 //! * [`native`] — the in-process semi-naive fixpoint engine (indexed,
-//!   parallel, budgeted). Runs every plan, recursive or not.
+//!   parallel, budgeted). Runs every plan, recursive or not, and
+//!   answers every served query.
 //! * [`sql`] — executes the portable SQL emitted by
 //!   `gomq_rewriting::emit_sql` against the zero-dependency
-//!   `gomq-sqlexec` table model. Only non-recursive plans (the
+//!   `gomq-sqlexec` table model: the oracle `tests/sql_crosscheck.rs`
+//!   checks the native engine against, and `gomq-sql --execute`. Only
+//!   non-recursive plans (the
 //!   [`Rewritability::FirstOrder`](gomq_datalog::ir::Rewritability)
-//!   tier) are SQL-expressible; recursive plans get a typed
-//!   `non-rewritable-to-sql` refusal, never a wrong answer.
+//!   tier) are SQL-expressible; recursive plans carry a typed
+//!   [`SqlEmitError::Recursive`](gomq_rewriting::SqlEmitError) instead
+//!   of SQL text, never a wrong answer.
 
 pub mod native;
 pub mod sql;
-
-/// Which executor answers a request.
-///
-/// Parsed from the per-request `"backend"` option and from the
-/// `gomq-serve --backend` default flag.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum Backend {
-    /// The semi-naive fixpoint engine ([`native`]); the default.
-    #[default]
-    Native,
-    /// The emitted-SQL path ([`sql`]); refuses recursive plans.
-    Sql,
-}
-
-impl Backend {
-    /// Parses a backend name; the error is a client-facing message
-    /// listing the accepted values.
-    pub fn from_name(name: &str) -> Result<Backend, String> {
-        match name {
-            "native" => Ok(Backend::Native),
-            "sql" => Ok(Backend::Sql),
-            other => Err(format!(
-                "unknown backend \"{other}\": expected \"native\" or \"sql\""
-            )),
-        }
-    }
-
-    /// The wire name of this backend.
-    pub fn name(self) -> &'static str {
-        match self {
-            Backend::Native => "native",
-            Backend::Sql => "sql",
-        }
-    }
-}
-
-impl std::fmt::Display for Backend {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
-    }
-}

@@ -10,10 +10,9 @@
 //! which is exactly what makes the native ≡ SQL cross-check in
 //! `tests/sql_crosscheck.rs` meaningful.
 //!
-//! Recursive plans never reach this module: callers surface
-//! [`EngineError::NotSqlRewritable`] (wire status
-//! `non-rewritable-to-sql`) instead, so the SQL backend refuses rather
-//! than under-approximates.
+//! Recursive plans never reach this module: they carry a typed
+//! [`SqlEmitError::Recursive`](gomq_rewriting::SqlEmitError) instead
+//! of SQL text, so the SQL path refuses rather than under-approximates.
 
 use crate::plan::EngineError;
 use gomq_core::{IndexedInstance, Term, Vocab};

@@ -34,7 +34,6 @@ Usage: gomq-serve [--threads N] [--cache N] [--max-rounds N]
                   [--snapshot-every N] [--fsync] [--quarantine-after N]
                   [--max-line-bytes N] [--chaos-seed N]
                   [--views on|off] [--max-views N]
-                  [--backend native|sql]
                   [--listen ADDR] [--workers N] [--queue-depth N]
                   [--max-conns N] [--max-conns-per-ip N]
                   [--idle-timeout-ms N] [--drain-timeout-ms N]
@@ -68,11 +67,6 @@ Usage: gomq-serve [--threads N] [--cache N] [--max-rounds N]
                        least 1 — to disable maintenance say --views off,
                        not --max-views 0; combining --views off with
                        --max-views is a usage error
-  --backend native|sql default backend for queries without a per-request
-                       \"backend\" field (default: native). The sql
-                       backend executes each plan's emitted portable SQL
-                       in-process; recursive plans answer
-                       {\"status\": \"non-rewritable-to-sql\"}
 
 TCP mode (the flags below require --listen):
   --listen ADDR        serve the JSONL protocol over TCP on ADDR (e.g.
@@ -127,10 +121,13 @@ Each request line is a JSON object:
 with optional \"id\", optional \"limits\" ({\"max_rounds\", \"max_derived\",
 \"timeout_ms\"}; clamped by the session limits above) and, instead of
 \"abox\", a batched \"aboxes\": [\"<facts>\", ...] or \"session\": true to
-query the session store. Session mutations: {\"op\": \"assert\", \"abox\":
-...}, {\"op\": \"mark\"}, {\"op\": \"rollback\", \"mark\": N}. One JSON
-response per line; a blown limit answers {\"status\": \"overloaded\", ...},
-a quarantined plan {\"status\": \"quarantined\", ...}.
+query the session store. \"certificate\": true attaches a derivation
+certificate (one ABox or the session, not a batch). Every query runs on
+the native fixpoint engine; the SQL rewriting is printed by gomq-sql.
+Session mutations: {\"op\": \"assert\", \"abox\": ...}, {\"op\": \"mark\"},
+{\"op\": \"rollback\", \"mark\": N}. One JSON response per line; a blown
+limit answers {\"status\": \"overloaded\", ...}, a quarantined plan
+{\"status\": \"quarantined\", ...}.
 ";
 
 fn usage_error(message: &str) -> ! {
@@ -218,15 +215,6 @@ fn main() {
                 _ => usage_error("--views needs \"on\" or \"off\""),
             },
             "--max-views" => max_views_flag = Some(numeric(&mut args, "--max-views")),
-            "--backend" => {
-                let Some(name) = args.next() else {
-                    usage_error("--backend needs \"native\" or \"sql\"");
-                };
-                match gomq_engine::Backend::from_name(&name) {
-                    Ok(backend) => config.default_backend = backend,
-                    Err(e) => usage_error(&e),
-                }
-            }
             "--listen" => {
                 let Some(addr) = args.next() else {
                     usage_error("--listen needs an address, e.g. 127.0.0.1:7401");
@@ -492,8 +480,7 @@ fn print_summary(shared: &ServeShared) {
          ({} breakers tripped), {} faults injected, {} conns accepted \
          ({} refused), {} queue rejects, {} drains, {} maintained hits, \
          {} views active ({} evicted), {} certificates ({} bytes), \
-         {} SQL answers, {} SQL refusals, {} repl frames shipped \
-         ({} bytes, {} snapshots), {} repl records applied, \
+         {} repl frames shipped ({} bytes, {} snapshots), {} repl records applied, \
          {} reconnects, {} promotions, {} write refusals ({} stale), \
          lag {}",
         stats.requests,
@@ -523,8 +510,6 @@ fn print_summary(shared: &ServeShared) {
         stats.views_evicted,
         stats.certs_emitted,
         stats.cert_bytes,
-        stats.sql_compiles,
-        stats.sql_refusals,
         stats.repl_frames_shipped,
         stats.repl_bytes_shipped,
         stats.repl_snapshots_shipped,

@@ -9,8 +9,8 @@
 //!
 //! A recursive rewriting cannot be expressed in this dialect; the tool
 //! then prints the typed `non-rewritable-to-sql` reason to stderr and
-//! exits 1 (the native backend of `gomq-serve` still answers such
-//! plans).
+//! exits 1 (`gomq-serve`, which always evaluates natively, still
+//! answers such plans).
 //!
 //! ```text
 //! $ gomq-sql --ontology company.dl --query Employee
@@ -41,8 +41,8 @@ Usage: gomq-sql --ontology FILE --query REL [--abox FILE] [--execute]
                    print the answer rows after the statement
 
 The SQL goes to stdout. A recursive rewriting is refused with
-\"non-rewritable-to-sql\" on stderr and exit status 1; the native
-backend of gomq-serve still answers such plans.
+\"non-rewritable-to-sql\" on stderr and exit status 1; gomq-serve
+still answers such plans with its native fixpoint engine.
 ";
 
 fn usage_error(message: &str) -> ! {
@@ -152,11 +152,10 @@ fn main() {
     let sql = match &plan.sql {
         Ok(sql) => sql,
         Err(e) => {
-            // The typed refusal: same verdict the serving layer reports
-            // as "status": "non-rewritable-to-sql".
+            // The typed refusal: the plan's SqlEmitError itself.
             eprintln!("gomq-sql: non-rewritable-to-sql: {e}");
             eprintln!(
-                "gomq-sql: (zone: {}; the native backend of gomq-serve still answers this plan)",
+                "gomq-sql: (zone: {}; gomq-serve still answers this plan natively)",
                 plan.report.zone
             );
             std::process::exit(1);

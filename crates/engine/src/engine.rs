@@ -1,10 +1,10 @@
 //! The engine facade: cache + executor + statistics.
 
+use crate::backend::native::{eval_batch_budgeted, eval_strata_budgeted};
 use crate::cache::{lock_recover, PlanCache, PlanOutcome};
-use crate::exec::{eval_batch_budgeted, eval_strata_budgeted};
 use crate::plan::{EngineError, OmqPlan};
 use crate::stats::{EngineStats, RequestStats};
-use gomq_core::{FactId, IndexedInstance, Instance, RelId, Term, Vocab};
+use gomq_core::{FactId, IndexedInstance, RelId, Term, Vocab};
 use gomq_datalog::Budget;
 use gomq_logic::GfOntology;
 use std::collections::{BTreeSet, HashMap};
@@ -20,9 +20,52 @@ struct Breaker {
     open: bool,
 }
 
-/// Per-ABox answer sets (input order) plus one aggregate
-/// [`RequestStats`] — the result of a batch evaluation.
-pub type BatchAnswers = (Vec<BTreeSet<Vec<Term>>>, RequestStats);
+/// What one [`Engine::answer`] call evaluates over.
+#[derive(Clone, Copy, Debug)]
+pub enum Input<'a> {
+    /// One pre-indexed ABox.
+    One(&'a IndexedInstance),
+    /// A batch of ABoxes, evaluated concurrently (one worker per ABox,
+    /// work-stealing).
+    Batch(&'a [IndexedInstance]),
+}
+
+/// How [`Engine::answer`] evaluates: the resource budget and, for one
+/// ABox, the certificate request. The default is unlimited and
+/// uncertified.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct Options<'a> {
+    /// The cooperative resource budget (per ABox in a batch).
+    pub budget: Budget,
+    /// Attach a derivation certificate (one ABox only).
+    pub certify: Option<Certify<'a>>,
+}
+
+/// A certificate request: the vocabulary to render the certificate
+/// with and the session position to bind it to.
+#[derive(Clone, Copy, Debug)]
+pub struct Certify<'a> {
+    /// The vocabulary the plan and ABox were interned in.
+    pub vocab: &'a Mutex<Vocab>,
+    /// The session position `(lsn, base)` the ABox snapshots, or `None`
+    /// when the ABox came with the request.
+    pub snapshot: Option<(u64, u64)>,
+}
+
+/// The result of one [`Engine::answer`] call.
+#[derive(Clone, Debug)]
+pub struct Answered {
+    /// One answer set per input ABox, in input order.
+    pub answers: Vec<BTreeSet<Vec<Term>>>,
+    /// The derivation certificate, when one was requested.
+    pub certificate: Option<String>,
+    /// The request's statistics (summed over a batch).
+    pub stats: RequestStats,
+}
+
+/// The refusal for a certificate requested over a batch.
+pub(crate) const CERTIFY_BATCH: &str =
+    "\"certificate\": true cannot be combined with \"aboxes\" (certify one ABox per request)";
 
 /// A caching, indexed, parallel OMQ serving engine.
 ///
@@ -164,142 +207,80 @@ impl Engine {
         (outcome, hit, t0.elapsed())
     }
 
-    /// Answers one plan against one plain ABox.
-    pub fn answer(&self, plan: &OmqPlan, abox: &Instance) -> (BTreeSet<Vec<Term>>, RequestStats) {
-        self.answer_indexed(plan, &IndexedInstance::from_interpretation(abox))
-    }
-
-    /// Answers one plan against one pre-indexed ABox.
-    pub fn answer_indexed(
+    /// Answers one plan against one ABox or a batch of ABoxes, under
+    /// the cooperative budget in `opts` (a batch shares its deadline;
+    /// the first blown budget fails the whole batch) and, for one ABox,
+    /// optionally with a derivation certificate. The request's stats
+    /// are folded into the cumulative totals exactly once; a blown
+    /// budget returns [`EngineError::Overloaded`] and counts in
+    /// [`EngineStats::overloaded`], leaving the engine fully
+    /// serviceable. A certificate covers one ABox: certify + batch is
+    /// refused as a [`EngineError::BadRequest`].
+    pub fn answer(
         &self,
         plan: &OmqPlan,
-        abox: &IndexedInstance,
-    ) -> (BTreeSet<Vec<Term>>, RequestStats) {
-        self.answer_indexed_budgeted(plan, abox, &Budget::UNLIMITED)
-            .expect("the unlimited budget cannot be exceeded")
-    }
-
-    /// Answers one plan against one pre-indexed ABox under a cooperative
-    /// resource [`Budget`]; a blown budget returns
-    /// [`EngineError::Overloaded`] and counts in
-    /// [`EngineStats::overloaded`], leaving the engine fully serviceable.
-    pub fn answer_indexed_budgeted(
-        &self,
-        plan: &OmqPlan,
-        abox: &IndexedInstance,
-        budget: &Budget,
-    ) -> Result<(BTreeSet<Vec<Term>>, RequestStats), EngineError> {
-        let t0 = Instant::now();
-        match eval_strata_budgeted(&plan.strata, plan.program.goal, abox, self.threads, budget) {
-            Ok((answers, eval_stats)) => {
-                let stats = RequestStats {
+        input: Input<'_>,
+        opts: &Options<'_>,
+    ) -> Result<Answered, EngineError> {
+        let answered = match (input, &opts.certify) {
+            (Input::One(abox), Some(certify)) => self.certified_eval(plan, abox, opts, certify)?,
+            (Input::Batch(_), Some(_)) => {
+                return Err(EngineError::BadRequest(CERTIFY_BATCH.into()))
+            }
+            (input, None) => {
+                let t0 = Instant::now();
+                let goal = plan.program.goal;
+                let results = match input {
+                    Input::One(abox) => {
+                        eval_strata_budgeted(&plan.strata, goal, abox, self.threads, &opts.budget)
+                            .map(|r| vec![r])
+                    }
+                    Input::Batch(aboxes) => {
+                        eval_batch_budgeted(&plan.strata, goal, aboxes, self.threads, &opts.budget)
+                    }
+                }
+                .map_err(|e| self.overloaded(e))?;
+                let mut stats = RequestStats {
                     eval: t0.elapsed(),
-                    rounds: eval_stats.rounds,
-                    derived: eval_stats.derived,
-                    answers: answers.len(),
-                    store: eval_stats.store,
                     ..RequestStats::default()
                 };
-                lock_recover(&self.stats).absorb(&stats);
-                Ok((answers, stats))
-            }
-            Err(e) => {
-                self.record_overloaded();
-                Err(EngineError::Overloaded(e))
-            }
-        }
-    }
-
-    /// Answers one plan against one pre-indexed ABox through the SQL
-    /// backend: the plan's eagerly emitted SQL text runs on the
-    /// in-process `gomq-sqlexec` executor. A recursive plan (no SQL
-    /// text) is refused with [`EngineError::NotSqlRewritable`] and
-    /// counted in [`EngineStats::sql_refusals`] — the native backend
-    /// remains available for the same plan. The vocabulary is locked
-    /// only while rendering the ABox to strings and mapping answer rows
-    /// back, never across a compile.
-    pub fn answer_indexed_sql(
-        &self,
-        plan: &OmqPlan,
-        abox: &IndexedInstance,
-        budget: &Budget,
-        vocab: &Mutex<Vocab>,
-    ) -> Result<(BTreeSet<Vec<Term>>, RequestStats), EngineError> {
-        let sql = match &plan.sql {
-            Ok(sql) => sql,
-            Err(e) => {
-                self.record_sql_refusal();
-                return Err(EngineError::NotSqlRewritable(e.clone()));
+                let mut answers = Vec::with_capacity(results.len());
+                for (ans, es) in results {
+                    stats.rounds += es.rounds;
+                    stats.derived += es.derived;
+                    stats.answers += ans.len();
+                    stats.store.absorb(&es.store);
+                    answers.push(ans);
+                }
+                Answered {
+                    answers,
+                    certificate: None,
+                    stats,
+                }
             }
         };
-        let t0 = Instant::now();
-        let answers = {
-            let vocab = lock_recover(vocab);
-            crate::backend::sql::eval_sql_budgeted(sql, abox, &vocab, budget)
-        };
-        match answers {
-            Ok(answers) => {
-                let stats = RequestStats {
-                    eval: t0.elapsed(),
-                    answers: answers.len(),
-                    ..RequestStats::default()
-                };
-                {
-                    let mut totals = lock_recover(&self.stats);
-                    totals.absorb(&stats);
-                    totals.sql_compiles = totals.sql_compiles.saturating_add(1);
-                }
-                Ok((answers, stats))
-            }
-            Err(e) => {
-                if matches!(e, EngineError::Overloaded(_)) {
-                    self.record_overloaded();
-                }
-                Err(e)
-            }
-        }
+        lock_recover(&self.stats).absorb(&answered.stats);
+        Ok(answered)
     }
 
-    /// Answers one plan against one pre-indexed ABox with a derivation
-    /// certificate attached. Evaluation runs the *traced* flat fixpoint
-    /// (answer-equivalent to the stratified path — strata only order
-    /// work) recording one witness per derived fact; the certificate is
-    /// then assembled by walking the witnesses backwards from the goal
-    /// facts. `snapshot` is the session position to bind the
-    /// certificate to, or `None` when the ABox came with the request.
-    /// The vocabulary is locked only during certificate rendering,
-    /// never across evaluation.
-    pub fn answer_indexed_certified(
-        &self,
-        plan: &OmqPlan,
-        abox: &IndexedInstance,
-        budget: &Budget,
-        vocab: &Mutex<Vocab>,
-        snapshot: Option<(u64, u64)>,
-    ) -> Result<(BTreeSet<Vec<Term>>, String, RequestStats), EngineError> {
-        let (answers, cert, stats) = self.certified_eval(plan, abox, budget, vocab, snapshot)?;
-        lock_recover(&self.stats).absorb(&stats);
-        Ok((answers, cert, stats))
-    }
-
-    /// The traced evaluation + certificate assembly shared by the
-    /// certified entry points. Does *not* fold the request into the
-    /// cumulative totals — each public caller absorbs exactly once.
+    /// The certified branch of [`Engine::answer`]: evaluation runs the
+    /// *traced* flat fixpoint (answer-equivalent to the stratified path
+    /// — strata only order work) recording one witness per derived
+    /// fact; the certificate is then assembled by walking the witnesses
+    /// backwards from the goal facts. The vocabulary is locked only
+    /// during certificate rendering, never across evaluation.
     fn certified_eval(
         &self,
         plan: &OmqPlan,
         abox: &IndexedInstance,
-        budget: &Budget,
-        vocab: &Mutex<Vocab>,
-        snapshot: Option<(u64, u64)>,
-    ) -> Result<(BTreeSet<Vec<Term>>, String, RequestStats), EngineError> {
+        opts: &Options<'_>,
+        certify: &Certify<'_>,
+    ) -> Result<Answered, EngineError> {
         let t0 = Instant::now();
         let base_len = abox.len() as u32;
         let (total, derivs, eval_stats) =
-            gomq_datalog::fixpoint_traced(&plan.program.rules, abox, budget).map_err(|e| {
-                self.record_overloaded();
-                EngineError::Overloaded(e)
-            })?;
+            gomq_datalog::fixpoint_traced(&plan.program.rules, abox, &opts.budget)
+                .map_err(|e| self.overloaded(e))?;
         let goal = plan.program.goal;
         let answer_ids: Vec<u32> = (0..total.len() as u32)
             .filter(|&i| total.store().rel(FactId(i)) == goal)
@@ -313,10 +294,10 @@ impl Engine {
             rules: &plan.program.rules,
             goal,
             answer_ids: &answer_ids,
-            snapshot,
+            snapshot: certify.snapshot,
         };
         let cert = {
-            let vocab = lock_recover(vocab);
+            let vocab = lock_recover(certify.vocab);
             crate::certify::emit_certificate(
                 &vocab,
                 &source,
@@ -334,119 +315,17 @@ impl Engine {
             cert_bytes: cert.len(),
             ..RequestStats::default()
         };
-        Ok((answers, cert, stats))
+        Ok(Answered {
+            answers: vec![answers],
+            certificate: Some(cert),
+            stats,
+        })
     }
 
-    /// Answers one plan against one plain ABox through the plan's bitset
-    /// type kernel instead of Datalog evaluation: one AC-3 propagation
-    /// over the ABox, then certain-answer extraction. Agrees with
-    /// [`Engine::answer`] (both realize the Theorem-5 computation) while
-    /// skipping fact materialization entirely; requires a unary query
-    /// relation.
-    pub fn answer_typed(
-        &self,
-        plan: &OmqPlan,
-        abox: &Instance,
-    ) -> (BTreeSet<Vec<Term>>, RequestStats) {
-        let t0 = Instant::now();
-        let (elems, type_stats) = plan.types.certain_unary_with_stats(abox, plan.query);
-        let answers: BTreeSet<Vec<Term>> = elems.into_iter().map(|t| vec![t]).collect();
-        let stats = RequestStats {
-            eval: t0.elapsed(),
-            answers: answers.len(),
-            typed: true,
-            type_stats,
-            ..RequestStats::default()
-        };
-        lock_recover(&self.stats).absorb(&stats);
-        (answers, stats)
-    }
-
-    /// Answers one plan through the bitset type kernel *with* a
-    /// derivation certificate. The kernel itself materializes no facts
-    /// and so cannot witness its answers; instead a traced reference
-    /// fixpoint runs alongside it, the two answer sets are
-    /// cross-checked (a divergence is an engine bug and comes back as
-    /// [`EngineError::Internal`] — never a silently wrong certificate),
-    /// and the certificate is emitted from the reference derivation.
-    pub fn answer_typed_certified(
-        &self,
-        plan: &OmqPlan,
-        abox: &Instance,
-        budget: &Budget,
-        vocab: &Mutex<Vocab>,
-    ) -> Result<(BTreeSet<Vec<Term>>, String, RequestStats), EngineError> {
-        let t0 = Instant::now();
-        let (elems, type_stats) = plan.types.certain_unary_with_stats(abox, plan.query);
-        let typed_answers: BTreeSet<Vec<Term>> = elems.into_iter().map(|t| vec![t]).collect();
-        let indexed = IndexedInstance::from_interpretation(abox);
-        let (answers, cert, _) = self.certified_eval(plan, &indexed, budget, vocab, None)?;
-        if typed_answers != answers {
-            return Err(EngineError::Internal(format!(
-                "typed kernel diverges from traced evaluation: {} vs {} answers",
-                typed_answers.len(),
-                answers.len()
-            )));
-        }
-        let stats = RequestStats {
-            eval: t0.elapsed(),
-            answers: answers.len(),
-            typed: true,
-            type_stats,
-            cert_bytes: cert.len(),
-            ..RequestStats::default()
-        };
-        lock_recover(&self.stats).absorb(&stats);
-        Ok((answers, cert, stats))
-    }
-
-    /// Answers one plan against a batch of ABoxes concurrently (one
-    /// worker per ABox, work-stealing). Returns per-ABox answer sets in
-    /// input order plus one aggregate [`RequestStats`].
-    pub fn answer_batch(&self, plan: &OmqPlan, aboxes: &[IndexedInstance]) -> BatchAnswers {
-        self.answer_batch_budgeted(plan, aboxes, &Budget::UNLIMITED)
-            .expect("the unlimited budget cannot be exceeded")
-    }
-
-    /// Answers one plan against a batch of ABoxes under a per-ABox
-    /// resource [`Budget`] (the deadline is shared across the batch); the
-    /// first blown budget fails the whole batch with
-    /// [`EngineError::Overloaded`].
-    pub fn answer_batch_budgeted(
-        &self,
-        plan: &OmqPlan,
-        aboxes: &[IndexedInstance],
-        budget: &Budget,
-    ) -> Result<BatchAnswers, EngineError> {
-        let t0 = Instant::now();
-        match eval_batch_budgeted(
-            &plan.strata,
-            plan.program.goal,
-            aboxes,
-            self.threads,
-            budget,
-        ) {
-            Ok(results) => {
-                let mut stats = RequestStats {
-                    eval: t0.elapsed(),
-                    ..RequestStats::default()
-                };
-                let mut answers = Vec::with_capacity(results.len());
-                for (ans, es) in results {
-                    stats.rounds += es.rounds;
-                    stats.derived += es.derived;
-                    stats.answers += ans.len();
-                    stats.store.absorb(&es.store);
-                    answers.push(ans);
-                }
-                lock_recover(&self.stats).absorb(&stats);
-                Ok((answers, stats))
-            }
-            Err(e) => {
-                self.record_overloaded();
-                Err(EngineError::Overloaded(e))
-            }
-        }
+    /// Counts a blown budget and wraps it as [`EngineError::Overloaded`].
+    pub(crate) fn overloaded(&self, e: gomq_datalog::BudgetExceeded) -> EngineError {
+        self.record_overloaded();
+        EngineError::Overloaded(e)
     }
 
     /// A snapshot of the cumulative statistics (cache counters included).
@@ -480,13 +359,6 @@ impl Engine {
     pub fn record_overloaded(&self) {
         let mut stats = lock_recover(&self.stats);
         stats.overloaded = stats.overloaded.saturating_add(1);
-    }
-
-    /// Records one SQL-backend request refused because the plan's
-    /// rewriting is recursive (`"status": "non-rewritable-to-sql"`).
-    pub fn record_sql_refusal(&self) {
-        let mut stats = lock_recover(&self.stats);
-        stats.sql_refusals = stats.sql_refusals.saturating_add(1);
     }
 
     /// Records journaled WAL activity (records and frame bytes).
@@ -637,9 +509,23 @@ impl Engine {
 mod tests {
     use super::*;
     use gomq_core::parse::parse_instance;
+    use gomq_core::Instance;
     use gomq_dl::parser::parse_ontology;
     use gomq_dl::translate::to_gf;
     use std::sync::Arc;
+
+    /// One unlimited, uncertified answer over one plain ABox.
+    fn eval_one(
+        engine: &Engine,
+        plan: &OmqPlan,
+        abox: &Instance,
+    ) -> (BTreeSet<Vec<Term>>, RequestStats) {
+        let indexed = IndexedInstance::from_interpretation(abox);
+        let mut answered = engine
+            .answer(plan, Input::One(&indexed), &Options::default())
+            .expect("the unlimited budget cannot be exceeded");
+        (answered.answers.remove(0), answered.stats)
+    }
 
     #[test]
     fn end_to_end_answer_with_cache_reuse() {
@@ -653,7 +539,7 @@ mod tests {
         engine.record_compile(d1);
         assert!(!hit);
         let abox = parse_instance("Manager(ada)\nEmployee(grace)\n", &mut v).unwrap();
-        let (answers, rs) = engine.answer(&plan, &abox);
+        let (answers, rs) = eval_one(&engine, &plan, &abox);
         let ada = Term::Const(v.constant("ada"));
         let grace = Term::Const(v.constant("grace"));
         assert_eq!(
@@ -693,15 +579,12 @@ mod tests {
             &mut v,
         )
         .unwrap();
-        let (datalog_answers, _) = engine.answer(&plan, &abox);
-        let (typed_answers, rs) = engine.answer_typed(&plan, &abox);
+        let (datalog_answers, _) = eval_one(&engine, &plan, &abox);
+        let (elems, type_stats) = plan.types.certain_unary_with_stats(&abox, plan.query);
+        let typed_answers: BTreeSet<Vec<Term>> = elems.into_iter().map(|t| vec![t]).collect();
         assert_eq!(typed_answers, datalog_answers);
-        assert!(rs.typed);
-        assert_eq!(rs.type_stats.elements, 2);
-        assert!(rs.type_stats.edges >= 1);
-        let snap = engine.stats();
-        assert_eq!(snap.typed_requests, 1);
-        assert_eq!(snap.type_stats.elements, 2);
+        assert_eq!(type_stats.elements, 2);
+        assert!(type_stats.edges >= 1);
     }
 
     #[test]
@@ -738,29 +621,6 @@ mod tests {
     }
 
     #[test]
-    fn sql_backend_matches_native_and_counts_compiles() {
-        let mut v = Vocab::new();
-        let engine = Engine::with_threads(2);
-        let dl = parse_ontology("Manager sub Employee\nEmployee sub Staff\n", &mut v).unwrap();
-        let o = to_gf(&dl);
-        let staff = v.find_rel("Staff").unwrap();
-        let (plan, _, _) = engine.plan(&o, staff, &mut v);
-        let plan = plan.unwrap();
-        let abox = parse_instance("Manager(ada)\nEmployee(grace)\n", &mut v).unwrap();
-        let indexed = IndexedInstance::from_interpretation(&abox);
-        let (native, _) = engine.answer_indexed(&plan, &indexed);
-        let vocab = Mutex::new(v);
-        let (sql, rs) = engine
-            .answer_indexed_sql(&plan, &indexed, &Budget::UNLIMITED, &vocab)
-            .unwrap();
-        assert_eq!(sql, native);
-        assert_eq!(rs.answers, 2);
-        let snap = engine.stats();
-        assert_eq!(snap.sql_compiles, 1);
-        assert_eq!(snap.sql_refusals, 0);
-    }
-
-    #[test]
     fn recursive_plan_gets_typed_sql_refusal() {
         let mut v = Vocab::new();
         let engine = Engine::with_threads(1);
@@ -772,18 +632,19 @@ mod tests {
         let c = v.find_rel("C").unwrap();
         let (plan, _, _) = engine.plan(&o, c, &mut v);
         let plan = plan.unwrap();
-        assert!(plan.sql.is_err(), "role-bearing plan should be recursive");
-        let abox = parse_instance("A(x)\n", &mut v).unwrap();
-        let indexed = IndexedInstance::from_interpretation(&abox);
-        let vocab = Mutex::new(v);
-        let err = engine
-            .answer_indexed_sql(&plan, &indexed, &Budget::UNLIMITED, &vocab)
-            .unwrap_err();
-        assert!(matches!(err, EngineError::NotSqlRewritable(_)));
-        assert!(format!("{err}").contains("not rewritable to SQL"));
-        let snap = engine.stats();
-        assert_eq!(snap.sql_refusals, 1);
-        assert_eq!(snap.sql_compiles, 0);
+        let err = plan
+            .sql
+            .as_ref()
+            .expect_err("role-bearing plan should be recursive");
+        assert!(matches!(
+            err,
+            gomq_rewriting::SqlEmitError::Recursive { .. }
+        ));
+        assert!(format!("{err}").contains("not expressible as SQL"));
+        // The native path still answers the same plan.
+        let abox = parse_instance("B(x)\n", &mut v).unwrap();
+        let (answers, _) = eval_one(&engine, &plan, &abox);
+        assert_eq!(answers.len(), 1);
     }
 
     #[test]
@@ -800,12 +661,32 @@ mod tests {
             .iter()
             .map(|t| IndexedInstance::from_interpretation(&parse_instance(t, &mut v).unwrap()))
             .collect();
-        let (batch, rs) = engine.answer_batch(&plan, &aboxes);
-        assert_eq!(batch.len(), 4);
-        assert_eq!(rs.answers, 1 + 2 + 1);
+        let batch = engine
+            .answer(&plan, Input::Batch(&aboxes), &Options::default())
+            .unwrap();
+        assert_eq!(batch.answers.len(), 4);
+        assert_eq!(batch.stats.answers, 1 + 2 + 1);
         for (i, d) in aboxes.iter().enumerate() {
-            let (single, _) = engine.answer_indexed(&plan, d);
-            assert_eq!(batch[i], single, "abox {i}");
+            let single = engine
+                .answer(&plan, Input::One(d), &Options::default())
+                .unwrap();
+            assert_eq!(batch.answers[i], single.answers[0], "abox {i}");
         }
+        // A certificate covers one ABox: certify + batch is refused
+        // before any evaluation.
+        let requests = engine.stats().requests;
+        let vocab = Mutex::new(v);
+        let certify = Options {
+            certify: Some(Certify {
+                vocab: &vocab,
+                snapshot: None,
+            }),
+            ..Options::default()
+        };
+        let err = engine
+            .answer(&plan, Input::Batch(&aboxes), &certify)
+            .unwrap_err();
+        assert_eq!(err, EngineError::BadRequest(CERTIFY_BATCH.into()));
+        assert_eq!(engine.stats().requests, requests);
     }
 }

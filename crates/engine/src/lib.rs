@@ -22,16 +22,20 @@
 //!   semi-naive evaluation over [`gomq_core::IndexedInstance`]
 //!   (first-argument hash probes, scoped-thread parallelism across
 //!   rule partitions within a round and across ABoxes within a batch,
-//!   governed by a cooperative [`gomq_datalog::Budget`]), and
-//!   [`backend::sql`], which runs the plan's emitted portable SQL via
-//!   the dependency-free `gomq-sqlexec` executor (recursive plans are
-//!   refused with a typed status). [`exec`] re-exports the native path
-//!   under its historical name.
+//!   governed by a cooperative [`gomq_datalog::Budget`]), which answers
+//!   every query; and [`backend::sql`], which runs the plan's emitted
+//!   portable SQL via the dependency-free `gomq-sqlexec` executor —
+//!   the SQL text is an artifact for relational engines (`gomq-sql`)
+//!   and its in-process execution the oracle the native engine is
+//!   cross-checked against.
 //! * [`engine`] — the [`Engine`] facade tying cache, executor and
-//!   [`EngineStats`] together.
+//!   [`EngineStats`] together behind one answer method,
+//!   [`Engine::answer`]: one ABox or a batch, under a budget,
+//!   optionally certified.
 //! * [`serve`] + the `gomq-serve` binary — a JSONL stdin/stdout
-//!   protocol: one `{ontology, query, abox}` request per line (optional
-//!   per-request `"limits"`), one answer+stats response per line.
+//!   protocol: one `{ontology, query, abox | aboxes | session}` request
+//!   per line (optional `"certificate"` and `"limits"`), one
+//!   answer+stats response per line.
 //!   Blown budgets answer `"status": "overloaded"`; panics in
 //!   compilation or evaluation are caught and isolated, and poisoned
 //!   locks are recovered, so a hostile line can never take the session
@@ -62,7 +66,6 @@ pub mod cache;
 pub mod certify;
 pub mod drain;
 pub mod engine;
-pub mod exec;
 pub mod faults;
 pub mod json;
 pub mod net;
@@ -73,15 +76,11 @@ pub mod session;
 pub mod stats;
 pub mod wal;
 
-pub use backend::Backend;
+pub use backend::native::{eval_strata, eval_strata_budgeted, Strata};
 pub use cache::{PlanCache, PlanOutcome};
 pub use certify::{emit_certificate, CertSource, CertifyError};
 pub use drain::DrainToken;
-pub use engine::Engine;
-pub use exec::{
-    eval_batch, eval_batch_budgeted, eval_plain, eval_program, eval_strata, eval_strata_budgeted,
-    Strata,
-};
+pub use engine::{Answered, Certify, Engine, Input, Options};
 pub use gomq_datalog::{Budget, BudgetExceeded, LimitKind};
 pub use net::{NetConfig, NetReport, NetServer};
 pub use plan::{EngineError, OmqPlan};

@@ -667,13 +667,16 @@ mod tests {
         );
         assert!(r1.contains("\"status\": \"ok\""), "{r1}");
         assert!(r1.contains(r#"[["x"]]"#), "{r1}");
-        assert!(r1.contains("\"conns_accepted\": 2"), "{r1}");
-        // The second connection shares the plan cache.
+        // The second connection shares the plan cache. Its answer is the
+        // first one that can count both connections: the kernel completes
+        // a connect before the accept loop (which sleeps a poll tick when
+        // idle) has taken it, so c2 may still be unaccepted while r1 runs.
         let r2 = request(
             &mut c2,
             r#"{"id": "n2", "ontology": "A sub B", "query": "B", "abox": "A(y)"}"#,
         );
         assert!(r2.contains("\"cached\": true"), "{r2}");
+        assert!(r2.contains("\"conns_accepted\": 2"), "{r2}");
         assert!(crate::json::parse(&r1).is_ok() && crate::json::parse(&r2).is_ok());
         drain.trigger();
         let report = handle.join().expect("server thread");

@@ -16,7 +16,7 @@
 //! exponential in the signature); the whole point of the engine is to
 //! pay it once per distinct OMQ.
 
-use crate::exec::Strata;
+use crate::backend::native::Strata;
 use gomq_core::{RelId, Vocab};
 use gomq_datalog::Program;
 use gomq_logic::GfOntology;
@@ -36,12 +36,6 @@ pub enum EngineError {
     /// engine cannot compile a Datalog≠ plan for it (it may well be
     /// coNP-hard by the dichotomy; the report's zone says more).
     NotRewritable(RewriteError),
-    /// The plan compiled, but its Datalog≠ rewriting is recursive, so
-    /// the SQL backend cannot run it (SQL without recursive CTEs is
-    /// non-recursive). The serving layer reports
-    /// `"status": "non-rewritable-to-sql"`; the native backend remains
-    /// available for the same plan.
-    NotSqlRewritable(SqlEmitError),
     /// A malformed serving request (bad JSON, unknown relation, parse
     /// failure in the ontology or ABox text).
     BadRequest(String),
@@ -65,6 +59,15 @@ pub enum EngineError {
     /// Session persistence failed (WAL append, snapshot, recovery). The
     /// mutation was not applied; queries keep working.
     Persist(String),
+    /// A replica session read lags the primary by `lag` lsns, past the
+    /// `--max-staleness-lsn` `bound`. The serving layer reports
+    /// `"status": "stale"`.
+    Stale {
+        /// The replica's lsn lag behind the primary.
+        lag: u64,
+        /// The configured staleness bound.
+        bound: u64,
+    },
 }
 
 impl fmt::Display for EngineError {
@@ -72,9 +75,6 @@ impl fmt::Display for EngineError {
         match self {
             EngineError::NotRewritable(e) => {
                 write!(f, "OMQ is not element-type rewritable: {e}")
-            }
-            EngineError::NotSqlRewritable(e) => {
-                write!(f, "plan is not rewritable to SQL: {e}")
             }
             EngineError::BadRequest(msg) => write!(f, "bad request: {msg}"),
             EngineError::Overloaded(e) => write!(f, "overloaded: {e}"),
@@ -84,6 +84,9 @@ impl fmt::Display for EngineError {
             }
             EngineError::Malformed(msg) => write!(f, "malformed request: {msg}"),
             EngineError::Persist(msg) => write!(f, "persistence error: {msg}"),
+            EngineError::Stale { .. } => f.write_str(
+                "replica lag exceeds --max-staleness-lsn; retry on the primary or relax the bound",
+            ),
         }
     }
 }
@@ -127,12 +130,13 @@ pub struct OmqPlan {
     pub strata: Strata,
     /// The plan lowered to portable SQL, or the typed reason it cannot
     /// be (recursive rewriting). Emitted eagerly at compile time: the
-    /// text is ABox-independent, so cached plans serve SQL-backend
-    /// requests with zero additional compilation work.
+    /// text is ABox-independent — the artifact `gomq-sql` prints for
+    /// relational engines and the oracle `tests/sql_crosscheck.rs` runs.
     pub sql: Result<SqlPlan, SqlEmitError>,
     /// The element-type system the rewriting was emitted from, with its
-    /// bitset propagation kernel pre-built — the fast path
-    /// [`crate::Engine::answer_typed`] evaluates directly against it.
+    /// bitset propagation kernel pre-built
+    /// ([`ElementTypeSystem::certain_unary_with_stats`] evaluates
+    /// against it directly).
     pub types: Arc<ElementTypeSystem>,
 }
 
@@ -160,8 +164,7 @@ impl OmqPlan {
         let sql = emit_sql(&strata, vocab);
         let types = Arc::new(sys);
         // Build the bitset kernel now, while we are paying compilation
-        // cost anyway, so cached plans serve typed requests without a
-        // first-request construction stall.
+        // cost anyway, so cached plans never pay a first-use stall.
         types.kernel();
         Ok(OmqPlan {
             key,

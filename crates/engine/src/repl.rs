@@ -1162,20 +1162,7 @@ fn follow_once(shared: &Arc<ServeShared>, addr: &str, token: &DrainToken) -> Fol
                         break end(progressed);
                     }
                 };
-                let applied = {
-                    let mut session = shared.session_lock();
-                    let mut vocab = shared.vocab_lock();
-                    let r = session.apply_replicated(lsn, &record, &mut vocab);
-                    if r.is_ok() && session.snapshot_due() {
-                        if let Err(e) = session.snapshot_now(&vocab) {
-                            eprintln!("gomq-serve: repl: replica snapshot failed: {e}");
-                        } else {
-                            shared.engine().record_snapshot();
-                        }
-                    }
-                    r
-                };
-                match applied {
+                match apply_record(shared, lsn, &record) {
                     Ok(fresh) => {
                         progressed = true;
                         shared.repl().note_primary_lsn(lsn);
@@ -1228,11 +1215,9 @@ fn follow_once(shared: &Arc<ServeShared>, addr: &str, token: &DrainToken) -> Fol
                 // while we were disconnected: re-bootstrap in place by
                 // installing the shipped snapshot over the live session
                 // and tail from its lsn.
-                let installed = {
-                    let mut session = shared.session_lock();
-                    let mut vocab = shared.vocab_lock();
-                    session.install_replicated_snapshot(&bytes, &mut vocab)
-                };
+                let installed = shared.with_durable_consts(|session, vocab| {
+                    session.install_replicated_snapshot(&bytes, vocab)
+                });
                 match installed {
                     Ok((lsn, _epoch)) => {
                         eprintln!(
@@ -1248,7 +1233,9 @@ fn follow_once(shared: &Arc<ServeShared>, addr: &str, token: &DrainToken) -> Fol
                     Err(SessionError::Io(msg)) => {
                         // Disk trouble is transient; reconnecting re-ships
                         // the snapshot.
-                        eprintln!("gomq-serve: repl: snapshot install I/O error: {msg}; reconnecting");
+                        eprintln!(
+                            "gomq-serve: repl: snapshot install I/O error: {msg}; reconnecting"
+                        );
                         break end(progressed);
                     }
                     Err(e) => {
@@ -1269,6 +1256,23 @@ fn follow_once(shared: &Arc<ServeShared>, addr: &str, token: &DrainToken) -> Fol
     outcome
 }
 
+/// Applies one replicated record to the live session, snapshotting
+/// when the policy says so. The record's constants are session
+/// constants, kept past the scope of any request in flight.
+fn apply_record(shared: &ServeShared, lsn: u64, record: &WalRecord) -> Result<bool, SessionError> {
+    shared.with_durable_consts(|session, vocab| {
+        let r = session.apply_replicated(lsn, record, vocab);
+        if r.is_ok() && session.snapshot_due() {
+            if let Err(e) = session.snapshot_now(vocab) {
+                eprintln!("gomq-serve: repl: replica snapshot failed: {e}");
+            } else {
+                shared.engine().record_snapshot();
+            }
+        }
+        r
+    })
+}
+
 fn end(progressed: bool) -> FollowEnd {
     if progressed {
         FollowEnd::Progress
@@ -1280,6 +1284,40 @@ fn end(progressed: bool) -> FollowEnd {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gomq_core::{Term, Vocab};
+
+    /// A follower applies replicated asserts while client requests are
+    /// in flight. The record's constants belong to the session store,
+    /// so the in-flight request's scope exit must not roll them back —
+    /// a later read would render (or panic on) a dangling constant.
+    #[test]
+    fn replicated_constants_survive_an_in_flight_request() {
+        use crate::serve::{ServeConfig, ServeSession};
+        let dir = std::env::temp_dir().join(format!("gomq-repl-consts-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let config = ServeConfig {
+            threads: 1,
+            data_dir: Some(dir.clone()),
+            ..ServeConfig::default()
+        };
+        let shared = Arc::new(ServeShared::try_with_config(config).unwrap().0);
+        let record = {
+            let mut v = Vocab::new();
+            let manager = v.rel("Manager", 1);
+            let f0 = Term::Const(v.constant("f0"));
+            WalRecord::Assert(vec![session::sym_fact(&v, manager, &[f0])])
+        };
+        // A request's scope is open when the record lands.
+        shared.scope_enter();
+        assert_eq!(apply_record(&shared, 1, &record), Ok(true));
+        shared.scope_exit();
+        let mut reads = ServeSession::with_shared(Arc::clone(&shared));
+        let q = reads.handle_line(
+            r#"{"ontology": "Manager sub Employee", "query": "Employee", "session": true}"#,
+        );
+        assert!(q.contains(r#""answers": [["f0"]]"#), "{q}");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
 
     #[test]
     fn messages_roundtrip_through_frames() {

@@ -1,8 +1,10 @@
 //! The JSONL serving protocol: one request object per line in, one
 //! response object per line out.
 //!
-//! Request shape (`abox` and `aboxes` are mutually exclusive; `limits`
-//! is optional and clamped by the session's own limits):
+//! A query names an OMQ and the facts to answer it over — exactly one
+//! of `abox` (one ABox), `aboxes` (a batch) or `"session": true` (the
+//! session store). `certificate` and `limits` are optional; `limits` is
+//! clamped by the session's own limits:
 //!
 //! ```json
 //! {"id": "r1",
@@ -17,7 +19,7 @@
 //!
 //! ```json
 //! {"id": "r1", "status": "ok", "cached": false, "zone": "Dichotomy (Datalog!= = PTIME)",
-//!  "fragment": "uGF", "backend": "native",
+//!  "fragment": "uGF",
 //!  "answers": [["ada"], ["grace"]],
 //!  "stats": {"compile_us": 412, "eval_us": 88, "rounds": 3, "derived": 6,
 //!            "cache_hit": false},
@@ -28,27 +30,17 @@
 //!
 //! With `"aboxes": ["...", "..."]` the response carries `"batches"` (one
 //! answer array per ABox, evaluated concurrently) instead of
-//! `"answers"`. Errors come back as
+//! `"answers"`; with `"certificate": true` (one ABox or the session,
+//! never a batch) it also carries a `"certificate"`. Every query is
+//! parsed and validated once, before any plan compiles, then answered
+//! by one [`Engine::answer`] call (or the session's maintained view).
+//! Errors come back as
 //! `{"id": ..., "status": "error", "error": "..."}`; a blown resource
 //! budget comes back as `{"id": ..., "status": "overloaded", "error":
 //! ..., "limit": "rounds" | "derived" | "deadline"}`. The session never
 //! dies on a bad line: panics inside compilation or evaluation are
 //! caught, reported as structured errors, and counted in the engine
 //! totals.
-//!
-//! ## Backends
-//!
-//! A query may carry `"backend": "native"` or `"backend": "sql"` (the
-//! session default is [`ServeConfig::default_backend`], settable with
-//! `gomq-serve --backend`). The native backend runs the stratified
-//! semi-naive fixpoint; the SQL backend executes the plan's eagerly
-//! emitted portable SQL on the in-process `gomq-sqlexec` executor —
-//! answer sets are identical (`tests/sql_crosscheck.rs` proves it on
-//! random OMQs). A plan whose rewriting is recursive has no SQL form
-//! and is refused with `"status": "non-rewritable-to-sql"`; the native
-//! backend still answers it. The SQL path serves exactly one
-//! request-supplied ABox: certificates, `"aboxes"` batches and
-//! `"session": true` are native-only.
 //!
 //! ABox constants interned while serving a request are rolled back once
 //! no request is in flight, so a long-lived session's [`Vocab`] does not
@@ -80,9 +72,8 @@
 //! [`ServeConfig::max_line_bytes`] are refused as `"status":
 //! "malformed"` without being buffered in full ([`read_line_capped`]).
 
-use crate::backend::Backend;
 use crate::cache::{lock_recover, panic_message, PlanCache};
-use crate::engine::Engine;
+use crate::engine::{Certify, Engine, Input, Options, CERTIFY_BATCH};
 use crate::json::{self, Json};
 use crate::plan::{EngineError, OmqPlan};
 use crate::session::{
@@ -94,7 +85,7 @@ use gomq_core::{Fact, IndexedInstance, Term, Vocab};
 use gomq_datalog::{Budget, BudgetExceeded, LimitKind, Materialization};
 use gomq_dl::parser::parse_ontology;
 use gomq_dl::translate::to_gf;
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
 use std::io::BufRead;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -167,10 +158,6 @@ pub struct ServeConfig {
     /// evicted beyond this); 0 disables incremental view maintenance
     /// and session queries fall back to from-scratch fixpoints.
     pub max_views: usize,
-    /// The backend answering queries that carry no per-request
-    /// `"backend"` field ([`Backend::Native`] unless `gomq-serve
-    /// --backend sql` says otherwise).
-    pub default_backend: Backend,
     /// Follower staleness bound: replica session queries whose lsn lag
     /// behind the primary exceeds this are refused with `"status":
     /// "stale"`. `None` serves at any lag (the lag is still reported in
@@ -225,7 +212,6 @@ impl Default for ServeConfig {
             quarantine_after: 3,
             max_line_bytes: DEFAULT_MAX_LINE_BYTES,
             max_views: DEFAULT_MAX_VIEWS,
-            default_backend: Backend::default(),
             max_staleness_lsn: None,
         }
     }
@@ -250,7 +236,6 @@ pub struct ServeShared {
     session: Mutex<DurableSession>,
     limits: Limits,
     max_line_bytes: usize,
-    default_backend: Backend,
     repl: crate::repl::ReplContext,
 }
 
@@ -302,7 +287,6 @@ impl ServeShared {
                 session: Mutex::new(session),
                 limits: config.limits,
                 max_line_bytes: config.max_line_bytes,
-                default_backend: config.default_backend,
                 repl,
             },
             recovery,
@@ -319,7 +303,6 @@ impl ServeShared {
             session: Mutex::new(DurableSession::in_memory()),
             limits,
             max_line_bytes: DEFAULT_MAX_LINE_BYTES,
-            default_backend: Backend::default(),
             repl: crate::repl::ReplContext::default(),
         }
     }
@@ -343,6 +326,57 @@ impl ServeShared {
     /// The vocabulary mutex, poison-recovered (replication internals).
     pub(crate) fn vocab_lock(&self) -> std::sync::MutexGuard<'_, Vocab> {
         lock_recover(&self.vocab)
+    }
+
+    /// Marks a request as in flight; the first request of a burst
+    /// records the constant floor to roll back to.
+    pub(crate) fn scope_enter(&self) {
+        let mut scope = lock_recover(&self.scope);
+        if scope.active == 0 {
+            scope.floor = lock_recover(&self.vocab).const_mark();
+        }
+        scope.active += 1;
+    }
+
+    /// Marks a request as done; the last request of a burst rolls back
+    /// every ABox constant the burst interned. (Rollback must wait for
+    /// quiescence: constants are shared across concurrent requests.)
+    pub(crate) fn scope_exit(&self) {
+        let mut scope = lock_recover(&self.scope);
+        scope.active -= 1;
+        if scope.active == 0 {
+            let floor = scope.floor;
+            lock_recover(&self.vocab).truncate_consts(floor);
+        }
+    }
+
+    /// Raises the burst's rollback floor to `mark`, so no scope exit
+    /// truncates constants below it: session constants are durable.
+    pub(crate) fn keep_consts(&self, mark: usize) {
+        let mut scope = lock_recover(&self.scope);
+        scope.floor = scope.floor.max(mark);
+    }
+
+    /// Runs `f` over the session and the vocabulary (locked `session →
+    /// vocab`) as one more in-flight member of the constant scope, then
+    /// keeps every constant it interned. For session mutations that
+    /// arrive outside any request — replicated records and snapshots —
+    /// whose constants the store references: a request in flight when
+    /// they land must not roll those names back on its scope exit.
+    pub(crate) fn with_durable_consts<T>(
+        &self,
+        f: impl FnOnce(&mut DurableSession, &mut Vocab) -> T,
+    ) -> T {
+        self.scope_enter();
+        let (out, mark) = {
+            let mut session = lock_recover(&self.session);
+            let mut vocab = lock_recover(&self.vocab);
+            let out = f(&mut session, &mut vocab);
+            (out, vocab.const_mark())
+        };
+        self.keep_consts(mark);
+        self.scope_exit();
+        out
     }
 
     /// The configured request-line byte cap.
@@ -383,6 +417,133 @@ impl ServeShared {
         }
         result.map(|()| true)
     }
+}
+
+/// Where a query's facts come from.
+enum Facts<'a> {
+    /// One request-supplied ABox (`"abox"`).
+    Abox(&'a str),
+    /// A batch of request-supplied ABoxes (`"aboxes"`).
+    Aboxes(Vec<&'a str>),
+    /// The session-resident store (`"session": true`).
+    Session,
+}
+
+/// A query request, parsed and validated once — every illegal
+/// combination of inputs is refused here, before any plan compiles.
+struct QueryRequest<'a> {
+    ontology: &'a str,
+    query: &'a str,
+    input: Facts<'a>,
+    certify: bool,
+    limits: Limits,
+}
+
+impl<'a> QueryRequest<'a> {
+    fn parse(obj: &'a BTreeMap<String, Json>) -> Result<Self, EngineError> {
+        let bad = |msg: &str| EngineError::BadRequest(msg.into());
+        let field = |name: &str| {
+            obj.get(name)
+                .and_then(Json::as_str)
+                .ok_or_else(|| EngineError::BadRequest(format!("missing string field \"{name}\"")))
+        };
+        let ontology = field("ontology")?;
+        let query = field("query")?;
+        let certify = match obj.get("certificate") {
+            None => false,
+            Some(Json::Bool(b)) => *b,
+            Some(_) => return Err(bad("\"certificate\" must be a boolean")),
+        };
+        let (abox, aboxes) = (obj.contains_key("abox"), obj.contains_key("aboxes"));
+        if certify && aboxes {
+            return Err(bad(CERTIFY_BATCH));
+        }
+        let limits = parse_limits(obj)?;
+        let input = if matches!(obj.get("session"), Some(Json::Bool(true))) {
+            if abox || aboxes {
+                return Err(bad(
+                    "\"session\": true cannot be combined with \"abox\"/\"aboxes\"",
+                ));
+            }
+            Facts::Session
+        } else if let Some(texts) = obj.get("aboxes") {
+            if abox {
+                return Err(bad(
+                    "\"abox\" cannot be combined with \"aboxes\" (send one ABox or a batch)",
+                ));
+            }
+            let not_strings = || bad("\"aboxes\" must be an array of strings");
+            let texts = texts.as_arr().ok_or_else(not_strings)?;
+            Facts::Aboxes(
+                texts
+                    .iter()
+                    .map(|t| t.as_str().ok_or_else(not_strings))
+                    .collect::<Result<_, _>>()?,
+            )
+        } else {
+            Facts::Abox(field("abox")?)
+        };
+        Ok(QueryRequest {
+            ontology,
+            query,
+            input,
+            certify,
+            limits,
+        })
+    }
+}
+
+/// Parses a request's optional `"limits"` object.
+fn parse_limits(obj: &BTreeMap<String, Json>) -> Result<Limits, EngineError> {
+    let Some(limits) = obj.get("limits") else {
+        return Ok(Limits::default());
+    };
+    let Json::Obj(l) = limits else {
+        return Err(EngineError::BadRequest(
+            "\"limits\" must be an object".into(),
+        ));
+    };
+    let num = |name: &str| -> Result<Option<u64>, EngineError> {
+        match l.get(name) {
+            None => Ok(None),
+            Some(Json::Num(n)) if *n >= 0.0 && n.is_finite() => Ok(Some(*n as u64)),
+            Some(_) => Err(EngineError::BadRequest(format!(
+                "\"limits.{name}\" must be a non-negative number"
+            ))),
+        }
+    };
+    for key in l.keys() {
+        if !matches!(key.as_str(), "max_rounds" | "max_derived" | "timeout_ms") {
+            return Err(EngineError::BadRequest(format!(
+                "unknown limit \"{key}\" (expected max_rounds, max_derived, timeout_ms)"
+            )));
+        }
+    }
+    Ok(Limits {
+        max_rounds: num("max_rounds")?.map(|n| n as usize),
+        max_derived: num("max_derived")?.map(|n| n as usize),
+        timeout: num("timeout_ms")?.map(Duration::from_millis),
+    })
+}
+
+/// A query's plan with how the request obtained it.
+struct Planned {
+    plan: Arc<OmqPlan>,
+    /// Whether the plan came out of the cache.
+    cached: bool,
+    /// Wall time of the cache lookup or compilation.
+    compile: Duration,
+}
+
+/// Opens a response object: `{` plus the echoed `"id"`, if any.
+fn open_response(id: Option<&str>) -> String {
+    let mut out = String::from("{");
+    if let Some(id) = id {
+        out.push_str("\"id\": ");
+        json::write_str(&mut out, id);
+        out.push_str(", ");
+    }
+    out
 }
 
 /// A serving session: a view onto [`ServeShared`] state plus the
@@ -441,7 +602,7 @@ impl ServeSession {
     /// whatever the input: malformed requests, resource blowups and
     /// panicking corner cases all come back as structured responses.
     pub fn handle_line(&mut self, line: &str) -> String {
-        self.scope_enter();
+        self.shared.scope_enter();
         let dispatched = catch_unwind(AssertUnwindSafe(|| self.dispatch(line)));
         let (id, outcome) = match dispatched {
             Ok(r) => r,
@@ -459,64 +620,35 @@ impl ServeSession {
         let out = match outcome {
             Ok(body) => body,
             Err(e) => {
-                let mut out = String::from("{");
-                if let Some(id) = &id {
-                    out.push_str("\"id\": ");
-                    json::write_str(&mut out, id);
-                    out.push_str(", ");
+                let mut out = open_response(id.as_deref());
+                let status = match &e {
+                    EngineError::Overloaded(_) => "overloaded",
+                    EngineError::Quarantined(_) => "quarantined",
+                    EngineError::Malformed(_) => "malformed",
+                    EngineError::Stale { .. } => "stale",
+                    _ => "error",
+                };
+                let _ = write!(out, "\"status\": \"{status}\", ");
+                if let EngineError::Stale { lag, bound } = &e {
+                    let _ = write!(out, "\"staleness\": {lag}, \"max_staleness\": {bound}, ");
                 }
+                out.push_str("\"error\": ");
+                json::write_str(&mut out, &format!("{e}"));
                 match &e {
                     EngineError::Overloaded(be) => {
-                        out.push_str("\"status\": \"overloaded\", \"error\": ");
-                        json::write_str(&mut out, &format!("{e}"));
                         let _ = write!(out, ", \"limit\": \"{}\"", be.limit.name());
                     }
                     EngineError::Quarantined(n) => {
-                        out.push_str("\"status\": \"quarantined\", \"error\": ");
-                        json::write_str(&mut out, &format!("{e}"));
                         let _ = write!(out, ", \"failures\": {n}");
                     }
-                    EngineError::Malformed(_) => {
-                        out.push_str("\"status\": \"malformed\", \"error\": ");
-                        json::write_str(&mut out, &format!("{e}"));
-                    }
-                    EngineError::NotSqlRewritable(_) => {
-                        out.push_str("\"status\": \"non-rewritable-to-sql\", \"error\": ");
-                        json::write_str(&mut out, &format!("{e}"));
-                    }
-                    _ => {
-                        out.push_str("\"status\": \"error\", \"error\": ");
-                        json::write_str(&mut out, &format!("{e}"));
-                    }
+                    _ => {}
                 }
                 out.push('}');
                 out
             }
         };
-        self.scope_exit();
+        self.shared.scope_exit();
         out
-    }
-
-    /// Marks a request as in flight; the first request of a burst
-    /// records the constant floor to roll back to.
-    fn scope_enter(&self) {
-        let mut scope = lock_recover(&self.shared.scope);
-        if scope.active == 0 {
-            scope.floor = lock_recover(&self.shared.vocab).const_mark();
-        }
-        scope.active += 1;
-    }
-
-    /// Marks a request as done; the last request of a burst rolls back
-    /// every ABox constant the burst interned. (Rollback must wait for
-    /// quiescence: constants are shared across concurrent requests.)
-    fn scope_exit(&self) {
-        let mut scope = lock_recover(&self.shared.scope);
-        scope.active -= 1;
-        if scope.active == 0 {
-            let floor = scope.floor;
-            lock_recover(&self.shared.vocab).truncate_consts(floor);
-        }
     }
 
     fn dispatch(&mut self, line: &str) -> (Option<String>, Result<String, EngineError>) {
@@ -538,45 +670,9 @@ impl ServeSession {
         (id.clone(), self.run(&obj, id.as_deref()))
     }
 
-    /// Parses the request's optional `"limits"` object.
-    fn request_limits(
-        &self,
-        obj: &std::collections::BTreeMap<String, Json>,
-    ) -> Result<Limits, EngineError> {
-        let Some(limits) = obj.get("limits") else {
-            return Ok(Limits::default());
-        };
-        let Json::Obj(l) = limits else {
-            return Err(EngineError::BadRequest(
-                "\"limits\" must be an object".into(),
-            ));
-        };
-        let num = |name: &str| -> Result<Option<u64>, EngineError> {
-            match l.get(name) {
-                None => Ok(None),
-                Some(Json::Num(n)) if *n >= 0.0 && n.is_finite() => Ok(Some(*n as u64)),
-                Some(_) => Err(EngineError::BadRequest(format!(
-                    "\"limits.{name}\" must be a non-negative number"
-                ))),
-            }
-        };
-        for key in l.keys() {
-            if !matches!(key.as_str(), "max_rounds" | "max_derived" | "timeout_ms") {
-                return Err(EngineError::BadRequest(format!(
-                    "unknown limit \"{key}\" (expected max_rounds, max_derived, timeout_ms)"
-                )));
-            }
-        }
-        Ok(Limits {
-            max_rounds: num("max_rounds")?.map(|n| n as usize),
-            max_derived: num("max_derived")?.map(|n| n as usize),
-            timeout: num("timeout_ms")?.map(Duration::from_millis),
-        })
-    }
-
     fn run(
         &mut self,
-        obj: &std::collections::BTreeMap<String, Json>,
+        obj: &BTreeMap<String, Json>,
         id: Option<&str>,
     ) -> Result<String, EngineError> {
         match obj.get("op") {
@@ -595,70 +691,18 @@ impl ServeSession {
         }
     }
 
+    /// Answers a query: parse and validate the request once, admit it
+    /// against its deadline, fetch or compile the plan, then evaluate
+    /// under the plan's breaker ([`ServeSession::guarded`]) — one
+    /// [`Engine::answer`] call for request-supplied ABoxes, the
+    /// session's own path for `"session": true`.
     fn run_query(
-        &mut self,
-        obj: &std::collections::BTreeMap<String, Json>,
+        &self,
+        obj: &BTreeMap<String, Json>,
         id: Option<&str>,
     ) -> Result<String, EngineError> {
-        let field = |name: &str| -> Result<&str, EngineError> {
-            obj.get(name)
-                .and_then(Json::as_str)
-                .ok_or_else(|| EngineError::BadRequest(format!("missing string field \"{name}\"")))
-        };
-        let ontology_text = field("ontology")?;
-        let query_name = field("query")?;
-        let want_cert = match obj.get("certificate") {
-            None => false,
-            Some(Json::Bool(b)) => *b,
-            Some(_) => {
-                return Err(EngineError::BadRequest(
-                    "\"certificate\" must be a boolean".into(),
-                ))
-            }
-        };
-        if want_cert && obj.contains_key("aboxes") {
-            return Err(EngineError::BadRequest(
-                "\"certificate\": true cannot be combined with \"aboxes\" \
-                 (certify one ABox per request)"
-                    .into(),
-            ));
-        }
-        let backend = match obj.get("backend") {
-            None => self.shared.default_backend,
-            Some(Json::Str(name)) => Backend::from_name(name).map_err(EngineError::BadRequest)?,
-            Some(_) => {
-                return Err(EngineError::BadRequest(
-                    "\"backend\" must be \"native\" or \"sql\"".into(),
-                ))
-            }
-        };
-        if backend == Backend::Sql {
-            if want_cert {
-                return Err(EngineError::BadRequest(
-                    "\"backend\": \"sql\" cannot attach certificates \
-                     (the SQL executor records no derivations)"
-                        .into(),
-                ));
-            }
-            if obj.contains_key("aboxes") {
-                return Err(EngineError::BadRequest(
-                    "\"backend\": \"sql\" cannot be combined with \"aboxes\" \
-                     (batch one ABox per request)"
-                        .into(),
-                ));
-            }
-            if matches!(obj.get("session"), Some(Json::Bool(true))) {
-                return Err(EngineError::BadRequest(
-                    "\"backend\": \"sql\" cannot be combined with \"session\": true \
-                     (the session store is served natively)"
-                        .into(),
-                ));
-            }
-        }
-        let budget = self
-            .limits
-            .clamp(&self.request_limits(obj)?)
-            .budget_from_now();
+        let req = QueryRequest::parse(obj)?;
+        let budget = self.limits.clamp(&req.limits).budget_from_now();
         // Admission control: a request whose deadline has already passed
         // must not enter the executor at all — it would only burn a
         // worker to discover the same verdict.
@@ -672,174 +716,137 @@ impl ServeSession {
         }
         let (o, query) = {
             let mut vocab = lock_recover(&self.shared.vocab);
-            let dl = parse_ontology(ontology_text, &mut vocab)
+            let dl = parse_ontology(req.ontology, &mut vocab)
                 .map_err(|e| EngineError::BadRequest(format!("ontology: {e}")))?;
             let o = to_gf(&dl);
-            let query = vocab.find_rel(query_name).ok_or_else(|| {
+            let query = vocab.find_rel(req.query).ok_or_else(|| {
                 EngineError::BadRequest(format!(
-                    "query relation \"{query_name}\" does not occur in the ontology"
+                    "query relation \"{}\" does not occur in the ontology",
+                    req.query
                 ))
             })?;
             (o, query)
         };
         // The vocab lock is released before planning: the cache takes it
         // itself, and single-flight waiters must not hold it.
-        let (plan, cached, compile_elapsed) =
-            self.shared
-                .engine
-                .plan_shared(&o, query, &self.shared.vocab);
-        self.shared.engine.record_compile(compile_elapsed);
-        let plan = plan?;
-
-        // The session-resident store is answered on its own path: a
-        // shared `Arc` snapshot (no column copy) plus, when enabled,
-        // the plan's maintained materialization.
-        if matches!(obj.get("session"), Some(Json::Bool(true))) {
-            if obj.contains_key("abox") || obj.contains_key("aboxes") {
-                return Err(EngineError::BadRequest(
-                    "\"session\": true cannot be combined with \"abox\"/\"aboxes\"".into(),
-                ));
-            }
-            return self.run_session_query(id, &plan, cached, compile_elapsed, &budget, want_cert);
-        }
-        // One ABox or a batch of ABoxes.
-        let parse_abox = |text: &str| -> Result<IndexedInstance, EngineError> {
-            let mut vocab = lock_recover(&self.shared.vocab);
-            let d = gomq_core::parse::parse_instance(text, &mut vocab)
-                .map_err(|e| EngineError::BadRequest(format!("abox: {e}")))?;
-            // Move the parsed store into the index — the serve path never
-            // copies the fact columns.
-            Ok(IndexedInstance::from_instance(d))
+        let (plan, cached, compile) = self
+            .shared
+            .engine
+            .plan_shared(&o, query, &self.shared.vocab);
+        self.shared.engine.record_compile(compile);
+        let planned = Planned {
+            plan: plan?,
+            cached,
+            compile,
         };
-        enum Input {
-            One(Box<IndexedInstance>),
-            Batch(Vec<IndexedInstance>),
-        }
-        let input = if let Some(texts) = obj.get("aboxes") {
-            let texts = texts.as_arr().ok_or_else(|| {
-                EngineError::BadRequest("\"aboxes\" must be an array of strings".into())
-            })?;
-            let mut aboxes = Vec::with_capacity(texts.len());
-            for t in texts {
-                aboxes.push(parse_abox(t.as_str().ok_or_else(|| {
-                    EngineError::BadRequest("\"aboxes\" must be an array of strings".into())
-                })?)?);
+        let plan = &planned.plan;
+        let aboxes = match &req.input {
+            Facts::Session => {
+                return self.guarded(id, &planned, |view_out| {
+                    self.session_answer(plan, &budget, req.certify, view_out)
+                })
             }
-            Input::Batch(aboxes)
-        } else {
-            Input::One(Box::new(parse_abox(field("abox")?)?))
+            Facts::Abox(text) => vec![self.parse_abox(text)?],
+            Facts::Aboxes(texts) => texts
+                .iter()
+                .map(|text| self.parse_abox(text))
+                .collect::<Result<_, _>>()?,
         };
+        let batch = matches!(req.input, Facts::Aboxes(_));
+        // The ABox came with the request, so a certificate binds to no
+        // session position (its base facts are self-contained).
+        let opts = Options {
+            budget,
+            certify: req.certify.then_some(Certify {
+                vocab: &self.shared.vocab,
+                snapshot: None,
+            }),
+        };
+        self.guarded(id, &planned, |_| {
+            let input = if batch {
+                Input::Batch(&aboxes)
+            } else {
+                Input::One(&aboxes[0])
+            };
+            let answered = self.shared.engine.answer(plan, input, &opts)?;
+            let payload = self.payload(&answered.answers, batch, answered.certificate.as_deref());
+            Ok((payload, answered.stats))
+        })
+    }
 
-        // The SQL backend's rewritability verdict is a compile-time
-        // property of the plan: refuse recursive plans before the
-        // breaker or the executor ever see the request.
-        if backend == Backend::Sql {
-            if let Err(e) = &plan.sql {
-                self.shared.engine.record_sql_refusal();
-                return Err(EngineError::NotSqlRewritable(e.clone()));
-            }
-        }
-        // Circuit breaker: a plan that keeps failing evaluation is
-        // refused before it can burn another budget.
-        if let Some(n) = self.shared.engine.quarantine_reject(plan.key) {
+    /// Parses one request-supplied ABox text into an indexed store.
+    fn parse_abox(&self, text: &str) -> Result<IndexedInstance, EngineError> {
+        let mut vocab = lock_recover(&self.shared.vocab);
+        let d = gomq_core::parse::parse_instance(text, &mut vocab)
+            .map_err(|e| EngineError::BadRequest(format!("abox: {e}")))?;
+        // Move the parsed store into the index — the serve path never
+        // copies the fact columns.
+        Ok(IndexedInstance::from_instance(d))
+    }
+
+    /// Evaluates a query under its plan's circuit breaker and renders
+    /// the `"ok"` response. A quarantined plan is refused before `eval`
+    /// runs; blown budgets and panics inside `eval` count against the
+    /// breaker (bad requests do not) and a success resets it. `eval`
+    /// raises its flag once it has checked a maintained view out of the
+    /// session registry: a failure after that consumed the view, so the
+    /// drop is counted and the gauges resampled here — the totals never
+    /// claim a view that no longer exists.
+    fn guarded(
+        &self,
+        id: Option<&str>,
+        planned: &Planned,
+        eval: impl FnOnce(&mut bool) -> Result<(String, RequestStats), EngineError>,
+    ) -> Result<String, EngineError> {
+        let engine = &self.shared.engine;
+        let key = planned.plan.key;
+        if let Some(n) = engine.quarantine_reject(key) {
             return Err(EngineError::Quarantined(n));
         }
-        // Evaluate with failures (blown budgets and panics, not bad
-        // requests) attributed to this plan's breaker.
-        let engine = &self.shared.engine;
-        let evaluated = catch_unwind(AssertUnwindSafe(|| match &input {
-            Input::One(abox) if want_cert => {
-                // Certified path: the traced fixpoint *is* the
-                // evaluation — answers and certificate come from one
-                // run, never a second evaluation. The ABox came with
-                // the request, so there is no session position to bind
-                // to (the certificate's base facts are self-contained).
-                engine
-                    .answer_indexed_certified(&plan, abox, &budget, &self.shared.vocab, None)
-                    .map(|(answers, cert, stats)| {
-                        let mut payload = String::from("\"answers\": ");
-                        self.write_answers(&mut payload, &answers);
-                        payload.push_str(", \"certificate\": ");
-                        payload.push_str(&cert);
-                        (payload, stats)
-                    })
-            }
-            Input::One(abox) => match backend {
-                Backend::Native => engine.answer_indexed_budgeted(&plan, abox, &budget),
-                Backend::Sql => engine.answer_indexed_sql(&plan, abox, &budget, &self.shared.vocab),
-            }
-            .map(|(answers, stats)| {
-                let mut payload = String::from("\"answers\": ");
-                self.write_answers(&mut payload, &answers);
-                (payload, stats)
-            }),
-            Input::Batch(aboxes) => {
-                engine
-                    .answer_batch_budgeted(&plan, aboxes, &budget)
-                    .map(|(batches, stats)| {
-                        let mut payload = String::from("\"batches\": [");
-                        for (i, answers) in batches.iter().enumerate() {
-                            if i > 0 {
-                                payload.push_str(", ");
-                            }
-                            self.write_answers(&mut payload, answers);
-                        }
-                        payload.push(']');
-                        (payload, stats)
-                    })
-            }
-        }));
-        let (payload, stats) = match evaluated {
-            Ok(Ok(ok)) => {
-                engine.record_eval_success(plan.key);
-                ok
+        let mut view_out = false;
+        let evaluated = catch_unwind(AssertUnwindSafe(|| eval(&mut view_out)));
+        match evaluated {
+            Ok(Ok((payload, stats))) => {
+                engine.record_eval_success(key);
+                Ok(self.query_response(id, planned, &payload, &stats))
             }
             Ok(Err(e)) => {
                 if matches!(e, EngineError::Overloaded(_)) {
-                    engine.record_eval_failure(plan.key);
+                    engine.record_eval_failure(key);
                 }
-                return Err(e);
+                if view_out {
+                    self.note_view_dropped();
+                }
+                Err(e)
             }
             Err(panic) => {
-                engine.record_eval_failure(plan.key);
+                engine.record_eval_failure(key);
+                if view_out {
+                    self.note_view_dropped();
+                }
                 std::panic::resume_unwind(panic)
             }
-        };
-
-        Ok(self.query_response(
-            id,
-            &plan,
-            cached,
-            compile_elapsed,
-            backend,
-            &payload,
-            &stats,
-        ))
+        }
     }
 
     /// Answers a `"session": true` query over the session-resident
-    /// store. The store is snapshotted by an `Arc` refcount bump — the
-    /// read path never deep-copies the fact columns — and, when view
-    /// maintenance is enabled, the answer comes from the plan's
-    /// maintained materialization: a registry hit pays one incremental
-    /// sync over the facts asserted since the view last looked instead
-    /// of a from-scratch fixpoint; a miss pays the one full fixpoint a
-    /// view ever costs and registers it. With maintenance disabled
-    /// (`max_views` 0) the query runs a plain budgeted fixpoint over
-    /// the shared snapshot.
-    fn run_session_query(
-        &mut self,
-        id: Option<&str>,
-        plan: &Arc<OmqPlan>,
-        cached: bool,
-        compile_elapsed: Duration,
+    /// store, returning the response payload. The store is snapshotted
+    /// by an `Arc` refcount bump — the read path never deep-copies the
+    /// fact columns — and, when view maintenance is enabled, the answer
+    /// comes from the plan's maintained materialization: a registry hit
+    /// pays one incremental sync over the facts asserted since the view
+    /// last looked instead of a from-scratch fixpoint; a miss pays the
+    /// one full fixpoint a view ever costs and registers it. With
+    /// maintenance disabled (`max_views` 0) the query is one
+    /// [`Engine::answer`] call over the shared snapshot.
+    fn session_answer(
+        &self,
+        plan: &OmqPlan,
         budget: &Budget,
         want_cert: bool,
-    ) -> Result<String, EngineError> {
+        view_out: &mut bool,
+    ) -> Result<(String, RequestStats), EngineError> {
         let engine = &self.shared.engine;
-        if let Some(n) = engine.quarantine_reject(plan.key) {
-            return Err(EngineError::Quarantined(n));
-        }
         // Replica reads carry their lsn lag behind the primary's head
         // (`"staleness"`), and lag past the `--max-staleness-lsn` bound
         // is refused with a typed `"stale"` status before any view is
@@ -857,23 +864,7 @@ impl ServeSession {
             let bound = self.shared.repl().max_staleness();
             if lag > bound {
                 engine.record_repl_stale_refusal();
-                let mut out = String::from("{");
-                if let Some(id) = id {
-                    out.push_str("\"id\": ");
-                    json::write_str(&mut out, id);
-                    out.push_str(", ");
-                }
-                let _ = write!(
-                    out,
-                    "\"status\": \"stale\", \"staleness\": {lag}, \"max_staleness\": {bound}, "
-                );
-                out.push_str("\"error\": ");
-                json::write_str(
-                    &mut out,
-                    "replica lag exceeds --max-staleness-lsn; retry on the primary or relax the bound",
-                );
-                out.push('}');
-                return Ok(out);
+                return Err(EngineError::Stale { lag, bound });
             }
         }
         // Check the view out (and snapshot the store) under one lock
@@ -906,146 +897,61 @@ impl ServeSession {
         if let Some((active, evicted)) = gauges {
             engine.record_views(active, evicted);
         }
-        let had_view = view.is_some();
+        let maintained = view.is_some();
+        *view_out = maintained;
         let t0 = Instant::now();
-        let evaluated = catch_unwind(AssertUnwindSafe(
-            || -> Result<(String, RequestStats), EngineError> {
-                let overloaded = |e: BudgetExceeded| {
-                    engine.record_overloaded();
-                    EngineError::Overloaded(e)
-                };
-                let (answers, cert, stats) = match view {
-                    Some(mut view) => {
-                        // Maintained hit. A failed sync consumes the
-                        // view — the registry never holds a half-
-                        // maintained materialization.
-                        let es = view.sync(&store, budget).map_err(overloaded)?;
-                        let answers = view.answers();
-                        let cert = want_cert
-                            .then(|| self.view_certificate(&view, position))
-                            .transpose()?;
-                        let stats = RequestStats {
-                            eval: t0.elapsed(),
-                            rounds: es.rounds,
-                            derived: es.derived,
-                            answers: answers.len(),
-                            store: es.store,
-                            maintained: true,
-                            ivm_deleted: es.ivm_deleted,
-                            ivm_rederived: es.ivm_rederived,
-                            cert_bytes: cert.as_ref().map_or(0, String::len),
-                            ..RequestStats::default()
-                        };
-                        engine.record_request(&stats);
-                        self.put_view(plan.key, view, epoch);
-                        (answers, cert, stats)
-                    }
-                    None if views_on => {
-                        // Miss: the one full fixpoint this view ever
-                        // costs; register it for the next query.
-                        // Certificate-requesting sessions build the
-                        // recording variant, whose sync/rollback
-                        // maintenance keeps witnesses alongside facts.
-                        let (view, es) = if want_cert {
-                            Materialization::build_recording(
-                                &plan.program.rules,
-                                plan.program.goal,
-                                &store,
-                                budget,
-                            )
-                        } else {
-                            Materialization::build(
-                                &plan.program.rules,
-                                plan.program.goal,
-                                &store,
-                                budget,
-                            )
-                        }
-                        .map_err(overloaded)?;
-                        let answers = view.answers();
-                        let cert = want_cert
-                            .then(|| self.view_certificate(&view, position))
-                            .transpose()?;
-                        let stats = RequestStats {
-                            eval: t0.elapsed(),
-                            rounds: es.rounds,
-                            derived: es.derived,
-                            answers: answers.len(),
-                            store: es.store,
-                            cert_bytes: cert.as_ref().map_or(0, String::len),
-                            ..RequestStats::default()
-                        };
-                        engine.record_request(&stats);
-                        self.put_view(plan.key, view, epoch);
-                        (answers, cert, stats)
-                    }
-                    // Maintenance disabled: plain budgeted fixpoint over
-                    // the shared snapshot (absorbs its own stats).
-                    None if want_cert => {
-                        let (answers, cert, stats) = engine.answer_indexed_certified(
-                            plan,
-                            &store,
-                            budget,
-                            &self.shared.vocab,
-                            Some(position),
-                        )?;
-                        (answers, Some(cert), stats)
-                    }
-                    None => {
-                        let (answers, stats) =
-                            engine.answer_indexed_budgeted(plan, &store, budget)?;
-                        (answers, None, stats)
-                    }
-                };
-                let mut payload = String::from("\"answers\": ");
-                self.write_answers(&mut payload, &answers);
-                if let Some(cert) = cert {
-                    payload.push_str(", \"certificate\": ");
-                    payload.push_str(&cert);
-                }
-                Ok((payload, stats))
-            },
-        ));
-        let (payload, stats) = match evaluated {
-            Ok(Ok(ok)) => {
-                engine.record_eval_success(plan.key);
-                ok
+        let (answers, cert, stats) = if view.is_none() && !views_on {
+            // Maintenance disabled: one engine call over the shared
+            // snapshot (absorbs its own stats).
+            let opts = Options {
+                budget: *budget,
+                certify: want_cert.then_some(Certify {
+                    vocab: &self.shared.vocab,
+                    snapshot: Some(position),
+                }),
+            };
+            let answered = engine.answer(plan, Input::One(&store), &opts)?;
+            (answered.answers, answered.certificate, answered.stats)
+        } else {
+            let (rules, goal) = (&plan.program.rules, plan.program.goal);
+            let (view, es) = match view {
+                // Maintained hit. A failed sync consumes the view — the
+                // registry never holds a half-maintained materialization.
+                Some(mut view) => view.sync(&store, budget).map(|es| (view, es)),
+                // Miss: the one full fixpoint this view ever costs;
+                // register it for the next query. Certificate-requesting
+                // sessions build the recording variant, whose
+                // sync/rollback maintenance keeps witnesses alongside
+                // facts.
+                None if want_cert => Materialization::build_recording(rules, goal, &store, budget),
+                None => Materialization::build(rules, goal, &store, budget),
             }
-            Ok(Err(e)) => {
-                if matches!(e, EngineError::Overloaded(_)) {
-                    engine.record_eval_failure(plan.key);
-                }
-                if had_view {
-                    // The checked-out view died inside the failed
-                    // closure (its sync blew the budget, or certificate
-                    // assembly failed before re-registration): count
-                    // the drop and resample the gauges so the totals
-                    // never claim a view that no longer exists.
-                    self.note_view_dropped();
-                }
-                return Err(e);
-            }
-            Err(panic) => {
-                engine.record_eval_failure(plan.key);
-                if had_view {
-                    self.note_view_dropped();
-                }
-                std::panic::resume_unwind(panic)
-            }
+            .map_err(|e| engine.overloaded(e))?;
+            let answers = view.answers();
+            let cert = want_cert
+                .then(|| self.view_certificate(&view, position))
+                .transpose()?;
+            let stats = RequestStats {
+                eval: t0.elapsed(),
+                rounds: es.rounds,
+                derived: es.derived,
+                answers: answers.len(),
+                store: es.store,
+                maintained,
+                ivm_deleted: es.ivm_deleted,
+                ivm_rederived: es.ivm_rederived,
+                cert_bytes: cert.as_ref().map_or(0, String::len),
+                ..RequestStats::default()
+            };
+            engine.record_request(&stats);
+            self.put_view(plan.key, view, epoch);
+            (vec![answers], cert, stats)
         };
-        let mut payload = payload;
+        let mut payload = self.payload(&answers, false, cert.as_deref());
         if let Some(lag) = staleness {
             let _ = write!(payload, ", \"staleness\": {lag}");
         }
-        Ok(self.query_response(
-            id,
-            plan,
-            cached,
-            compile_elapsed,
-            Backend::Native,
-            &payload,
-            &stats,
-        ))
+        Ok((payload, stats))
     }
 
     /// Assembles the certificate for a synced recording view, bound to
@@ -1099,48 +1005,61 @@ impl ServeSession {
         self.shared.engine.record_views(active, evicted);
     }
 
+    /// Renders the answer part of an `"ok"` query response: `"answers"`
+    /// for one ABox or `"batches"` for a batch, then the certificate.
+    fn payload(&self, answers: &[BTreeSet<Vec<Term>>], batch: bool, cert: Option<&str>) -> String {
+        let mut out = String::new();
+        if batch {
+            out.push_str("\"batches\": [");
+            for (i, answers) in answers.iter().enumerate() {
+                if i > 0 {
+                    out.push_str(", ");
+                }
+                self.write_answers(&mut out, answers);
+            }
+            out.push(']');
+        } else {
+            out.push_str("\"answers\": ");
+            self.write_answers(&mut out, &answers[0]);
+        }
+        if let Some(cert) = cert {
+            out.push_str(", \"certificate\": ");
+            out.push_str(cert);
+        }
+        out
+    }
+
     /// The common `{"id": ..., "status": "ok", ..., "stats": ...,
-    /// "engine": ...}` response of both query paths.
-    #[allow(clippy::too_many_arguments)]
+    /// "engine": ...}` response of every query.
     fn query_response(
         &self,
         id: Option<&str>,
-        plan: &OmqPlan,
-        cached: bool,
-        compile_elapsed: Duration,
-        backend: Backend,
+        planned: &Planned,
         payload: &str,
         stats: &RequestStats,
     ) -> String {
-        let mut out = String::from("{");
-        if let Some(id) = id {
-            out.push_str("\"id\": ");
-            json::write_str(&mut out, id);
-            out.push_str(", ");
-        }
-        out.push_str("\"status\": \"ok\", ");
-        let _ = write!(out, "\"cached\": {cached}, ");
+        let mut out = open_response(id);
+        let _ = write!(out, "\"status\": \"ok\", \"cached\": {}, ", planned.cached);
         out.push_str("\"zone\": ");
-        json::write_str(&mut out, &format!("{}", plan.report.zone));
+        json::write_str(&mut out, &format!("{}", planned.plan.report.zone));
         out.push_str(", \"fragment\": ");
         // The tightest containing Figure-1 fragment, or null when the
         // classifier placed the ontology in no listed fragment.
-        match plan.report.fragments.first() {
+        match planned.plan.report.fragments.first() {
             Some(fr) => json::write_str(&mut out, &format!("{fr}")),
             None => out.push_str("null"),
         }
-        let _ = write!(out, ", \"backend\": \"{}\"", backend.name());
         out.push_str(", ");
         out.push_str(payload);
         let _ = write!(
             out,
             ", \"stats\": {{\"compile_us\": {}, \"eval_us\": {}, \"rounds\": {}, \
              \"derived\": {}, \"cache_hit\": {}, \"maintained\": {}, \"cert_bytes\": {}}}",
-            compile_elapsed.as_micros(),
+            planned.compile.as_micros(),
             stats.eval.as_micros(),
             stats.rounds,
             stats.derived,
-            cached,
+            planned.cached,
             stats.maintained,
             stats.cert_bytes,
         );
@@ -1172,12 +1091,7 @@ impl ServeSession {
             ),
         };
         self.shared.engine.record_repl_write_refusal();
-        let mut out = String::from("{");
-        if let Some(id) = id {
-            out.push_str("\"id\": ");
-            json::write_str(&mut out, id);
-            out.push_str(", ");
-        }
+        let mut out = open_response(id);
         let _ = write!(out, "\"status\": \"{status}\", \"op\": \"{op}\", ");
         if role == Role::Fenced {
             let _ = write!(out, "\"epoch\": {}, ", ctx.epoch());
@@ -1216,7 +1130,7 @@ impl ServeSession {
     /// snapshot if the policy says so.
     fn run_assert(
         &mut self,
-        obj: &std::collections::BTreeMap<String, Json>,
+        obj: &BTreeMap<String, Json>,
         id: Option<&str>,
     ) -> Result<String, EngineError> {
         if let Some(refusal) = self.refuse_write(id, "assert") {
@@ -1239,13 +1153,9 @@ impl ServeSession {
                 .collect();
             (facts, syms, vocab.const_mark())
         };
-        // Session constants are durable: raise the burst's rollback
-        // floor so scope_exit never truncates names the session store
-        // still references.
-        {
-            let mut scope = lock_recover(&self.shared.scope);
-            scope.floor = scope.floor.max(const_floor);
-        }
+        // Session constants are durable: scope_exit must never truncate
+        // names the session store still references.
+        self.shared.keep_consts(const_floor);
         let (info, snapshotted) = {
             let mut session = lock_recover(&self.shared.session);
             let info = session.assert(syms, &facts)?;
@@ -1288,7 +1198,7 @@ impl ServeSession {
     /// Handles `{"op": "rollback", "mark": n}`.
     fn run_rollback(
         &mut self,
-        obj: &std::collections::BTreeMap<String, Json>,
+        obj: &BTreeMap<String, Json>,
         id: Option<&str>,
     ) -> Result<String, EngineError> {
         if let Some(refusal) = self.refuse_write(id, "rollback") {
@@ -1360,12 +1270,7 @@ impl ServeSession {
     /// The common `{"id": ..., "status": "ok", "op": ..., ` response
     /// prefix of session mutations.
     fn mutation_head(&self, id: Option<&str>, op: &str) -> String {
-        let mut out = String::from("{");
-        if let Some(id) = id {
-            out.push_str("\"id\": ");
-            json::write_str(&mut out, id);
-            out.push_str(", ");
-        }
+        let mut out = open_response(id);
         let _ = write!(out, "\"status\": \"ok\", \"op\": \"{op}\", ");
         out
     }
@@ -1388,7 +1293,6 @@ impl ServeSession {
              \"queue_rejects\": {}, \"drains\": {}, \"ivm_maintained_hits\": {}, \
              \"ivm_deleted\": {}, \"ivm_rederived\": {}, \"views_active\": {}, \
              \"views_evicted\": {}, \"certs_emitted\": {}, \"cert_bytes\": {}, \
-             \"sql_compiles\": {}, \"sql_refusals\": {}, \
              \"repl_frames_shipped\": {}, \"repl_bytes_shipped\": {}, \
              \"repl_snapshots_shipped\": {}, \"repl_records_applied\": {}, \
              \"repl_bytes_applied\": {}, \"repl_reconnects\": {}, \
@@ -1427,8 +1331,6 @@ impl ServeSession {
             totals.views_evicted,
             totals.certs_emitted,
             totals.cert_bytes,
-            totals.sql_compiles,
-            totals.sql_refusals,
             totals.repl_frames_shipped,
             totals.repl_bytes_shipped,
             totals.repl_snapshots_shipped,
@@ -2240,109 +2142,119 @@ mod tests {
     }
 
     #[test]
-    fn backend_names_resolve_like_flags() {
-        assert_eq!(Backend::from_name("native"), Ok(Backend::Native));
-        assert_eq!(Backend::from_name("sql"), Ok(Backend::Sql));
-        let err = Backend::from_name("postgres").unwrap_err();
-        assert!(
-            err.contains("unknown backend") && err.contains("\"native\" or \"sql\""),
-            "unhelpful error: {err}"
-        );
-    }
-
-    #[test]
     fn sql_backend_answers_match_native() {
         let mut s = ServeSession::with_threads(2);
-        let req = |backend: &str| {
-            format!(
-                r#"{{"ontology": "Manager sub Employee\nEmployee sub Staff", "query": "Staff", "abox": "Manager(ada)\nEmployee(grace)"{backend}}}"#
-            )
-        };
-        let native = s.handle_line(&req(""));
-        ok_field(&native, "\"status\": \"ok\"");
-        ok_field(&native, "\"backend\": \"native\"");
-        let sql = s.handle_line(&req(r#", "backend": "sql""#));
-        ok_field(&sql, "\"status\": \"ok\"");
-        ok_field(&sql, "\"backend\": \"sql\"");
-        ok_field(&sql, r#"["ada"]"#);
-        ok_field(&sql, r#"["grace"]"#);
-        // Identical answer arrays on both backends.
-        let answers = |r: &str| {
-            let from = r.find("\"answers\": ").unwrap();
-            r[from..r.find(", \"stats\"").unwrap()].to_string()
-        };
-        assert_eq!(answers(&native), answers(&sql));
-        let totals = s.engine().stats();
-        assert_eq!(totals.sql_compiles, 1);
-        assert_eq!(totals.sql_refusals, 0);
-        ok_field(&sql, "\"sql_compiles\": 1, \"sql_refusals\": 0");
-        assert!(crate::json::parse(&sql).is_ok());
-    }
-
-    #[test]
-    fn recursive_plan_gets_typed_sql_refusal() {
-        let mut s = ServeSession::with_threads(1);
-        // The existential role makes the emitted rewriting recursive:
-        // SQL refuses, native still answers.
-        let req = |backend: &str| {
-            format!(
-                r#"{{"id": "r", "ontology": "A sub ex R.B\nB sub C", "query": "C", "abox": "B(x)", "backend": "{backend}"}}"#
-            )
-        };
-        let refused = s.handle_line(&req("sql"));
-        ok_field(&refused, "\"status\": \"non-rewritable-to-sql\"");
-        ok_field(&refused, "\"id\": \"r\"");
-        ok_field(&refused, "recursive");
-        assert!(crate::json::parse(&refused).is_ok());
-        let native = s.handle_line(&req("native"));
-        ok_field(&native, "\"status\": \"ok\"");
-        ok_field(&native, r#"["x"]"#);
-        let totals = s.engine().stats();
-        assert_eq!(totals.sql_refusals, 1);
-        assert_eq!(totals.sql_compiles, 0);
-    }
-
-    #[test]
-    fn sql_backend_default_comes_from_config() {
-        let mut s = ServeSession::with_config(ServeConfig {
-            threads: 1,
-            default_backend: Backend::Sql,
-            ..ServeConfig::default()
-        });
-        let resp = s.handle_line(r#"{"ontology": "A sub B", "query": "B", "abox": "A(x)"}"#);
-        ok_field(&resp, "\"backend\": \"sql\"");
-        ok_field(&resp, r#"["x"]"#);
-        // A per-request field overrides the session default.
-        let resp = s.handle_line(
-            r#"{"ontology": "A sub B", "query": "B", "abox": "A(x)", "backend": "native"}"#,
-        );
-        ok_field(&resp, "\"backend\": \"native\"");
+        let ontology = "Manager sub Employee\nEmployee sub Staff";
+        let abox = "Manager(ada)\nEmployee(grace)";
+        let mut req = String::from(r#"{"ontology": "#);
+        json::write_str(&mut req, ontology);
+        req.push_str(r#", "query": "Staff", "abox": "#);
+        json::write_str(&mut req, abox);
+        req.push_str(r#", "backend": "sql"}"#);
+        let served = s.handle_line(&req);
+        ok_field(&served, "\"status\": \"ok\"");
+        ok_field(&served, r#"[["ada"], ["grace"]]"#);
+        assert!(crate::json::parse(&served).is_ok());
+        // The served plan, evaluated on the SQL backend, gives the same
+        // answers the native path served.
+        let mut vocab = lock_recover(&s.shared.vocab);
+        let o = to_gf(&parse_ontology(ontology, &mut vocab).unwrap());
+        let staff = vocab.find_rel("Staff").unwrap();
+        let (plan, hit, _) = s.engine().plan(&o, staff, &mut vocab);
+        assert!(hit, "the served request compiled and cached the plan");
+        let plan = plan.unwrap();
+        let sql = plan.sql.as_ref().expect("hierarchy plans are acyclic");
+        let instance = gomq_core::parse::parse_instance(abox, &mut vocab).unwrap();
+        let indexed = IndexedInstance::from_interpretation(&instance);
+        let rows =
+            crate::backend::sql::eval_sql_budgeted(sql, &indexed, &vocab, &Budget::UNLIMITED)
+                .unwrap();
+        let names: BTreeSet<&str> = rows
+            .iter()
+            .map(|row| match row.as_slice() {
+                [Term::Const(c)] => vocab.const_name(*c),
+                other => panic!("unexpected SQL row {other:?}"),
+            })
+            .collect();
+        assert_eq!(names, BTreeSet::from(["ada", "grace"]));
     }
 
     #[test]
     fn bad_backend_requests_are_typed_errors() {
         let mut s = ServeSession::with_threads(1);
-        let base = r#""ontology": "A sub B", "query": "B", "abox": "A(x)""#;
-        let unknown = s.handle_line(&format!(r#"{{{base}, "backend": "postgres"}}"#));
-        ok_field(&unknown, "\"status\": \"error\"");
-        ok_field(&unknown, "unknown backend");
-        let wrong_type = s.handle_line(&format!(r#"{{{base}, "backend": 7}}"#));
-        ok_field(&wrong_type, "must be \\\"native\\\" or \\\"sql\\\"");
-        let with_cert = s.handle_line(&format!(
-            r#"{{{base}, "backend": "sql", "certificate": true}}"#
-        ));
-        ok_field(&with_cert, "cannot attach certificates");
-        let with_batch = s.handle_line(
-            r#"{"ontology": "A sub B", "query": "B", "aboxes": ["A(x)"], "backend": "sql"}"#,
-        );
-        ok_field(&with_batch, "cannot be combined with \\\"aboxes\\\"");
-        let with_session = s.handle_line(
-            r#"{"ontology": "A sub B", "query": "B", "session": true, "backend": "sql"}"#,
-        );
-        ok_field(&with_session, "cannot be combined with \\\"session\\\"");
+        let base = r#""ontology": "A sub B", "query": "B""#;
+        // A "backend" field changes nothing about which input
+        // combinations are refused: each is still a typed error.
+        for (inputs, needle) in [
+            (
+                r#""abox": "A(x)", "backend": "sql", "aboxes": ["A(y)"]"#,
+                r#"\"abox\" cannot be combined with \"aboxes\""#,
+            ),
+            (
+                r#""aboxes": ["A(x)"], "backend": "sql", "certificate": true"#,
+                r#"\"certificate\": true cannot be combined with \"aboxes\""#,
+            ),
+            (
+                r#""session": true, "backend": "sql", "abox": "A(x)""#,
+                r#"\"session\": true cannot be combined"#,
+            ),
+        ] {
+            let resp = s.handle_line(&format!(r#"{{{base}, {inputs}}}"#));
+            ok_field(&resp, "\"status\": \"error\"");
+            ok_field(&resp, needle);
+            assert!(crate::json::parse(&resp).is_ok(), "not JSON: {resp}");
+        }
         // The session still answers afterwards.
-        let good = s.handle_line(&format!(r#"{{{base}, "backend": "sql"}}"#));
+        let good = s.handle_line(&format!(r#"{{{base}, "abox": "A(x)", "backend": "sql"}}"#));
         ok_field(&good, "\"status\": \"ok\"");
+        ok_field(&good, r#"[["x"]]"#);
+    }
+
+    #[test]
+    fn illegal_query_inputs_are_refused_before_planning() {
+        let mut s = ServeSession::with_threads(1);
+        let omq = r#""ontology": "A sub B", "query": "B""#;
+        for (inputs, needle) in [
+            (
+                r#""aboxes": ["A(x)"], "certificate": true"#,
+                r#"\"certificate\": true cannot be combined with \"aboxes\""#,
+            ),
+            (
+                r#""session": true, "abox": "A(x)""#,
+                r#"\"session\": true cannot be combined"#,
+            ),
+            (
+                r#""session": true, "aboxes": ["A(x)"]"#,
+                r#"\"session\": true cannot be combined"#,
+            ),
+            (
+                r#""abox": "A(x)", "aboxes": ["A(y)"]"#,
+                r#"\"abox\" cannot be combined with \"aboxes\""#,
+            ),
+        ] {
+            let resp = s.handle_line(&format!(r#"{{"id": "bad", {omq}, {inputs}}}"#));
+            ok_field(&resp, "\"status\": \"error\"");
+            ok_field(&resp, "\"id\": \"bad\"");
+            ok_field(&resp, needle);
+            assert!(crate::json::parse(&resp).is_ok(), "not JSON: {resp}");
+        }
+        // Every refusal came from the one request parser: no plan was
+        // looked up, let alone compiled.
+        let totals = s.engine().stats();
+        assert_eq!((totals.cache_misses, totals.cache_hits), (0, 0));
+        // "backend" is not part of the protocol: like any unknown field
+        // it is ignored, and the query is answered natively.
+        let plain = s.handle_line(&format!(r#"{{{omq}, "abox": "A(x)"}}"#));
+        let with_backend =
+            s.handle_line(&format!(r#"{{{omq}, "abox": "A(x)", "backend": "sql"}}"#));
+        ok_field(&with_backend, "\"status\": \"ok\"");
+        ok_field(&with_backend, r#""answers": [["x"]]"#);
+        assert!(!with_backend.contains("\"backend\""), "{with_backend}");
+        let answers = |r: &str| {
+            let from = r.find("\"answers\": ").unwrap();
+            r[from..r.find(", \"stats\"").unwrap()].to_string()
+        };
+        assert_eq!(answers(&plain), answers(&with_backend));
     }
 
     #[test]

@@ -706,7 +706,12 @@ impl DurableSession {
         let rels = snap
             .store_rels
             .iter()
-            .map(|r| rel_map.get(r.0 as usize).copied().ok_or("dangling relation id"))
+            .map(|r| {
+                rel_map
+                    .get(r.0 as usize)
+                    .copied()
+                    .ok_or("dangling relation id")
+            })
             .collect::<Result<Vec<_>, _>>()
             .map_err(corrupt)?;
         let fact_store =
@@ -1658,7 +1663,10 @@ mod tests {
         let (recovered, info) =
             DurableSession::open(&replica_dir, PersistOptions::default(), &mut fresh_vocab)
                 .unwrap();
-        assert_eq!(info.replayed_records, 0, "journal must be empty after install");
+        assert_eq!(
+            info.replayed_records, 0,
+            "journal must be empty after install"
+        );
         assert_eq!(recovered.position(), primary.position());
         assert_eq!(
             store_shape(&recovered, &fresh_vocab),

@@ -1,7 +1,6 @@
 //! Engine and per-request statistics.
 
 use gomq_core::StoreStats;
-use gomq_rewriting::TypeStats;
 use std::time::Duration;
 
 /// Statistics of one served request (one OMQ evaluated against one
@@ -20,14 +19,8 @@ pub struct RequestStats {
     pub derived: usize,
     /// Number of answer tuples (summed over a batch).
     pub answers: usize,
-    /// Whether the request was served by the bitset type kernel
-    /// ([`crate::Engine::answer_typed`]) rather than Datalog evaluation.
-    pub typed: bool,
-    /// Propagation-kernel counters (zero unless `typed`).
-    pub type_stats: TypeStats,
     /// Storage pressure of the request's fact store(s): facts interned,
-    /// arena terms, dedup hits (summed over a batch; zero when `typed` —
-    /// the kernel path materializes no facts).
+    /// arena terms, dedup hits (summed over a batch).
     pub store: StoreStats,
     /// Whether a session query was answered from a maintained
     /// materialization that existed before the request (incremental
@@ -48,8 +41,8 @@ pub struct RequestStats {
 /// accumulated across requests.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct EngineStats {
-    /// Requests served (each [`crate::Engine::answer`] /
-    /// [`crate::Engine::answer_batch`] call counts once).
+    /// Requests served (each [`crate::Engine::answer`] call, and each
+    /// session query answered from a maintained view, counts once).
     pub requests: u64,
     /// Plan-cache hits.
     pub cache_hits: u64,
@@ -77,12 +70,6 @@ pub struct EngineStats {
     pub inflight_waits: u64,
     /// Plans currently resident in the cache (snapshot, not cumulative).
     pub cache_size: u64,
-    /// Requests served by the bitset type kernel
-    /// ([`crate::Engine::answer_typed`]).
-    pub typed_requests: u64,
-    /// Aggregated propagation-kernel counters across typed requests
-    /// (instance counters summed; kernel-build counters maxed).
-    pub type_stats: TypeStats,
     /// Facts interned across all evaluation stores.
     pub facts_interned: u64,
     /// Bytes of fact-argument arena across all evaluation stores.
@@ -144,13 +131,6 @@ pub struct EngineStats {
     pub certs_emitted: u64,
     /// Total certificate bytes emitted.
     pub cert_bytes: u64,
-    /// SQL-backend requests answered by executing the plan's emitted
-    /// SQL (the statement itself is compiled once per plan, alongside
-    /// the Datalog≠ rewriting).
-    pub sql_compiles: u64,
-    /// SQL-backend requests refused with `non-rewritable-to-sql`
-    /// because the plan's rewriting is recursive.
-    pub sql_refusals: u64,
     /// WAL record frames shipped to replicas (primary side).
     pub repl_frames_shipped: u64,
     /// Bytes shipped to replicas (record frames plus snapshots).
@@ -191,10 +171,6 @@ impl EngineStats {
         self.answers = self.answers.saturating_add(r.answers as u64);
         self.compile_time = self.compile_time.saturating_add(r.compile);
         self.eval_time = self.eval_time.saturating_add(r.eval);
-        if r.typed {
-            self.typed_requests = self.typed_requests.saturating_add(1);
-            self.type_stats.absorb(&r.type_stats);
-        }
         self.facts_interned = self.facts_interned.saturating_add(r.store.facts);
         self.arena_bytes = self.arena_bytes.saturating_add(r.store.arena_bytes());
         self.dedup_hits = self.dedup_hits.saturating_add(r.store.dedup_hits);

@@ -227,17 +227,19 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------
-// Path 3: the bitset type kernel (engine API — the serve protocol
-// routes unary-certified requests through the fixpoint, so the kernel
-// is certified at the engine boundary).
+// Path 3: the bitset type kernel. It materializes no facts and so
+// cannot witness its answers; the certified engine path must agree with
+// it answer for answer and carry a certificate that verifies.
 // ---------------------------------------------------------------------
 
 #[test]
 fn typed_kernel_certificates_verify() {
     use gomq_core::parse::parse_instance;
-    use gomq_core::Vocab;
+    use gomq_core::{IndexedInstance, Term, Vocab};
     use gomq_dl::parser::parse_ontology;
     use gomq_dl::translate::to_gf;
+    use gomq_engine::{Certify, Input, Options};
+    use std::collections::BTreeSet;
     use std::sync::Mutex;
 
     let mut v = Vocab::new();
@@ -256,14 +258,25 @@ fn typed_kernel_certificates_verify() {
         &mut v,
     )
     .unwrap();
-    let (kernel_answers, _) = engine.answer_typed(&plan, &abox);
+    let (elems, type_stats) = plan.types.certain_unary_with_stats(&abox, plan.query);
+    let kernel_answers: BTreeSet<Vec<Term>> = elems.into_iter().map(|t| vec![t]).collect();
+    assert!(type_stats.elements > 0, "the kernel ran");
     let vocab = Mutex::new(v);
-    let (answers, cert, stats) = engine
-        .answer_typed_certified(&plan, &abox, &Budget::UNLIMITED, &vocab)
-        .expect("typed certified answering succeeds");
+    let indexed = IndexedInstance::from_interpretation(&abox);
+    let opts = Options {
+        budget: Budget::UNLIMITED,
+        certify: Some(Certify {
+            vocab: &vocab,
+            snapshot: None,
+        }),
+    };
+    let mut answered = engine
+        .answer(&plan, Input::One(&indexed), &opts)
+        .expect("certified answering succeeds");
+    let answers = answered.answers.remove(0);
+    let cert = answered.certificate.expect("certificate requested");
     assert_eq!(answers, kernel_answers, "certified path changed answers");
-    assert_eq!(stats.cert_bytes, cert.len());
-    assert!(stats.typed, "the kernel ran");
+    assert_eq!(answered.stats.cert_bytes, cert.len());
     let verified = gomq_cert::verify(&cert).expect("kernel certificate verifies");
     assert_eq!(verified.answers.len(), answers.len());
     assert!(verified.snapshot.is_none());

@@ -8,8 +8,7 @@ use gomq_core::{Fact, IndexedInstance, Instance, RelId, Vocab};
 use gomq_datalog::{DAtom, DTerm, Literal, Program, Rule};
 use gomq_dl::parser::parse_ontology;
 use gomq_dl::translate::to_gf;
-use gomq_engine::exec::{eval_strata, Strata};
-use gomq_engine::Engine;
+use gomq_engine::{eval_strata, Engine, Input, Options, Strata};
 use gomq_rewriting::emit::emit_datalog;
 use gomq_rewriting::ElementTypeSystem;
 use proptest::prelude::*;
@@ -194,13 +193,19 @@ proptest! {
                 let sys = ElementTypeSystem::build(&o, &v)
                     .expect("engine compiled, so the one-shot build must succeed");
                 let reference = emit_datalog(&sys, query, &mut v).eval(&abox);
-                let (answers, _) = engine.answer(&plan, &abox);
-                prop_assert_eq!(&answers, &reference);
+                let indexed = IndexedInstance::from_interpretation(&abox);
+                let answer = |plan: &gomq_engine::OmqPlan| {
+                    engine
+                        .answer(plan, Input::One(&indexed), &Options::default())
+                        .expect("unlimited budget")
+                        .answers
+                        .remove(0)
+                };
+                prop_assert_eq!(&answer(&plan), &reference);
                 // Cache hit: same plan object, same answers.
                 let (plan2, hit2, _) = engine.plan(&o, query, &mut v);
                 prop_assert!(hit2);
-                let (answers2, _) = engine.answer(&plan2.unwrap(), &abox);
-                prop_assert_eq!(&answers2, &reference);
+                prop_assert_eq!(&answer(&plan2.unwrap()), &reference);
             }
             Err(_) => {
                 // The engine may only reject what the rewriter rejects.

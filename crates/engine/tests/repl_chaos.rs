@@ -28,9 +28,10 @@ use gomq_cert::json::{self as cjson, Value};
 use gomq_cert::{verify_value, Verified};
 use gomq_engine::json::{self, Json};
 use std::io::{BufRead, BufReader, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::TcpStream;
 use std::path::Path;
 use std::process::{Child, Command, Stdio};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 const ONTOLOGY: &str = r"Manager sub Employee\nEmployee sub Staff";
@@ -46,24 +47,22 @@ fn node_flags() -> Vec<&'static str> {
     flags
 }
 
-/// Reserves an ephemeral port and frees it again, so a later process
-/// can bind it by number. Fencing needs the resurrected primary to come
-/// back on the *same* replication address the promoted node keeps
-/// pinging.
-fn reserve_port() -> u16 {
-    let listener = TcpListener::bind("127.0.0.1:0").expect("reserve port");
-    listener.local_addr().expect("local addr").port()
-}
-
-/// A `gomq-serve --listen` child with its announced client address and
-/// a thread draining stderr.
+/// A `gomq-serve --listen` child with its announced client address (and
+/// replication address, for a primary) and a thread draining stderr
+/// into a shared log, so a failing test can show what each node said.
 struct Node {
     child: Child,
     addr: String,
-    stderr: std::thread::JoinHandle<String>,
+    repl_addr: Option<String>,
+    log: Arc<Mutex<String>>,
+    drain: Option<std::thread::JoinHandle<()>>,
 }
 
 impl Node {
+    /// Spawns a node and waits for its client address — and, when
+    /// `extra` carries `--replicate-to`, for the address its replication
+    /// listener actually bound (pass port 0 to let the kernel pick one:
+    /// no port is ever reserved and released for a later bind).
     fn spawn(dir: &Path, extra: &[&str]) -> Node {
         let mut child = Command::new(env!("CARGO_BIN_EXE_gomq-serve"))
             .arg("--data-dir")
@@ -77,39 +76,66 @@ impl Node {
             .spawn()
             .expect("spawn gomq-serve --listen");
         let mut lines = BufReader::new(child.stderr.take().expect("stderr piped"));
-        let addr = loop {
+        let log = Arc::new(Mutex::new(String::new()));
+        let primary = extra.contains(&"--replicate-to");
+        let (mut addr, mut repl_addr) = (None, None);
+        while addr.is_none() || (primary && repl_addr.is_none()) {
             let mut line = String::new();
+            let read = lines.read_line(&mut line).expect("read stderr");
             assert!(
-                lines.read_line(&mut line).expect("read stderr") > 0,
-                "node exited before announcing its client address"
+                read > 0,
+                "node exited before announcing its addresses:\n{}",
+                log.lock().unwrap()
             );
-            if let Some(addr) = line.trim().strip_prefix("gomq-serve: listening on ") {
-                break addr.to_owned();
+            log.lock().unwrap().push_str(&line);
+            let line = line.trim();
+            if let Some(a) = line.strip_prefix("gomq-serve: listening on ") {
+                addr = Some(a.to_owned());
+            } else if let Some(a) = line.strip_prefix("gomq-serve: replication listening on ") {
+                repl_addr = Some(a.to_owned());
             }
-        };
+        }
         // Keep draining stderr so the child can never block on a full
         // pipe (reconnect chatter under chaos is noisy).
-        let stderr = std::thread::spawn(move || {
-            let mut rest = String::new();
+        let sink = Arc::clone(&log);
+        let drain = std::thread::spawn(move || {
             let mut line = String::new();
             while lines.read_line(&mut line).unwrap_or(0) > 0 {
-                rest.push_str(&line);
+                sink.lock().unwrap().push_str(&line);
                 line.clear();
             }
-            rest
         });
         Node {
             child,
-            addr,
-            stderr,
+            addr: addr.expect("loop ran until announced"),
+            repl_addr,
+            log,
+            drain: Some(drain),
         }
     }
 
-    /// SIGKILL — no flush, no drain, the hard crash.
+    /// Everything the node has written to stderr so far.
+    fn log(&self) -> String {
+        self.log.lock().unwrap().clone()
+    }
+
+    /// SIGKILL — no flush, no drain, the hard crash. Returns the node's
+    /// complete stderr.
     fn kill(mut self) -> String {
         self.child.kill().expect("kill node");
         let _ = self.child.wait();
-        self.stderr.join().expect("stderr thread")
+        if let Some(drain) = self.drain.take() {
+            drain.join().expect("stderr thread");
+        }
+        self.log()
+    }
+}
+
+/// A node a failing test never reached `kill` for must not outlive it.
+impl Drop for Node {
+    fn drop(&mut self) {
+        let _ = self.child.kill();
+        let _ = self.child.wait();
     }
 }
 
@@ -287,10 +313,8 @@ struct Failover {
 fn failover_round(tag: &str, kill_after: usize) -> Failover {
     let primary_dir = tmpdir(&format!("repl-{tag}-primary"));
     let replica_dir = tmpdir(&format!("repl-{tag}-replica"));
-    let repl_port = reserve_port();
-    let repl_addr = format!("127.0.0.1:{repl_port}");
-
-    let primary = Node::spawn(&primary_dir, &["--replicate-to", &repl_addr]);
+    let primary = Node::spawn(&primary_dir, &["--replicate-to", "127.0.0.1:0"]);
+    let repl_addr = primary.repl_addr.clone().expect("primary announces");
     let replica = Node::spawn(
         &replica_dir,
         &["--follow", &repl_addr, "--promote-on-disconnect"],
@@ -313,7 +337,7 @@ fn failover_round(tag: &str, kill_after: usize) -> Failover {
     );
 
     await_caught_up(&mut reads, kill_after);
-    let _primary_stderr = primary.kill();
+    let primary_log = primary.kill();
 
     // Promotion (reconnect window exhausted) drops the `"staleness"`
     // field from replica answers: the node is a primary now.
@@ -327,7 +351,9 @@ fn failover_round(tag: &str, kill_after: usize) -> Failover {
         }
         assert!(
             Instant::now() < deadline,
-            "replica never promoted itself: {response}"
+            "replica never promoted itself: {response}\n\
+             --- primary stderr ---\n{primary_log}--- replica stderr ---\n{}",
+            replica.log()
         );
         std::thread::sleep(Duration::from_millis(100));
     }
@@ -386,10 +412,8 @@ fn replica_reads_carry_verifiable_certificates() {
     let kill_after = 5;
     let primary_dir = tmpdir("repl-cert-primary");
     let replica_dir = tmpdir("repl-cert-replica");
-    let repl_port = reserve_port();
-    let repl_addr = format!("127.0.0.1:{repl_port}");
-
-    let primary = Node::spawn(&primary_dir, &["--replicate-to", &repl_addr]);
+    let primary = Node::spawn(&primary_dir, &["--replicate-to", "127.0.0.1:0"]);
+    let repl_addr = primary.repl_addr.clone().expect("primary announces");
     let replica = Node::spawn(&replica_dir, &["--follow", &repl_addr]);
 
     let mut writes = Client::connect(&primary.addr);

@@ -1,7 +1,9 @@
 //! Native ≡ SQL cross-check: every generated non-recursive OMQ answers
-//! identically on the native fixpoint backend and on the emitted-SQL
-//! backend, and every recursive one is refused with the typed
-//! `non-rewritable-to-sql` status — never answered wrongly.
+//! identically on the native fixpoint engine ([`Engine::answer`]) and
+//! on the emitted SQL run by the in-process oracle
+//! ([`eval_sql_budgeted`]), and every recursive one carries the typed
+//! [`SqlEmitError::Recursive`] refusal instead of SQL text — never a
+//! wrong answer.
 //!
 //! The two pipelines share nothing past the `PlanIr`: the native path
 //! evaluates rule structs semi-naively over interned term columns, the
@@ -9,13 +11,15 @@
 //! executor over string tables. Agreement is therefore strong evidence
 //! that both implement the same certain-answer semantics.
 
-use gomq_core::{IndexedInstance, Vocab};
+use gomq_core::{IndexedInstance, Term, Vocab};
 use gomq_datalog::Budget;
 use gomq_dl::parser::parse_ontology;
 use gomq_dl::translate::to_gf;
-use gomq_engine::{Engine, Limits, OmqPlan, ServeConfig, ServeSession};
+use gomq_engine::backend::sql::eval_sql_budgeted;
+use gomq_engine::{Engine, EngineError, Input, OmqPlan, Options};
+use gomq_rewriting::SqlEmitError;
 use proptest::prelude::*;
-use std::sync::Mutex;
+use std::collections::BTreeSet;
 
 /// Renders a random pure concept hierarchy — always acyclic, so every
 /// draw must compile to SQL.
@@ -54,6 +58,35 @@ fn abox_text(facts: &[(u8, u8, u8)], roles: bool) -> String {
     text
 }
 
+/// Compiles `(ontology, query)`; `None` when the query relation does
+/// not occur in the ontology.
+fn compile(ontology: &str, query: &str, v: &mut Vocab) -> Option<Result<OmqPlan, EngineError>> {
+    let dl = parse_ontology(ontology, v).expect("ontology must parse");
+    let o = to_gf(&dl);
+    let query = v.find_rel(query)?;
+    Some(OmqPlan::compile(&o, query, v))
+}
+
+/// The native engine's answers over one ABox text.
+fn native(plan: &OmqPlan, abox: &str, v: &mut Vocab) -> BTreeSet<Vec<Term>> {
+    let abox = gomq_core::parse::parse_instance(abox, v).expect("abox must parse");
+    let indexed = IndexedInstance::from_interpretation(&abox);
+    Engine::with_threads(2)
+        .answer(plan, Input::One(&indexed), &Options::default())
+        .expect("unlimited budget")
+        .answers
+        .remove(0)
+}
+
+/// The SQL oracle's answers over one ABox text, or the plan's typed
+/// reason for having no SQL.
+fn oracle(plan: &OmqPlan, abox: &str, v: &mut Vocab) -> Result<BTreeSet<Vec<Term>>, SqlEmitError> {
+    let sql = plan.sql.as_ref().map_err(Clone::clone)?;
+    let abox = gomq_core::parse::parse_instance(abox, v).expect("abox must parse");
+    let indexed = IndexedInstance::from_interpretation(&abox);
+    Ok(eval_sql_budgeted(sql, &indexed, v, &Budget::UNLIMITED).expect("non-recursive SQL runs"))
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -69,42 +102,32 @@ proptest! {
         query_choice in 0u8..5,
     ) {
         let mut v = Vocab::new();
-        let dl = parse_ontology(&hierarchy_text(&axioms), &mut v)
-            .expect("generated ontology must parse");
-        let o = to_gf(&dl);
-        let query = match v.find_rel(&format!("A{}", query_choice % 5)) {
-            Some(r) => r,
-            None => return Ok(()), // queried concept absent in this draw
+        let query = format!("A{}", query_choice % 5);
+        let Some(plan) = compile(&hierarchy_text(&axioms), &query, &mut v) else {
+            return Ok(()); // queried concept absent in this draw
         };
-        let plan = OmqPlan::compile(&o, query, &mut v)
-            .expect("hierarchies are Horn, hence rewritable");
+        let plan = plan.expect("hierarchies are Horn, hence rewritable");
         prop_assert!(
             plan.sql.is_ok(),
             "a pure hierarchy must emit SQL, got {:?}",
             plan.sql.as_ref().err()
         );
-        let abox = gomq_core::parse::parse_instance(&abox_text(&facts, false), &mut v)
-            .expect("generated abox must parse");
-        let indexed = IndexedInstance::from_interpretation(&abox);
-        let engine = Engine::with_threads(2);
-        let (native, _) = engine.answer_indexed(&plan, &indexed);
-        let vocab = Mutex::new(v);
-        let (sql, _) = engine
-            .answer_indexed_sql(&plan, &indexed, &Budget::UNLIMITED, &vocab)
-            .expect("non-recursive plan must run on the SQL backend");
-        prop_assert_eq!(&sql, &native);
+        let abox = abox_text(&facts, false);
+        let sql = oracle(&plan, &abox, &mut v).expect("checked above");
+        prop_assert_eq!(&sql, &native(&plan, &abox, &mut v));
     }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Role-bearing OMQs through the full serve path with
-    /// `"backend": "sql"`: when the plan emits SQL the answers equal
-    /// the native backend's, and when it does not the response is the
-    /// typed refusal — a wrong answer set is never produced.
+    /// Role-bearing OMQs: a plan carries no SQL exactly when some
+    /// stratum of its `PlanIr` is recursive, and then the refusal is
+    /// the typed `Recursive` reason; otherwise the SQL oracle's answers
+    /// equal [`Engine::answer`]'s — a wrong answer set is never
+    /// produced.
     #[test]
-    fn served_sql_requests_agree_or_refuse(
+    fn role_bearing_omqs_agree_or_refuse(
         axioms in proptest::collection::vec((0u8..4, 0u8..4, 0u8..3), 1..6),
         facts in proptest::collection::vec(
             (proptest::arbitrary::any::<u8>(), 0u8..6, 0u8..6),
@@ -112,79 +135,35 @@ proptest! {
         ),
         query_choice in 0u8..4,
     ) {
-        let onto = role_text(&axioms);
+        let mut v = Vocab::new();
         let query = format!("A{}", query_choice % 4);
-        if !onto.contains(&query) {
+        let Some(plan) = compile(&role_text(&axioms), &query, &mut v) else {
             return Ok(()); // queried concept absent in this draw
-        }
-        let abox = abox_text(&facts, true);
-        let mut s = ServeSession::with_config(ServeConfig {
-            threads: 2,
-            limits: Limits::default(),
-            ..ServeConfig::default()
-        });
-        let line = |backend: &str| {
-            format!(
-                r#"{{"ontology": {}, "query": {}, "abox": {}, "backend": "{backend}"}}"#,
-                json_str(&onto),
-                json_str(&query),
-                json_str(&abox),
-            )
         };
-        let native = s.handle_line(&line("native"));
-        let sql = s.handle_line(&line("sql"));
-        if native.contains("\"status\": \"error\"") {
-            // The OMQ itself is not rewritable (outside the element-type
-            // class); the SQL backend must agree it is unanswerable.
-            prop_assert!(!sql.contains("\"status\": \"ok\""), "sql answered: {sql}");
+        let Ok(plan) = plan else {
+            // Outside the element-type class: no plan, hence no SQL.
             return Ok(());
-        }
-        prop_assert!(native.contains("\"status\": \"ok\""), "native failed: {native}");
-        if sql.contains("\"status\": \"non-rewritable-to-sql\"") {
-            prop_assert!(sql.contains("recursive"), "untyped refusal: {sql}");
-        } else {
-            prop_assert!(sql.contains("\"status\": \"ok\""), "sql failed: {sql}");
-            prop_assert_eq!(answers_of(&native), answers_of(&sql));
-        }
-        // Whatever happened, the session stays healthy.
-        let again = s.handle_line(&line("native"));
-        prop_assert!(again.contains("\"status\": \"ok\"") || again.contains("\"status\": \"error\""));
-    }
-}
-
-/// JSON-encodes a string (the serve protocol takes ontology/ABox text
-/// inline).
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c => out.push(c),
+        };
+        let recursive = plan.strata.strata.iter().any(|s| s.recursive);
+        prop_assert_eq!(
+            matches!(plan.sql, Err(SqlEmitError::Recursive { .. })),
+            recursive,
+            "SQL refusal must track stratum recursion: {:?}",
+            plan.sql.as_ref().err()
+        );
+        let abox = abox_text(&facts, true);
+        if !recursive {
+            let sql = oracle(&plan, &abox, &mut v);
+            prop_assert_eq!(sql, Ok(native(&plan, &abox, &mut v)));
         }
     }
-    out.push('"');
-    out
-}
-
-/// Extracts the `"answers": [...]` slice of a response for comparison.
-fn answers_of(response: &str) -> String {
-    let from = response
-        .find("\"answers\": ")
-        .unwrap_or_else(|| panic!("no answers in {response}"));
-    let to = response[from..]
-        .find(", \"stats\"")
-        .map(|i| from + i)
-        .unwrap_or(response.len());
-    response[from..to].to_string()
 }
 
 /// The paper's example families from `examples/data`, deterministically:
-/// the role-free org chart runs on both backends with equal answers;
-/// the role-bearing company ontology is SQL-refused but natively
-/// answered; the transitive anatomy ontology is not rewritable at all.
+/// the role-free org chart emits SQL whose answers equal the native
+/// engine's; the role-bearing company ontology is SQL-refused but
+/// natively answered; the transitive anatomy ontology is not rewritable
+/// at all.
 #[test]
 fn example_families_cross_check() {
     let read = |name: &str| {
@@ -195,42 +174,32 @@ fn example_families_cross_check() {
         )
         .unwrap()
     };
-    let mut s = ServeSession::with_threads(2);
-    let line = |onto: &str, query: &str, abox: &str, backend: &str| {
-        format!(
-            r#"{{"ontology": {}, "query": {}, "abox": {}, "backend": "{backend}"}}"#,
-            json_str(onto),
-            json_str(query),
-            json_str(abox),
-        )
-    };
+    let mut v = Vocab::new();
 
-    let org = read("org.dl");
     let org_facts = read("org.facts");
-    let native = s.handle_line(&line(&org, "Person", &org_facts, "native"));
-    let sql = s.handle_line(&line(&org, "Person", &org_facts, "sql"));
-    assert!(native.contains("\"status\": \"ok\""), "native: {native}");
-    assert!(sql.contains("\"status\": \"ok\""), "sql: {sql}");
-    assert_eq!(answers_of(&native), answers_of(&sql));
+    let org = compile(&read("org.dl"), "Person", &mut v)
+        .expect("Person occurs")
+        .expect("org is rewritable");
+    let sql = oracle(&org, &org_facts, &mut v).expect("org emits SQL");
+    assert_eq!(sql, native(&org, &org_facts, &mut v));
     for name in ["ada", "grace", "alan"] {
-        assert!(
-            sql.contains(&format!("[\"{name}\"]")),
-            "missing {name}: {sql}"
-        );
+        let c = Term::Const(v.find_constant(name).expect("interned"));
+        assert!(sql.contains(&vec![c]), "missing {name}");
     }
 
-    let company = read("company.dl");
     let company_facts = read("company.facts");
-    let native = s.handle_line(&line(&company, "Employee", &company_facts, "native"));
-    let refused = s.handle_line(&line(&company, "Employee", &company_facts, "sql"));
-    assert!(native.contains("\"status\": \"ok\""), "native: {native}");
+    let company = compile(&read("company.dl"), "Employee", &mut v)
+        .expect("Employee occurs")
+        .expect("company is rewritable");
     assert!(
-        refused.contains("\"status\": \"non-rewritable-to-sql\""),
-        "expected typed refusal: {refused}"
+        matches!(
+            oracle(&company, &company_facts, &mut v),
+            Err(SqlEmitError::Recursive { .. })
+        ),
+        "expected the typed recursive refusal"
     );
+    assert!(!native(&company, &company_facts, &mut v).is_empty());
 
-    let anatomy = read("anatomy.dl");
-    let anatomy_facts = read("anatomy.facts");
-    let err = s.handle_line(&line(&anatomy, "Organ", &anatomy_facts, "sql"));
-    assert!(err.contains("\"status\": \"error\""), "anatomy: {err}");
+    let anatomy = compile(&read("anatomy.dl"), "Organ", &mut v).expect("Organ occurs");
+    assert!(matches!(anatomy, Err(EngineError::NotRewritable(_))));
 }

@@ -180,19 +180,6 @@ pub struct TypeStats {
     pub propagate_ns: u64,
 }
 
-impl TypeStats {
-    /// Folds another run's instance counters into these (kernel-level
-    /// fields keep the maximum — they describe the same cached kernel).
-    pub fn absorb(&mut self, other: &TypeStats) {
-        self.elements += other.elements;
-        self.edges += other.edges;
-        self.arcs_revised += other.arcs_revised;
-        self.compat_bits = self.compat_bits.max(other.compat_bits);
-        self.build_ns = self.build_ns.max(other.build_ns);
-        self.propagate_ns += other.propagate_ns;
-    }
-}
-
 /// Per-instance elimination result.
 #[derive(Clone, Debug)]
 pub struct InstanceTypes {

@@ -3,7 +3,7 @@
 
 use gomq_bench::{horn_chain_ontology, propagation_instance};
 use gomq_core::{IndexedInstance, Vocab};
-use gomq_engine::{Engine, ServeSession};
+use gomq_engine::{Engine, Input, Options, ServeSession};
 use gomq_rewriting::emit::emit_datalog;
 use gomq_rewriting::ElementTypeSystem;
 
@@ -59,14 +59,21 @@ fn engine_agrees_with_research_pipeline_on_horn_chain() {
     for len in [5usize, 20, 60] {
         let d = propagation_instance(len, names[0], r, &mut v);
         let reference = program.eval(&d);
-        let (answers, stats) = engine.answer(&plan, &d);
-        assert_eq!(answers, reference, "len {len}");
-        assert!(stats.rounds > 0);
+        let indexed = IndexedInstance::from_interpretation(&d);
+        let answered = engine
+            .answer(&plan, Input::One(&indexed), &Options::default())
+            .unwrap();
+        assert_eq!(answered.answers[0], reference, "len {len}");
+        assert!(answered.stats.rounds > 0);
         // Cache hit path: same plan, same answers.
         let (plan2, hit2, _) = engine.plan(&o, query, &mut v);
         assert!(hit2);
-        let (again, _) =
-            engine.answer_indexed(&plan2.unwrap(), &IndexedInstance::from_interpretation(&d));
-        assert_eq!(again, reference, "cache-hit re-evaluation, len {len}");
+        let again = engine
+            .answer(&plan2.unwrap(), Input::One(&indexed), &Options::default())
+            .unwrap();
+        assert_eq!(
+            again.answers[0], reference,
+            "cache-hit re-evaluation, len {len}"
+        );
     }
 }
