@@ -225,12 +225,18 @@ impl Parser<'_> {
                 }
                 Some(b) if b < 0x20 => return Err(self.err("raw control character in string")),
                 Some(_) => {
-                    // Copy one UTF-8 scalar.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.err("invalid UTF-8"))?;
-                    let c = rest.chars().next().expect("nonempty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the run up to the next quote, backslash or
+                    // control byte in one step; all three are ASCII, so
+                    // the run ends on a UTF-8 boundary.
+                    let rest = &self.bytes[self.pos..];
+                    let len = rest
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
+                        .unwrap_or(rest.len());
+                    let run =
+                        std::str::from_utf8(&rest[..len]).map_err(|_| self.err("invalid UTF-8"))?;
+                    out.push_str(run);
+                    self.pos += len;
                 }
             }
         }
@@ -335,5 +341,75 @@ mod tests {
         assert_eq!(parse("1.5").unwrap().as_u64(), None);
         assert_eq!(parse("-3").unwrap().as_u64(), None);
         assert_eq!(parse("42").unwrap().as_u64(), Some(42));
+    }
+
+    /// A long string alternating ASCII runs, multibyte runs, every
+    /// escape and surrogate pairs, as JSON text and as the expected value.
+    fn mixed_string(reps: usize) -> (String, String) {
+        let pieces: [(&str, &str); 13] = [
+            ("ascii run ", "ascii run "),
+            ("é漢字😀 ", "é漢字😀 "),
+            ("\\\"", "\""),
+            ("\\\\", "\\"),
+            ("\\/", "/"),
+            ("\\b", "\u{8}"),
+            ("\\f", "\u{c}"),
+            ("\\n", "\n"),
+            ("\\r", "\r"),
+            ("\\t", "\t"),
+            ("\\u0041\\u00e9", "Aé"),
+            ("\\ud83d\\ude00", "\u{1f600}"),
+            ("\\ud800\\udf48", "\u{10348}"),
+        ];
+        let (mut text, mut want) = (String::from("\""), String::new());
+        for i in 0..reps {
+            let (raw, value) = pieces[i % pieces.len()];
+            text.push_str(raw);
+            want.push_str(value);
+        }
+        text.push('"');
+        (text, want)
+    }
+
+    #[test]
+    fn long_mixed_strings_parse_exactly() {
+        let (text, want) = mixed_string(5_000);
+        assert_eq!(parse(&text).unwrap().as_str(), Some(want.as_str()));
+        let doc = format!("[{text}, {{{text}: 1}}]");
+        let v = parse(&doc).unwrap();
+        let items = v.as_arr().unwrap();
+        assert_eq!(items[0].as_str(), Some(want.as_str()));
+        assert!(items[1].as_obj().unwrap().contains_key(&want));
+    }
+
+    #[test]
+    fn string_errors_are_unchanged() {
+        let err = |msg: &str, at: usize| {
+            Err(ParseError {
+                msg: msg.to_owned(),
+                at,
+            })
+        };
+        for (input, want) in [
+            ("\"abc", err("unterminated string", 4)),
+            ("\"é漢", err("unterminated string", 6)),
+            ("\"ab\ncd\"", err("raw control character in string", 3)),
+            ("\"é\u{1}\"", err("raw control character in string", 3)),
+            ("\"\u{1f}\"", err("raw control character in string", 1)),
+            ("\"a\\", err("bad escape", 3)),
+            ("\"a\\x\"", err("bad escape", 3)),
+            ("\"\\u12\"", err("truncated \\u escape", 3)),
+            ("\"\\u12x\"", err("bad \\u escape", 3)),
+            ("\"\\u12", err("truncated \\u escape", 3)),
+            ("\"\\uzzzz\"", err("bad \\u escape", 3)),
+            ("\"\\ud800\"", err("lone high surrogate", 7)),
+            ("\"\\ud800x\"", err("lone high surrogate", 7)),
+            ("\"\\ud800\\u0041\"", err("bad low surrogate", 13)),
+            ("\"\\ud800\\uzzzz\"", err("bad \\u escape", 9)),
+            ("\"\\ud800\\u12", err("truncated \\u escape", 9)),
+            ("\"\\udc00\"", err("bad code point", 7)),
+        ] {
+            assert_eq!(parse(input), want, "input {input:?}");
+        }
     }
 }

@@ -1,32 +1,55 @@
 //! Indexed fact storage for repeated query evaluation.
 //!
-//! [`IndexedInstance`] wraps a [`FactStore`] with an extra
-//! per-`(relation, first argument)` hash index, so a join that has
-//! already bound the first argument of an atom probes a bucket instead of
-//! scanning the whole relation. The [`FactLookup`] trait abstracts over
-//! plain [`Interpretation`]s (which fall back to the per-relation index),
-//! [`IndexedInstance`]s, and [`DeltaView`]s (the tail of a store past a
-//! frontier — a round's newly derived facts as an id range), letting
-//! evaluation code be written once and run over any of them.
+//! [`IndexedInstance`] wraps a [`FactStore`] with one extra hash index
+//! keyed by `(relation, argument position, term)`: every argument of
+//! every fact is indexed. A join that has bound *any* argument of an atom
+//! probes the smallest bucket among its bound positions instead of
+//! scanning the whole relation — the guard atom `r(?0,?1)` of a
+//! type-elimination rule reached with only `?1` bound costs one bucket,
+//! not one pass over `r`. An atom with *every* argument bound needs no
+//! bucket at all: [`FactLookup::lookup_id`] answers it with one probe of
+//! the store's dedup table (a *membership probe*).
+//!
+//! The [`FactLookup`] trait abstracts over plain [`Interpretation`]s
+//! (which fall back to the per-relation index), [`IndexedInstance`]s,
+//! [`DeltaView`]s (the tail of a store past a frontier — a round's newly
+//! derived facts as an id range) and [`IdSetView`]s (an explicit id set),
+//! letting evaluation code be written once and run over any of them.
+//! Every map here is keyed by interned ids and hashed with
+//! [`FxHasher`](crate::store::FxHasher).
 
 use crate::fact::{Fact, Term};
 use crate::interpretation::Interpretation;
-use crate::store::{FactId, FactRef, FactStore, StoreStats};
+use crate::store::{FactId, FactRef, FactStore, FxHashMap, StoreStats};
 use crate::symbols::RelId;
-use std::collections::HashMap;
+
+/// A bound argument of an atom: its position and the term there.
+pub type Bound = (usize, Term);
+
+/// The `(relation, position, term)` index: ascending ids of the facts of
+/// the relation that carry the term at the position.
+type PositionIndex = FxHashMap<(RelId, u32, Term), Vec<u32>>;
+
+/// Appends fact `id` to the bucket of each of its argument positions.
+fn index_fact(index: &mut PositionIndex, id: u32, rel: RelId, args: &[Term]) {
+    for (pos, &t) in args.iter().enumerate() {
+        index.entry((rel, pos as u32, t)).or_default().push(id);
+    }
+}
 
 /// Read access to a fact store for join evaluation.
 ///
 /// The contract of [`FactLookup::candidate_ids`] is deliberately loose:
-/// the returned ids must cover every fact of `rel` whose first argument
-/// is `first` (when `Some`), but may include more — callers re-check the
-/// arguments of every candidate. This lets unindexed stores return the
-/// whole relation while indexed stores return an exact bucket.
+/// the returned ids must cover every fact of `rel` carrying the `bound`
+/// term at the `bound` position (when `Some`), but may include more —
+/// callers re-check the arguments of every candidate. This lets
+/// unindexed stores return the whole relation while indexed stores
+/// return an exact bucket. [`FactLookup::lookup_id`] is exact.
 pub trait FactLookup {
-    /// Ids of a superset of the facts of `rel` (exactly the facts whose
-    /// first argument equals `first` where an index is available). The
-    /// returned slice is ascending in fact id.
-    fn candidate_ids(&self, rel: RelId, first: Option<Term>) -> &[u32];
+    /// Ids of a superset of the facts of `rel` (exactly the facts with
+    /// term `t` at position `pos` for `bound = Some((pos, t))` where an
+    /// index is available). The returned slice is ascending in fact id.
+    fn candidate_ids(&self, rel: RelId, bound: Option<Bound>) -> &[u32];
 
     /// Resolves a fact id returned by [`FactLookup::candidate_ids`].
     fn fact(&self, id: u32) -> FactRef<'_>;
@@ -34,11 +57,12 @@ pub trait FactLookup {
     /// Whether the store contains exactly the fact `rel(args…)`.
     fn contains_slice(&self, rel: RelId, args: &[Term]) -> bool;
 
-    /// Number of candidates a [`FactLookup::candidate_ids`] call would
-    /// return; used by join planners to order atoms cheapest-first.
-    fn candidate_count(&self, rel: RelId, first: Option<Term>) -> usize {
-        self.candidate_ids(rel, first).len()
-    }
+    /// The id of the live fact `rel(args…)` if it is among the facts
+    /// this lookup enumerates — a membership probe for a join atom whose
+    /// arguments are all bound. Views narrow it like
+    /// [`FactLookup::candidate_ids`]: a [`DeltaView`] only finds ids at
+    /// or above its frontier, an [`IdSetView`] only ids in its set.
+    fn lookup_id(&self, rel: RelId, args: &[Term]) -> Option<u32>;
 
     /// Whether the candidate `id` is live. Stores without retraction
     /// support report everything live; maintained stores
@@ -50,8 +74,8 @@ pub trait FactLookup {
 }
 
 impl FactLookup for Interpretation {
-    fn candidate_ids(&self, rel: RelId, _first: Option<Term>) -> &[u32] {
-        // No first-argument index on plain interpretations: return the
+    fn candidate_ids(&self, rel: RelId, _bound: Option<Bound>) -> &[u32] {
+        // No per-position index on plain interpretations: return the
         // whole relation (a superset, as the contract allows).
         self.rel_fact_ids(rel)
     }
@@ -63,20 +87,24 @@ impl FactLookup for Interpretation {
     fn contains_slice(&self, rel: RelId, args: &[Term]) -> bool {
         self.contains_ref(rel, args)
     }
+
+    fn lookup_id(&self, rel: RelId, args: &[Term]) -> Option<u32> {
+        self.store().lookup(rel, args).map(|id| id.0)
+    }
 }
 
-/// A fact store with per-relation and per-`(relation, first argument)`
+/// A fact store with per-relation and per-`(relation, position, term)`
 /// hash indexes, built once and maintained incrementally on insert.
 ///
 /// Since the columnar-fact-plane refactor this is a view over the same
 /// [`FactStore`] representation as [`Interpretation`]: adopting an
 /// interpretation via [`IndexedInstance::from_instance`] *moves* its
-/// store (arena, dedup, relation index) and only builds the
-/// first-argument index on top — no fact is copied.
+/// store (arena, dedup, relation index) and only builds the position
+/// index on top — no fact is copied.
 #[derive(Clone, Default)]
 pub struct IndexedInstance {
     store: FactStore,
-    by_rel_first: HashMap<(RelId, Term), Vec<u32>>,
+    by_position: PositionIndex,
 }
 
 impl IndexedInstance {
@@ -86,26 +114,18 @@ impl IndexedInstance {
     }
 
     /// Adopts an interpretation's store zero-copy (the per-term index is
-    /// dropped, the first-argument index is built in one pass).
+    /// dropped, the position index is built in one pass).
     pub fn from_instance(d: Interpretation) -> Self {
         Self::from_store(d.into_store())
     }
 
-    /// Builds the first-argument index over an existing store.
+    /// Builds the position index over an existing store.
     pub fn from_store(store: FactStore) -> Self {
-        let mut by_rel_first: HashMap<(RelId, Term), Vec<u32>> = HashMap::new();
+        let mut by_position = PositionIndex::default();
         for (idx, f) in store.iter().enumerate() {
-            if let Some(&first) = f.args.first() {
-                by_rel_first
-                    .entry((f.rel, first))
-                    .or_default()
-                    .push(idx as u32);
-            }
+            index_fact(&mut by_position, idx as u32, f.rel, f.args);
         }
-        IndexedInstance {
-            store,
-            by_rel_first,
-        }
+        IndexedInstance { store, by_position }
     }
 
     /// Builds the indexed form of a borrowed interpretation. The store is
@@ -133,12 +153,7 @@ impl IndexedInstance {
     pub fn intern_ref(&mut self, rel: RelId, args: &[Term]) -> (FactId, bool) {
         let (id, new) = self.store.intern(rel, args);
         if new {
-            if let Some(&first) = args.first() {
-                self.by_rel_first
-                    .entry((rel, first))
-                    .or_default()
-                    .push(id.0);
-            }
+            index_fact(&mut self.by_position, id.0, rel, args);
         }
         (id, new)
     }
@@ -193,8 +208,8 @@ impl IndexedInstance {
     }
 
     /// Rolls the instance back to its first `mark` facts, unhooking the
-    /// first-argument index tails and truncating the backing store.
-    /// The session layer pairs this with
+    /// position-index tails of every argument position and truncating
+    /// the backing store. The session layer pairs this with
     /// [`FactStore::truncate`]-style marks to implement rollback points.
     pub fn truncate(&mut self, mark: usize) {
         if mark >= self.store.len() {
@@ -202,16 +217,16 @@ impl IndexedInstance {
         }
         for id in (mark as u32)..self.store.len() as u32 {
             let f = self.store.fact_ref(FactId(id));
-            let (rel, first) = (f.rel, f.args.first().copied());
-            if let Some(first) = first {
-                if let Some(bucket) = self.by_rel_first.get_mut(&(rel, first)) {
+            for (pos, &t) in f.args.iter().enumerate() {
+                let key = (f.rel, pos as u32, t);
+                if let Some(bucket) = self.by_position.get_mut(&key) {
                     // Buckets are ascending in fact id, so the doomed ids
                     // form the tail.
                     while bucket.last().is_some_and(|&i| i >= mark as u32) {
                         bucket.pop();
                     }
                     if bucket.is_empty() {
-                        self.by_rel_first.remove(&(rel, first));
+                        self.by_position.remove(&key);
                     }
                 }
             }
@@ -234,9 +249,12 @@ impl IndexedInstance {
 }
 
 impl FactLookup for IndexedInstance {
-    fn candidate_ids(&self, rel: RelId, first: Option<Term>) -> &[u32] {
-        match first {
-            Some(t) => self.by_rel_first.get(&(rel, t)).map_or(&[], Vec::as_slice),
+    fn candidate_ids(&self, rel: RelId, bound: Option<Bound>) -> &[u32] {
+        match bound {
+            Some((pos, t)) => self
+                .by_position
+                .get(&(rel, pos as u32, t))
+                .map_or(&[], Vec::as_slice),
             None => self.store.rel_ids(rel),
         }
     }
@@ -248,9 +266,14 @@ impl FactLookup for IndexedInstance {
     fn contains_slice(&self, rel: RelId, args: &[Term]) -> bool {
         // Membership is live membership: a retracted (dead) fact is not
         // in the instance even though its id is still allocated.
+        self.lookup_id(rel, args).is_some()
+    }
+
+    fn lookup_id(&self, rel: RelId, args: &[Term]) -> Option<u32> {
         self.store
             .lookup(rel, args)
-            .is_some_and(|id| self.store.is_live(id.0))
+            .map(|id| id.0)
+            .filter(|&id| self.store.is_live(id))
     }
 
     fn is_live(&self, id: u32) -> bool {
@@ -272,6 +295,8 @@ impl std::fmt::Debug for IndexedInstance {
 /// [`FactLookup::candidate_ids`] with a suffix of the base's bucket found
 /// by binary search — semi-naive evaluation passes rounds around as
 /// `(base, frontier)` pairs instead of cloning delta sets.
+/// [`FactLookup::lookup_id`] is narrowed the same way: it only finds
+/// facts at or above the frontier.
 ///
 /// [`FactLookup::contains_slice`] delegates to the *whole* base store:
 /// the view narrows iteration, not membership (novelty checks must see
@@ -295,8 +320,8 @@ impl<'a, L: FactLookup> DeltaView<'a, L> {
 }
 
 impl<L: FactLookup> FactLookup for DeltaView<'_, L> {
-    fn candidate_ids(&self, rel: RelId, first: Option<Term>) -> &[u32] {
-        let ids = self.base.candidate_ids(rel, first);
+    fn candidate_ids(&self, rel: RelId, bound: Option<Bound>) -> &[u32] {
+        let ids = self.base.candidate_ids(rel, bound);
         let cut = ids.partition_point(|&i| i < self.from);
         &ids[cut..]
     }
@@ -307,6 +332,10 @@ impl<L: FactLookup> FactLookup for DeltaView<'_, L> {
 
     fn contains_slice(&self, rel: RelId, args: &[Term]) -> bool {
         self.base.contains_slice(rel, args)
+    }
+
+    fn lookup_id(&self, rel: RelId, args: &[Term]) -> Option<u32> {
+        self.base.lookup_id(rel, args).filter(|&id| id >= self.from)
     }
 
     fn is_live(&self, id: u32) -> bool {
@@ -322,41 +351,40 @@ impl<L: FactLookup> FactLookup for DeltaView<'_, L> {
 /// ids). Incremental view maintenance also needs deltas made of
 /// arbitrary interior ids: the facts doomed by a rollback, or dead
 /// facts revived by rederivation. `IdSetView` materializes its own
-/// per-relation and per-`(relation, first)` buckets over the given ids
-/// (O(|set|) to build), so [`FactLookup::candidate_ids`] can hand out
-/// slices just like the indexed base.
+/// per-relation and per-`(relation, position, term)` buckets over the
+/// given ids (O(|set|) to build), so [`FactLookup::candidate_ids`] can
+/// hand out slices just like the indexed base, and
+/// [`FactLookup::lookup_id`] only finds ids in the set.
 ///
 /// Like [`DeltaView`], membership ([`FactLookup::contains_slice`]) and
 /// liveness delegate to the whole base: the view narrows iteration, not
 /// membership.
 pub struct IdSetView<'a, L: FactLookup + ?Sized> {
     base: &'a L,
-    by_rel: HashMap<RelId, Vec<u32>>,
-    by_rel_first: HashMap<(RelId, Term), Vec<u32>>,
+    by_rel: FxHashMap<RelId, Vec<u32>>,
+    by_position: PositionIndex,
 }
 
 impl<'a, L: FactLookup + ?Sized> IdSetView<'a, L> {
-    /// Builds the view over `ids` (ascending; duplicates are fine but
-    /// wasteful). Each id must resolve in `base`.
+    /// Builds the view over `ids` (in any order; duplicates are
+    /// dropped). Each id must resolve in `base`.
     pub fn new(base: &'a L, ids: &[u32]) -> Self {
-        let mut by_rel: HashMap<RelId, Vec<u32>> = HashMap::new();
-        let mut by_rel_first: HashMap<(RelId, Term), Vec<u32>> = HashMap::new();
-        for &id in ids {
+        let mut ids = ids.to_vec();
+        // candidate_ids promises ascending ids (revival order can
+        // interleave relations), and a set holds each id once.
+        ids.sort_unstable();
+        ids.dedup();
+        let mut by_rel: FxHashMap<RelId, Vec<u32>> = FxHashMap::default();
+        let mut by_position = PositionIndex::default();
+        for id in ids {
             let f = base.fact(id);
             by_rel.entry(f.rel).or_default().push(id);
-            if let Some(&first) = f.args.first() {
-                by_rel_first.entry((f.rel, first)).or_default().push(id);
-            }
-        }
-        // candidate_ids promises ascending ids; sort in case the caller's
-        // set was not (revival order can interleave relations).
-        for bucket in by_rel.values_mut().chain(by_rel_first.values_mut()) {
-            bucket.sort_unstable();
+            index_fact(&mut by_position, id, f.rel, f.args);
         }
         IdSetView {
             base,
             by_rel,
-            by_rel_first,
+            by_position,
         }
     }
 
@@ -372,9 +400,12 @@ impl<'a, L: FactLookup + ?Sized> IdSetView<'a, L> {
 }
 
 impl<L: FactLookup + ?Sized> FactLookup for IdSetView<'_, L> {
-    fn candidate_ids(&self, rel: RelId, first: Option<Term>) -> &[u32] {
-        match first {
-            Some(t) => self.by_rel_first.get(&(rel, t)).map_or(&[], Vec::as_slice),
+    fn candidate_ids(&self, rel: RelId, bound: Option<Bound>) -> &[u32] {
+        match bound {
+            Some((pos, t)) => self
+                .by_position
+                .get(&(rel, pos as u32, t))
+                .map_or(&[], Vec::as_slice),
             None => self.by_rel.get(&rel).map_or(&[], Vec::as_slice),
         }
     }
@@ -385,6 +416,14 @@ impl<L: FactLookup + ?Sized> FactLookup for IdSetView<'_, L> {
 
     fn contains_slice(&self, rel: RelId, args: &[Term]) -> bool {
         self.base.contains_slice(rel, args)
+    }
+
+    fn lookup_id(&self, rel: RelId, args: &[Term]) -> Option<u32> {
+        let id = self.base.lookup_id(rel, args)?;
+        self.by_rel
+            .get(&rel)
+            .is_some_and(|ids| ids.binary_search(&id).is_ok())
+            .then_some(id)
     }
 
     fn is_live(&self, id: u32) -> bool {
@@ -419,11 +458,11 @@ mod tests {
         let a = Term::Const(v.constant("a"));
         let b = Term::Const(v.constant("b"));
         let zz = Term::Const(v.constant("zz"));
-        assert_eq!(d.candidate_ids(r, Some(a)).len(), 2);
-        assert_eq!(d.candidate_ids(r, Some(b)).len(), 1);
-        assert_eq!(d.candidate_ids(r, Some(zz)).len(), 0);
+        assert_eq!(d.candidate_ids(r, Some((0, a))).len(), 2);
+        assert_eq!(d.candidate_ids(r, Some((0, b))).len(), 1);
+        assert_eq!(d.candidate_ids(r, Some((0, zz))).len(), 0);
         assert_eq!(d.candidate_ids(r, None).len(), 3);
-        for &id in d.candidate_ids(r, Some(a)) {
+        for &id in d.candidate_ids(r, Some((0, a))) {
             assert_eq!(d.fact(id).args[0], a);
         }
     }
@@ -461,9 +500,9 @@ mod tests {
         let plain = d.to_interpretation();
         let r = v.rel("R", 2);
         let a = Term::Const(v.constant("a"));
-        // The plain store ignores the bound first argument but must
+        // The plain store ignores the bound argument but must
         // still cover all matching facts.
-        let ids = FactLookup::candidate_ids(&plain, r, Some(a));
+        let ids = FactLookup::candidate_ids(&plain, r, Some((0, a)));
         assert_eq!(ids.len(), 3);
         let matching = ids
             .iter()
@@ -481,15 +520,20 @@ mod tests {
         let mark = d.len();
         d.insert(Fact::consts(r, &[v.constant("a"), e]));
         d.insert(Fact::consts(r, &[e, e]));
-        assert_eq!(d.candidate_ids(r, Some(a)).len(), 3);
+        assert_eq!(d.candidate_ids(r, Some((0, a))).len(), 3);
+        assert_eq!(d.candidate_ids(r, Some((1, Term::Const(e)))).len(), 2);
         d.truncate(mark);
         assert_eq!(d.len(), mark);
-        assert_eq!(d.candidate_ids(r, Some(a)).len(), 2);
-        assert_eq!(d.candidate_ids(r, Some(Term::Const(e))).len(), 0);
+        assert_eq!(d.candidate_ids(r, Some((0, a))).len(), 2);
+        assert_eq!(d.candidate_ids(r, Some((0, Term::Const(e)))).len(), 0);
+        // Every position is unhooked, not just the first.
+        assert_eq!(d.candidate_ids(r, Some((1, Term::Const(e)))).len(), 0);
         assert!(!d.contains_slice(r, &[Term::Const(e), Term::Const(e)]));
+        assert_eq!(d.lookup_id(r, &[Term::Const(e), Term::Const(e)]), None);
         // Re-inserting after the rollback reindexes cleanly.
         assert!(d.insert(Fact::consts(r, &[e, e])));
-        assert_eq!(d.candidate_ids(r, Some(Term::Const(e))).len(), 1);
+        assert_eq!(d.candidate_ids(r, Some((0, Term::Const(e)))).len(), 1);
+        assert_eq!(d.candidate_ids(r, Some((1, Term::Const(e)))).len(), 1);
         // Truncating past the end is a no-op.
         d.truncate(99);
         assert_eq!(d.len(), mark + 1);
@@ -506,10 +550,12 @@ mod tests {
         assert_eq!(view.len(), 2);
         assert!(!view.is_empty());
         assert_eq!(view.candidate_ids(r, None), &[1]);
-        assert_eq!(view.candidate_ids(r, Some(a)), &[1]);
+        assert_eq!(view.candidate_ids(r, Some((0, a))), &[1]);
+        let c = Term::Const(v.constant("c"));
+        assert_eq!(view.candidate_ids(r, Some((1, c))), &[1]);
         assert_eq!(view.candidate_ids(s, None), &[3]);
         let b = Term::Const(v.constant("b"));
-        assert_eq!(view.candidate_ids(r, Some(b)), &[] as &[u32]);
+        assert_eq!(view.candidate_ids(r, Some((0, b))), &[] as &[u32]);
         // Membership still sees the whole base.
         assert!(view.contains_slice(r, &[a, b]));
         assert_eq!(view.fact(1).rel, r);
@@ -520,7 +566,7 @@ mod tests {
         let view = IdSetView::new(&d, &[1, 3]);
         assert!(!view.is_live(1));
         assert!(view.is_live(3));
-        assert!(!d.contains_slice(r, &[a, Term::Const(v.constant("c"))]));
+        assert!(!d.contains_slice(r, &[a, c]));
     }
 
     #[test]
@@ -534,12 +580,70 @@ mod tests {
         d.insert(Fact::consts(r, &[v.constant("a"), v.constant("d")]));
         let delta = DeltaView::new(&d, frontier);
         assert_eq!(delta.candidate_ids(r, None).len(), 2);
-        assert_eq!(delta.candidate_ids(r, Some(a)).len(), 1);
+        assert_eq!(delta.candidate_ids(r, Some((0, a))).len(), 1);
+        assert_eq!(delta.candidate_ids(r, Some((1, a))).len(), 1);
         // Membership still sees pre-frontier facts.
         assert!(delta.contains_slice(r, &[a, Term::Const(v.constant("b"))]));
         // A frontier of zero sees everything.
         let all = DeltaView::new(&d, 0);
         assert_eq!(all.candidate_ids(r, None).len(), d.rel_len(r));
         assert_eq!(all.from_id(), 0);
+    }
+
+    #[test]
+    fn delta_view_lookup_misses_ids_below_the_frontier() {
+        let (mut v, mut d) = setup();
+        let r = v.rel("R", 2);
+        let a = Term::Const(v.constant("a"));
+        let b = Term::Const(v.constant("b"));
+        let e = Term::Const(v.constant("e"));
+        let frontier = d.len() as u32;
+        d.insert_ref(r, &[e, a]);
+        let delta = DeltaView::new(&d, frontier);
+        // R(a,b) is stored, but below the frontier.
+        assert_eq!(d.lookup_id(r, &[a, b]), Some(0));
+        assert_eq!(delta.lookup_id(r, &[a, b]), None);
+        assert!(delta.contains_slice(r, &[a, b]));
+        assert_eq!(delta.lookup_id(r, &[e, a]), Some(frontier));
+        assert_eq!(delta.lookup_id(r, &[e, e]), None);
+    }
+
+    #[test]
+    fn id_set_view_lookup_misses_ids_outside_the_set() {
+        let (mut v, d) = setup();
+        let r = v.rel("R", 2);
+        let s = v.rel("S", 1);
+        let a = Term::Const(v.constant("a"));
+        let b = Term::Const(v.constant("b"));
+        let c = Term::Const(v.constant("c"));
+        // Unsorted and with a duplicate: the view is the set {1, 3}.
+        let view = IdSetView::new(&d, &[3, 1, 3]);
+        assert_eq!(view.len(), 2);
+        assert_eq!(view.candidate_ids(r, None), &[1]);
+        assert_eq!(view.lookup_id(r, &[a, c]), Some(1));
+        assert_eq!(view.lookup_id(s, &[a]), Some(3));
+        // Stored in the base, but not in the set.
+        assert_eq!(view.lookup_id(r, &[a, b]), None);
+        assert_eq!(view.lookup_id(r, &[b, c]), None);
+        assert!(view.contains_slice(r, &[a, b]));
+    }
+
+    #[test]
+    fn membership_probes_never_match_dead_facts() {
+        let (mut v, mut d) = setup();
+        let r = v.rel("R", 2);
+        let a = Term::Const(v.constant("a"));
+        let c = Term::Const(v.constant("c"));
+        let frontier = 1;
+        d.sub_support(FactId(1), 1);
+        assert!(!d.is_live(1));
+        assert_eq!(d.lookup_id(r, &[a, c]), None);
+        assert_eq!(DeltaView::new(&d, frontier).lookup_id(r, &[a, c]), None);
+        assert_eq!(IdSetView::new(&d, &[1]).lookup_id(r, &[a, c]), None);
+        // Reviving the fact makes every probe find it again.
+        d.add_support(FactId(1), 1);
+        assert_eq!(d.lookup_id(r, &[a, c]), Some(1));
+        assert_eq!(DeltaView::new(&d, frontier).lookup_id(r, &[a, c]), Some(1));
+        assert_eq!(IdSetView::new(&d, &[1]).lookup_id(r, &[a, c]), Some(1));
     }
 }

@@ -21,12 +21,69 @@
 //! parse and display boundaries, with [`FactRef`] as the borrowed working
 //! currency. [`FactBuf`] is the matching columnar scratch buffer used by
 //! evaluation rounds to emit candidate facts without per-fact allocation.
+//!
+//! Every hash table here, and the join indexes built on top of the store
+//! ([`crate::index`]), is keyed by interned, densely numbered ids, never
+//! by client text. They hash with [`FxHasher`], a multiply-rotate hasher
+//! that costs one multiply per word, instead of the standard library's
+//! DoS-resistant SipHash. [`Vocab`] keeps SipHash for its name tables:
+//! those are keyed by strings the client controls.
 
 use crate::fact::{Fact, FactDisplay, Term};
 use crate::symbols::{RelId, Vocab};
 use std::collections::HashMap;
 use std::fmt;
-use std::hash::{Hash, Hasher};
+use std::hash::{BuildHasherDefault, Hash, Hasher};
+
+/// A fast, non-cryptographic hasher for keys made of interned ids (the
+/// "Fx" scheme: fold each word in with a rotate, xor and multiply).
+///
+/// It has no per-process seed, so it must never key a table by data an
+/// adversary chooses; relation, constant, null and fact ids are dense
+/// numbers handed out by the process itself.
+#[derive(Clone, Copy, Default)]
+pub struct FxHasher {
+    hash: u64,
+}
+
+impl FxHasher {
+    const K: u64 = 0x517c_c1b7_2722_0a95;
+
+    fn add(&mut self, word: u64) {
+        self.hash = (self.hash.rotate_left(5) ^ word).wrapping_mul(Self::K);
+    }
+}
+
+impl Hasher for FxHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.add(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.add(n.into());
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.add(n);
+    }
+
+    fn write_usize(&mut self, n: usize) {
+        self.add(n as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        // The multiply mixes upward only; rotating moves the well-mixed
+        // high bits down to where hash tables take their bucket index.
+        self.hash.rotate_left(26)
+    }
+}
+
+/// A `HashMap` hashed with [`FxHasher`], for id-keyed tables.
+pub type FxHashMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>>;
 
 /// Handle to a fact interned in a [`FactStore`].
 ///
@@ -139,9 +196,9 @@ pub struct FactStore {
     hashes: Vec<u64>,
     /// Hash → ids of facts with that hash; membership is verified against
     /// the arena, so colliding facts simply share a bucket.
-    dedup: HashMap<u64, Vec<u32>>,
+    dedup: FxHashMap<u64, Vec<u32>>,
     /// Relation → ascending ids of its facts.
-    by_rel: HashMap<RelId, Vec<u32>>,
+    by_rel: FxHashMap<RelId, Vec<u32>>,
     /// Interns answered from `dedup` rather than by appending.
     dedup_hits: u64,
     /// Derivation-support count of fact `i` (incremental view
@@ -163,8 +220,8 @@ impl Default for FactStore {
             starts: vec![0],
             arena: Vec::new(),
             hashes: Vec::new(),
-            dedup: HashMap::new(),
-            by_rel: HashMap::new(),
+            dedup: FxHashMap::default(),
+            by_rel: FxHashMap::default(),
             dedup_hits: 0,
             support: Vec::new(),
             dead: 0,
@@ -179,7 +236,7 @@ impl FactStore {
     }
 
     fn hash_fact(rel: RelId, args: &[Term]) -> u64 {
-        let mut h = std::collections::hash_map::DefaultHasher::new();
+        let mut h = FxHasher::default();
         rel.hash(&mut h);
         args.hash(&mut h);
         h.finish()
@@ -380,8 +437,8 @@ impl FactStore {
             starts,
             arena,
             hashes: Vec::new(),
-            dedup: HashMap::new(),
-            by_rel: HashMap::new(),
+            dedup: FxHashMap::default(),
+            by_rel: FxHashMap::default(),
             dedup_hits: 0,
             support,
             dead: 0,

@@ -7,9 +7,12 @@
 //! streams (with labelled nulls and repeated terms in the same tuple)
 //! must be indistinguishable through the public API: insertion order,
 //! dedup verdicts, per-relation and per-term lookups, and the sorted
-//! canonical order.
+//! canonical order. The join index of [`gomq_core::IndexedInstance`]
+//! (one bucket per relation, argument position and term) and its
+//! membership probes are checked against the same model, across
+//! rollbacks.
 
-use gomq_core::{Fact, Interpretation, Term, Vocab};
+use gomq_core::{Fact, FactLookup, IndexedInstance, Interpretation, Term, Vocab};
 use proptest::prelude::*;
 use std::collections::HashSet;
 
@@ -52,6 +55,11 @@ fn ops_strategy() -> impl Strategy<Value = Vec<Op>> {
     )
 }
 
+/// The fact an op denotes over the term universe.
+fn op_fact(rels: &[gomq_core::RelId], terms: &[Term], &(r, a, b, c): &Op) -> Fact {
+    Fact::new(rels[r], [a, b, c][..=r].iter().map(|&i| terms[i]).collect())
+}
+
 /// Replays `ops` into both stores, checking dedup verdicts agree
 /// op-by-op. Returns the pair plus the term universe for lookups.
 fn replay(ops: &[Op]) -> (Vocab, Interpretation, RowStore, Vec<Term>) {
@@ -65,9 +73,8 @@ fn replay(ops: &[Op]) -> (Vocab, Interpretation, RowStore, Vec<Term>) {
     }
     let mut d = Interpretation::new();
     let mut rows = RowStore::default();
-    for &(r, a, b, c) in ops {
-        let args: Vec<Term> = [a, b, c][..=r].iter().map(|&i| terms[i]).collect();
-        let fact = Fact::new(rels[r], args);
+    for op in ops {
+        let fact = op_fact(&rels, &terms, op);
         let fresh_cols = d.insert_ref(fact.rel, &fact.args);
         let fresh_rows = rows.insert(fact);
         assert_eq!(fresh_cols, fresh_rows, "dedup verdicts diverged");
@@ -154,5 +161,61 @@ proptest! {
         let a: Vec<Fact> = left.sorted_facts().into_iter().map(|f| f.to_fact()).collect();
         let b: Vec<Fact> = whole.sorted_facts().into_iter().map(|f| f.to_fact()).collect();
         prop_assert_eq!(a, b);
+    }
+
+    #[test]
+    fn position_index_and_lookup_match_the_row_model(
+        before in ops_strategy(),
+        mark in 0usize..41,
+        after in ops_strategy(),
+    ) {
+        let mut v = Vocab::new();
+        let rels = [v.rel("P1", 1), v.rel("P2", 2), v.rel("P3", 3)];
+        let mut terms: Vec<Term> = (0..N_CONSTS)
+            .map(|i| Term::Const(v.constant(&format!("c{i}"))))
+            .collect();
+        for _ in 0..N_NULLS {
+            terms.push(Term::Null(v.fresh_null()));
+        }
+        let mut d = IndexedInstance::new();
+        let mut rows = RowStore::default();
+        for op in &before {
+            let fact = op_fact(&rels, &terms, op);
+            prop_assert_eq!(d.insert_ref(fact.rel, &fact.args), rows.insert(fact));
+        }
+        // Roll both back to a mark, then keep inserting.
+        let mark = mark.min(rows.facts.len());
+        d.truncate(mark);
+        rows.facts.truncate(mark);
+        rows.seen = rows.facts.iter().cloned().collect();
+        for op in &after {
+            let fact = op_fact(&rels, &terms, op);
+            prop_assert_eq!(d.insert_ref(fact.rel, &fact.args), rows.insert(fact));
+        }
+        prop_assert_eq!(d.len(), rows.facts.len());
+        // Fact ids are positions in the row model.
+        let ids_where = |keep: &dyn Fn(&Fact) -> bool| -> Vec<u32> {
+            (0..rows.facts.len() as u32)
+                .filter(|&i| keep(&rows.facts[i as usize]))
+                .collect()
+        };
+        for (arity, &rel) in (1..).zip(&rels) {
+            prop_assert_eq!(d.candidate_ids(rel, None).to_vec(), ids_where(&|f| f.rel == rel));
+            // Every position, including one past the arity.
+            for pos in 0..=arity {
+                for &t in &terms {
+                    let want = ids_where(&|f| f.rel == rel && f.args.get(pos) == Some(&t));
+                    prop_assert_eq!(d.candidate_ids(rel, Some((pos, t))).to_vec(), want);
+                }
+            }
+        }
+        // Membership probes: every op of both batches (present or rolled
+        // back) finds exactly the model's id.
+        for op in before.iter().chain(&after) {
+            let fact = op_fact(&rels, &terms, op);
+            let want = rows.facts.iter().position(|f| *f == fact).map(|i| i as u32);
+            prop_assert_eq!(d.lookup_id(fact.rel, &fact.args), want);
+            prop_assert_eq!(d.contains_slice(fact.rel, &fact.args), want.is_some());
+        }
     }
 }

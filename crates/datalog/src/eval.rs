@@ -2,10 +2,19 @@
 //!
 //! The join loop is generic over [`FactLookup`], so the same matcher
 //! runs against plain [`Interpretation`]s (per-relation scan) and
-//! against [`gomq_core::IndexedInstance`]s (first-argument hash probes,
-//! used by `gomq-engine`). Within a rule body the next atom to match is
-//! chosen greedily by candidate count — smallest relation (or, once the
-//! first argument is bound, smallest index bucket) first.
+//! against [`gomq_core::IndexedInstance`]s (hash probes on every argument
+//! position, used by `gomq-engine`). Within a rule body:
+//!
+//! * an atom whose arguments are all bound is matched first, by one
+//!   membership probe ([`FactLookup::lookup_id`]) — the delta for the
+//!   pivot atom, the total store otherwise;
+//! * otherwise the next atom is chosen greedily by candidate count: the
+//!   smallest bucket among its bound positions, or its whole relation
+//!   when nothing is bound.
+//!
+//! Membership probes return the matched fact's id, so the premises the
+//! matcher reports ([`Emitter::note_premise`]) are real fact ids on every
+//! path and certificates cite them.
 
 use crate::program::{DAtom, DTerm, Literal, Program, Rule};
 use gomq_core::{
@@ -354,152 +363,204 @@ where
     D: FactLookup + ?Sized,
     E: Emitter,
 {
-    let atoms: Vec<&DAtom> = rule.positive_atoms().collect();
-    if atoms.is_empty() {
-        return;
-    }
-    // Flat binding frame indexed by variable slot; the matcher restores
-    // every slot it fills on backtrack, so one allocation serves all pivots.
-    let mut frame: Vec<Option<Term>> = vec![None; rule.num_slots()];
-    for pivot in 0..atoms.len() {
-        let mut remaining: Vec<usize> = (0..atoms.len()).collect();
-        match_atoms(
-            rule,
-            &atoms,
-            Some(pivot),
-            &mut remaining,
-            total,
-            delta,
-            &mut frame,
-            out,
-        );
+    let mut join = Join::new(rule, total, delta);
+    // The join restores every frame slot it fills on backtrack, so one
+    // frame serves all pivots.
+    for pivot in 0..join.atoms.len() {
+        join.pivot = Some(pivot);
+        let mut remaining: Vec<usize> = (0..join.atoms.len()).collect();
+        join.run(&mut remaining, out);
     }
 }
 
-/// The first argument of `atom` if it is already determined by `frame`
-/// (ground, or a bound variable) — the key for an indexed probe.
-fn bound_first(atom: &DAtom, frame: &[Option<Term>]) -> Option<Term> {
-    match atom.args.first()? {
-        DTerm::Ground(g) => Some(*g),
-        DTerm::Var(v) => frame[*v as usize],
-    }
-}
-
-/// Matches the remaining body atoms recursively, choosing at every step
-/// the atom with the fewest candidate facts under the current binding
-/// (the pivot matches `delta`, everything else `total`).
-#[allow(clippy::too_many_arguments)]
-fn match_atoms<T, D, E>(
-    rule: &Rule,
-    atoms: &[&DAtom],
+/// The join search of one rule body: its positive atoms, the binding
+/// frame, and the stores the atoms are matched against — the pivot atom
+/// (if any) against `delta`, every other atom against `total`.
+struct Join<'r, T: ?Sized, D: ?Sized> {
+    rule: &'r Rule,
+    atoms: Vec<&'r DAtom>,
     pivot: Option<usize>,
-    remaining: &mut Vec<usize>,
-    total: &T,
-    delta: &D,
-    frame: &mut Vec<Option<Term>>,
-    out: &mut E,
-) where
+    total: &'r T,
+    delta: &'r D,
+    /// Flat binding frame indexed by variable slot.
+    frame: Vec<Option<Term>>,
+    /// Slots bound so far, in binding order; backtracking pops it.
+    trail: Vec<u32>,
+    /// The resolved arguments of a membership probe.
+    probe: Vec<Term>,
+}
+
+impl<'r, T, D> Join<'r, T, D>
+where
     T: FactLookup + ?Sized,
     D: FactLookup + ?Sized,
-    E: Emitter,
 {
-    if remaining.is_empty() {
-        // All positive atoms matched: check inequalities, then emit
-        // straight into the columnar buffer (no per-fact `Vec<Term>`).
-        for l in &rule.body {
-            if let Literal::Neq(a, b) = l {
-                if resolve(a, frame) == resolve(b, frame) {
-                    return;
+    fn new(rule: &'r Rule, total: &'r T, delta: &'r D) -> Self {
+        Join {
+            rule,
+            atoms: rule.positive_atoms().collect(),
+            pivot: None,
+            total,
+            delta,
+            frame: vec![None; rule.num_slots()],
+            trail: Vec::new(),
+            probe: Vec::new(),
+        }
+    }
+
+    /// The term `t` denotes under the current binding, if determined.
+    fn bound(&self, t: &DTerm) -> Option<Term> {
+        match t {
+            DTerm::Ground(g) => Some(*g),
+            DTerm::Var(v) => self.frame[*v as usize],
+        }
+    }
+
+    /// The smallest candidate bucket of atom `ai` under the current
+    /// binding: the smallest among its bound positions' buckets, or the
+    /// whole relation when no argument is bound.
+    fn cheapest_candidates(&self, ai: usize) -> &'r [u32] {
+        let atom = self.atoms[ai];
+        let from_delta = self.pivot == Some(ai);
+        let lookup = |bound| {
+            if from_delta {
+                self.delta.candidate_ids(atom.rel, bound)
+            } else {
+                self.total.candidate_ids(atom.rel, bound)
+            }
+        };
+        let mut best: Option<&'r [u32]> = None;
+        for (pos, t) in atom.args.iter().enumerate() {
+            if let Some(t) = self.bound(t) {
+                let ids = lookup(Some((pos, t)));
+                if best.is_none_or(|b| ids.len() < b.len()) {
+                    best = Some(ids);
+                    if ids.is_empty() {
+                        break;
+                    }
                 }
             }
         }
-        out.emit(
-            rule.head.rel,
-            rule.head.args.iter().map(|t| resolve(t, frame)),
-        );
-        return;
+        best.unwrap_or_else(|| lookup(None))
     }
-    // Greedy join ordering: pick the cheapest remaining atom.
-    let mut best_k = 0usize;
-    let mut best_cost = usize::MAX;
-    for (k, &ai) in remaining.iter().enumerate() {
-        let first = bound_first(atoms[ai], frame);
-        let cost = if pivot == Some(ai) {
-            delta.candidate_count(atoms[ai].rel, first)
-        } else {
-            total.candidate_count(atoms[ai].rel, first)
-        };
-        if cost < best_cost {
-            best_cost = cost;
-            best_k = k;
-            if cost == 0 {
-                break;
-            }
-        }
-    }
-    let ai = remaining.swap_remove(best_k);
-    let atom = atoms[ai];
-    let first = bound_first(atom, frame);
-    let from_delta = pivot == Some(ai);
-    let candidates = if from_delta {
-        delta.candidate_ids(atom.rel, first)
-    } else {
-        total.candidate_ids(atom.rel, first)
-    };
-    for &id in candidates {
-        // Maintained stores keep retracted facts in place with support
-        // 0; they are not part of the instance, so the join skips them.
-        // For plain stores is_live is a constant `true` and the branch
-        // folds away.
-        let live = if from_delta {
-            delta.is_live(id)
-        } else {
-            total.is_live(id)
-        };
-        if !live {
-            continue;
-        }
-        let fact = if from_delta {
-            delta.fact(id)
-        } else {
-            total.fact(id)
-        };
-        if fact.args.len() != atom.args.len() {
-            continue;
-        }
-        let mut newly: Vec<u32> = Vec::new();
-        let mut ok = true;
-        for (pat, &t) in atom.args.iter().zip(fact.args.iter()) {
-            match pat {
+
+    /// Binds the variables of `atom` against `args`; `false` on a
+    /// mismatch. Slots it fills are pushed on the trail either way.
+    fn bind(&mut self, atom: &DAtom, args: &[Term]) -> bool {
+        for (pat, &t) in atom.args.iter().zip(args) {
+            match *pat {
                 DTerm::Ground(g) => {
-                    if *g != t {
-                        ok = false;
-                        break;
+                    if g != t {
+                        return false;
                     }
                 }
-                DTerm::Var(v) => match frame[*v as usize] {
-                    Some(prev) if prev != t => {
-                        ok = false;
-                        break;
-                    }
+                DTerm::Var(v) => match self.frame[v as usize] {
+                    Some(prev) if prev != t => return false,
                     Some(_) => {}
                     None => {
-                        frame[*v as usize] = Some(t);
-                        newly.push(*v);
+                        self.frame[v as usize] = Some(t);
+                        self.trail.push(v);
                     }
                 },
             }
         }
-        if ok {
-            out.note_premise(ai, id);
-            match_atoms(rule, atoms, pivot, remaining, total, delta, frame, out);
-            out.unnote_premise();
-        }
-        for v in newly {
-            frame[v as usize] = None;
+        true
+    }
+
+    /// Unbinds every slot bound since the trail had length `mark`.
+    fn unbind(&mut self, mark: usize) {
+        for v in self.trail.drain(mark..) {
+            self.frame[v as usize] = None;
         }
     }
-    remaining.push(ai);
+
+    /// Matches the `remaining` body atoms recursively and emits the head
+    /// of every complete match.
+    ///
+    /// An atom whose arguments are all bound is matched first, by one
+    /// [`FactLookup::lookup_id`] membership probe. Otherwise the next
+    /// atom is chosen greedily: the one with the fewest candidates under
+    /// the current binding.
+    fn run<E: Emitter>(&mut self, remaining: &mut Vec<usize>, out: &mut E) {
+        if remaining.is_empty() {
+            // All positive atoms matched: check inequalities, then emit
+            // straight into the columnar buffer (no per-fact `Vec<Term>`).
+            for l in &self.rule.body {
+                if let Literal::Neq(a, b) = l {
+                    if resolve(a, &self.frame) == resolve(b, &self.frame) {
+                        return;
+                    }
+                }
+            }
+            out.emit(
+                self.rule.head.rel,
+                self.rule.head.args.iter().map(|t| resolve(t, &self.frame)),
+            );
+            return;
+        }
+        let fully_bound = remaining
+            .iter()
+            .position(|&ai| self.atoms[ai].args.iter().all(|t| self.bound(t).is_some()));
+        if let Some(k) = fully_bound {
+            let ai = remaining.swap_remove(k);
+            let atom = self.atoms[ai];
+            self.probe.clear();
+            self.probe
+                .extend(atom.args.iter().map(|t| resolve(t, &self.frame)));
+            // lookup_id only finds live facts, and the pivot's probe only
+            // facts in the delta.
+            let found = if self.pivot == Some(ai) {
+                self.delta.lookup_id(atom.rel, &self.probe)
+            } else {
+                self.total.lookup_id(atom.rel, &self.probe)
+            };
+            if let Some(id) = found {
+                out.note_premise(ai, id);
+                self.run(remaining, out);
+                out.unnote_premise();
+            }
+            remaining.push(ai);
+            return;
+        }
+        // Greedy join ordering: pick the cheapest remaining atom.
+        let mut best_k = 0usize;
+        let mut candidates: &[u32] = &[];
+        for (k, &ai) in remaining.iter().enumerate() {
+            let ids = self.cheapest_candidates(ai);
+            if k == 0 || ids.len() < candidates.len() {
+                best_k = k;
+                candidates = ids;
+                if ids.is_empty() {
+                    break;
+                }
+            }
+        }
+        let ai = remaining.swap_remove(best_k);
+        let atom = self.atoms[ai];
+        let from_delta = self.pivot == Some(ai);
+        for &id in candidates {
+            // Maintained stores keep retracted facts in place with support
+            // 0; they are not part of the instance, so the join skips them.
+            // For plain stores is_live is a constant `true` and the branch
+            // folds away.
+            let (live, fact) = if from_delta {
+                (self.delta.is_live(id), self.delta.fact(id))
+            } else {
+                (self.total.is_live(id), self.total.fact(id))
+            };
+            if !live || fact.args.len() != atom.args.len() {
+                continue;
+            }
+            let mark = self.trail.len();
+            if self.bind(atom, fact.args) {
+                out.note_premise(ai, id);
+                self.run(remaining, out);
+                out.unnote_premise();
+            }
+            self.unbind(mark);
+        }
+        remaining.push(ai);
+    }
 }
 
 fn resolve(t: &DTerm, frame: &[Option<Term>]) -> Term {
@@ -540,22 +601,12 @@ where
 {
     for (i, rule) in rules.iter().enumerate() {
         out.begin_rule(i);
-        let atoms: Vec<&DAtom> = rule.positive_atoms().collect();
-        if atoms.is_empty() {
+        let mut join = Join::new(rule, total, total);
+        if join.atoms.is_empty() {
             continue;
         }
-        let mut frame: Vec<Option<Term>> = vec![None; rule.num_slots()];
-        let mut remaining: Vec<usize> = (0..atoms.len()).collect();
-        match_atoms(
-            rule,
-            &atoms,
-            None,
-            &mut remaining,
-            total,
-            total,
-            &mut frame,
-            out,
-        );
+        let mut remaining: Vec<usize> = (0..join.atoms.len()).collect();
+        join.run(&mut remaining, out);
     }
 }
 

@@ -8,8 +8,9 @@
 //! 1. runs one semi-naive fixpoint per stratum, so rules whose inputs
 //!    are already saturated are never revisited (a non-recursive
 //!    stratum saturates in a single pass);
-//! 2. evaluates against [`IndexedInstance`]s, so joins with a bound
-//!    first argument probe a hash bucket instead of scanning;
+//! 2. evaluates against [`IndexedInstance`]s, so joins with any bound
+//!    argument probe a hash bucket instead of scanning, and fully bound
+//!    atoms are one membership probe;
 //! 3. splits the rules of a stratum across a scoped worker pool within
 //!    each round ([`std::thread::scope`] — no external dependencies),
 //!    merging the per-worker derivations into the next delta.

@@ -148,11 +148,16 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
                 *pos += 1;
             }
             Some(_) => {
-                // Copy one UTF-8 scalar (multi-byte safe).
-                let s = std::str::from_utf8(&b[*pos..]).map_err(|_| "invalid UTF-8")?;
-                let c = s.chars().next().unwrap();
-                out.push(c);
-                *pos += c.len_utf8();
+                // Copy the whole run up to the next quote or backslash at
+                // once. Both are ASCII, so the run ends on a UTF-8
+                // boundary and one check covers it.
+                let start = *pos;
+                *pos += b[start..]
+                    .iter()
+                    .position(|&c| c == b'"' || c == b'\\')
+                    .unwrap_or(b.len() - start);
+                let run = std::str::from_utf8(&b[start..*pos]).map_err(|_| "invalid UTF-8")?;
+                out.push_str(run);
             }
         }
     }
@@ -318,5 +323,69 @@ mod tests {
         assert!(parse(r#"{"a": }"#).is_err());
         assert!(parse(r#"{"a": 1} x"#).is_err());
         assert!(parse(r#""unterminated"#).is_err());
+    }
+
+    /// A long string alternating ASCII runs, multibyte runs, every
+    /// escape and surrogate pairs, as JSON text and as the expected value.
+    fn mixed_string(reps: usize) -> (String, String) {
+        let pieces: [(&str, &str); 14] = [
+            ("plain ascii run ", "plain ascii run "),
+            ("é漢字😀 ", "é漢字😀 "),
+            ("\\\"", "\""),
+            ("\\\\", "\\"),
+            ("\\/", "/"),
+            ("\\n", "\n"),
+            ("\\t", "\t"),
+            ("\\r", "\r"),
+            ("\\b", "\u{8}"),
+            ("\\f", "\u{c}"),
+            ("\\u0041\\u00e9", "Aé"),
+            ("\\ud83d\\ude00", "\u{1f600}"),
+            ("\\ud800\\udf48", "\u{10348}"),
+            ("ß", "ß"),
+        ];
+        let (mut text, mut want) = (String::from("\""), String::new());
+        for i in 0..reps {
+            let (raw, value) = pieces[i % pieces.len()];
+            text.push_str(raw);
+            want.push_str(value);
+        }
+        text.push('"');
+        (text, want)
+    }
+
+    #[test]
+    fn long_mixed_strings_parse_exactly() {
+        let (text, want) = mixed_string(5_000);
+        assert_eq!(parse(&text).unwrap().as_str(), Some(want.as_str()));
+        // The same string as an object value, and round-tripped.
+        let obj = format!("{{\"abox\": {text}}}");
+        let Json::Obj(o) = parse(&obj).unwrap() else {
+            panic!("not an object")
+        };
+        assert_eq!(o["abox"].as_str(), Some(want.as_str()));
+        let mut out = String::new();
+        write_str(&mut out, &want);
+        assert_eq!(parse(&out).unwrap().as_str(), Some(want.as_str()));
+    }
+
+    #[test]
+    fn string_errors_are_unchanged() {
+        for (input, err) in [
+            ("\"abc", "unterminated string"),
+            ("\"é漢", "unterminated string"),
+            ("\"abc\\\"", "unterminated string"),
+            ("\"a\\", "bad escape"),
+            ("\"a\\x\"", "bad escape"),
+            ("\"a\\U0041\"", "bad escape"),
+            ("\"\\u12\"", "truncated \\u escape"),
+            ("\"\\u12x\"", "bad \\u escape"),
+            ("\"\\u12", "truncated \\u escape"),
+            ("\"\\uzzzz\"", "bad \\u escape"),
+            ("\"\\ud83d\\uzzzz\"", "bad \\u escape"),
+            ("\"\\ud83d\\u12", "truncated \\u escape"),
+        ] {
+            assert_eq!(parse(input), Err(err.to_owned()), "input {input:?}");
+        }
     }
 }

@@ -20,7 +20,7 @@
 //! * [`backend`] — the executors behind one backend-agnostic
 //!   [`gomq_datalog::ir::PlanIr`]: [`backend::native`], stratified
 //!   semi-naive evaluation over [`gomq_core::IndexedInstance`]
-//!   (first-argument hash probes, scoped-thread parallelism across
+//!   (hash probes on every argument position, scoped-thread parallelism across
 //!   rule partitions within a round and across ABoxes within a batch,
 //!   governed by a cooperative [`gomq_datalog::Budget`]), which answers
 //!   every query; and [`backend::sql`], which runs the plan's emitted

@@ -263,4 +263,20 @@ cargo test -q --release -p gomq-engine --test repl_chaos
 echo "==> cargo test -q --release -p gomq-engine --features chaos --test repl_chaos (repl.ship/repl.apply faults)"
 cargo test -q --release -p gomq-engine --features chaos --test repl_chaos
 
+echo "==> cargo test --release --manifest-path perfbench/Cargo.toml (benchmark self-tests)"
+cargo test --release --manifest-path perfbench/Cargo.toml
+
+# One-second oracle-checked run of the served bulk path: the benchmark
+# checks every answer, and its last line must report them all correct.
+echo "==> perfbench bulk_abox smoke (1 s, oracle-checked, release)"
+bench_last="$(bash perfbench/run.sh --workload bulk_abox --seed 1 --seconds 1 --trace 0 | tail -n 1)"
+case "$bench_last" in
+    *'"correct": true'*'"failed": 0,'*) ;;
+    *)
+        echo "perfbench bulk_abox smoke did not report correct: true, failed: 0:" >&2
+        echo "$bench_last" >&2
+        exit 1
+        ;;
+esac
+
 echo "CI gate passed."
