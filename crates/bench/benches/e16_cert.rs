@@ -7,11 +7,11 @@
 //! chained off the cycle) interleaved with queries at assert:query
 //! ratios 1:10, 1:1 and 10:1. Three pipelines over identical streams:
 //!
-//! * `plain`: `Engine::answer` — the untraced serving
-//!   executor (the no-certificate baseline; must stay within noise of
-//!   the pre-certificate numbers).
-//! * `certified`: `Engine::answer` with a certificate request — the
-//!   traced fixpoint plus certificate assembly; the certificate JSON's length
+//! * `plain`: `Engine::answer` — the plan's type kernel (the
+//!   no-certificate baseline).
+//! * `certified`: `Engine::answer` with a certificate request — on-demand
+//!   indexing, the traced fixpoint of the plan's Datalog≠ program plus
+//!   certificate assembly; the certificate JSON's length
 //!   is black-boxed so assembly cannot be optimized away.
 //! * `verified`: certified plus a standalone `gomq_cert::verify` per
 //!   response — what a client that trusts nothing pays end to end.
@@ -95,7 +95,7 @@ fn run(
                         certify: None,
                     };
                     let mut a = engine
-                        .answer(plan, Input::One(&store), &opts)
+                        .answer(plan, Input::One(store.store()), &opts)
                         .expect("unlimited");
                     answers.push(a.answers.remove(0));
                 }
@@ -108,7 +108,7 @@ fn run(
                         }),
                     };
                     let mut a = engine
-                        .answer(plan, Input::One(&store), &opts)
+                        .answer(plan, Input::One(store.store()), &opts)
                         .expect("unlimited");
                     let cert = a.certificate.expect("certificate requested");
                     cert_bytes += cert.len();

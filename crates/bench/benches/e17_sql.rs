@@ -6,8 +6,8 @@
 //! SQL-refused), queried at the top concept against ABoxes of `n`
 //! facts spread uniformly over the concepts. Two pipelines per size:
 //!
-//! * `native`: `Engine::answer` — the stratified semi-naive executor
-//!   over interned term columns.
+//! * `native`: `Engine::answer` — the plan's bitset type kernel over
+//!   the interned fact store.
 //! * `sql`: `backend::sql::eval_sql_budgeted` — render the ABox to
 //!   string tables, run the plan's emitted SQL on the `gomq-sqlexec`
 //!   nested-loop executor, map rows back to terms.
@@ -64,9 +64,9 @@ fn bench(c: &mut Criterion) {
     for &n in sizes {
         let abox = gomq_core::parse::parse_instance(&abox_text(n), &mut v).expect("abox parses");
         let indexed = IndexedInstance::from_interpretation(&abox);
-        let native = |indexed| {
+        let native = |indexed: &IndexedInstance| {
             engine
-                .answer(&plan, Input::One(indexed), &Options::default())
+                .answer(&plan, Input::One(indexed.store()), &Options::default())
                 .expect("unlimited")
                 .answers
                 .remove(0)

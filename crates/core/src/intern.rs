@@ -6,12 +6,15 @@
 //! lookups are hash probes, and the reverse direction is a `Vec` index.
 
 use crate::fact::Term;
-use std::collections::HashMap;
+use crate::store::FxHashMap;
 
 /// A `Term → u32` interner with `u32 → Term` reverse lookup.
+///
+/// Keyed by the store's Fx hasher: terms are interned ids, never
+/// client-controlled strings, so collision resistance buys nothing.
 #[derive(Clone, Debug, Default)]
 pub struct TermInterner {
-    ids: HashMap<Term, u32>,
+    ids: FxHashMap<Term, u32>,
     terms: Vec<Term>,
 }
 

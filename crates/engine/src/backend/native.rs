@@ -201,28 +201,46 @@ pub fn eval_batch_budgeted(
     threads: usize,
     budget: &Budget,
 ) -> Result<Vec<EvalOutcome>, BudgetExceeded> {
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::Mutex;
-    let workers = threads.min(aboxes.len()).max(1);
-    if workers <= 1 {
+    if threads.min(aboxes.len()) <= 1 {
         return aboxes
             .iter()
             .map(|d| eval_strata_budgeted(strata, goal, d, threads, budget))
             .collect();
     }
+    // Each worker evaluates its instance single-threaded; parallelism
+    // comes from the batch dimension here.
+    par_map(aboxes, threads, |d| {
+        eval_strata_budgeted(strata, goal, d, 1, budget)
+    })
+    .into_iter()
+    .collect()
+}
+
+/// Maps `f` over `items` with up to `threads` scoped workers (one item
+/// per worker at a time, work-stealing via an atomic cursor); results
+/// come back in input order. A worker panic propagates out of the
+/// scope to the caller.
+pub(crate) fn par_map<T: Sync, R: Send>(
+    items: &[T],
+    threads: usize,
+    f: impl Fn(&T) -> R + Sync,
+) -> Vec<R> {
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Mutex;
+    let workers = threads.min(items.len()).max(1);
+    if workers <= 1 {
+        return items.iter().map(f).collect();
+    }
     let cursor = AtomicUsize::new(0);
-    let results: Vec<Mutex<Option<Result<EvalOutcome, BudgetExceeded>>>> =
-        aboxes.iter().map(|_| Mutex::new(None)).collect();
+    let results: Vec<Mutex<Option<R>>> = items.iter().map(|_| Mutex::new(None)).collect();
     std::thread::scope(|scope| {
         for _ in 0..workers {
             scope.spawn(|| loop {
                 let i = cursor.fetch_add(1, Ordering::Relaxed);
-                if i >= aboxes.len() {
+                if i >= items.len() {
                     break;
                 }
-                // Each worker evaluates its instance single-threaded;
-                // parallelism comes from the batch dimension here.
-                let r = eval_strata_budgeted(strata, goal, &aboxes[i], 1, budget);
+                let r = f(&items[i]);
                 *results[i].lock().unwrap_or_else(|e| e.into_inner()) = Some(r);
             });
         }

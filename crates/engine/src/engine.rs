@@ -1,10 +1,10 @@
 //! The engine facade: cache + executor + statistics.
 
-use crate::backend::native::{eval_batch_budgeted, eval_strata_budgeted};
+use crate::backend::native::par_map;
 use crate::cache::{lock_recover, PlanCache, PlanOutcome};
 use crate::plan::{EngineError, OmqPlan};
 use crate::stats::{EngineStats, RequestStats};
-use gomq_core::{FactId, IndexedInstance, RelId, Term, Vocab};
+use gomq_core::{FactId, FactStore, IndexedInstance, RelId, Term, Vocab};
 use gomq_datalog::Budget;
 use gomq_logic::GfOntology;
 use std::collections::{BTreeSet, HashMap};
@@ -23,11 +23,11 @@ struct Breaker {
 /// What one [`Engine::answer`] call evaluates over.
 #[derive(Clone, Copy, Debug)]
 pub enum Input<'a> {
-    /// One pre-indexed ABox.
-    One(&'a IndexedInstance),
+    /// One ABox.
+    One(&'a FactStore),
     /// A batch of ABoxes, evaluated concurrently (one worker per ABox,
     /// work-stealing).
-    Batch(&'a [IndexedInstance]),
+    Batch(&'a [FactStore]),
 }
 
 /// How [`Engine::answer`] evaluates: the resource budget and, for one
@@ -216,6 +216,12 @@ impl Engine {
     /// [`EngineStats::overloaded`], leaving the engine fully
     /// serviceable. A certificate covers one ABox: certify + batch is
     /// refused as a [`EngineError::BadRequest`].
+    ///
+    /// Uncertified answers come from the plan's type kernel
+    /// ([`gomq_rewriting::ElementTypeSystem::answer`]), which answers
+    /// exactly what the plan's Datalog≠ program would; `rounds` and
+    /// `derived` then count kernel rounds and the `_elim`/`_dom`/`_goal`
+    /// facts the program would derive.
     pub fn answer(
         &self,
         plan: &OmqPlan,
@@ -229,29 +235,21 @@ impl Engine {
             }
             (input, None) => {
                 let t0 = Instant::now();
-                let goal = plan.program.goal;
+                let kernel = |abox: &FactStore| plan.types.answer(abox, plan.query, &opts.budget);
                 let results = match input {
-                    Input::One(abox) => {
-                        eval_strata_budgeted(&plan.strata, goal, abox, self.threads, &opts.budget)
-                            .map(|r| vec![r])
-                    }
-                    Input::Batch(aboxes) => {
-                        eval_batch_budgeted(&plan.strata, goal, aboxes, self.threads, &opts.budget)
-                    }
-                }
-                .map_err(|e| self.overloaded(e))?;
-                let mut stats = RequestStats {
-                    eval: t0.elapsed(),
-                    ..RequestStats::default()
+                    Input::One(abox) => vec![kernel(abox)],
+                    Input::Batch(aboxes) => par_map(aboxes, self.threads, kernel),
                 };
+                let mut stats = RequestStats::default();
                 let mut answers = Vec::with_capacity(results.len());
-                for (ans, es) in results {
+                for result in results {
+                    let (ans, es) = result.map_err(|e| self.overloaded(e))?;
                     stats.rounds += es.rounds;
                     stats.derived += es.derived;
                     stats.answers += ans.len();
-                    stats.store.absorb(&es.store);
                     answers.push(ans);
                 }
+                stats.eval = t0.elapsed();
                 Answered {
                     answers,
                     certificate: None,
@@ -264,22 +262,23 @@ impl Engine {
     }
 
     /// The certified branch of [`Engine::answer`]: evaluation runs the
-    /// *traced* flat fixpoint (answer-equivalent to the stratified path
-    /// — strata only order work) recording one witness per derived
+    /// *traced* flat fixpoint of the plan's Datalog≠ program over the
+    /// ABox, indexed on demand, recording one witness per derived
     /// fact; the certificate is then assembled by walking the witnesses
     /// backwards from the goal facts. The vocabulary is locked only
     /// during certificate rendering, never across evaluation.
     fn certified_eval(
         &self,
         plan: &OmqPlan,
-        abox: &IndexedInstance,
+        abox: &FactStore,
         opts: &Options<'_>,
         certify: &Certify<'_>,
     ) -> Result<Answered, EngineError> {
         let t0 = Instant::now();
+        let abox = IndexedInstance::from_store(abox.clone());
         let base_len = abox.len() as u32;
         let (total, derivs, eval_stats) =
-            gomq_datalog::fixpoint_traced(&plan.program.rules, abox, &opts.budget)
+            gomq_datalog::fixpoint_traced(&plan.program.rules, &abox, &opts.budget)
                 .map_err(|e| self.overloaded(e))?;
         let goal = plan.program.goal;
         let answer_ids: Vec<u32> = (0..total.len() as u32)
@@ -520,9 +519,8 @@ mod tests {
         plan: &OmqPlan,
         abox: &Instance,
     ) -> (BTreeSet<Vec<Term>>, RequestStats) {
-        let indexed = IndexedInstance::from_interpretation(abox);
         let mut answered = engine
-            .answer(plan, Input::One(&indexed), &Options::default())
+            .answer(plan, Input::One(abox.store()), &Options::default())
             .expect("the unlimited budget cannot be exceeded");
         (answered.answers.remove(0), answered.stats)
     }
@@ -579,12 +577,97 @@ mod tests {
             &mut v,
         )
         .unwrap();
-        let (datalog_answers, _) = eval_one(&engine, &plan, &abox);
-        let (elems, type_stats) = plan.types.certain_unary_with_stats(&abox, plan.query);
-        let typed_answers: BTreeSet<Vec<Term>> = elems.into_iter().map(|t| vec![t]).collect();
+        let (typed_answers, rs) = eval_one(&engine, &plan, &abox);
+        let (datalog_answers, _) = crate::backend::native::eval_strata(
+            &plan.strata,
+            plan.program.goal,
+            &IndexedInstance::from_interpretation(&abox),
+            1,
+        );
         assert_eq!(typed_answers, datalog_answers);
-        assert_eq!(type_stats.elements, 2);
-        assert!(type_stats.edges >= 1);
+        // Two domain elements, both answers, at least one kernel round.
+        assert_eq!(typed_answers.len(), 2);
+        assert!(rs.rounds >= 1);
+        assert!(rs.derived >= 2 + typed_answers.len());
+    }
+
+    /// Kernel answers against `Program::eval` for one OMQ and ABox.
+    fn kernel_vs_program(ontology: &str, query: &str, abox: &str) -> Vec<String> {
+        let mut v = Vocab::new();
+        let engine = Engine::with_threads(1);
+        let o = to_gf(&parse_ontology(ontology, &mut v).unwrap());
+        let q = v.find_rel(query).unwrap();
+        let (plan, _, _) = engine.plan(&o, q, &mut v);
+        let plan = plan.unwrap();
+        let d = parse_instance(abox, &mut v).unwrap();
+        let (kernel, _) = eval_one(&engine, &plan, &d);
+        assert_eq!(
+            kernel,
+            plan.program.eval(&d),
+            "{ontology} / {query} / {abox}"
+        );
+        kernel
+            .iter()
+            .map(|t| match t.as_slice() {
+                [Term::Const(c)] => v.const_name(*c).to_owned(),
+                other => panic!("unexpected answer {other:?}"),
+            })
+            .collect()
+    }
+
+    /// Served answers range over the rewriting's `_dom` — terms of facts
+    /// over the ontology's relations — not over the whole active domain
+    /// `certain_unary` uses: `c`, seen only in the out-of-signature
+    /// `Z(c)`, is no answer even when everything is certain.
+    #[test]
+    fn kernel_answers_keep_the_rewriting_domain() {
+        // Inconsistent (A ⊑ ¬B with A(a), B(a)): the whole `_dom`.
+        assert_eq!(
+            kernel_vs_program("A sub not B", "A", "A(a)\nB(a)\nZ(c)"),
+            ["a"]
+        );
+        // ⊤ ⊑ A: certain at every `_dom` element.
+        assert_eq!(
+            kernel_vs_program("Top sub A\nB sub C", "A", "Z(c)\nB(b)"),
+            ["b"]
+        );
+        // A role-named query has no unary facts to answer…
+        assert!(kernel_vs_program("A sub ex R.B", "R", "A(a)\nR(a,b)").is_empty());
+        // …unless the ABox is inconsistent.
+        assert_eq!(
+            kernel_vs_program("A sub all R.(not B)", "R", "A(a)\nR(a,b)\nB(b)"),
+            ["a", "b"]
+        );
+    }
+
+    #[test]
+    fn expired_deadline_stops_the_kernel() {
+        let mut v = Vocab::new();
+        let engine = Engine::with_threads(1);
+        let o = to_gf(&parse_ontology("A sub ex R.B\nB sub C\n", &mut v).unwrap());
+        let c = v.find_rel("C").unwrap();
+        let (plan, _, _) = engine.plan(&o, c, &mut v);
+        let plan = plan.unwrap();
+        let text: String = (0..2500)
+            .map(|i| format!("A(x{i})\nR(x{i},x{})\n", i + 1))
+            .collect();
+        let abox = parse_instance(&text, &mut v).unwrap();
+        assert_eq!(abox.len(), 5000);
+        let opts = Options {
+            budget: Budget {
+                deadline: Some(Instant::now()),
+                ..Budget::UNLIMITED
+            },
+            certify: None,
+        };
+        let err = engine
+            .answer(&plan, Input::One(abox.store()), &opts)
+            .unwrap_err();
+        let EngineError::Overloaded(e) = err else {
+            panic!("expected overloaded, got {err:?}");
+        };
+        assert_eq!(e.limit, gomq_datalog::LimitKind::Deadline);
+        assert_eq!(engine.stats().overloaded, 1);
     }
 
     #[test]
@@ -657,9 +740,9 @@ mod tests {
         let (plan, _, _) = engine.plan(&o, b, &mut v);
         let plan = plan.unwrap();
         let texts = ["A(x1)\n", "A(y1)\nA(y2)\n", "B(z1)\n", ""];
-        let aboxes: Vec<IndexedInstance> = texts
+        let aboxes: Vec<FactStore> = texts
             .iter()
-            .map(|t| IndexedInstance::from_interpretation(&parse_instance(t, &mut v).unwrap()))
+            .map(|t| parse_instance(t, &mut v).unwrap().into_store())
             .collect();
         let batch = engine
             .answer(&plan, Input::Batch(&aboxes), &Options::default())

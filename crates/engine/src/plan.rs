@@ -5,10 +5,13 @@
 //!
 //! * the **classification verdict** ([`OntologyReport`]) — the
 //!   executable Figure-1 zone/fragment report from `gomq-rewriting`,
+//! * the **element-type system** with its prebuilt bitset kernel, which
+//!   answers every uncertified request,
 //! * the **compiled Datalog≠ rewriting** (Theorem 5: one `elim_θ`
-//!   predicate per surviving element type), already `optimize()`d,
+//!   predicate per surviving element type), already `optimize()`d —
+//!   what certificates cite and session views maintain,
 //! * the rewriting pre-**stratified** into SCC strata ([`Strata`]), so
-//!   evaluation never pays the stratification cost per request,
+//!   Datalog evaluation never pays the stratification cost per request,
 //! * the **canonical cache key** ([`canonical_omq_hash`]) under which
 //!   the plan is stored.
 //!
@@ -123,10 +126,16 @@ pub struct OmqPlan {
     /// The classification verdict for the ontology.
     pub report: OntologyReport,
     /// The Datalog≠ rewriting (goal = the emitted `_goal` relation).
+    /// Uncertified answers never run it (they come from `types`); its
+    /// rules are what certified answers trace and cite, what maintained
+    /// session views maintain, and what the benchmark's oracle and
+    /// traced replay evaluate.
     pub program: Program,
     /// The rewriting's rules pre-partitioned into SCC strata — the
-    /// backend-agnostic [`gomq_datalog::ir::PlanIr`] every executor
-    /// consumes (`Strata` is its engine-historical name).
+    /// backend-agnostic [`gomq_datalog::ir::PlanIr`] the stratified
+    /// executor and the SQL emitter consume (`Strata` is its
+    /// engine-historical name); read by the benchmark's traced replay
+    /// and by tests that check the kernel against the executor.
     pub strata: Strata,
     /// The plan lowered to portable SQL, or the typed reason it cannot
     /// be (recursive rewriting). Emitted eagerly at compile time: the
@@ -134,9 +143,9 @@ pub struct OmqPlan {
     /// relational engines and the oracle `tests/sql_crosscheck.rs` runs.
     pub sql: Result<SqlPlan, SqlEmitError>,
     /// The element-type system the rewriting was emitted from, with its
-    /// bitset propagation kernel pre-built
-    /// ([`ElementTypeSystem::certain_unary_with_stats`] evaluates
-    /// against it directly).
+    /// bitset propagation kernel pre-built:
+    /// [`ElementTypeSystem::answer`] over it answers every uncertified
+    /// request, exactly as `program` would.
     pub types: Arc<ElementTypeSystem>,
 }
 

@@ -21,12 +21,21 @@
 //! {"id": "r1", "status": "ok", "cached": false, "zone": "Dichotomy (Datalog!= = PTIME)",
 //!  "fragment": "uGF",
 //!  "answers": [["ada"], ["grace"]],
-//!  "stats": {"compile_us": 412, "eval_us": 88, "rounds": 3, "derived": 6,
+//!  "stats": {"compile_us": 412, "eval_us": 12, "rounds": 1, "derived": 9,
 //!            "cache_hit": false},
 //!  "engine": {"requests": 1, "cache_hits": 0, "cache_misses": 1, "cache_size": 1,
 //!             "evictions": 0, "inflight_waits": 0, "overloaded": 0, "panics": 0,
-//!             "facts_interned": 9, "arena_bytes": 144, "dedup_hits": 2}}
+//!             "facts_interned": 0, "arena_bytes": 0, "dedup_hits": 0}}
 //! ```
+//!
+//! What `"rounds"` and `"derived"` count depends on the path. An
+//! uncertified answer comes from the plan's type kernel: `"rounds"` are
+//! kernel rounds and `"derived"` the facts the plan's Datalog≠ program
+//! would derive — eliminated (element, type) pairs plus domain elements
+//! plus answers — and no fact store is built (`"facts_interned"` stays
+//! put). A certified answer and a maintained session view run the
+//! program itself: `"rounds"` are fixpoint rounds and `"derived"` the
+//! IDB facts it derived. The request's `"limits"` bound the same counts.
 //!
 //! With `"aboxes": ["...", "..."]` the response carries `"batches"` (one
 //! answer array per ABox, evaluated concurrently) instead of
@@ -81,7 +90,7 @@ use crate::session::{
 };
 use crate::stats::RequestStats;
 use crate::wal::SymFact;
-use gomq_core::{Fact, IndexedInstance, Term, Vocab};
+use gomq_core::{Fact, FactStore, Term, Vocab};
 use gomq_datalog::{Budget, BudgetExceeded, LimitKind, Materialization};
 use gomq_dl::parser::parse_ontology;
 use gomq_dl::translate::to_gf;
@@ -774,14 +783,13 @@ impl ServeSession {
         })
     }
 
-    /// Parses one request-supplied ABox text into an indexed store.
-    fn parse_abox(&self, text: &str) -> Result<IndexedInstance, EngineError> {
+    /// Parses one request-supplied ABox text into a fact store (moved
+    /// out of the parsed instance, never copied).
+    fn parse_abox(&self, text: &str) -> Result<FactStore, EngineError> {
         let mut vocab = lock_recover(&self.shared.vocab);
         let d = gomq_core::parse::parse_instance(text, &mut vocab)
             .map_err(|e| EngineError::BadRequest(format!("abox: {e}")))?;
-        // Move the parsed store into the index — the serve path never
-        // copies the fact columns.
-        Ok(IndexedInstance::from_instance(d))
+        Ok(d.into_store())
     }
 
     /// Evaluates a query under its plan's circuit breaker and renders
@@ -910,7 +918,7 @@ impl ServeSession {
                     snapshot: Some(position),
                 }),
             };
-            let answered = engine.answer(plan, Input::One(&store), &opts)?;
+            let answered = engine.answer(plan, Input::One(store.store()), &opts)?;
             (answered.answers, answered.certificate, answered.stats)
         } else {
             let (rules, goal) = (&plan.program.rules, plan.program.goal);
@@ -2165,7 +2173,7 @@ mod tests {
         let plan = plan.unwrap();
         let sql = plan.sql.as_ref().expect("hierarchy plans are acyclic");
         let instance = gomq_core::parse::parse_instance(abox, &mut vocab).unwrap();
-        let indexed = IndexedInstance::from_interpretation(&instance);
+        let indexed = gomq_core::IndexedInstance::from_interpretation(&instance);
         let rows =
             crate::backend::sql::eval_sql_budgeted(sql, &indexed, &vocab, &Budget::UNLIMITED)
                 .unwrap();

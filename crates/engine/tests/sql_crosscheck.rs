@@ -1,15 +1,16 @@
 //! Native ≡ SQL cross-check: every generated non-recursive OMQ answers
-//! identically on the native fixpoint engine ([`Engine::answer`]) and
-//! on the emitted SQL run by the in-process oracle
-//! ([`eval_sql_budgeted`]), and every recursive one carries the typed
+//! identically on the native engine ([`Engine::answer`]) and on the
+//! emitted SQL run by the in-process oracle ([`eval_sql_budgeted`]),
+//! and every recursive one carries the typed
 //! [`SqlEmitError::Recursive`] refusal instead of SQL text — never a
 //! wrong answer.
 //!
-//! The two pipelines share nothing past the `PlanIr`: the native path
-//! evaluates rule structs semi-naively over interned term columns, the
-//! SQL path renders text and runs it on the `gomq-sqlexec` nested-loop
-//! executor over string tables. Agreement is therefore strong evidence
-//! that both implement the same certain-answer semantics.
+//! The two pipelines share nothing past the element-type system: the
+//! native path runs the plan's bitset type kernel over interned term
+//! columns, the SQL path renders the plan's stratified Datalog≠ program
+//! as text and runs it on the `gomq-sqlexec` nested-loop executor over
+//! string tables. Agreement is therefore strong evidence that both
+//! implement the same certain-answer semantics.
 
 use gomq_core::{IndexedInstance, Term, Vocab};
 use gomq_datalog::Budget;
@@ -70,9 +71,8 @@ fn compile(ontology: &str, query: &str, v: &mut Vocab) -> Option<Result<OmqPlan,
 /// The native engine's answers over one ABox text.
 fn native(plan: &OmqPlan, abox: &str, v: &mut Vocab) -> BTreeSet<Vec<Term>> {
     let abox = gomq_core::parse::parse_instance(abox, v).expect("abox must parse");
-    let indexed = IndexedInstance::from_interpretation(&abox);
     Engine::with_threads(2)
-        .answer(plan, Input::One(&indexed), &Options::default())
+        .answer(plan, Input::One(abox.store()), &Options::default())
         .expect("unlimited budget")
         .answers
         .remove(0)

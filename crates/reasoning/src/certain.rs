@@ -203,6 +203,9 @@ impl CertainEngine {
             }
             return out;
         }
+        if dom.is_empty() {
+            return out;
+        }
         loop {
             let tuple: Vec<Term> = idx.iter().map(|&i| dom[i]).collect();
             if self.certain(o, d, q, &tuple, vocab).is_certain() {

@@ -36,7 +36,9 @@
 //! in the experiment suite.
 
 use gomq_core::bitset::{self, BitMatrix};
-use gomq_core::{Instance, RelId, Term, TermInterner, Vocab};
+use gomq_core::{FactId, FactStore, Instance, RelId, Term, TermInterner, Vocab};
+use gomq_datalog::eval::EvalStats;
+use gomq_datalog::{Budget, BudgetExceeded};
 use gomq_logic::{Formula, GfOntology, Guard, LVar};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
@@ -783,16 +785,140 @@ impl ElementTypeSystem {
     /// replaces full-sweep rounds. Counting/functionality caps are
     /// re-checked only for elements whose neighbourhood shrank.
     pub fn instance_types(&self, d: &Instance) -> InstanceTypes {
-        let k = self.kernel();
         let t0 = Instant::now();
-        let words = k.words;
         // Dense element index over the active domain (`dom()` is sorted,
         // so ids are deterministic).
         let mut terms = TermInterner::new();
         for t in d.dom() {
             terms.intern(t);
         }
+        let mut counts = EvalStats::default();
+        let run = self
+            .propagate(d, &terms, &Budget::UNLIMITED, &mut counts)
+            .expect("the unlimited budget cannot be exceeded");
+        let mut surviving: BTreeMap<Term, BTreeSet<usize>> = BTreeMap::new();
+        let mut inconsistent = false;
+        for (e, t) in terms.iter().enumerate() {
+            let row = run.row(e);
+            inconsistent |= bitset::is_zero(row);
+            surviving.insert(t, bitset::ones(row).collect());
+        }
+        let k = self.kernel();
+        InstanceTypes {
+            surviving,
+            inconsistent,
+            rounds: counts.rounds,
+            stats: TypeStats {
+                elements: terms.len(),
+                edges: run.edges,
+                arcs_revised: run.arcs_revised,
+                compat_bits: k.compat_bits,
+                build_ns: k.build_ns,
+                propagate_ns: t0.elapsed().as_nanos() as u64,
+            },
+        }
+    }
+
+    /// Answers the atomic query `query(x)` over a fact store with the
+    /// bitset kernel, reproducing the goal of the Datalog≠ rewriting
+    /// [`crate::emit::emit_datalog`] emits for it, answer for answer:
+    ///
+    /// * the domain is the rewriting's `_dom` — the terms of live facts
+    ///   over the closure's unary and binary relations (not the whole
+    ///   active domain, which [`ElementTypeSystem::certain_unary`] uses);
+    /// * an inconsistent store (some element keeps no type) answers the
+    ///   whole domain;
+    /// * a query inside the closure holds where the element's surviving
+    ///   types all make it true;
+    /// * any other query answers its asserted unary facts (none for a
+    ///   role name).
+    ///
+    /// The returned statistics count kernel rounds and, as `derived`,
+    /// the facts the program would derive: eliminated (element, type)
+    /// pairs plus domain plus answers (`_elim`, `_dom`, `_goal`).
+    /// `budget` bounds both as [`gomq_datalog`]'s executor does — its
+    /// deadline is also checked every 256 arc revisions — and a blown
+    /// budget discards the work done so far.
+    pub fn answer(
+        &self,
+        d: &FactStore,
+        query: RelId,
+        budget: &Budget,
+    ) -> Result<(BTreeSet<Vec<Term>>, EvalStats), BudgetExceeded> {
+        let mut terms = TermInterner::new();
+        for &r in self.unary_rels.iter().chain(&self.binary_rels) {
+            d.each_fact(r, |args| {
+                for &t in args {
+                    terms.intern(t);
+                }
+            });
+        }
+        let mut stats = EvalStats::default();
+        let run = self.propagate(d, &terms, budget, &mut stats)?;
+        let mut answers: BTreeSet<Vec<Term>> = BTreeSet::new();
+        let inconsistent = (0..terms.len()).any(|e| bitset::is_zero(run.row(e)));
+        if inconsistent {
+            answers.extend(terms.iter().map(|t| vec![t]));
+        }
+        match self.unary_rels.iter().position(|&r| r == query) {
+            Some(_) if inconsistent => {}
+            Some(ui) => {
+                let k = self.kernel();
+                let refuters: Vec<u64> = k
+                    .full
+                    .iter()
+                    .zip(&k.unary_ok[ui])
+                    .map(|(f, u)| f & !u)
+                    .collect();
+                for (e, t) in terms.iter().enumerate() {
+                    if !bitset::intersects(run.row(e), &refuters) {
+                        answers.insert(vec![t]);
+                    }
+                }
+            }
+            None => d.each_fact(query, |args| {
+                if let [t] = args {
+                    answers.insert(vec![*t]);
+                }
+            }),
+        }
+        stats.derived += answers.len();
+        // Rounds and the deadline are checked before each round only, as
+        // the executor does; the goal facts still count as derived.
+        Budget {
+            max_derived: budget.max_derived,
+            ..Budget::UNLIMITED
+        }
+        .check(&stats)?;
+        Ok((answers, stats))
+    }
+
+    /// The AC-3 core behind [`ElementTypeSystem::instance_types`] and
+    /// [`ElementTypeSystem::answer`]: the greatest arc-consistent type
+    /// assignment to the elements of `terms` under the facts of `d`
+    /// over the closure's relations (every term of such a fact must be
+    /// interned; other elements keep all of `T*`).
+    ///
+    /// Each round counts into `stats.rounds`, passes the
+    /// [`EVAL_ROUND`](gomq_core::faults::EVAL_ROUND) fault seam and
+    /// first checks `budget` against the elements plus the eliminated
+    /// (element, type) pairs so far, kept in `stats.derived`; the
+    /// deadline is also checked every 256 arc revisions.
+    fn propagate(
+        &self,
+        d: &impl FactSource,
+        terms: &TermInterner,
+        budget: &Budget,
+        stats: &mut EvalStats,
+    ) -> Result<Propagation, BudgetExceeded> {
+        let k = self.kernel();
+        let words = k.words;
         let n_elem = terms.len();
+        let pairs = n_elem * self.types.len();
+        let deadline = Budget {
+            deadline: budget.deadline,
+            ..Budget::UNLIMITED
+        };
         // Surviving rows: all of T*, minus the types contradicting an
         // asserted unary fact, minus the types incompatible with a
         // self-loop.
@@ -801,12 +927,12 @@ impl ElementTypeSystem {
             surv.extend_from_slice(&k.full);
         }
         for (ui, &u) in self.unary_rels.iter().enumerate() {
-            for f in d.facts_of(u) {
-                if f.args.len() == 1 {
-                    let e = terms.get(f.args[0]).expect("domain term") as usize;
+            d.each_fact(u, |args| {
+                if let [t] = args {
+                    let e = terms.get(*t).expect("domain term") as usize;
                     bitset::and_assign(&mut surv[e * words..(e + 1) * words], &k.unary_ok[ui]);
                 }
-            }
+            });
         }
         // Edges (proper) and self-loops, per dense relation index.
         let nrels = self.binary_rels.len();
@@ -818,12 +944,10 @@ impl ElementTypeSystem {
             if has_counting {
                 has_loop[ri] = vec![false; n_elem];
             }
-            for f in d.facts_of(r) {
-                if f.args.len() != 2 {
-                    continue;
-                }
-                let u = terms.get(f.args[0]).expect("domain term") as usize;
-                let w = terms.get(f.args[1]).expect("domain term") as usize;
+            d.each_fact(r, |args| {
+                let [a, b] = args else { return };
+                let u = terms.get(*a).expect("domain term") as usize;
+                let w = terms.get(*b).expect("domain term") as usize;
                 if u == w {
                     loops += 1;
                     if has_counting {
@@ -833,7 +957,7 @@ impl ElementTypeSystem {
                 } else {
                     edges.push((ri as u32, u as u32, w as u32));
                 }
-            }
+            });
         }
         // Distinct-neighbour CSR adjacency for the counting pass (facts
         // are deduplicated, so so are the lists).
@@ -881,12 +1005,17 @@ impl ElementTypeSystem {
         let mut snapshot = vec![0u64; words];
         let mut nbrs: Vec<u32> = Vec::new();
         let mut arcs_revised = 0usize;
-        let mut rounds = 0usize;
         loop {
-            rounds += 1;
+            stats.derived = n_elem + pairs - bitset::count_ones(&surv);
+            budget.check(stats)?;
+            gomq_core::faults::point(gomq_core::faults::EVAL_ROUND);
+            stats.rounds += 1;
             while let Some(ai) = queue.pop_front() {
                 in_queue[ai as usize] = false;
                 arcs_revised += 1;
+                if arcs_revised.is_multiple_of(256) {
+                    deadline.check(stats)?;
+                }
                 let (rv, p, ri, rv_is_src) = arcs[ai as usize];
                 let (rv, p, ri) = (rv as usize, p as usize, ri as usize);
                 allowed.fill(0);
@@ -978,26 +1107,13 @@ impl ElementTypeSystem {
                 break;
             }
         }
-        let mut surviving: BTreeMap<Term, BTreeSet<usize>> = BTreeMap::new();
-        let mut inconsistent = false;
-        for e in 0..n_elem {
-            let row = &surv[e * words..(e + 1) * words];
-            inconsistent |= bitset::is_zero(row);
-            surviving.insert(terms.term(e as u32), bitset::ones(row).collect());
-        }
-        InstanceTypes {
-            surviving,
-            inconsistent,
-            rounds,
-            stats: TypeStats {
-                elements: n_elem,
-                edges: edges.len() + loops,
-                arcs_revised,
-                compat_bits: k.compat_bits,
-                build_ns: k.build_ns,
-                propagate_ns: t0.elapsed().as_nanos() as u64,
-            },
-        }
+        stats.derived = n_elem + pairs - bitset::count_ones(&surv);
+        Ok(Propagation {
+            words,
+            surv,
+            edges: edges.len() + loops,
+            arcs_revised,
+        })
     }
 
     /// Per-instance type assignment by arc-consistency propagation —
@@ -1168,20 +1284,13 @@ impl ElementTypeSystem {
     /// instance is inconsistent. A relation outside the ontology's
     /// closure is unconstrained, so its certain answers are exactly the
     /// facts asserted in `D`. Runs the bitset kernel.
+    ///
+    /// The domain is all of `D.dom()`, the model-theoretic reading the
+    /// countermodel engine shares; [`ElementTypeSystem::answer`] keeps
+    /// the rewriting's narrower `_dom` instead (DESIGN.md §7).
     pub fn certain_unary(&self, d: &Instance, rel: RelId) -> BTreeSet<Term> {
-        self.certain_unary_with_stats(d, rel).0
-    }
-
-    /// [`ElementTypeSystem::certain_unary`] plus the kernel counters of
-    /// the underlying propagation run (for `EngineStats` accounting).
-    pub fn certain_unary_with_stats(
-        &self,
-        d: &Instance,
-        rel: RelId,
-    ) -> (BTreeSet<Term>, TypeStats) {
         let it = self.instance_types(d);
-        let stats = it.stats;
-        (self.certain_from(&it, d, rel), stats)
+        self.certain_from(&it, d, rel)
     }
 
     /// [`ElementTypeSystem::certain_unary`] through the reference
@@ -1273,6 +1382,47 @@ struct CountingKernel {
     avoid: BitMatrix,
     /// Whether a self-loop contributes a forced witness for type `ti`.
     loop_witness: Vec<bool>,
+}
+
+/// Where the propagation core reads an instance's facts from.
+trait FactSource {
+    /// Calls `f` with the argument slice of every (live) fact of `rel`.
+    fn each_fact(&self, rel: RelId, f: impl FnMut(&[Term]));
+}
+
+impl FactSource for Instance {
+    fn each_fact(&self, rel: RelId, mut f: impl FnMut(&[Term])) {
+        for fact in self.facts_of(rel) {
+            f(fact.args);
+        }
+    }
+}
+
+impl FactSource for FactStore {
+    fn each_fact(&self, rel: RelId, mut f: impl FnMut(&[Term])) {
+        for &id in self.rel_ids(rel) {
+            if self.is_live(id) {
+                f(self.args(FactId(id)));
+            }
+        }
+    }
+}
+
+/// The fixpoint of one propagation run: one surviving-type row per
+/// interned element.
+struct Propagation {
+    words: usize,
+    surv: Vec<u64>,
+    /// Binary facts visited (proper edges + self-loops).
+    edges: usize,
+    /// AC-3 arc revisions performed.
+    arcs_revised: usize,
+}
+
+impl Propagation {
+    fn row(&self, e: usize) -> &[u64] {
+        &self.surv[e * self.words..(e + 1) * self.words]
+    }
 }
 
 /// Compressed-sparse-row adjacency: `row(i)` of element `i` in O(1).
@@ -1585,6 +1735,49 @@ mod tests {
         // A is certain exactly at a.
         let certain_a = sys.certain_unary(&d, a_rel);
         assert_eq!(certain_a.len(), 1);
+    }
+
+    #[test]
+    fn answer_honours_the_budget() {
+        // D = {A(a), R(a,b), B(b)}: one round, domain {a, b}, C at b.
+        let mut v = Vocab::new();
+        let o = simple(&mut v);
+        let sys = ElementTypeSystem::build(&o, &v).expect("supported");
+        let (a_rel, b_rel, c_rel, r) = (v.rel("A", 1), v.rel("B", 1), v.rel("C", 1), v.rel("R", 2));
+        let (ca, cb) = (v.constant("a"), v.constant("b"));
+        let mut d = FactStore::new();
+        d.intern_fact(&Fact::consts(a_rel, &[ca]));
+        d.intern_fact(&Fact::consts(r, &[ca, cb]));
+        d.intern_fact(&Fact::consts(b_rel, &[cb]));
+        let (answers, stats) = sys
+            .answer(&d, c_rel, &Budget::UNLIMITED)
+            .expect("unlimited");
+        assert_eq!(answers, BTreeSet::from([vec![Term::Const(cb)]]));
+        assert_eq!(stats.rounds, 1);
+        // Derived = eliminated pairs + domain + answers.
+        let surviving: usize = sys
+            .instance_types(&Instance::from_store(d.clone()))
+            .surviving
+            .values()
+            .map(BTreeSet::len)
+            .sum();
+        assert_eq!(stats.derived, 2 * sys.num_types() - surviving + 2 + 1);
+        // As in the executor, a round starts while `rounds <= max_rounds`.
+        let rounds = Budget {
+            max_rounds: Some(0),
+            ..Budget::UNLIMITED
+        };
+        assert_eq!(
+            sys.answer(&d, c_rel, &rounds).expect("one round allowed").0,
+            answers
+        );
+        let derived = Budget {
+            max_derived: Some(stats.derived - 1),
+            ..Budget::UNLIMITED
+        };
+        let err = sys.answer(&d, c_rel, &derived).unwrap_err();
+        assert_eq!(err.limit, gomq_datalog::LimitKind::Derived);
+        assert_eq!(err.derived, stats.derived);
     }
 
     #[test]

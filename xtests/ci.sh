@@ -279,4 +279,18 @@ case "$bench_last" in
         ;;
 esac
 
+# One-second oracle-checked run of the hot path: the only smoke that
+# mixes kernel-served requests with certified (traced-fixpoint) ones
+# under the benchmark's answer oracle.
+echo "==> perfbench hot_small smoke (1 s, oracle-checked, release)"
+bench_last="$(bash perfbench/run.sh --workload hot_small --seed 1 --seconds 1 --trace 0 | tail -n 1)"
+case "$bench_last" in
+    *'"correct": true'*'"failed": 0,'*) ;;
+    *)
+        echo "perfbench hot_small smoke did not report correct: true, failed: 0:" >&2
+        echo "$bench_last" >&2
+        exit 1
+        ;;
+esac
+
 echo "CI gate passed."

@@ -2,7 +2,7 @@
 //! JSONL requests end-to-end and agrees with the research pipeline.
 
 use gomq_bench::{horn_chain_ontology, propagation_instance};
-use gomq_core::{IndexedInstance, Vocab};
+use gomq_core::Vocab;
 use gomq_engine::{Engine, Input, Options, ServeSession};
 use gomq_rewriting::emit::emit_datalog;
 use gomq_rewriting::ElementTypeSystem;
@@ -59,9 +59,8 @@ fn engine_agrees_with_research_pipeline_on_horn_chain() {
     for len in [5usize, 20, 60] {
         let d = propagation_instance(len, names[0], r, &mut v);
         let reference = program.eval(&d);
-        let indexed = IndexedInstance::from_interpretation(&d);
         let answered = engine
-            .answer(&plan, Input::One(&indexed), &Options::default())
+            .answer(&plan, Input::One(d.store()), &Options::default())
             .unwrap();
         assert_eq!(answered.answers[0], reference, "len {len}");
         assert!(answered.stats.rounds > 0);
@@ -69,7 +68,7 @@ fn engine_agrees_with_research_pipeline_on_horn_chain() {
         let (plan2, hit2, _) = engine.plan(&o, query, &mut v);
         assert!(hit2);
         let again = engine
-            .answer(&plan2.unwrap(), Input::One(&indexed), &Options::default())
+            .answer(&plan2.unwrap(), Input::One(d.store()), &Options::default())
             .unwrap();
         assert_eq!(
             again.answers[0], reference,
