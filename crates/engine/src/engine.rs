@@ -3,12 +3,12 @@
 use crate::backend::native::par_map;
 use crate::cache::{lock_recover, PlanCache, PlanOutcome};
 use crate::plan::{EngineError, OmqPlan};
-use crate::stats::{EngineStats, RequestStats};
+use crate::stats::{nanos, Counter, EngineStats, RequestStats};
 use gomq_core::{FactId, FactStore, IndexedInstance, RelId, Term, Vocab};
 use gomq_datalog::Budget;
 use gomq_logic::GfOntology;
 use std::collections::{BTreeSet, HashMap};
-use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
@@ -78,7 +78,9 @@ pub(crate) const CERTIFY_BATCH: &str =
 pub struct Engine {
     cache: PlanCache,
     threads: usize,
-    stats: Mutex<EngineStats>,
+    /// One slot per [`Counter`]; the cache-, fault- and session-owned
+    /// slots stay 0 and are read from their owners at snapshot time.
+    counters: [AtomicU64; Counter::COUNT],
     /// Plan key → breaker state. A plan whose evaluation fails
     /// (panics or blows its budget) `quarantine_after` times is refused
     /// further evaluation ([`EngineError::Quarantined`]); the breaker is
@@ -113,7 +115,7 @@ impl Engine {
         Engine {
             cache,
             threads: threads.max(1),
-            stats: Mutex::new(EngineStats::default()),
+            counters: std::array::from_fn(|_| AtomicU64::new(0)),
             breakers: Mutex::new(HashMap::new()),
             quarantine_after: AtomicU32::new(0),
         }
@@ -134,8 +136,7 @@ impl Engine {
         if !b.open {
             return None;
         }
-        let mut stats = lock_recover(&self.stats);
-        stats.quarantined = stats.quarantined.saturating_add(1);
+        self.add(Counter::Quarantined, 1);
         Some(b.failures)
     }
 
@@ -152,8 +153,7 @@ impl Engine {
         if !b.open && b.failures >= threshold {
             b.open = true;
             drop(breakers);
-            let mut stats = lock_recover(&self.stats);
-            stats.breaker_trips = stats.breaker_trips.saturating_add(1);
+            self.add(Counter::BreakerTrips, 1);
             return true;
         }
         false
@@ -213,7 +213,7 @@ impl Engine {
     /// optionally with a derivation certificate. The request's stats
     /// are folded into the cumulative totals exactly once; a blown
     /// budget returns [`EngineError::Overloaded`] and counts in
-    /// [`EngineStats::overloaded`], leaving the engine fully
+    /// [`Counter::Overloaded`], leaving the engine fully
     /// serviceable. A certificate covers one ABox: certify + batch is
     /// refused as a [`EngineError::BadRequest`].
     ///
@@ -257,7 +257,7 @@ impl Engine {
                 }
             }
         };
-        lock_recover(&self.stats).absorb(&answered.stats);
+        self.absorb(&answered.stats);
         Ok(answered)
     }
 
@@ -323,184 +323,73 @@ impl Engine {
 
     /// Counts a blown budget and wraps it as [`EngineError::Overloaded`].
     pub(crate) fn overloaded(&self, e: gomq_datalog::BudgetExceeded) -> EngineError {
-        self.record_overloaded();
+        self.add(Counter::Overloaded, 1);
         EngineError::Overloaded(e)
     }
 
-    /// A snapshot of the cumulative statistics (cache counters included).
+    /// Adds `n` to a counter (or raises a gauge), saturating at
+    /// `u64::MAX`: a pathological workload (or a fault plan lying about
+    /// sizes) must skew the telemetry, never panic a debug build
+    /// mid-request.
+    pub fn add(&self, c: Counter, n: u64) {
+        if n > 0 {
+            let _ =
+                self.counters[c as usize].fetch_update(Ordering::Relaxed, Ordering::Relaxed, |v| {
+                    Some(v.saturating_add(n))
+                });
+        }
+    }
+
+    /// Lowers a gauge by `n`, saturating at zero.
+    pub fn sub(&self, c: Counter, n: u64) {
+        let _ = self.counters[c as usize].fetch_update(Ordering::Relaxed, Ordering::Relaxed, |v| {
+            Some(v.saturating_sub(n))
+        });
+    }
+
+    /// Overwrites a gauge.
+    pub fn set(&self, c: Counter, v: u64) {
+        self.counters[c as usize].store(v, Ordering::Relaxed);
+    }
+
+    /// Folds one request's statistics into the cumulative totals. The
+    /// serving layer calls it for requests answered outside
+    /// [`Engine::answer`] (session queries served from or building a
+    /// maintained materialization).
+    pub fn absorb(&self, r: &RequestStats) {
+        self.add(Counter::Requests, 1);
+        self.add(Counter::Rounds, r.rounds as u64);
+        self.add(Counter::Derived, r.derived as u64);
+        self.add(Counter::Answers, r.answers as u64);
+        self.add(Counter::CompileNs, nanos(r.compile));
+        self.add(Counter::EvalNs, nanos(r.eval));
+        self.add(Counter::FactsInterned, r.store.facts);
+        self.add(Counter::ArenaBytes, r.store.arena_bytes());
+        self.add(Counter::DedupHits, r.store.dedup_hits);
+        self.add(Counter::IvmMaintainedHits, u64::from(r.maintained));
+        self.add(Counter::IvmDeleted, r.ivm_deleted as u64);
+        self.add(Counter::IvmRederived, r.ivm_rederived as u64);
+        if r.cert_bytes > 0 {
+            self.add(Counter::CertsEmitted, 1);
+            self.add(Counter::CertBytes, r.cert_bytes as u64);
+        }
+    }
+
+    /// A snapshot of the engine-owned totals: its own counters plus the
+    /// plan cache's and the fault layer's, read now. The session gauges
+    /// (`session_facts`, `views_*`) stay 0 here;
+    /// [`crate::ServeShared::stats`] fills them in.
     pub fn stats(&self) -> EngineStats {
-        let mut snap = *lock_recover(&self.stats);
-        snap.cache_hits = self.cache.hits();
-        snap.cache_misses = self.cache.misses();
-        snap.cache_evictions = self.cache.evictions();
-        snap.inflight_waits = self.cache.inflight_waits();
-        snap.cache_size = self.cache.len() as u64;
-        snap.faults_injected = gomq_core::faults::injected();
+        let mut snap = EngineStats(std::array::from_fn(|i| {
+            self.counters[i].load(Ordering::Relaxed)
+        }));
+        snap[Counter::CacheHits] = self.cache.hits();
+        snap[Counter::CacheMisses] = self.cache.misses();
+        snap[Counter::CacheEvictions] = self.cache.evictions();
+        snap[Counter::InflightWaits] = self.cache.inflight_waits();
+        snap[Counter::CacheSize] = self.cache.len() as u64;
+        snap[Counter::FaultsInjected] = gomq_core::faults::injected();
         snap
-    }
-
-    /// Folds externally measured compile time into the totals (used by
-    /// the serving layer, which times [`Engine::plan`] per request).
-    pub fn record_compile(&self, elapsed: std::time::Duration) {
-        let mut stats = lock_recover(&self.stats);
-        stats.compile_time = stats.compile_time.saturating_add(elapsed);
-    }
-
-    /// Records one isolated panic (caught by the serving layer's
-    /// `catch_unwind` fence).
-    pub fn record_panic(&self) {
-        let mut stats = lock_recover(&self.stats);
-        stats.panics = stats.panics.saturating_add(1);
-    }
-
-    /// Records a request refused at admission or aborted mid-evaluation
-    /// because its budget was already (or became) exhausted.
-    pub fn record_overloaded(&self) {
-        let mut stats = lock_recover(&self.stats);
-        stats.overloaded = stats.overloaded.saturating_add(1);
-    }
-
-    /// Records journaled WAL activity (records and frame bytes).
-    pub fn record_wal(&self, records: u64, bytes: u64) {
-        let mut stats = lock_recover(&self.stats);
-        stats.wal_records = stats.wal_records.saturating_add(records);
-        stats.wal_bytes = stats.wal_bytes.saturating_add(bytes);
-    }
-
-    /// Records one snapshot written.
-    pub fn record_snapshot(&self) {
-        let mut stats = lock_recover(&self.stats);
-        stats.snapshots = stats.snapshots.saturating_add(1);
-    }
-
-    /// Records one accepted network connection (bumps the cumulative
-    /// accept count and the active-connection gauge).
-    pub fn record_conn_open(&self) {
-        let mut stats = lock_recover(&self.stats);
-        stats.conns_accepted = stats.conns_accepted.saturating_add(1);
-        stats.conns_active = stats.conns_active.saturating_add(1);
-    }
-
-    /// Records one closed network connection (decrements the gauge).
-    pub fn record_conn_close(&self) {
-        let mut stats = lock_recover(&self.stats);
-        stats.conns_active = stats.conns_active.saturating_sub(1);
-    }
-
-    /// Records one connection refused at accept time (connection caps).
-    pub fn record_conn_refused(&self) {
-        let mut stats = lock_recover(&self.stats);
-        stats.conns_refused = stats.conns_refused.saturating_add(1);
-    }
-
-    /// Samples the worker pool's queue depth (jobs queued or executing).
-    pub fn record_queue_depth(&self, depth: u64) {
-        lock_recover(&self.stats).queue_depth = depth;
-    }
-
-    /// Records one request refused because the worker queue was full.
-    pub fn record_queue_reject(&self) {
-        let mut stats = lock_recover(&self.stats);
-        stats.queue_rejects = stats.queue_rejects.saturating_add(1);
-    }
-
-    /// Records one graceful drain initiated.
-    pub fn record_drain(&self) {
-        let mut stats = lock_recover(&self.stats);
-        stats.drains = stats.drains.saturating_add(1);
-    }
-
-    /// Folds one request's statistics into the totals — used by the
-    /// serving layer for requests answered outside the engine's own
-    /// evaluation entry points (session queries served from or building
-    /// a maintained materialization).
-    pub fn record_request(&self, stats: &RequestStats) {
-        lock_recover(&self.stats).absorb(stats);
-    }
-
-    /// Samples the maintained-view registry: active views (gauge) and
-    /// cumulative LRU evictions (the registry's counter is
-    /// authoritative, so the total is overwritten, not added).
-    pub fn record_views(&self, active: u64, evicted: u64) {
-        let mut stats = lock_recover(&self.stats);
-        stats.views_active = active;
-        stats.views_evicted = evicted;
-    }
-
-    /// Records view-maintenance work done outside a query (the eager
-    /// DRed pass a session rollback runs over every registered view).
-    pub fn record_ivm_maintenance(&self, deleted: u64, rederived: u64) {
-        let mut stats = lock_recover(&self.stats);
-        stats.ivm_deleted = stats.ivm_deleted.saturating_add(deleted);
-        stats.ivm_rederived = stats.ivm_rederived.saturating_add(rederived);
-    }
-
-    /// Records record frames shipped to a replica (primary side).
-    pub fn record_repl_ship(&self, frames: u64, bytes: u64) {
-        let mut stats = lock_recover(&self.stats);
-        stats.repl_frames_shipped = stats.repl_frames_shipped.saturating_add(frames);
-        stats.repl_bytes_shipped = stats.repl_bytes_shipped.saturating_add(bytes);
-    }
-
-    /// Records one bootstrap snapshot shipped to a replica.
-    pub fn record_repl_snapshot_shipped(&self, bytes: u64) {
-        let mut stats = lock_recover(&self.stats);
-        stats.repl_snapshots_shipped = stats.repl_snapshots_shipped.saturating_add(1);
-        stats.repl_bytes_shipped = stats.repl_bytes_shipped.saturating_add(bytes);
-    }
-
-    /// Records one replicated record processed by a follower: `fresh`
-    /// is 1 unless the record was a duplicate re-shipped after a
-    /// reconnect; `lag` samples the lsn gap behind the primary.
-    pub fn record_repl_apply(&self, fresh: u64, bytes: u64, lag: u64) {
-        let mut stats = lock_recover(&self.stats);
-        stats.repl_records_applied = stats.repl_records_applied.saturating_add(fresh);
-        stats.repl_bytes_applied = stats.repl_bytes_applied.saturating_add(bytes);
-        stats.repl_lag_lsn = lag;
-    }
-
-    /// Samples the follower's lsn lag behind the primary (gauge).
-    pub fn record_repl_lag(&self, lag: u64) {
-        lock_recover(&self.stats).repl_lag_lsn = lag;
-    }
-
-    /// Records one follower reconnect attempt after a dropped primary
-    /// connection.
-    pub fn record_repl_reconnect(&self) {
-        let mut stats = lock_recover(&self.stats);
-        stats.repl_reconnects = stats.repl_reconnects.saturating_add(1);
-    }
-
-    /// Records one promotion to primary.
-    pub fn record_repl_promotion(&self) {
-        let mut stats = lock_recover(&self.stats);
-        stats.repl_promotions = stats.repl_promotions.saturating_add(1);
-    }
-
-    /// Records one write refused for replication-role reasons
-    /// (`"read-only"` on a follower, `"fenced"` on a superseded
-    /// primary).
-    pub fn record_repl_write_refusal(&self) {
-        let mut stats = lock_recover(&self.stats);
-        stats.repl_write_refusals = stats.repl_write_refusals.saturating_add(1);
-    }
-
-    /// Records one replica read refused for exceeding the staleness
-    /// bound.
-    pub fn record_repl_stale_refusal(&self) {
-        let mut stats = lock_recover(&self.stats);
-        stats.repl_stale_refusals = stats.repl_stale_refusals.saturating_add(1);
-    }
-
-    /// Records what startup recovery rebuilt from the data directory.
-    pub fn record_recovery(&self, info: &crate::session::RecoveryInfo) {
-        let mut stats = lock_recover(&self.stats);
-        stats.recovered_records = stats
-            .recovered_records
-            .saturating_add(info.replayed_records);
-        stats.recovered_facts = stats
-            .recovered_facts
-            .saturating_add(info.snapshot_facts.saturating_add(info.replayed_facts));
     }
 }
 
@@ -534,7 +423,7 @@ mod tests {
         let staff = v.find_rel("Staff").unwrap();
         let (plan, hit, d1) = engine.plan(&o, staff, &mut v);
         let plan = plan.unwrap();
-        engine.record_compile(d1);
+        engine.add(Counter::CompileNs, nanos(d1));
         assert!(!hit);
         let abox = parse_instance("Manager(ada)\nEmployee(grace)\n", &mut v).unwrap();
         let (answers, rs) = eval_one(&engine, &plan, &abox);
@@ -553,10 +442,10 @@ mod tests {
         assert!(hit2);
         assert!(Arc::ptr_eq(&plan, &plan2.unwrap()));
         let snap = engine.stats();
-        assert_eq!(snap.requests, 1);
-        assert_eq!(snap.cache_hits, 1);
-        assert_eq!(snap.cache_misses, 1);
-        assert!(snap.eval_time > std::time::Duration::ZERO);
+        assert_eq!(snap[Counter::Requests], 1);
+        assert_eq!(snap[Counter::CacheHits], 1);
+        assert_eq!(snap[Counter::CacheMisses], 1);
+        assert!(snap[Counter::EvalNs] > 0);
     }
 
     #[test]
@@ -667,7 +556,7 @@ mod tests {
             panic!("expected overloaded, got {err:?}");
         };
         assert_eq!(e.limit, gomq_datalog::LimitKind::Deadline);
-        assert_eq!(engine.stats().overloaded, 1);
+        assert_eq!(engine.stats()[Counter::Overloaded], 1);
     }
 
     #[test]
@@ -688,8 +577,8 @@ mod tests {
         engine.record_eval_success(key);
         assert!(engine.quarantine_reject(key).is_some());
         let snap = engine.stats();
-        assert_eq!(snap.breaker_trips, 1);
-        assert_eq!(snap.quarantined, 2);
+        assert_eq!(snap[Counter::BreakerTrips], 1);
+        assert_eq!(snap[Counter::Quarantined], 2);
         // Other plans are unaffected.
         assert_eq!(engine.quarantine_reject(0xbeef), None);
     }
@@ -757,7 +646,7 @@ mod tests {
         }
         // A certificate covers one ABox: certify + batch is refused
         // before any evaluation.
-        let requests = engine.stats().requests;
+        let requests = engine.stats()[Counter::Requests];
         let vocab = Mutex::new(v);
         let certify = Options {
             certify: Some(Certify {
@@ -770,6 +659,6 @@ mod tests {
             .answer(&plan, Input::Batch(&aboxes), &certify)
             .unwrap_err();
         assert_eq!(err, EngineError::BadRequest(CERTIFY_BATCH.into()));
-        assert_eq!(engine.stats().requests, requests);
+        assert_eq!(engine.stats()[Counter::Requests], requests);
     }
 }

@@ -28,14 +28,15 @@
 //!   the SQL text is an artifact for relational engines (`gomq-sql`)
 //!   and its in-process execution the oracle the native engine is
 //!   cross-checked against.
-//! * [`engine`] — the [`Engine`] facade tying cache, executor and
-//!   [`EngineStats`] together behind one answer method,
+//! * [`engine`] — the [`Engine`] facade tying cache, executor and the
+//!   [`Counter`] table together behind one answer method,
 //!   [`Engine::answer`]: one ABox or a batch, under a budget,
 //!   optionally certified.
 //! * [`serve`] + the `gomq-serve` binary — a JSONL stdin/stdout
 //!   protocol: one `{ontology, query, abox | aboxes | session}` request
 //!   per line (optional `"certificate"` and `"limits"`), one
-//!   answer+stats response per line.
+//!   answer+stats response per line; `{"op": "stats"}` reads the
+//!   cumulative totals.
 //!   Blown budgets answer `"status": "overloaded"`; panics in
 //!   compilation or evaluation are caught and isolated, and poisoned
 //!   locks are recovered, so a hostile line can never take the session
@@ -71,6 +72,8 @@ pub mod json;
 pub mod net;
 pub mod plan;
 pub mod repl;
+#[doc(hidden)]
+pub mod scratch;
 pub mod serve;
 pub mod session;
 pub mod stats;
@@ -93,5 +96,5 @@ pub use session::{
     DurableSession, MutationInfo, PersistOptions, RecoveryInfo, SessionError, ViewMaintenance,
     ViewRegistry, DEFAULT_MAX_VIEWS,
 };
-pub use stats::{EngineStats, RequestStats};
+pub use stats::{Counter, EngineStats, RequestStats};
 pub use wal::{SymFact, SymTerm, Wal, WalRecord};

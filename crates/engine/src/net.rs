@@ -24,7 +24,9 @@
 //! comes from connections, capped by the worker pool — when every
 //! worker is busy and the queue is full, requests are refused
 //! *immediately* with the same `"overloaded"` shape a blown budget
-//! produces, instead of queueing without bound.
+//! produces, instead of queueing without bound. The read-only
+//! `{"op": "stats"}` is the one request the I/O thread answers itself,
+//! so an operator can read the totals of a server whose queue is full.
 //!
 //! ## Graceful drain
 //!
@@ -41,6 +43,7 @@
 use crate::drain::DrainToken;
 use crate::json::{self, Json};
 use crate::serve::{handle_connection, ConnControl, ServeSession, ServeShared};
+use crate::stats::Counter;
 use std::collections::{HashMap, VecDeque};
 use std::io::{BufReader, BufWriter, Write};
 use std::net::{IpAddr, SocketAddr, TcpListener, TcpStream};
@@ -149,7 +152,8 @@ impl NetServer {
                     accept_errors = 0;
                     if conns.try_admit(peer.ip(), &config) {
                         accepted += 1;
-                        shared.engine().record_conn_open();
+                        shared.engine().add(Counter::ConnsAccepted, 1);
+                        shared.engine().add(Counter::ConnsActive, 1);
                         spawn_connection(
                             stream,
                             peer,
@@ -161,7 +165,7 @@ impl NetServer {
                         );
                     } else {
                         refused += 1;
-                        shared.engine().record_conn_refused();
+                        shared.engine().add(Counter::ConnsRefused, 1);
                         refuse_connection(stream, config.max_conns);
                     }
                 }
@@ -343,7 +347,6 @@ impl Reply {
 
 struct PoolInner {
     jobs: VecDeque<Job>,
-    executing: usize,
     closing: bool,
 }
 
@@ -371,7 +374,6 @@ impl Pool {
         let pool = Arc::new(Pool {
             inner: Mutex::new(PoolInner {
                 jobs: VecDeque::new(),
-                executing: 0,
                 closing: false,
             }),
             work: Condvar::new(),
@@ -400,17 +402,18 @@ impl Pool {
         }
         if inner.jobs.len() >= self.depth {
             drop(inner);
-            self.shared.engine().record_queue_reject();
+            self.shared.engine().add(Counter::QueueRejects, 1);
             return Submit::Full;
         }
         let reply = Arc::new(Reply::default());
+        // The gauge rises before any worker can see the job (the lock
+        // is held), so the job's completion can never lower it first.
+        self.shared.engine().add(Counter::QueueDepth, 1);
         inner.jobs.push_back(Job {
             line,
             reply: reply.clone(),
         });
-        let depth = (inner.jobs.len() + inner.executing) as u64;
         drop(inner);
-        self.shared.engine().record_queue_depth(depth);
         self.work.notify_one();
         Submit::Queued(reply)
     }
@@ -422,7 +425,6 @@ impl Pool {
                 let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
                 loop {
                     if let Some(job) = inner.jobs.pop_front() {
-                        inner.executing += 1;
                         break job;
                     }
                     if inner.closing {
@@ -435,13 +437,10 @@ impl Pool {
             // panics into structured errors), so the reply always lands
             // and the submitter can never deadlock.
             let response = session.handle_line(&job.line);
+            // Completed: the gauge drops before the reply is released,
+            // so a peer that has every response sees an idle pool.
+            self.shared.engine().sub(Counter::QueueDepth, 1);
             job.reply.put(response);
-            let depth = {
-                let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-                inner.executing -= 1;
-                (inner.jobs.len() + inner.executing) as u64
-            };
-            self.shared.engine().record_queue_depth(depth);
         }
     }
 }
@@ -493,13 +492,13 @@ fn spawn_connection(
         .name("gomq-conn".to_owned())
         .spawn(move || {
             run_connection(&stream, shared.clone(), &pool, &config, drain);
-            shared.engine().record_conn_close();
+            shared.engine().sub(Counter::ConnsActive, 1);
             conns.release(peer.ip());
         });
     if spawned.is_err() {
         // Thread exhaustion: the closure never ran, so undo the
         // admission accounting the accept loop already recorded.
-        shared2.engine().record_conn_close();
+        shared2.engine().sub(Counter::ConnsActive, 1);
         conns2.release(peer.ip());
     }
 }
@@ -523,18 +522,33 @@ fn run_connection(
         idle_timeout: config.idle_timeout,
     };
     let max_line = shared.max_line_bytes();
+    // The stats op never queues: it answers even when every worker is
+    // busy, and `queue_depth` counts evaluation work only.
+    let mut inline = ServeSession::with_shared(shared);
     handle_connection(
         BufReader::new(read_half),
         BufWriter::new(stream),
         max_line,
         &control,
-        |line| match pool.submit(line.to_owned()) {
-            Submit::Queued(reply) => reply.wait(),
-            Submit::Full => refuse_queue_full(line),
-            Submit::Closing => refuse_draining(line),
+        |line| {
+            if is_stats_op(line) {
+                return inline.handle_line(line);
+            }
+            match pool.submit(line.to_owned()) {
+                Submit::Queued(reply) => reply.wait(),
+                Submit::Full => refuse_queue_full(line),
+                Submit::Closing => refuse_draining(line),
+            }
         },
     );
     let _ = stream.shutdown(std::net::Shutdown::Both);
+}
+
+/// Whether `line` is `{"op": "stats"}` (lines that cannot be one skip
+/// the parse).
+fn is_stats_op(line: &str) -> bool {
+    line.contains("\"stats\"")
+        && matches!(json::parse(line), Ok(Json::Obj(o)) if o.get("op").and_then(Json::as_str) == Some("stats"))
 }
 
 /// Best-effort request-id extraction for refusals produced without
@@ -667,16 +681,17 @@ mod tests {
         );
         assert!(r1.contains("\"status\": \"ok\""), "{r1}");
         assert!(r1.contains(r#"[["x"]]"#), "{r1}");
-        // The second connection shares the plan cache. Its answer is the
-        // first one that can count both connections: the kernel completes
-        // a connect before the accept loop (which sleeps a poll tick when
-        // idle) has taken it, so c2 may still be unaccepted while r1 runs.
+        // The second connection shares the plan cache.
         let r2 = request(
             &mut c2,
             r#"{"id": "n2", "ontology": "A sub B", "query": "B", "abox": "A(y)"}"#,
         );
         assert!(r2.contains("\"cached\": true"), "{r2}");
-        assert!(r2.contains("\"conns_accepted\": 2"), "{r2}");
+        // c2 was accepted before r2 could be answered, so the totals
+        // read on c1 now count both connections.
+        let st = request(&mut c1, r#"{"op": "stats"}"#);
+        assert!(st.contains("\"conns_accepted\": 2"), "{st}");
+        assert!(!r1.contains("\"engine\"") && !r2.contains("\"engine\""));
         assert!(crate::json::parse(&r1).is_ok() && crate::json::parse(&r2).is_ok());
         drain.trigger();
         let report = handle.join().expect("server thread");
@@ -687,6 +702,44 @@ mod tests {
         let mut end = String::new();
         BufReader::new(&mut c1).read_line(&mut end).expect("eof");
         assert!(end.is_empty(), "expected EOF after drain, got {end}");
+    }
+
+    #[test]
+    fn queue_depth_returns_to_zero_after_a_burst() {
+        let config = NetConfig {
+            workers: 2,
+            poll_interval: Duration::from_millis(20),
+            drain_timeout: Duration::from_millis(2_000),
+            ..NetConfig::default()
+        };
+        let (addr, drain, handle) = start_server(config);
+        let clients: Vec<_> = (0..6)
+            .map(|c| {
+                std::thread::spawn(move || {
+                    let mut conn = TcpStream::connect(addr).expect("connect");
+                    for i in 0..20 {
+                        let r = request(
+                            &mut conn,
+                            &format!(
+                                r#"{{"ontology": "A sub B\nB sub C", "query": "C", "abox": "A(x{c}_{i})"}}"#
+                            ),
+                        );
+                        assert!(r.contains("\"status\": \"ok\""), "{r}");
+                    }
+                })
+            })
+            .collect();
+        for client in clients {
+            client.join().expect("client thread");
+        }
+        // Every response is in, so no job is queued or executing.
+        let mut conn = TcpStream::connect(addr).expect("connect");
+        let st = request(&mut conn, r#"{"id": "s", "op": "stats"}"#);
+        assert!(st.contains("\"status\": \"ok\", \"op\": \"stats\""), "{st}");
+        assert!(st.contains("\"queue_depth\": 0,"), "{st}");
+        assert!(st.contains("\"requests\": 120,"), "{st}");
+        drain.trigger();
+        handle.join().expect("server thread");
     }
 
     #[test]

@@ -56,6 +56,7 @@ use crate::cache::lock_recover;
 use crate::drain::DrainToken;
 use crate::serve::ServeShared;
 use crate::session::{self, RecordSink, SessionError};
+use crate::stats::Counter;
 use crate::wal::{WalRecord, MAX_FRAME_BYTES};
 use gomq_rewriting::fnv1a;
 
@@ -763,7 +764,8 @@ fn serve_replica(
             alive.store(false, Ordering::Release);
             return;
         }
-        shared.engine().record_repl_snapshot_shipped(size);
+        shared.engine().add(Counter::ReplSnapshotsShipped, 1);
+        shared.engine().add(Counter::ReplBytesShipped, size);
         cursor = snap_lsn;
     }
 
@@ -788,7 +790,8 @@ fn serve_replica(
                     }
                     match write_msg(&mut writer, &ReplMsg::Record(frame)) {
                         Ok(n) => {
-                            shared.engine().record_repl_ship(1, n as u64);
+                            shared.engine().add(Counter::ReplFramesShipped, 1);
+                            shared.engine().add(Counter::ReplBytesShipped, n as u64);
                             cursor = lsn;
                         }
                         Err(_) => {
@@ -852,7 +855,7 @@ pub fn promote(shared: &Arc<ServeShared>, reason: &str) -> Result<(u64, u64), Se
     };
     ctx.observe_epoch(epoch);
     ctx.set_role(Role::Primary);
-    shared.engine().record_repl_promotion();
+    shared.engine().add(Counter::ReplPromotions, 1);
     eprintln!("gomq-serve: repl: promoted to primary at epoch {epoch} (lsn {lsn}): {reason}");
     if let Some(addr) = ctx.fence_target() {
         let token = ctx.drain_token();
@@ -1074,7 +1077,7 @@ pub fn run_follower(shared: Arc<ServeShared>, cfg: FollowConfig, token: DrainTok
         if shared.repl().role() != Role::Follower || token.is_draining() {
             return;
         }
-        shared.engine().record_repl_reconnect();
+        shared.engine().add(Counter::ReplReconnects, 1);
         if failures >= RECONNECT_ATTEMPTS {
             if cfg.promote_on_disconnect {
                 // Stamping the epoch journals one record; a transient
@@ -1167,9 +1170,11 @@ fn follow_once(shared: &Arc<ServeShared>, addr: &str, token: &DrainToken) -> Fol
                         progressed = true;
                         shared.repl().note_primary_lsn(lsn);
                         let applied_lsn = shared.session_lock().position().0;
-                        shared.engine().record_repl_apply(
-                            u64::from(fresh),
-                            frame.len() as u64,
+                        let engine = shared.engine();
+                        engine.add(Counter::ReplRecordsApplied, u64::from(fresh));
+                        engine.add(Counter::ReplBytesApplied, frame.len() as u64);
+                        engine.set(
+                            Counter::ReplLagLsn,
                             shared.repl().primary_lsn().saturating_sub(applied_lsn),
                         );
                         if write_msg(&mut stream, &ReplMsg::Ack(applied_lsn)).is_err() {
@@ -1206,9 +1211,10 @@ fn follow_once(shared: &Arc<ServeShared>, addr: &str, token: &DrainToken) -> Fol
                     shared.session_lock().observe_epoch(epoch);
                 }
                 let applied = shared.session_lock().position().0;
-                shared
-                    .engine()
-                    .record_repl_lag(shared.repl().primary_lsn().saturating_sub(applied));
+                shared.engine().set(
+                    Counter::ReplLagLsn,
+                    shared.repl().primary_lsn().saturating_sub(applied),
+                );
             }
             Ok(ReadOutcome::Msg(ReplMsg::Snapshot(bytes))) => {
                 // The primary pruned its retained log past our position
@@ -1266,7 +1272,7 @@ fn apply_record(shared: &ServeShared, lsn: u64, record: &WalRecord) -> Result<bo
             if let Err(e) = session.snapshot_now(vocab) {
                 eprintln!("gomq-serve: repl: replica snapshot failed: {e}");
             } else {
-                shared.engine().record_snapshot();
+                shared.engine().add(Counter::Snapshots, 1);
             }
         }
         r
@@ -1293,11 +1299,10 @@ mod tests {
     #[test]
     fn replicated_constants_survive_an_in_flight_request() {
         use crate::serve::{ServeConfig, ServeSession};
-        let dir = std::env::temp_dir().join(format!("gomq-repl-consts-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
+        let dir = crate::scratch::ScratchDir::new("repl-consts");
         let config = ServeConfig {
             threads: 1,
-            data_dir: Some(dir.clone()),
+            data_dir: Some(dir.to_path_buf()),
             ..ServeConfig::default()
         };
         let shared = Arc::new(ServeShared::try_with_config(config).unwrap().0);
@@ -1316,7 +1321,6 @@ mod tests {
             r#"{"ontology": "Manager sub Employee", "query": "Employee", "session": true}"#,
         );
         assert!(q.contains(r#""answers": [["f0"]]"#), "{q}");
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -14,18 +14,14 @@
 //!  "limits": {"max_rounds": 1000, "max_derived": 100000, "timeout_ms": 250}}
 //! ```
 //!
-//! Successful response — `"stats"` is strictly request-scoped, the
-//! cumulative engine totals live under `"engine"`:
+//! Successful response — `"stats"` is strictly request-scoped:
 //!
 //! ```json
 //! {"id": "r1", "status": "ok", "cached": false, "zone": "Dichotomy (Datalog!= = PTIME)",
 //!  "fragment": "uGF",
 //!  "answers": [["ada"], ["grace"]],
 //!  "stats": {"compile_us": 412, "eval_us": 12, "rounds": 1, "derived": 9,
-//!            "cache_hit": false},
-//!  "engine": {"requests": 1, "cache_hits": 0, "cache_misses": 1, "cache_size": 1,
-//!             "evictions": 0, "inflight_waits": 0, "overloaded": 0, "panics": 0,
-//!             "facts_interned": 0, "arena_bytes": 0, "dedup_hits": 0}}
+//!            "cache_hit": false, "maintained": false, "cert_bytes": 0}}
 //! ```
 //!
 //! What `"rounds"` and `"derived"` count depends on the path. An
@@ -51,6 +47,20 @@
 //! caught, reported as structured errors, and counted in the engine
 //! totals.
 //!
+//! ## Cumulative totals
+//!
+//! `{"op": "stats"}` answers the process's cumulative counters and
+//! gauges, one key per [`Counter`] in declaration order:
+//!
+//! ```json
+//! {"id": "s1", "status": "ok", "op": "stats",
+//!  "engine": {"requests": 1, "cache_hits": 0, "cache_misses": 1, "cache_size": 1,
+//!             "evictions": 0, ..., "compile_ns": 412000, "eval_ns": 12000}}
+//! ```
+//!
+//! It is read-only and answered on every replication role. No other
+//! response carries cumulative totals.
+//!
 //! ABox constants interned while serving a request are rolled back once
 //! no request is in flight, so a long-lived session's [`Vocab`] does not
 //! grow with the ABoxes it has seen (plans keep only relation ids, which
@@ -60,8 +70,8 @@
 //!
 //! ## Session mutations
 //!
-//! Besides (the default) `"op": "query"`, a request can mutate the
-//! session-resident ABox: `{"op": "assert", "abox": "..."}` adds facts,
+//! Besides (the default) `"op": "query"` and the read-only `"op":
+//! "stats"`, a request can mutate the session-resident ABox: `{"op": "assert", "abox": "..."}` adds facts,
 //! `{"op": "mark"}` takes a rollback point, `{"op": "rollback", "mark":
 //! n}` truncates back to one. Queries evaluate against the session store
 //! with `"session": true` in place of `"abox"`. When the session was
@@ -88,7 +98,7 @@ use crate::plan::{EngineError, OmqPlan};
 use crate::session::{
     DurableSession, MutationInfo, PersistOptions, RecoveryInfo, SessionError, DEFAULT_MAX_VIEWS,
 };
-use crate::stats::RequestStats;
+use crate::stats::{nanos, Counter, EngineStats, RequestStats};
 use crate::wal::SymFact;
 use gomq_core::{Fact, FactStore, Term, Vocab};
 use gomq_datalog::{Budget, BudgetExceeded, LimitKind, Materialization};
@@ -277,7 +287,11 @@ impl ServeShared {
                     snapshot_every: config.snapshot_every,
                 };
                 let (s, info) = DurableSession::open(dir, opts, &mut vocab)?;
-                engine.record_recovery(&info);
+                engine.add(Counter::RecoveredRecords, info.replayed_records);
+                engine.add(
+                    Counter::RecoveredFacts,
+                    info.snapshot_facts.saturating_add(info.replayed_facts),
+                );
                 (s, Some(info))
             }
             None => (DurableSession::in_memory(), None),
@@ -319,6 +333,18 @@ impl ServeShared {
     /// The underlying engine (for statistics inspection).
     pub fn engine(&self) -> &Engine {
         &self.engine
+    }
+
+    /// A snapshot of every cumulative counter: the engine's own
+    /// ([`Engine::stats`]) plus the session gauges, read from the
+    /// session store and its view registry now.
+    pub fn stats(&self) -> EngineStats {
+        let mut snap = self.engine.stats();
+        let session = lock_recover(&self.session);
+        snap[Counter::SessionFacts] = session.len() as u64;
+        snap[Counter::ViewsActive] = session.views().len() as u64;
+        snap[Counter::ViewsEvicted] = session.views().evicted();
+        snap
     }
 
     /// Replication state: role, observed epoch, staleness bound.
@@ -399,7 +425,7 @@ impl ServeShared {
     /// Returns `Ok(false)` for in-memory sessions. Counts the drain (and
     /// the snapshot, when one was cut) in the engine totals.
     pub fn drain_persist(&self) -> Result<bool, SessionError> {
-        self.engine.record_drain();
+        self.engine.add(Counter::Drains, 1);
         // Primary drain flushes to replicas first: every journaled frame
         // must be acknowledged by every connected replica (bounded wait)
         // before the process lets go, so a drain-then-promote loses
@@ -422,7 +448,7 @@ impl ServeShared {
             session.drain(&vocab)
         };
         if result.is_ok() {
-            self.engine.record_snapshot();
+            self.engine.add(Counter::Snapshots, 1);
         }
         result.map(|()| true)
     }
@@ -616,7 +642,7 @@ impl ServeSession {
         let (id, outcome) = match dispatched {
             Ok(r) => r,
             Err(payload) => {
-                self.shared.engine.record_panic();
+                self.shared.engine.add(Counter::Panics, 1);
                 // The id is re-parsed: the panicking dispatch cannot
                 // hand it back.
                 let id = match json::parse(line) {
@@ -692,8 +718,9 @@ impl ServeSession {
                 Some("mark") => self.run_mark(id),
                 Some("rollback") => self.run_rollback(obj, id),
                 Some("promote") => self.run_promote(id),
+                Some("stats") => Ok(self.run_stats(id)),
                 Some(other) => Err(EngineError::BadRequest(format!(
-                    "unknown op \"{other}\" (expected query, assert, mark, rollback, promote)"
+                    "unknown op \"{other}\" (expected query, assert, mark, rollback, promote, stats)"
                 ))),
                 None => Err(EngineError::BadRequest("\"op\" must be a string".into())),
             },
@@ -716,7 +743,7 @@ impl ServeSession {
         // must not enter the executor at all — it would only burn a
         // worker to discover the same verdict.
         if budget.deadline.is_some_and(|d| Instant::now() >= d) {
-            self.shared.engine.record_overloaded();
+            self.shared.engine.add(Counter::Overloaded, 1);
             return Err(EngineError::Overloaded(BudgetExceeded {
                 limit: LimitKind::Deadline,
                 rounds: 0,
@@ -742,7 +769,7 @@ impl ServeSession {
             .shared
             .engine
             .plan_shared(&o, query, &self.shared.vocab);
-        self.shared.engine.record_compile(compile);
+        self.shared.engine.add(Counter::CompileNs, nanos(compile));
         let planned = Planned {
             plan: plan?,
             cached,
@@ -798,8 +825,8 @@ impl ServeSession {
     /// breaker (bad requests do not) and a success resets it. `eval`
     /// raises its flag once it has checked a maintained view out of the
     /// session registry: a failure after that consumed the view, so the
-    /// drop is counted and the gauges resampled here — the totals never
-    /// claim a view that no longer exists.
+    /// drop is counted here — the registry never claims a view that no
+    /// longer exists.
     fn guarded(
         &self,
         id: Option<&str>,
@@ -871,7 +898,7 @@ impl ServeSession {
         if let Some(lag) = staleness {
             let bound = self.shared.repl().max_staleness();
             if lag > bound {
-                engine.record_repl_stale_refusal();
+                engine.add(Counter::ReplStaleRefusals, 1);
                 return Err(EngineError::Stale { lag, bound });
             }
         }
@@ -882,7 +909,7 @@ impl ServeSession {
         // position is captured under the *same* hold, so the
         // certificate's snapshot binding names exactly the store state
         // the answer is computed over.
-        let (store, view, epoch, views_on, position, gauges) = {
+        let (store, view, epoch, views_on, position) = {
             let mut session = lock_recover(&self.shared.session);
             let store = session.share_store();
             let epoch = session.views().epoch();
@@ -894,17 +921,12 @@ impl ServeSession {
             // it (a counted drop) and rebuild with recording on; from
             // then on the session pays the recording overhead only
             // because it asked for certificates.
-            let mut gauges = None;
             if want_cert && view.as_ref().is_some_and(|v| !v.is_recording()) {
                 view = None;
                 session.views_mut().note_dropped(1);
-                gauges = Some((session.views().len() as u64, session.views().evicted()));
             }
-            (store, view, epoch, views_on, position, gauges)
+            (store, view, epoch, views_on, position)
         };
-        if let Some((active, evicted)) = gauges {
-            engine.record_views(active, evicted);
-        }
         let maintained = view.is_some();
         *view_out = maintained;
         let t0 = Instant::now();
@@ -951,7 +973,7 @@ impl ServeSession {
                 cert_bytes: cert.as_ref().map_or(0, String::len),
                 ..RequestStats::default()
             };
-            engine.record_request(&stats);
+            engine.absorb(&stats);
             self.put_view(plan.key, view, epoch);
             (vec![answers], cert, stats)
         };
@@ -989,28 +1011,21 @@ impl ServeSession {
     }
 
     /// Accounts a view that died outside the registry (a failed sync or
-    /// certificate-assembly error consumed it): bumps the drop counter
-    /// and resamples the gauges into the engine totals.
+    /// certificate-assembly error consumed it) in the registry's drop
+    /// counter.
     fn note_view_dropped(&self) {
-        let (active, evicted) = {
-            let mut session = lock_recover(&self.shared.session);
-            session.views_mut().note_dropped(1);
-            (session.views().len() as u64, session.views().evicted())
-        };
-        self.shared.engine.record_views(active, evicted);
+        lock_recover(&self.shared.session)
+            .views_mut()
+            .note_dropped(1);
     }
 
-    /// Re-registers a checked-out (or freshly built) view and samples
-    /// the registry gauges into the engine totals. A stale epoch (a
-    /// rollback raced this request) drops the view instead — the next
+    /// Re-registers a checked-out (or freshly built) view. A stale epoch
+    /// (a rollback raced this request) drops the view instead — the next
     /// query rebuilds from the rolled-back store.
     fn put_view(&self, key: u64, view: Materialization, epoch: u64) {
-        let (active, evicted) = {
-            let mut session = lock_recover(&self.shared.session);
-            session.views_mut().put(key, view, epoch);
-            (session.views().len() as u64, session.views().evicted())
-        };
-        self.shared.engine.record_views(active, evicted);
+        lock_recover(&self.shared.session)
+            .views_mut()
+            .put(key, view, epoch);
     }
 
     /// Renders the answer part of an `"ok"` query response: `"answers"`
@@ -1037,8 +1052,8 @@ impl ServeSession {
         out
     }
 
-    /// The common `{"id": ..., "status": "ok", ..., "stats": ...,
-    /// "engine": ...}` response of every query.
+    /// The common `{"id": ..., "status": "ok", ..., "stats": ...}`
+    /// response of every query.
     fn query_response(
         &self,
         id: Option<&str>,
@@ -1071,7 +1086,6 @@ impl ServeSession {
             stats.maintained,
             stats.cert_bytes,
         );
-        self.engine_block(&mut out);
         out.push('}');
         out
     }
@@ -1098,7 +1112,7 @@ impl ServeSession {
                 ),
             ),
         };
-        self.shared.engine.record_repl_write_refusal();
+        self.shared.engine.add(Counter::ReplWriteRefusals, 1);
         let mut out = open_response(id);
         let _ = write!(out, "\"status\": \"{status}\", \"op\": \"{op}\", ");
         if role == Role::Fenced {
@@ -1128,9 +1142,17 @@ impl ServeSession {
             .map_err(|e| EngineError::Internal(format!("promotion: {e}")))?;
         let mut out = self.mutation_head(id, "promote");
         let _ = write!(out, "\"epoch\": {epoch}, \"lsn\": {lsn}");
-        self.engine_block(&mut out);
         out.push('}');
         Ok(out)
+    }
+
+    /// Handles `{"op": "stats"}`: the cumulative totals of
+    /// [`ServeShared::stats`] under `"engine"`. Read-only, so every
+    /// replication role answers it.
+    fn run_stats(&self, id: Option<&str>) -> String {
+        let mut out = self.mutation_head(id, "stats");
+        let _ = write!(out, "\"engine\": {}}}", self.shared.stats());
+        out
     }
 
     /// Handles `{"op": "assert", "abox": "..."}`: journal the batch to
@@ -1176,7 +1198,6 @@ impl ServeSession {
             "\"added\": {}, \"facts\": {}, \"lsn\": {}, \"snapshotted\": {snapshotted}",
             info.added, info.facts, info.lsn
         );
-        self.engine_block(&mut out);
         out.push('}');
         Ok(out)
     }
@@ -1198,7 +1219,6 @@ impl ServeSession {
             "\"mark\": {mark}, \"facts\": {}, \"lsn\": {}, \"snapshotted\": {snapshotted}",
             info.facts, info.lsn
         );
-        self.engine_block(&mut out);
         out.push('}');
         Ok(out)
     }
@@ -1220,7 +1240,7 @@ impl ServeSession {
                 ))
             }
         };
-        let (info, snapshotted, maint, active, evicted) = {
+        let (info, snapshotted, maint) = {
             let mut session = lock_recover(&self.shared.session);
             let info = session.rollback(mark)?;
             // Maintain registered views eagerly, inside the lock: lazy
@@ -1230,24 +1250,19 @@ impl ServeSession {
             // dropped; the next query rebuilds it.
             let budget = self.limits.budget_from_now();
             let maint = session.maintain_views_rollback(info.facts as usize, &budget);
-            let (active, evicted) = (session.views().len() as u64, session.views().evicted());
             let snapshotted = self.finish_mutation(&mut session, &info);
-            (info, snapshotted, maint, active, evicted)
+            (info, snapshotted, maint)
         };
-        self.shared
-            .engine
-            .record_ivm_maintenance(maint.deleted, maint.rederived);
-        for _ in 0..maint.panicked {
-            self.shared.engine.record_panic();
-        }
-        self.shared.engine.record_views(active, evicted);
+        let engine = &self.shared.engine;
+        engine.add(Counter::IvmDeleted, maint.deleted);
+        engine.add(Counter::IvmRederived, maint.rederived);
+        engine.add(Counter::Panics, maint.panicked);
         let mut out = self.mutation_head(id, "rollback");
         let _ = write!(
             out,
             "\"mark\": {mark}, \"facts\": {}, \"lsn\": {}, \"snapshotted\": {snapshotted}",
             info.facts, info.lsn
         );
-        self.engine_block(&mut out);
         out.push('}');
         Ok(out)
     }
@@ -1261,7 +1276,8 @@ impl ServeSession {
         if !session.is_durable() {
             return false;
         }
-        self.shared.engine.record_wal(1, info.wal_bytes);
+        self.shared.engine.add(Counter::WalRecords, 1);
+        self.shared.engine.add(Counter::WalBytes, info.wal_bytes);
         if !session.snapshot_due() {
             return false;
         }
@@ -1270,86 +1286,17 @@ impl ServeSession {
             session.snapshot_now(&vocab).is_ok()
         };
         if snapshotted {
-            self.shared.engine.record_snapshot();
+            self.shared.engine.add(Counter::Snapshots, 1);
         }
         snapshotted
     }
 
     /// The common `{"id": ..., "status": "ok", "op": ..., ` response
-    /// prefix of session mutations.
+    /// prefix of session mutations and the stats op.
     fn mutation_head(&self, id: Option<&str>, op: &str) -> String {
         let mut out = open_response(id);
         let _ = write!(out, "\"status\": \"ok\", \"op\": \"{op}\", ");
         out
-    }
-
-    /// Appends the cumulative `, "engine": {...}` totals block (field
-    /// order is part of the protocol; new counters only ever append).
-    fn engine_block(&self, out: &mut String) {
-        let totals = self.shared.engine.stats();
-        let session_facts = lock_recover(&self.shared.session).len();
-        let _ = write!(
-            out,
-            ", \"engine\": {{\"requests\": {}, \"cache_hits\": {}, \"cache_misses\": {}, \
-             \"cache_size\": {}, \"evictions\": {}, \"inflight_waits\": {}, \
-             \"overloaded\": {}, \"panics\": {}, \"facts_interned\": {}, \
-             \"arena_bytes\": {}, \"dedup_hits\": {}, \"wal_records\": {}, \
-             \"wal_bytes\": {}, \"snapshots\": {}, \"recovered_records\": {}, \
-             \"recovered_facts\": {}, \"session_facts\": {}, \"quarantined\": {}, \
-             \"breaker_trips\": {}, \"faults_injected\": {}, \"conns_accepted\": {}, \
-             \"conns_refused\": {}, \"conns_active\": {}, \"queue_depth\": {}, \
-             \"queue_rejects\": {}, \"drains\": {}, \"ivm_maintained_hits\": {}, \
-             \"ivm_deleted\": {}, \"ivm_rederived\": {}, \"views_active\": {}, \
-             \"views_evicted\": {}, \"certs_emitted\": {}, \"cert_bytes\": {}, \
-             \"repl_frames_shipped\": {}, \"repl_bytes_shipped\": {}, \
-             \"repl_snapshots_shipped\": {}, \"repl_records_applied\": {}, \
-             \"repl_bytes_applied\": {}, \"repl_reconnects\": {}, \
-             \"repl_promotions\": {}, \"repl_write_refusals\": {}, \
-             \"repl_stale_refusals\": {}, \"repl_lag_lsn\": {}}}",
-            totals.requests,
-            totals.cache_hits,
-            totals.cache_misses,
-            totals.cache_size,
-            totals.cache_evictions,
-            totals.inflight_waits,
-            totals.overloaded,
-            totals.panics,
-            totals.facts_interned,
-            totals.arena_bytes,
-            totals.dedup_hits,
-            totals.wal_records,
-            totals.wal_bytes,
-            totals.snapshots,
-            totals.recovered_records,
-            totals.recovered_facts,
-            session_facts,
-            totals.quarantined,
-            totals.breaker_trips,
-            totals.faults_injected,
-            totals.conns_accepted,
-            totals.conns_refused,
-            totals.conns_active,
-            totals.queue_depth,
-            totals.queue_rejects,
-            totals.drains,
-            totals.ivm_maintained_hits,
-            totals.ivm_deleted,
-            totals.ivm_rederived,
-            totals.views_active,
-            totals.views_evicted,
-            totals.certs_emitted,
-            totals.cert_bytes,
-            totals.repl_frames_shipped,
-            totals.repl_bytes_shipped,
-            totals.repl_snapshots_shipped,
-            totals.repl_records_applied,
-            totals.repl_bytes_applied,
-            totals.repl_reconnects,
-            totals.repl_promotions,
-            totals.repl_write_refusals,
-            totals.repl_stale_refusals,
-            totals.repl_lag_lsn,
-        );
     }
 
     /// The structured refusal for an over-long input line (the caller
@@ -1638,6 +1585,7 @@ fn finish_line(mut buf: Vec<u8>) -> LineRead {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scratch::ScratchDir;
 
     fn ok_field<'a>(response: &'a str, needle: &str) -> &'a str {
         assert!(
@@ -1645,6 +1593,11 @@ mod tests {
             "expected {needle:?} in {response}"
         );
         response
+    }
+
+    /// The session's `{"op": "stats"}` response.
+    fn stats_op(s: &mut ServeSession) -> String {
+        s.handle_line(r#"{"op": "stats"}"#)
     }
 
     #[test]
@@ -1661,7 +1614,7 @@ mod tests {
         // Request-scoped stats say "miss"; engine totals count it.
         ok_field(&resp, "\"cache_hit\": false");
         ok_field(
-            &resp,
+            &stats_op(&mut s),
             "\"engine\": {\"requests\": 1, \"cache_hits\": 0, \"cache_misses\": 1",
         );
         // Same OMQ again: served from the cache.
@@ -1671,10 +1624,194 @@ mod tests {
         ok_field(&resp2, "\"cached\": true");
         ok_field(&resp2, r#"["bob"]"#);
         ok_field(&resp2, "\"cache_hit\": true");
-        ok_field(&resp2, "\"cache_hits\": 1, \"cache_misses\": 1");
+        ok_field(&stats_op(&mut s), "\"cache_hits\": 1, \"cache_misses\": 1");
         // Responses are valid JSON.
         assert!(crate::json::parse(&resp).is_ok());
         assert!(crate::json::parse(&resp2).is_ok());
+    }
+
+    /// The stats op's `"engine"` keys, in wire order.
+    fn engine_keys(response: &str) -> Vec<&str> {
+        let from = response.find("\"engine\": {").expect("an engine object") + 11;
+        let body = response[from..]
+            .strip_suffix("}}")
+            .expect("engine closes the response");
+        body.split(", ")
+            .map(|kv| kv.split(": ").next().unwrap().trim_matches('"'))
+            .collect()
+    }
+
+    #[test]
+    fn stats_op_pins_the_protocol() {
+        // The 43 keys of the former per-response "engine" block, in its
+        // order, then the counters the stats op appends.
+        const WIRE: [&str; 48] = [
+            "requests",
+            "cache_hits",
+            "cache_misses",
+            "cache_size",
+            "evictions",
+            "inflight_waits",
+            "overloaded",
+            "panics",
+            "facts_interned",
+            "arena_bytes",
+            "dedup_hits",
+            "wal_records",
+            "wal_bytes",
+            "snapshots",
+            "recovered_records",
+            "recovered_facts",
+            "session_facts",
+            "quarantined",
+            "breaker_trips",
+            "faults_injected",
+            "conns_accepted",
+            "conns_refused",
+            "conns_active",
+            "queue_depth",
+            "queue_rejects",
+            "drains",
+            "ivm_maintained_hits",
+            "ivm_deleted",
+            "ivm_rederived",
+            "views_active",
+            "views_evicted",
+            "certs_emitted",
+            "cert_bytes",
+            "repl_frames_shipped",
+            "repl_bytes_shipped",
+            "repl_snapshots_shipped",
+            "repl_records_applied",
+            "repl_bytes_applied",
+            "repl_reconnects",
+            "repl_promotions",
+            "repl_write_refusals",
+            "repl_stale_refusals",
+            "repl_lag_lsn",
+            "rounds",
+            "derived",
+            "answers",
+            "compile_ns",
+            "eval_ns",
+        ];
+        let mut s = ServeSession::with_threads(1);
+        let st = s.handle_line(r#"{"id": "s", "op": "stats"}"#);
+        ok_field(
+            &st,
+            r#"{"id": "s", "status": "ok", "op": "stats", "engine": {"#,
+        );
+        assert!(crate::json::parse(&st).is_ok(), "not JSON: {st}");
+        let keys = engine_keys(&st);
+        assert_eq!(keys, WIRE);
+        assert_eq!(keys.len(), Counter::COUNT);
+        for c in Counter::ALL {
+            let n = keys.iter().filter(|k| **k == c.name()).count();
+            assert_eq!(n, 1, "{c:?} must appear exactly once");
+        }
+
+        // No other response carries cumulative totals.
+        let omq = r#""ontology": "A sub B", "query": "B""#;
+        let mut responses = vec![
+            s.handle_line(&format!(r#"{{{omq}, "abox": "A(x)"}}"#)),
+            s.handle_line(&format!(r#"{{{omq}, "aboxes": ["A(x)", ""]}}"#)),
+            s.handle_line(&format!(
+                r#"{{{omq}, "abox": "A(x)", "certificate": true}}"#
+            )),
+            s.handle_line(r#"{"op": "assert", "abox": "A(ada)"}"#),
+            s.handle_line(&format!(r#"{{{omq}, "session": true}}"#)),
+            s.handle_line(r#"{"op": "mark"}"#),
+            s.handle_line(r#"{"op": "rollback", "mark": 0}"#),
+            s.handle_line(&format!(
+                r#"{{{omq}, "abox": "A(x)", "limits": {{"timeout_ms": 0}}}}"#
+            )),
+            s.handle_line("{nope"),
+        ];
+        let unknown = s.handle_line(r#"{"op": "defragment"}"#);
+        ok_field(
+            &unknown,
+            "(expected query, assert, mark, rollback, promote, stats)",
+        );
+        responses.push(unknown);
+
+        // A follower refuses writes but answers the stats op; so does a
+        // fenced node. Promotion answers without totals too.
+        let repl = s.shared().repl();
+        repl.set_role(crate::repl::Role::Follower);
+        let refused = s.handle_line(r#"{"op": "assert", "abox": "A(bob)"}"#);
+        ok_field(&refused, "\"status\": \"read-only\"");
+        ok_field(&stats_op(&mut s), "\"status\": \"ok\", \"op\": \"stats\"");
+        let promoted = s.handle_line(r#"{"op": "promote"}"#);
+        ok_field(&promoted, "\"status\": \"ok\", \"op\": \"promote\"");
+        s.shared().repl().set_role(crate::repl::Role::Fenced);
+        let fenced = s.handle_line(r#"{"op": "mark"}"#);
+        ok_field(&fenced, "\"status\": \"fenced\"");
+        let st = stats_op(&mut s);
+        ok_field(&st, "\"status\": \"ok\", \"op\": \"stats\"");
+        ok_field(&st, "\"repl_promotions\": 1, \"repl_write_refusals\": 2, ");
+        responses.extend([refused, promoted, fenced]);
+        for r in &responses {
+            assert!(!r.contains("\"engine\""), "totals leaked into {r}");
+            assert!(crate::json::parse(r).is_ok(), "not JSON: {r}");
+        }
+    }
+
+    #[test]
+    fn stats_op_reports_the_former_engine_block_totals() {
+        // Cache hits, an overload, a panic, certificates, maintained
+        // session views, a view rebuilt for recording, a rollback, WAL
+        // records and snapshots.
+        const SCRIPT: [&str; 14] = [
+            r#"{"id": "q1", "ontology": "Manager sub Employee\nEmployee sub Staff", "query": "Staff", "abox": "Manager(ada)\nEmployee(grace)"}"#,
+            r#"{"id": "q2", "ontology": "Employee sub Staff\nManager sub Employee", "query": "Staff", "abox": "Manager(bob)"}"#,
+            r#"{"id": "hot", "ontology": "C0 sub C1\nC1 sub C2\nC2 sub C3", "query": "C3", "abox": "C0(a)\nC0(b)\nC0(c)", "limits": {"max_derived": 2}}"#,
+            r#"{"id": "boom", "ontology": "A sub ex R.A\nR sub B", "query": "B", "abox": ""}"#,
+            r#"{"id": "c1", "ontology": "A sub B", "query": "B", "abox": "A(x)", "certificate": true}"#,
+            r#"{"op": "assert", "abox": "A(ada)"}"#,
+            r#"{"ontology": "A sub B", "query": "B", "session": true}"#,
+            r#"{"op": "mark"}"#,
+            r#"{"op": "assert", "abox": "A(bob)\nA(eve)"}"#,
+            r#"{"ontology": "A sub B", "query": "B", "session": true}"#,
+            r#"{"op": "rollback", "mark": 0}"#,
+            r#"{"ontology": "A sub B", "query": "B", "session": true}"#,
+            r#"{"ontology": "A sub B", "query": "B", "session": true, "certificate": true}"#,
+            r#"{"id": "batch", "ontology": "A sub B", "query": "B", "aboxes": ["A(y)", "B(z)"]}"#,
+        ];
+        // The "engine" block of the last response to SCRIPT before the
+        // block moved to the stats op (`gomq-serve --threads 1
+        // --data-dir D --snapshot-every 2`), whose exit summary also
+        // reported 16 rounds and 41 derived facts.
+        const BEFORE: &str = concat!(
+            r#"{"requests": 8, "cache_hits": 6, "cache_misses": 3, "cache_size": 3, "#,
+            r#""evictions": 0, "inflight_waits": 0, "overloaded": 1, "panics": 1, "#,
+            r#""facts_interned": 45, "arena_bytes": 360, "dedup_hits": 13, "#,
+            r#""wal_records": 4, "wal_bytes": 159, "snapshots": 2, "#,
+            r#""recovered_records": 0, "recovered_facts": 0, "session_facts": 1, "#,
+            r#""quarantined": 0, "breaker_trips": 0, "faults_injected": 0, "#,
+            r#""conns_accepted": 0, "conns_refused": 0, "conns_active": 0, "#,
+            r#""queue_depth": 0, "queue_rejects": 0, "drains": 0, "#,
+            r#""ivm_maintained_hits": 2, "ivm_deleted": 10, "ivm_rederived": 0, "#,
+            r#""views_active": 1, "views_evicted": 1, "certs_emitted": 2, "#,
+            r#""cert_bytes": 823, "repl_frames_shipped": 0, "repl_bytes_shipped": 0, "#,
+            r#""repl_snapshots_shipped": 0, "repl_records_applied": 0, "#,
+            r#""repl_bytes_applied": 0, "repl_reconnects": 0, "repl_promotions": 0, "#,
+            r#""repl_write_refusals": 0, "repl_stale_refusals": 0, "repl_lag_lsn": 0, "#,
+            r#""rounds": 16, "derived": 41, "#,
+        );
+        let dir = ScratchDir::new("serve-totals");
+        let mut s = ServeSession::with_config(ServeConfig {
+            threads: 1,
+            data_dir: Some(dir.to_path_buf()),
+            snapshot_every: 2,
+            ..ServeConfig::default()
+        });
+        for line in SCRIPT {
+            s.handle_line(line);
+        }
+        let st = stats_op(&mut s);
+        ok_field(&st, &format!("\"engine\": {BEFORE}"));
+        let totals = s.shared().stats();
+        assert!(totals[Counter::CompileNs] > 0 && totals[Counter::EvalNs] > 0);
     }
 
     #[test]
@@ -1725,7 +1862,7 @@ mod tests {
         // The session stays healthy and the same OMQ still answers.
         let good = s.handle_line(r#"{"ontology": "A sub B", "query": "B", "abox": "A(x)"}"#);
         ok_field(&good, "\"status\": \"ok\"");
-        assert_eq!(s.engine().stats().overloaded, 2);
+        assert_eq!(s.engine().stats()[Counter::Overloaded], 2);
     }
 
     #[test]
@@ -1776,7 +1913,7 @@ mod tests {
         ok_field(&resp, "\"id\": \"boom\"");
         ok_field(&resp, "internal error (panic isolated)");
         assert!(crate::json::parse(&resp).is_ok());
-        assert_eq!(s.engine().stats().panics, 1);
+        assert_eq!(s.engine().stats()[Counter::Panics], 1);
         // The session still works afterwards.
         let good = s.handle_line(r#"{"ontology": "A sub B", "query": "B", "abox": "A(x)"}"#);
         ok_field(&good, "\"status\": \"ok\"");
@@ -1831,16 +1968,17 @@ mod tests {
         let q1 = s.handle_line(q);
         ok_field(&q1, r#"[["ada"]]"#);
         ok_field(&q1, "\"maintained\": false");
-        ok_field(&q1, "\"views_active\": 1");
-        ok_field(&q1, "\"ivm_maintained_hits\": 0");
+        let st1 = stats_op(&mut s);
+        ok_field(&st1, "\"views_active\": 1");
+        ok_field(&st1, "\"ivm_maintained_hits\": 0");
         // Repeat: answered from the maintained view (incremental sync
         // over the one new fact, not a from-scratch fixpoint).
         s.handle_line(r#"{"op": "assert", "abox": "A(bob)"}"#);
         let q2 = s.handle_line(q);
         ok_field(&q2, r#"[["ada"], ["bob"]]"#);
         ok_field(&q2, "\"maintained\": true");
-        ok_field(&q2, "\"ivm_maintained_hits\": 1");
-        assert_eq!(s.engine().stats().ivm_maintained_hits, 1);
+        ok_field(&stats_op(&mut s), "\"ivm_maintained_hits\": 1");
+        assert_eq!(s.engine().stats()[Counter::IvmMaintainedHits], 1);
         // A rollback maintains the view (DRed), so the next query is
         // still a hit and still agrees with the rolled-back store.
         let m = s.handle_line(r#"{"op": "mark"}"#);
@@ -1852,7 +1990,10 @@ mod tests {
         let q4 = s.handle_line(q);
         ok_field(&q4, r#"[["ada"], ["bob"]]"#);
         ok_field(&q4, "\"maintained\": true");
-        assert!(s.engine().stats().ivm_deleted > 0, "rollback must DRed");
+        assert!(
+            s.engine().stats()[Counter::IvmDeleted] > 0,
+            "rollback must DRed"
+        );
         for resp in [&q1, &q2, &q3, &q4] {
             assert!(crate::json::parse(resp).is_ok(), "not JSON: {resp}");
         }
@@ -1871,9 +2012,9 @@ mod tests {
             let resp = s.handle_line(q);
             ok_field(&resp, r#"[["ada"]]"#);
             ok_field(&resp, "\"maintained\": false");
-            ok_field(&resp, "\"views_active\": 0");
+            ok_field(&stats_op(&mut s), "\"views_active\": 0");
         }
-        assert_eq!(s.engine().stats().ivm_maintained_hits, 0);
+        assert_eq!(s.engine().stats()[Counter::IvmMaintainedHits], 0);
     }
 
     #[test]
@@ -1895,11 +2036,10 @@ mod tests {
 
     #[test]
     fn durable_session_recovers_across_restart() {
-        let dir = std::env::temp_dir().join(format!("gomq-serve-recover-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
+        let dir = ScratchDir::new("serve-recover");
         let config = || ServeConfig {
             threads: 1,
-            data_dir: Some(dir.clone()),
+            data_dir: Some(dir.to_path_buf()),
             snapshot_every: 2,
             ..ServeConfig::default()
         };
@@ -1923,8 +2063,7 @@ mod tests {
         let mut s2 = ServeSession::with_shared(Arc::new(shared));
         let revived = s2.handle_line(q);
         ok_field(&revived, r#"[["ada"], ["bob"], ["eve"], ["pat"]]"#);
-        ok_field(&revived, "\"session_facts\": 4");
-        std::fs::remove_dir_all(&dir).unwrap();
+        ok_field(&stats_op(&mut s2), "\"session_facts\": 4");
     }
 
     #[test]
@@ -1955,8 +2094,8 @@ mod tests {
         let other = s.handle_line(r#"{"ontology": "A sub B", "query": "B", "abox": "A(x)"}"#);
         ok_field(&other, "\"status\": \"ok\"");
         let stats = s.engine().stats();
-        assert_eq!(stats.breaker_trips, 1);
-        assert_eq!(stats.quarantined, 1);
+        assert_eq!(stats[Counter::BreakerTrips], 1);
+        assert_eq!(stats[Counter::Quarantined], 1);
     }
 
     #[test]
@@ -1964,7 +2103,7 @@ mod tests {
         let mut s = ServeSession::with_threads(1);
         // Warm the plan so the rounds counter below isolates evaluation.
         s.handle_line(r#"{"ontology": "A sub B", "query": "B", "abox": "A(x)"}"#);
-        let rounds_before = s.engine().stats().rounds;
+        let rounds_before = s.engine().stats()[Counter::Rounds];
         // Far more expired requests than the quarantine threshold: none
         // may enter the executor or count against the plan's breaker.
         for _ in 0..10 {
@@ -1974,8 +2113,8 @@ mod tests {
             ok_field(&resp, "\"status\": \"overloaded\"");
             ok_field(&resp, "\"limit\": \"deadline\"");
         }
-        assert_eq!(s.engine().stats().rounds, rounds_before);
-        assert_eq!(s.engine().stats().overloaded, 10);
+        assert_eq!(s.engine().stats()[Counter::Rounds], rounds_before);
+        assert_eq!(s.engine().stats()[Counter::Overloaded], 10);
         let fine = s.handle_line(r#"{"ontology": "A sub B", "query": "B", "abox": "A(x)"}"#);
         ok_field(&fine, "\"status\": \"ok\"");
     }
@@ -2249,7 +2388,10 @@ mod tests {
         // Every refusal came from the one request parser: no plan was
         // looked up, let alone compiled.
         let totals = s.engine().stats();
-        assert_eq!((totals.cache_misses, totals.cache_hits), (0, 0));
+        assert_eq!(
+            (totals[Counter::CacheMisses], totals[Counter::CacheHits]),
+            (0, 0)
+        );
         // "backend" is not part of the protocol: like any unknown field
         // it is ignored, and the query is answered natively.
         let plain = s.handle_line(&format!(r#"{{{omq}, "abox": "A(x)"}}"#));

@@ -1177,13 +1177,8 @@ fn restore_snapshot(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scratch::ScratchDir;
     use gomq_core::parse::parse_instance;
-
-    fn tmpdir(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("gomq-session-{tag}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        dir
-    }
 
     fn assert_text(session: &mut DurableSession, vocab: &mut Vocab, text: &str) -> MutationInfo {
         let d = parse_instance(text, vocab).unwrap();
@@ -1204,7 +1199,7 @@ mod tests {
 
     #[test]
     fn mutations_survive_reopen() {
-        let dir = tmpdir("reopen");
+        let dir = ScratchDir::new("session-reopen");
         let shape_before;
         {
             let mut vocab = Vocab::new();
@@ -1226,12 +1221,11 @@ mod tests {
         assert_eq!(info.replayed_facts, 3 + 1); // doomed counts, then rolls back
         assert_eq!(s.len(), 3);
         assert_eq!(store_shape(&s, &vocab), shape_before);
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn snapshot_plus_tail_replay() {
-        let dir = tmpdir("snaptail");
+        let dir = ScratchDir::new("session-snaptail");
         let shape_before;
         {
             let mut vocab = Vocab::new();
@@ -1249,12 +1243,11 @@ mod tests {
         assert_eq!(info.replayed_records, 1);
         assert_eq!(s.len(), 3);
         assert_eq!(store_shape(&s, &vocab), shape_before);
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn snapshot_due_follows_policy() {
-        let dir = tmpdir("due");
+        let dir = ScratchDir::new("session-due");
         let mut vocab = Vocab::new();
         let opts = PersistOptions {
             fsync: false,
@@ -1274,12 +1267,11 @@ mod tests {
         assert_eq!(info.snapshot_facts, 2);
         assert_eq!(info.replayed_records, 0);
         assert_eq!(s2.len(), 2);
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn unknown_mark_is_rejected_without_journaling() {
-        let dir = tmpdir("badmark");
+        let dir = ScratchDir::new("session-badmark");
         let mut vocab = Vocab::new();
         let (mut s, _) = DurableSession::open(&dir, PersistOptions::default(), &mut vocab).unwrap();
         assert!(matches!(s.rollback(42), Err(SessionError::UnknownMark(42))));
@@ -1288,7 +1280,6 @@ mod tests {
         let mut vocab2 = Vocab::new();
         let (_, info) = DurableSession::open(&dir, PersistOptions::default(), &mut vocab2).unwrap();
         assert_eq!(info.replayed_records, 0);
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -1310,7 +1301,7 @@ mod tests {
 
     #[test]
     fn corrupt_snapshot_is_reported() {
-        let dir = tmpdir("corruptsnap");
+        let dir = ScratchDir::new("session-corruptsnap");
         let mut vocab = Vocab::new();
         {
             let (mut s, _) =
@@ -1328,12 +1319,11 @@ mod tests {
             panic!("corrupt snapshot was accepted");
         };
         assert!(matches!(err, SessionError::Corrupt(_)), "{err}");
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn nulls_round_trip_through_log_and_snapshot() {
-        let dir = tmpdir("nulls");
+        let dir = ScratchDir::new("session-nulls");
         {
             let mut vocab = Vocab::new();
             let (mut s, _) =
@@ -1354,7 +1344,6 @@ mod tests {
         let f = store.iter().next().unwrap();
         assert!(matches!(f.args[1], Term::Null(NullId(0))));
         assert_eq!(format!("{}", f.args[0].display(&vocab)), "açai ☂");
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     use gomq_datalog::{DAtom, Literal, Rule};
@@ -1478,7 +1467,7 @@ mod tests {
 
     #[test]
     fn epoch_survives_replay_and_snapshot() {
-        let dir = tmpdir("epoch");
+        let dir = ScratchDir::new("session-epoch");
         {
             let mut vocab = Vocab::new();
             let (mut s, _) =
@@ -1509,12 +1498,11 @@ mod tests {
         let (lsn, epoch) = local_log_position(&dir).unwrap();
         assert_eq!(epoch, 3);
         assert!(lsn >= 2);
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn observe_epoch_is_in_memory_until_stamped() {
-        let dir = tmpdir("observe");
+        let dir = ScratchDir::new("session-observe");
         {
             let mut vocab = Vocab::new();
             let (mut s, _) =
@@ -1526,13 +1514,12 @@ mod tests {
         }
         let (_, epoch) = local_log_position(&dir).unwrap();
         assert_eq!(epoch, 0, "an observed epoch is not journaled");
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn apply_replicated_roundtrips_duplicates_and_gaps() {
-        let primary_dir = tmpdir("repl-primary");
-        let replica_dir = tmpdir("repl-replica");
+        let primary_dir = ScratchDir::new("session-repl-primary");
+        let replica_dir = ScratchDir::new("session-repl-replica");
         // The primary journals mutations and we capture the exact
         // frames its publisher would ship.
         struct Captured(std::sync::Mutex<Vec<(u64, Vec<u8>)>>);
@@ -1587,14 +1574,12 @@ mod tests {
             }
             other => panic!("gap must be Corrupt, got {other:?}"),
         }
-        std::fs::remove_dir_all(&primary_dir).unwrap();
-        std::fs::remove_dir_all(&replica_dir).unwrap();
     }
 
     #[test]
     fn shipped_snapshot_bootstraps_a_replica() {
-        let primary_dir = tmpdir("snapship-primary");
-        let replica_dir = tmpdir("snapship-replica");
+        let primary_dir = ScratchDir::new("session-snapship-primary");
+        let replica_dir = ScratchDir::new("session-snapship-replica");
         let mut vocab = Vocab::new();
         let (mut primary, _) =
             DurableSession::open(&primary_dir, PersistOptions::default(), &mut vocab).unwrap();
@@ -1620,14 +1605,12 @@ mod tests {
             store_shape(&replica, &replica_vocab),
             store_shape(&primary, &vocab)
         );
-        std::fs::remove_dir_all(&primary_dir).unwrap();
-        std::fs::remove_dir_all(&replica_dir).unwrap();
     }
 
     #[test]
     fn live_snapshot_install_remaps_a_polluted_vocab() {
-        let primary_dir = tmpdir("snapinstall-primary");
-        let replica_dir = tmpdir("snapinstall-replica");
+        let primary_dir = ScratchDir::new("session-snapinstall-primary");
+        let replica_dir = ScratchDir::new("session-snapinstall-replica");
         let mut vocab = Vocab::new();
         let (mut primary, _) =
             DurableSession::open(&primary_dir, PersistOptions::default(), &mut vocab).unwrap();
@@ -1672,7 +1655,5 @@ mod tests {
             store_shape(&recovered, &fresh_vocab),
             store_shape(&primary, &vocab)
         );
-        std::fs::remove_dir_all(&primary_dir).unwrap();
-        std::fs::remove_dir_all(&replica_dir).unwrap();
     }
 }

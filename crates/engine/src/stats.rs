@@ -1,6 +1,14 @@
 //! Engine and per-request statistics.
+//!
+//! Every cumulative counter is declared once, in [`Counter`]: its wire
+//! name, its position in the `{"op": "stats"}` object (declaration order
+//! is protocol order; new counters only ever append) and its meaning.
+//! The engine stores the table as atomics; [`EngineStats`] is one
+//! snapshot of it, and the stats op, the `gomq-serve` exit summary and
+//! the tests all read it by iterating [`Counter::ALL`].
 
 use gomq_core::StoreStats;
+use std::fmt;
 use std::time::Duration;
 
 /// Statistics of one served request (one OMQ evaluated against one
@@ -35,178 +43,223 @@ pub struct RequestStats {
     pub cert_bytes: usize,
 }
 
-/// Cumulative statistics of an [`crate::Engine`] since construction.
-///
-/// All phase timings are wall-clock [`std::time::Instant`] spans
-/// accumulated across requests.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct EngineStats {
-    /// Requests served (each [`crate::Engine::answer`] call, and each
-    /// session query answered from a maintained view, counts once).
-    pub requests: u64,
-    /// Plan-cache hits.
-    pub cache_hits: u64,
-    /// Plan-cache misses (= compilations attempted).
-    pub cache_misses: u64,
-    /// Fixpoint rounds across all evaluations.
-    pub rounds: u64,
-    /// IDB facts derived across all evaluations.
-    pub derived: u64,
-    /// Answer tuples produced across all evaluations.
-    pub answers: u64,
-    /// Total wall time in plan compilation.
-    pub compile_time: Duration,
-    /// Total wall time in evaluation.
-    pub eval_time: Duration,
-    /// Requests aborted because their resource budget (rounds, derived
-    /// facts or deadline) ran out.
-    pub overloaded: u64,
-    /// Panics caught and isolated by the serving layer.
-    pub panics: u64,
-    /// Plans evicted from the cache to honour its capacity bound.
-    pub cache_evictions: u64,
-    /// Lookups that blocked on another thread's in-flight compilation of
-    /// the same OMQ (single-flight deduplication).
-    pub inflight_waits: u64,
-    /// Plans currently resident in the cache (snapshot, not cumulative).
-    pub cache_size: u64,
-    /// Facts interned across all evaluation stores.
-    pub facts_interned: u64,
-    /// Bytes of fact-argument arena across all evaluation stores.
-    pub arena_bytes: u64,
-    /// Candidate derivations answered by an existing fact (dedup hits)
-    /// across all evaluation stores.
-    pub dedup_hits: u64,
-    /// Session mutations journaled to the write-ahead log.
-    pub wal_records: u64,
-    /// Frame bytes appended to the write-ahead log.
-    pub wal_bytes: u64,
-    /// Snapshots written (each truncates the WAL).
-    pub snapshots: u64,
-    /// WAL records replayed during recovery at startup.
-    pub recovered_records: u64,
-    /// Facts rebuilt from the snapshot plus WAL replay at startup.
-    pub recovered_facts: u64,
-    /// Requests refused because their plan's circuit breaker was open.
-    pub quarantined: u64,
-    /// Circuit breakers tripped (plans newly quarantined).
-    pub breaker_trips: u64,
-    /// Faults injected by the chaos layer (0 unless the `chaos` feature
-    /// is on and a plan is installed).
-    pub faults_injected: u64,
-    /// TCP connections accepted by the network front end.
-    pub conns_accepted: u64,
-    /// TCP connections refused at accept time (global or per-IP
-    /// connection cap reached).
-    pub conns_refused: u64,
-    /// TCP connections currently open (gauge, not cumulative).
-    pub conns_active: u64,
-    /// Worker-pool jobs currently queued or executing (gauge, sampled at
-    /// the last enqueue/dequeue).
-    pub queue_depth: u64,
-    /// Requests refused with `"limit": "queue"` because the worker
-    /// pool's backpressure queue was full.
-    pub queue_rejects: u64,
-    /// Graceful drains initiated (SIGTERM, shutdown token, or stdin
-    /// EOF finalization).
-    pub drains: u64,
-    /// Session queries answered from a maintained materialization that
-    /// existed before the request (served in O(changed facts)).
-    pub ivm_maintained_hits: u64,
-    /// Facts overcount-deleted by view maintenance (DRed delete
-    /// phase), across query syncs and rollback maintenance.
-    pub ivm_deleted: u64,
-    /// Facts rederived by view maintenance (DRed rederive phase plus
-    /// re-asserted revivals).
-    pub ivm_rederived: u64,
-    /// Maintained views currently registered (gauge, sampled at the
-    /// last view operation).
-    pub views_active: u64,
-    /// Views dropped for any reason: the registry's LRU capacity
-    /// bound, a stale-epoch re-registration refused after a rollback,
-    /// failed maintenance (blown budget or panic), a capacity change,
-    /// or a rebuild with derivation recording.
-    pub views_evicted: u64,
-    /// Responses that carried a derivation certificate.
-    pub certs_emitted: u64,
-    /// Total certificate bytes emitted.
-    pub cert_bytes: u64,
-    /// WAL record frames shipped to replicas (primary side).
-    pub repl_frames_shipped: u64,
-    /// Bytes shipped to replicas (record frames plus snapshots).
-    pub repl_bytes_shipped: u64,
-    /// Bootstrap snapshots shipped to replicas.
-    pub repl_snapshots_shipped: u64,
-    /// Replicated WAL records applied locally (follower side;
-    /// duplicates re-shipped after a reconnect are not counted).
-    pub repl_records_applied: u64,
-    /// Record-frame bytes received and applied (follower side).
-    pub repl_bytes_applied: u64,
-    /// Follower reconnect attempts after a dropped primary connection.
-    pub repl_reconnects: u64,
-    /// Promotions to primary (operator `promote` op or
-    /// `--promote-on-disconnect`).
-    pub repl_promotions: u64,
-    /// Writes refused because this node is a follower (`"read-only"`)
-    /// or a fenced ex-primary (`"fenced"`).
-    pub repl_write_refusals: u64,
-    /// Replica reads refused because the lsn lag exceeded
-    /// `--max-staleness-lsn` (`"stale"`).
-    pub repl_stale_refusals: u64,
-    /// Lsn lag behind the primary at the last applied record or
-    /// heartbeat (gauge, follower side; 0 on a primary).
-    pub repl_lag_lsn: u64,
+/// Declares [`Counter`] from `Variant = "wire_name"` entries, each with
+/// its doc line.
+macro_rules! counters {
+    ($($(#[doc = $doc:literal])+ $variant:ident = $name:literal,)+) => {
+        /// One cumulative counter or gauge of a serving process.
+        ///
+        /// Declaration order is the key order of the stats op's
+        /// `"engine"` object; new counters only ever append.
+        #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+        pub enum Counter {
+            $($(#[doc = $doc])+ $variant,)+
+        }
+
+        impl Counter {
+            /// Every counter, in protocol order.
+            pub const ALL: &'static [Counter] = &[$(Counter::$variant),+];
+            /// The number of counters.
+            pub const COUNT: usize = Counter::ALL.len();
+
+            /// The counter's key in the stats op's `"engine"` object.
+            pub fn name(self) -> &'static str {
+                match self {
+                    $(Counter::$variant => $name,)+
+                }
+            }
+        }
+    };
 }
 
-impl EngineStats {
-    /// Folds one request's statistics into the cumulative totals.
-    ///
-    /// All counter folds saturate: a pathological workload (or a fault
-    /// plan lying about sizes) must skew the telemetry, never panic a
-    /// debug build mid-request.
-    pub(crate) fn absorb(&mut self, r: &RequestStats) {
-        self.requests = self.requests.saturating_add(1);
-        self.rounds = self.rounds.saturating_add(r.rounds as u64);
-        self.derived = self.derived.saturating_add(r.derived as u64);
-        self.answers = self.answers.saturating_add(r.answers as u64);
-        self.compile_time = self.compile_time.saturating_add(r.compile);
-        self.eval_time = self.eval_time.saturating_add(r.eval);
-        self.facts_interned = self.facts_interned.saturating_add(r.store.facts);
-        self.arena_bytes = self.arena_bytes.saturating_add(r.store.arena_bytes());
-        self.dedup_hits = self.dedup_hits.saturating_add(r.store.dedup_hits);
-        if r.maintained {
-            self.ivm_maintained_hits = self.ivm_maintained_hits.saturating_add(1);
-        }
-        self.ivm_deleted = self.ivm_deleted.saturating_add(r.ivm_deleted as u64);
-        self.ivm_rederived = self.ivm_rederived.saturating_add(r.ivm_rederived as u64);
-        if r.cert_bytes > 0 {
-            self.certs_emitted = self.certs_emitted.saturating_add(1);
-            self.cert_bytes = self.cert_bytes.saturating_add(r.cert_bytes as u64);
-        }
+counters! {
+    /// Requests served (each [`crate::Engine::answer`] call, and each
+    /// session query answered from a maintained view, counts once).
+    Requests = "requests",
+    /// Plan-cache hits (read from the [`crate::PlanCache`]).
+    CacheHits = "cache_hits",
+    /// Plan-cache misses, i.e. compilations attempted (read from the
+    /// cache).
+    CacheMisses = "cache_misses",
+    /// Plans currently resident in the cache (gauge, read from the
+    /// cache).
+    CacheSize = "cache_size",
+    /// Plans evicted from the cache to honour its capacity bound (read
+    /// from the cache).
+    CacheEvictions = "evictions",
+    /// Lookups that blocked on another thread's in-flight compilation of
+    /// the same OMQ (single flight; read from the cache).
+    InflightWaits = "inflight_waits",
+    /// Requests aborted because their resource budget (rounds, derived
+    /// facts or deadline) ran out, at admission or mid-evaluation.
+    Overloaded = "overloaded",
+    /// Panics caught and isolated by the serving layer.
+    Panics = "panics",
+    /// Facts interned across all evaluation stores.
+    FactsInterned = "facts_interned",
+    /// Bytes of fact-argument arena across all evaluation stores.
+    ArenaBytes = "arena_bytes",
+    /// Candidate derivations answered by an existing fact (dedup hits)
+    /// across all evaluation stores.
+    DedupHits = "dedup_hits",
+    /// Session mutations journaled to the write-ahead log.
+    WalRecords = "wal_records",
+    /// Frame bytes appended to the write-ahead log.
+    WalBytes = "wal_bytes",
+    /// Snapshots written (each truncates the WAL).
+    Snapshots = "snapshots",
+    /// WAL records replayed during recovery at startup.
+    RecoveredRecords = "recovered_records",
+    /// Facts rebuilt from the snapshot plus WAL replay at startup.
+    RecoveredFacts = "recovered_facts",
+    /// Facts in the session store (gauge, read from the session).
+    SessionFacts = "session_facts",
+    /// Requests refused because their plan's circuit breaker was open.
+    Quarantined = "quarantined",
+    /// Circuit breakers tripped (plans newly quarantined).
+    BreakerTrips = "breaker_trips",
+    /// Faults injected by the chaos layer (read from
+    /// `gomq_core::faults`; 0 unless a fault plan is installed).
+    FaultsInjected = "faults_injected",
+    /// TCP connections accepted by the network front end.
+    ConnsAccepted = "conns_accepted",
+    /// TCP connections refused at accept time (global or per-IP
+    /// connection cap reached).
+    ConnsRefused = "conns_refused",
+    /// TCP connections currently open (gauge).
+    ConnsActive = "conns_active",
+    /// Worker-pool jobs currently queued or executing (gauge).
+    QueueDepth = "queue_depth",
+    /// Requests refused with `"limit": "queue"` because the worker
+    /// pool's backpressure queue was full.
+    QueueRejects = "queue_rejects",
+    /// Graceful drains initiated (SIGTERM, shutdown token, or stdin EOF
+    /// finalization).
+    Drains = "drains",
+    /// Session queries answered from a maintained materialization that
+    /// existed before the request (served in O(changed facts)).
+    IvmMaintainedHits = "ivm_maintained_hits",
+    /// Facts overcount-deleted by view maintenance (DRed delete phase),
+    /// across query syncs and rollback maintenance.
+    IvmDeleted = "ivm_deleted",
+    /// Facts rederived by view maintenance (DRed rederive phase plus
+    /// re-asserted revivals).
+    IvmRederived = "ivm_rederived",
+    /// Maintained views currently registered (gauge, read from the
+    /// session's view registry).
+    ViewsActive = "views_active",
+    /// Views dropped for any reason: the registry's LRU capacity bound,
+    /// a stale-epoch re-registration refused after a rollback, failed
+    /// maintenance (blown budget or panic), a capacity change, or a
+    /// rebuild with derivation recording (read from the registry).
+    ViewsEvicted = "views_evicted",
+    /// Responses that carried a derivation certificate.
+    CertsEmitted = "certs_emitted",
+    /// Total certificate bytes emitted.
+    CertBytes = "cert_bytes",
+    /// WAL record frames shipped to replicas (primary side).
+    ReplFramesShipped = "repl_frames_shipped",
+    /// Bytes shipped to replicas (record frames plus snapshots).
+    ReplBytesShipped = "repl_bytes_shipped",
+    /// Bootstrap snapshots shipped to replicas.
+    ReplSnapshotsShipped = "repl_snapshots_shipped",
+    /// Replicated WAL records applied locally (follower side; duplicates
+    /// re-shipped after a reconnect are not counted).
+    ReplRecordsApplied = "repl_records_applied",
+    /// Record-frame bytes received and applied (follower side).
+    ReplBytesApplied = "repl_bytes_applied",
+    /// Follower reconnect attempts after a dropped primary connection.
+    ReplReconnects = "repl_reconnects",
+    /// Promotions to primary (operator `promote` op or
+    /// `--promote-on-disconnect`).
+    ReplPromotions = "repl_promotions",
+    /// Writes refused because this node is a follower (`"read-only"`) or
+    /// a fenced ex-primary (`"fenced"`).
+    ReplWriteRefusals = "repl_write_refusals",
+    /// Replica reads refused because the lsn lag exceeded
+    /// `--max-staleness-lsn` (`"stale"`).
+    ReplStaleRefusals = "repl_stale_refusals",
+    /// Lsn lag behind the primary at the last applied record or
+    /// heartbeat (gauge, follower side; 0 on a primary).
+    ReplLagLsn = "repl_lag_lsn",
+    /// Fixpoint (or kernel) rounds across all evaluations.
+    Rounds = "rounds",
+    /// IDB facts derived across all evaluations.
+    Derived = "derived",
+    /// Answer tuples produced across all evaluations.
+    Answers = "answers",
+    /// Total wall time in plan lookup and compilation, in nanoseconds.
+    CompileNs = "compile_ns",
+    /// Total wall time in evaluation, in nanoseconds.
+    EvalNs = "eval_ns",
+}
+
+/// A snapshot of every [`Counter`], indexed by counter. Renders (via
+/// `Display`) as the JSON object `{"requests": 1, "cache_hits": 0, ...}`
+/// in protocol order; `Debug` prints the same object.
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub struct EngineStats(pub(crate) [u64; Counter::COUNT]);
+
+impl std::ops::Index<Counter> for EngineStats {
+    type Output = u64;
+
+    fn index(&self, c: Counter) -> &u64 {
+        &self.0[c as usize]
     }
+}
+
+impl std::ops::IndexMut<Counter> for EngineStats {
+    fn index_mut(&mut self, c: Counter) -> &mut u64 {
+        &mut self.0[c as usize]
+    }
+}
+
+impl fmt::Display for EngineStats {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str("{")?;
+        for (i, &c) in Counter::ALL.iter().enumerate() {
+            let sep = if i == 0 { "" } else { ", " };
+            write!(f, "{sep}\"{}\": {}", c.name(), self[c])?;
+        }
+        f.write_str("}")
+    }
+}
+
+impl fmt::Debug for EngineStats {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Display::fmt(self, f)
+    }
+}
+
+/// A duration as a counter increment: whole nanoseconds, saturating.
+pub(crate) fn nanos(d: Duration) -> u64 {
+    u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Engine;
 
     #[test]
     fn absorb_saturates_instead_of_overflowing() {
-        let mut s = EngineStats {
-            requests: u64::MAX,
-            rounds: u64::MAX - 1,
-            derived: u64::MAX,
-            answers: u64::MAX,
-            facts_interned: u64::MAX,
-            arena_bytes: u64::MAX,
-            dedup_hits: u64::MAX,
-            ivm_maintained_hits: u64::MAX,
-            ivm_deleted: u64::MAX,
-            ivm_rederived: u64::MAX,
-            certs_emitted: u64::MAX,
-            cert_bytes: u64::MAX,
-            ..EngineStats::default()
-        };
+        let engine = Engine::with_threads(1);
+        for c in [
+            Counter::Requests,
+            Counter::Derived,
+            Counter::Answers,
+            Counter::FactsInterned,
+            Counter::ArenaBytes,
+            Counter::DedupHits,
+            Counter::IvmMaintainedHits,
+            Counter::IvmDeleted,
+            Counter::IvmRederived,
+            Counter::CertsEmitted,
+            Counter::CertBytes,
+        ] {
+            engine.set(c, u64::MAX);
+        }
+        engine.set(Counter::Rounds, u64::MAX - 1);
         let r = RequestStats {
             rounds: 7,
             derived: 7,
@@ -222,15 +275,16 @@ mod tests {
             cert_bytes: 7,
             ..RequestStats::default()
         };
-        s.absorb(&r); // must not panic in debug builds
-        assert_eq!(s.requests, u64::MAX);
-        assert_eq!(s.rounds, u64::MAX);
-        assert_eq!(s.derived, u64::MAX);
-        assert_eq!(s.dedup_hits, u64::MAX);
-        assert_eq!(s.ivm_maintained_hits, u64::MAX);
-        assert_eq!(s.ivm_deleted, u64::MAX);
-        assert_eq!(s.ivm_rederived, u64::MAX);
-        assert_eq!(s.certs_emitted, u64::MAX);
-        assert_eq!(s.cert_bytes, u64::MAX);
+        engine.absorb(&r); // must not panic in debug builds
+        let s = engine.stats();
+        assert_eq!(s[Counter::Requests], u64::MAX);
+        assert_eq!(s[Counter::Rounds], u64::MAX);
+        assert_eq!(s[Counter::Derived], u64::MAX);
+        assert_eq!(s[Counter::DedupHits], u64::MAX);
+        assert_eq!(s[Counter::IvmMaintainedHits], u64::MAX);
+        assert_eq!(s[Counter::IvmDeleted], u64::MAX);
+        assert_eq!(s[Counter::IvmRederived], u64::MAX);
+        assert_eq!(s[Counter::CertsEmitted], u64::MAX);
+        assert_eq!(s[Counter::CertBytes], u64::MAX);
     }
 }

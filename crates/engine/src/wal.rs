@@ -552,13 +552,7 @@ impl Wal {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn tmpdir(tag: &str) -> std::path::PathBuf {
-        let dir = std::env::temp_dir().join(format!("gomq-wal-{tag}-{}", std::process::id(),));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        dir
-    }
+    use crate::scratch::ScratchDir;
 
     fn sample_records() -> Vec<WalRecord> {
         vec![
@@ -586,7 +580,7 @@ mod tests {
 
     #[test]
     fn append_replay_roundtrip() {
-        let dir = tmpdir("roundtrip");
+        let dir = ScratchDir::new("wal-roundtrip");
         let path = dir.join("wal.log");
         let mut wal = Wal::open(&path, false, 1).unwrap();
         for r in sample_records() {
@@ -604,12 +598,11 @@ mod tests {
                 .collect::<Vec<_>>(),
             sample_records()
         );
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn torn_tail_is_truncated_and_rest_survives() {
-        let dir = tmpdir("torn");
+        let dir = ScratchDir::new("wal-torn");
         let path = dir.join("wal.log");
         let mut wal = Wal::open(&path, false, 1).unwrap();
         for r in sample_records() {
@@ -630,12 +623,11 @@ mod tests {
         let again = Wal::replay(&path).unwrap();
         assert!(!again.truncated);
         assert_eq!(again.records.len(), 4);
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn corrupt_byte_cuts_from_that_record() {
-        let dir = tmpdir("corrupt");
+        let dir = ScratchDir::new("wal-corrupt");
         let path = dir.join("wal.log");
         let mut wal = Wal::open(&path, false, 1).unwrap();
         let recs = sample_records();
@@ -654,21 +646,19 @@ mod tests {
         assert_eq!(replayed.records.len(), 2);
         assert_eq!(replayed.last_lsn, 2);
         assert_eq!(std::fs::metadata(&path).unwrap().len(), offsets[2]);
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn missing_file_is_an_empty_log() {
-        let dir = tmpdir("missing");
+        let dir = ScratchDir::new("wal-missing");
         let replayed = Wal::replay(&dir.join("nope.log")).unwrap();
         assert!(replayed.records.is_empty());
         assert!(!replayed.truncated);
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn epoch_records_roundtrip() {
-        let dir = tmpdir("epoch");
+        let dir = ScratchDir::new("wal-epoch");
         let path = dir.join("wal.log");
         let mut wal = Wal::open(&path, false, 1).unwrap();
         wal.append(&WalRecord::Mark(1)).unwrap();
@@ -683,12 +673,11 @@ mod tests {
                 .collect::<Vec<_>>(),
             vec![WalRecord::Mark(1), WalRecord::Epoch(7)]
         );
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn rotate_seals_segment_and_lsns_keep_counting() {
-        let dir = tmpdir("rotate");
+        let dir = ScratchDir::new("wal-rotate");
         let path = dir.join("wal.log");
         let mut wal = Wal::open(&path, false, 1).unwrap();
         wal.append(&WalRecord::Mark(1)).unwrap();
@@ -710,12 +699,11 @@ mod tests {
         wal.rotate().unwrap();
         let old = Wal::replay(&sealed).unwrap();
         assert_eq!(old.last_lsn, 2);
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn io_errors_carry_path_and_operation() {
-        let dir = tmpdir("errctx");
+        let dir = ScratchDir::new("wal-errctx");
         let missing = dir.join("no-such-subdir").join("wal.log");
         let err = match Wal::open(&missing, false, 1) {
             Err(e) => e,
@@ -727,12 +715,11 @@ mod tests {
             msg.contains("no-such-subdir"),
             "journal path missing: {msg}"
         );
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn reset_empties_but_lsns_keep_counting() {
-        let dir = tmpdir("reset");
+        let dir = ScratchDir::new("wal-reset");
         let path = dir.join("wal.log");
         let mut wal = Wal::open(&path, false, 1).unwrap();
         wal.append(&WalRecord::Mark(1)).unwrap();
@@ -743,6 +730,5 @@ mod tests {
         let replayed = Wal::replay(&path).unwrap();
         assert_eq!(replayed.records.len(), 1);
         assert_eq!(replayed.last_lsn, 2);
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

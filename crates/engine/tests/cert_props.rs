@@ -10,7 +10,7 @@
 
 mod common;
 
-use common::{tmpdir, Serve};
+use common::{ScratchDir, Serve};
 use gomq_cert::json::{self as cjson, Value};
 use gomq_cert::{verify_value, Snapshot, Verified};
 use gomq_engine::{Budget, Engine, ServeConfig, ServeSession};
@@ -350,15 +350,13 @@ fn certificates_survive_sigkill_and_replay() {
         reports
     };
 
-    let base_dir = tmpdir("cert-base");
+    let base_dir = ScratchDir::new("cert-base");
     let base = run(&base_dir, false);
     assert_eq!(base.len(), 5, "the script poses five certified queries");
-    let kill_dir = tmpdir("cert-kill");
+    let kill_dir = ScratchDir::new("cert-kill");
     let got = run(&kill_dir, true);
     assert_eq!(
         got, base,
         "certified answers or snapshot bindings diverged after SIGKILL + replay"
     );
-    std::fs::remove_dir_all(&base_dir).ok();
-    std::fs::remove_dir_all(&kill_dir).ok();
 }

@@ -10,7 +10,7 @@
 
 mod common;
 
-use common::{answers_of, tmpdir, Serve};
+use common::{answers_of, ScratchDir, Serve};
 use gomq_engine::json::Json;
 
 /// The scripted session: interleaved mutations and session queries.
@@ -44,7 +44,7 @@ fn script() -> Vec<String> {
 /// Runs the whole script uninterrupted and returns every query's
 /// answers by id.
 fn uninterrupted(extra: &[&str]) -> Vec<(String, Json)> {
-    let dir = tmpdir("base");
+    let dir = ScratchDir::new("base");
     let mut serve = Serve::spawn(&dir, extra);
     let mut answers = Vec::new();
     for line in script() {
@@ -52,7 +52,6 @@ fn uninterrupted(extra: &[&str]) -> Vec<(String, Json)> {
         answers.extend(answers_of(&response));
     }
     serve.finish();
-    std::fs::remove_dir_all(&dir).unwrap();
     answers
 }
 
@@ -60,7 +59,7 @@ fn uninterrupted(extra: &[&str]) -> Vec<(String, Json)> {
 /// tearing the WAL tail), restarts it over the same directory, replays
 /// the rest of the script, and returns every query's answers by id.
 fn interrupted(kill_after: usize, tear_tail: bool, extra: &[&str]) -> Vec<(String, Json)> {
-    let dir = tmpdir(&format!("kill{kill_after}"));
+    let dir = ScratchDir::new(&format!("kill{kill_after}"));
     let lines = script();
     assert!(kill_after < lines.len(), "kill point inside the script");
     let mut answers = Vec::new();
@@ -90,7 +89,6 @@ fn interrupted(kill_after: usize, tear_tail: bool, extra: &[&str]) -> Vec<(Strin
         answers.extend(answers_of(&response));
     }
     serve.finish();
-    std::fs::remove_dir_all(&dir).unwrap();
     answers
 }
 

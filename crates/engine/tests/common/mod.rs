@@ -8,21 +8,10 @@
 
 use gomq_engine::json::{self, Json};
 use std::io::{BufRead, BufReader, Write};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::process::{Child, ChildStdin, ChildStdout, Command, Stdio};
-use std::sync::atomic::{AtomicUsize, Ordering};
 
-static DIR_SEQ: AtomicUsize = AtomicUsize::new(0);
-
-/// A fresh scratch directory for a `--data-dir`, unique per call (pid
-/// plus a process-wide counter), so parallel tests using the same tag
-/// never share — or delete — each other's directories.
-pub fn tmpdir(tag: &str) -> PathBuf {
-    let n = DIR_SEQ.fetch_add(1, Ordering::Relaxed);
-    let dir = std::env::temp_dir().join(format!("gomq-chaos-{tag}-{}-{n}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
+pub use gomq_engine::scratch::ScratchDir;
 
 /// A running stdin-mode `gomq-serve` driven one acknowledged request at
 /// a time.

@@ -14,7 +14,7 @@
 
 use gomq_engine::faults::{self, FaultKind, FaultPlan, IVM_APPLY};
 use gomq_engine::json::{self, Json};
-use gomq_engine::{ServeConfig, ServeSession};
+use gomq_engine::{Counter, ServeConfig, ServeSession};
 
 /// The `"answers"` of an `"ok"` query response; `None` for failures.
 fn query_answers(response: &str) -> Option<Json> {
@@ -94,7 +94,7 @@ fn ivm_faults_never_corrupt_answers() {
         // error responses or swallowed by the rollback maintenance fence).
         let stats = on.engine().stats();
         assert!(
-            isolated == 0 || stats.panics > 0 || stats.faults_injected > 0,
+            isolated == 0 || stats[Counter::Panics] > 0 || stats[Counter::FaultsInjected] > 0,
             "isolated failures must be visible in the engine totals"
         );
     }

@@ -9,12 +9,11 @@
 
 mod common;
 
-use common::{tmpdir, Serve};
+use common::{ScratchDir, Serve};
 use gomq_engine::json::{self, Json};
 use gomq_engine::{ServeConfig, ServeSession};
 use proptest::collection::vec;
 use proptest::prelude::*;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// The OMQ pool: three distinct plans so a small view cap sees LRU
 /// eviction and rebuild, not just steady-state hits.
@@ -156,16 +155,6 @@ fn drive_and_compare(lines: &[String], on: &mut ServeSession, off: &mut ServeSes
     }
 }
 
-static DIR_SEQ: AtomicU64 = AtomicU64::new(0);
-
-/// A unique scratch directory per generated case.
-fn case_dir(tag: &str) -> std::path::PathBuf {
-    let n = DIR_SEQ.fetch_add(1, Ordering::Relaxed);
-    let dir = std::env::temp_dir().join(format!("gomq-ivm-{tag}-{}-{n}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -192,11 +181,11 @@ proptest! {
     ) {
         let lines = script_lines(&ops);
         let split = split.min(lines.len());
-        let dir = case_dir("replay");
+        let dir = ScratchDir::new("ivm-replay");
         let durable = |_tag: &str| ServeSession::with_config(ServeConfig {
             threads: 1,
             max_views: 2,
-            data_dir: Some(dir.clone()),
+            data_dir: Some(dir.to_path_buf()),
             snapshot_every: 3,
             ..ServeConfig::default()
         });
@@ -208,7 +197,6 @@ proptest! {
         let mut on = durable("b");
         drive_and_compare(&lines[split..], &mut on, &mut off);
         drop(on);
-        std::fs::remove_dir_all(&dir).ok();
     }
 }
 
@@ -276,15 +264,13 @@ fn maintained_views_survive_sigkill_and_replay() {
         answers
     };
 
-    let base_dir = tmpdir("ivm-base");
+    let base_dir = ScratchDir::new("ivm-base");
     let base = run(&base_dir, false);
     assert_eq!(base.len(), 5, "the script poses five queries");
-    let kill_dir = tmpdir("ivm-kill");
+    let kill_dir = ScratchDir::new("ivm-kill");
     let got = run(&kill_dir, true);
     assert_eq!(
         got, base,
         "recovered session answers diverged byte-for-byte after SIGKILL"
     );
-    std::fs::remove_dir_all(&base_dir).ok();
-    std::fs::remove_dir_all(&kill_dir).ok();
 }

@@ -10,7 +10,7 @@
 
 mod common;
 
-use common::{answers_of, tmpdir, Serve};
+use common::{answers_of, ScratchDir, Serve};
 use gomq_engine::json::{self, Json};
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -112,7 +112,7 @@ fn constants_of(answers: &Json) -> Vec<String> {
 
 #[test]
 fn sigterm_mid_load_answers_in_flight_and_recovers_identically() {
-    let dir = tmpdir("net-drain");
+    let dir = ScratchDir::new("net-drain");
 
     // Phase 1: K connections pipeline their asserts without reading a
     // single response, so SIGTERM lands with requests in flight at
@@ -201,5 +201,4 @@ fn sigterm_mid_load_answers_in_flight_and_recovers_identically() {
         expected,
         "recovered store does not hold exactly the acknowledged facts"
     );
-    std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -23,7 +23,7 @@
 
 mod common;
 
-use common::{answers_of, tmpdir, Serve};
+use common::{answers_of, ScratchDir, Serve};
 use gomq_cert::json::{self as cjson, Value};
 use gomq_cert::{verify_value, Verified};
 use gomq_engine::json::{self, Json};
@@ -297,12 +297,13 @@ fn await_caught_up(client: &mut Client, expect_facts: usize) -> String {
 }
 
 /// What a failover round leaves behind: the promoted node, a client on
-/// it, its data dir, and the replication address the dead primary
-/// served on (the promoted node keeps fencing that address).
+/// it, its data dir (removed when the round is dropped), and the
+/// replication address the dead primary served on (the promoted node
+/// keeps fencing that address).
 struct Failover {
     replica: Node,
     reads: Client,
-    replica_dir: std::path::PathBuf,
+    _replica_dir: ScratchDir,
     repl_addr: String,
 }
 
@@ -311,8 +312,8 @@ struct Failover {
 /// up, SIGKILL the primary, and return the promoted node plus the
 /// replica client once promotion has landed.
 fn failover_round(tag: &str, kill_after: usize) -> Failover {
-    let primary_dir = tmpdir(&format!("repl-{tag}-primary"));
-    let replica_dir = tmpdir(&format!("repl-{tag}-replica"));
+    let primary_dir = ScratchDir::new(&format!("repl-{tag}-primary"));
+    let replica_dir = ScratchDir::new(&format!("repl-{tag}-replica"));
     let primary = Node::spawn(&primary_dir, &["--replicate-to", "127.0.0.1:0"]);
     let repl_addr = primary.repl_addr.clone().expect("primary announces");
     let replica = Node::spawn(
@@ -357,11 +358,10 @@ fn failover_round(tag: &str, kill_after: usize) -> Failover {
         );
         std::thread::sleep(Duration::from_millis(100));
     }
-    std::fs::remove_dir_all(&primary_dir).ok();
     Failover {
         replica,
         reads,
-        replica_dir,
+        _replica_dir: replica_dir,
         repl_addr,
     }
 }
@@ -369,7 +369,7 @@ fn failover_round(tag: &str, kill_after: usize) -> Failover {
 /// The oracle: a fresh single node fed exactly the acknowledged
 /// asserts, answering the same session query.
 fn oracle_answers(tag: &str, kill_after: usize, query: &str) -> Json {
-    let dir = tmpdir(&format!("repl-{tag}-oracle"));
+    let dir = ScratchDir::new(&format!("repl-{tag}-oracle"));
     let mut serve = Serve::spawn(&dir, &["--threads", "1"]);
     for i in 0..kill_after {
         let response = serve.request(&assert_line(i));
@@ -378,7 +378,6 @@ fn oracle_answers(tag: &str, kill_after: usize, query: &str) -> Json {
     }
     let response = serve.request(query);
     serve.finish();
-    std::fs::remove_dir_all(&dir).ok();
     let (_, answers) = answers_of(&response).expect("oracle query answers");
     answers
 }
@@ -403,15 +402,14 @@ fn promoted_replica_serves_exactly_the_acknowledged_facts() {
         acked(reads, &assert_line(kill_after));
 
         round.replica.kill();
-        std::fs::remove_dir_all(&round.replica_dir).ok();
     }
 }
 
 #[test]
 fn replica_reads_carry_verifiable_certificates() {
     let kill_after = 5;
-    let primary_dir = tmpdir("repl-cert-primary");
-    let replica_dir = tmpdir("repl-cert-replica");
+    let primary_dir = ScratchDir::new("repl-cert-primary");
+    let replica_dir = ScratchDir::new("repl-cert-replica");
     let primary = Node::spawn(&primary_dir, &["--replicate-to", "127.0.0.1:0"]);
     let repl_addr = primary.repl_addr.clone().expect("primary announces");
     let replica = Node::spawn(&replica_dir, &["--follow", &repl_addr]);
@@ -439,8 +437,6 @@ fn replica_reads_carry_verifiable_certificates() {
 
     primary.kill();
     replica.kill();
-    std::fs::remove_dir_all(&primary_dir).ok();
-    std::fs::remove_dir_all(&replica_dir).ok();
 }
 
 #[test]
@@ -452,7 +448,7 @@ fn resurrected_primary_is_fenced_by_the_promoted_node() {
     // replication address the promoted node keeps pinging. (Its data
     // dir is gone — the fence must not depend on any local state.)
     acked(&mut round.reads, &query_line("post", false));
-    let resurrected_dir = tmpdir("repl-fence-resurrected");
+    let resurrected_dir = ScratchDir::new("repl-fence-resurrected");
     let resurrected = Node::spawn(&resurrected_dir, &["--replicate-to", &round.repl_addr]);
 
     // The promoted node's fencer pings every 250ms; the resurrected
@@ -486,6 +482,4 @@ fn resurrected_primary_is_fenced_by_the_promoted_node() {
 
     resurrected.kill();
     round.replica.kill();
-    std::fs::remove_dir_all(&resurrected_dir).ok();
-    std::fs::remove_dir_all(&round.replica_dir).ok();
 }

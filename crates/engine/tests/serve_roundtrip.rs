@@ -34,6 +34,8 @@ fn jsonl_requests_roundtrip_with_plan_caching() {
         "\n", // blank lines are skipped
         r#"{"id": "r2", "ontology": "Employee sub Staff\nManager sub Employee", "query": "Staff", "abox": "Employee(grace)"}"#,
         "\n",
+        r#"{"id": "s", "op": "stats"}"#,
+        "\n",
         r#"{"id": "r3", "ontology": "A sub B", "query": "B", "aboxes": ["A(x)", "", "A(y)\nB(z)"]}"#,
         "\n",
         r#"{"id": "r4", "ontology": "A sub B", "query": "Missing", "abox": ""}"#,
@@ -41,7 +43,7 @@ fn jsonl_requests_roundtrip_with_plan_caching() {
     );
     let (stdout, stderr) = run_serve(requests, &["--threads", "2"]);
     let lines: Vec<&str> = stdout.lines().collect();
-    assert_eq!(lines.len(), 4, "one response per request: {stdout}");
+    assert_eq!(lines.len(), 5, "one response per request: {stdout}");
 
     // r1: fresh compile, both the asserted and the derived Staff answer.
     assert!(lines[0].contains(r#""id": "r1""#));
@@ -51,29 +53,33 @@ fn jsonl_requests_roundtrip_with_plan_caching() {
 
     // r2 poses the same OMQ with the axioms reordered: plan-cache hit.
     // The request-scoped stats carry the per-request hit flag; the
-    // cumulative counters live in the separate "engine" block.
+    // cumulative counters are the stats op's "engine" object.
     assert!(lines[1].contains(r#""id": "r2""#));
     assert!(lines[1].contains(r#""cached": true"#));
     assert!(lines[1].contains(r#"["grace"]"#));
     assert!(lines[1].contains(r#""stats": {"#));
     assert!(lines[1].contains(r#""cache_hit": true"#));
-    assert!(lines[1].contains(r#""engine": {"#));
-    assert!(lines[1].contains(r#""cache_hits": 1"#));
-    assert!(lines[1].contains(r#""cache_misses": 1"#));
+    assert!(!lines[1].contains(r#""engine""#));
+    assert!(lines[2].contains(r#""id": "s", "status": "ok", "op": "stats""#));
+    assert!(lines[2].contains(r#""engine": {"#));
+    assert!(lines[2].contains(r#""cache_hits": 1"#));
+    assert!(lines[2].contains(r#""cache_misses": 1"#));
     // r1 was a miss, and its request-scoped stats must say so even
     // though the engine totals later count hits.
     assert!(lines[0].contains(r#""cache_hit": false"#));
 
     // r3: a batch, one answer array per ABox in order.
-    assert!(lines[2].contains(r#""batches": [[["x"]], [], [["y"], ["z"]]]"#));
+    assert!(lines[3].contains(r#""batches": [[["x"]], [], [["y"], ["z"]]]"#));
 
     // r4: an error response, not a crash.
-    assert!(lines[3].contains(r#""id": "r4""#));
-    assert!(lines[3].contains(r#""status": "error""#));
+    assert!(lines[4].contains(r#""id": "r4""#));
+    assert!(lines[4].contains(r#""status": "error""#));
 
     // The EOF summary on stderr reports the three served evaluations.
-    assert!(stderr.contains("3 requests"), "stderr: {stderr}");
-    assert!(stderr.contains("1 cache hits"), "stderr: {stderr}");
+    assert!(
+        stderr.contains(r#"gomq-serve: stats {"requests": 3, "cache_hits": 1, "#),
+        "stderr: {stderr}"
+    );
 }
 
 #[test]
@@ -101,8 +107,8 @@ fn limits_and_panics_are_survivable_end_to_end() {
     assert!(lines[2].contains(r#""id": "ok""#));
     assert!(lines[2].contains(r#""status": "ok""#));
     assert!(lines[2].contains(r#"["x"]"#));
-    assert!(stderr.contains("1 overloaded"), "stderr: {stderr}");
-    assert!(stderr.contains("1 panics isolated"), "stderr: {stderr}");
+    assert!(stderr.contains(r#""overloaded": 1, "#), "stderr: {stderr}");
+    assert!(stderr.contains(r#""panics": 1, "#), "stderr: {stderr}");
 }
 
 #[test]

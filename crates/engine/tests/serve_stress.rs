@@ -5,7 +5,7 @@
 //! surface.
 
 use gomq_engine::cache::PlanCache;
-use gomq_engine::{Engine, Limits, ServeConfig, ServeSession, ServeShared};
+use gomq_engine::{Counter, Engine, Limits, ServeConfig, ServeSession, ServeShared};
 use std::sync::Arc;
 use std::thread;
 
@@ -59,12 +59,16 @@ fn concurrent_sessions_compile_each_omq_once() {
     });
     let stats = shared.engine().stats();
     let lookups = (THREADS * ITERS * OMQS) as u64;
-    assert_eq!(stats.cache_misses, OMQS as u64, "one compile per OMQ");
-    assert_eq!(stats.cache_hits, lookups - OMQS as u64);
-    assert_eq!(stats.cache_size, OMQS as u64);
-    assert_eq!(stats.requests, lookups);
-    assert_eq!(stats.overloaded, 0);
-    assert_eq!(stats.panics, 0);
+    assert_eq!(
+        stats[Counter::CacheMisses],
+        OMQS as u64,
+        "one compile per OMQ"
+    );
+    assert_eq!(stats[Counter::CacheHits], lookups - OMQS as u64);
+    assert_eq!(stats[Counter::CacheSize], OMQS as u64);
+    assert_eq!(stats[Counter::Requests], lookups);
+    assert_eq!(stats[Counter::Overloaded], 0);
+    assert_eq!(stats[Counter::Panics], 0);
 }
 
 /// A capacity-2 cache serving four OMQs never grows past its cap and
@@ -91,10 +95,10 @@ fn lru_cache_stays_bounded_across_requests() {
         }
     }
     let stats = session.engine().stats();
-    assert!(stats.cache_size <= 2);
-    assert!(stats.cache_evictions >= 2, "stats: {stats:?}");
+    assert!(stats[Counter::CacheSize] <= 2);
+    assert!(stats[Counter::CacheEvictions] >= 2, "stats: {stats:?}");
     // Cycling through 4 OMQs with room for 2 forces recompiles.
-    assert!(stats.cache_misses > 4, "stats: {stats:?}");
+    assert!(stats[Counter::CacheMisses] > 4, "stats: {stats:?}");
 }
 
 /// A budget-exhausted request answers "overloaded" and leaves the
@@ -125,8 +129,12 @@ fn exhausted_budgets_leave_the_session_healthy() {
     assert!(resp.contains("\"status\": \"ok\""), "{resp}");
     assert!(resp.contains(r#"[["z"]]"#), "{resp}");
     let stats = session.engine().stats();
-    assert_eq!(stats.overloaded, 2);
-    assert_eq!(stats.cache_misses, 1, "one compile covers all three");
+    assert_eq!(stats[Counter::Overloaded], 2);
+    assert_eq!(
+        stats[Counter::CacheMisses],
+        1,
+        "one compile covers all three"
+    );
 }
 
 /// The E16 adversarial stream: a forced-collision cache (every OMQ
@@ -199,7 +207,7 @@ fn adversarial_stream_is_fully_survivable() {
         );
     }
     let stats = shared.engine().stats();
-    assert!(stats.panics >= 1, "stats: {stats:?}");
-    assert!(stats.overloaded >= 1, "stats: {stats:?}");
-    assert!(stats.cache_size <= 2, "stats: {stats:?}");
+    assert!(stats[Counter::Panics] >= 1, "stats: {stats:?}");
+    assert!(stats[Counter::Overloaded] >= 1, "stats: {stats:?}");
+    assert!(stats[Counter::CacheSize] <= 2, "stats: {stats:?}");
 }

@@ -6,21 +6,10 @@
 //! log must be truncated without losing any acknowledged record.
 
 use gomq_core::{Fact, Term, Vocab};
+use gomq_engine::scratch::ScratchDir;
 use gomq_engine::session::{sym_fact, DurableSession, PersistOptions};
 use gomq_engine::wal::{SymFact, SymTerm, Wal, WalRecord};
 use proptest::prelude::*;
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
-
-static DIR_SEQ: AtomicU64 = AtomicU64::new(0);
-
-/// A unique scratch directory per generated case.
-fn tmpdir(tag: &str) -> PathBuf {
-    let n = DIR_SEQ.fetch_add(1, Ordering::Relaxed);
-    let dir = std::env::temp_dir().join(format!("gomq-walprop-{tag}-{}-{n}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
 
 /// Renders a constant name; a third of them get astral-plane and
 /// combining characters so the byte-level codec sees multi-byte UTF-8.
@@ -113,7 +102,7 @@ proptest! {
         ),
         torn in proptest::collection::vec(proptest::arbitrary::any::<u8>(), 0..40),
     ) {
-        let dir = tmpdir("replay");
+        let dir = ScratchDir::new("walprop-replay");
         let opts = PersistOptions { fsync: false, snapshot_every: 0 };
         let expected = {
             let mut vocab = Vocab::new();
@@ -139,7 +128,6 @@ proptest! {
             // rarely, it was a decodable frame — then it replayed.
             prop_assert!(info.truncated_tail || info.replayed_records > 0);
         }
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     /// Snapshot + tail recovery: forcing a snapshot at an arbitrary
@@ -160,7 +148,7 @@ proptest! {
         ),
         cut in proptest::arbitrary::any::<u8>(),
     ) {
-        let dir = tmpdir("snap");
+        let dir = ScratchDir::new("walprop-snap");
         let opts = PersistOptions { fsync: false, snapshot_every: 0 };
         let expected = {
             let mut vocab = Vocab::new();
@@ -174,7 +162,6 @@ proptest! {
         let mut vocab2 = Vocab::new();
         let (s2, _) = DurableSession::open(&dir, opts, &mut vocab2).unwrap();
         prop_assert_eq!(observe(&s2, &vocab2), expected);
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     /// The WAL frame codec is the identity on arbitrary symbolic
@@ -197,7 +184,7 @@ proptest! {
             1..12,
         ),
     ) {
-        let dir = tmpdir("codec");
+        let dir = ScratchDir::new("walprop-codec");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("wal.log");
         let mut wal = Wal::open(&path, false, 1).unwrap();
@@ -231,6 +218,5 @@ proptest! {
         prop_assert!(!replayed.truncated);
         let got: Vec<WalRecord> = replayed.records.into_iter().map(|(_, r)| r).collect();
         prop_assert_eq!(got, written);
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -133,6 +133,22 @@ grep -q 'non-rewritable-to-sql' "$sql_err" || {
 }
 rm -f "$sql_err"
 
+# Stats-op smoke: the cumulative totals are a request of their own,
+# answered after the query they count.
+echo "==> gomq-serve stats op smoke (stdin, release)"
+stats_out="$(printf '%s\n' \
+    '{"ontology": "A sub B", "query": "B", "abox": "A(x)"}' \
+    '{"op": "stats"}' \
+    | target/release/gomq-serve 2>/dev/null | tail -n 1)"
+case "$stats_out" in
+    *'"op": "stats", "engine": {"requests": 1,'*) ;;
+    *)
+        echo "the stats op did not count the one query:" >&2
+        echo "$stats_out" >&2
+        exit 1
+        ;;
+esac
+
 # Release-mode TCP smoke: an ephemeral-port listener driven by
 # gomq-bench for ~2s at low rate. The bench exits nonzero on any lost
 # or malformed response, and --validate re-checks the JSON report.
@@ -266,31 +282,25 @@ cargo test -q --release -p gomq-engine --features chaos --test repl_chaos
 echo "==> cargo test --release --manifest-path perfbench/Cargo.toml (benchmark self-tests)"
 cargo test --release --manifest-path perfbench/Cargo.toml
 
-# One-second oracle-checked run of the served bulk path: the benchmark
-# checks every answer, and its last line must report them all correct.
-echo "==> perfbench bulk_abox smoke (1 s, oracle-checked, release)"
-bench_last="$(bash perfbench/run.sh --workload bulk_abox --seed 1 --seconds 1 --trace 0 | tail -n 1)"
-case "$bench_last" in
-    *'"correct": true'*'"failed": 0,'*) ;;
-    *)
-        echo "perfbench bulk_abox smoke did not report correct: true, failed: 0:" >&2
-        echo "$bench_last" >&2
-        exit 1
-        ;;
-esac
-
-# One-second oracle-checked run of the hot path: the only smoke that
-# mixes kernel-served requests with certified (traced-fixpoint) ones
-# under the benchmark's answer oracle.
-echo "==> perfbench hot_small smoke (1 s, oracle-checked, release)"
-bench_last="$(bash perfbench/run.sh --workload hot_small --seed 1 --seconds 1 --trace 0 | tail -n 1)"
-case "$bench_last" in
-    *'"correct": true'*'"failed": 0,'*) ;;
-    *)
-        echo "perfbench hot_small smoke did not report correct: true, failed: 0:" >&2
-        echo "$bench_last" >&2
-        exit 1
-        ;;
-esac
+# One-second oracle-checked run of every BENCHMARK.json workload: the
+# benchmark checks every answer (hot_small mixes kernel-served and
+# certified requests; session_rw drives asserts, rollbacks and
+# maintained views against one durable session), and its last line must
+# report them all correct.
+perfbench_smoke() {
+    echo "==> perfbench $1 smoke (1 s, oracle-checked, release)"
+    bench_last="$(bash perfbench/run.sh --workload "$1" --seed 1 --seconds 1 --trace 0 | tail -n 1)"
+    case "$bench_last" in
+        *'"correct": true'*'"failed": 0,'*) ;;
+        *)
+            echo "perfbench $1 smoke did not report correct: true, failed: 0:" >&2
+            echo "$bench_last" >&2
+            exit 1
+            ;;
+    esac
+}
+for workload in hot_small bulk_abox cold_compile session_rw; do
+    perfbench_smoke "$workload"
+done
 
 echo "CI gate passed."

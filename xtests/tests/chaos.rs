@@ -7,7 +7,8 @@
 //! never observe each other's injected faults.
 
 use gomq_engine::faults::{self, FaultKind, FaultPlan};
-use gomq_engine::{ServeConfig, ServeSession};
+use gomq_engine::scratch::ScratchDir;
+use gomq_engine::{Counter, ServeConfig, ServeSession};
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
 /// Serializes chaos tests (the installed plan is process-global).
@@ -118,7 +119,7 @@ fn session_survives_the_standard_fault_plan() {
     assert!(faulted > 0, "the plan must inject within 60 requests");
     // Every isolated panic was counted, none escaped.
     let stats = s.engine().stats();
-    assert!(stats.faults_injected > 0);
+    assert!(stats[Counter::FaultsInjected] > 0);
     // With the plan gone, the session serves cleanly again.
     drop(_plan);
     let calm = s.handle_line(&request(999));
@@ -151,9 +152,9 @@ fn eval_panics_trip_the_quarantine_breaker() {
     );
     assert!(third.contains("after 2 evaluation failures"), "{third}");
     let stats = s.engine().stats();
-    assert_eq!(stats.breaker_trips, 1);
-    assert_eq!(stats.quarantined, 1);
-    assert_eq!(stats.panics, 2);
+    assert_eq!(stats[Counter::BreakerTrips], 1);
+    assert_eq!(stats[Counter::Quarantined], 1);
+    assert_eq!(stats[Counter::Panics], 2);
     // Another OMQ compiles to a different plan key and still runs —
     // remove the plan first so its own evaluation succeeds.
     drop(_plan);
@@ -164,13 +165,12 @@ fn eval_panics_trip_the_quarantine_breaker() {
 #[test]
 fn wal_faults_poison_writes_not_queries() {
     let _guard = chaos_lock();
-    let dir = std::env::temp_dir().join(format!("gomq-chaos-wal-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
+    let dir = ScratchDir::new("chaos-wal");
     // Every WAL write fails with a (deterministic) injected I/O error.
     let _plan = Installed::new(FaultPlan::new(11).rule(faults::WAL_WRITE, FaultKind::IoError, 1));
     let mut s = ServeSession::with_config(ServeConfig {
         threads: 1,
-        data_dir: Some(dir.clone()),
+        data_dir: Some(dir.to_path_buf()),
         ..ServeConfig::default()
     });
     let refused = s.handle_line(r#"{"op": "assert", "abox": "A(x)"}"#);
@@ -189,7 +189,6 @@ fn wal_faults_poison_writes_not_queries() {
     assert!(ok.contains("\"status\": \"ok\""), "{ok}");
     let q2 = s.handle_line(r#"{"ontology": "A sub B", "query": "B", "session": true}"#);
     assert!(q2.contains(r#"[["x"]]"#), "{q2}");
-    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]
@@ -206,5 +205,5 @@ fn alloc_cap_surfaces_as_isolated_panic() {
     let resp = s.handle_line(&request(0));
     assert!(resp.contains("\"status\": \"error\""), "{resp}");
     assert!(resp.contains("alloc cap"), "{resp}");
-    assert_eq!(s.engine().stats().panics, 1);
+    assert_eq!(s.engine().stats()[Counter::Panics], 1);
 }

@@ -3,7 +3,7 @@
 
 use gomq_bench::{horn_chain_ontology, propagation_instance};
 use gomq_core::Vocab;
-use gomq_engine::{Engine, Input, Options, ServeSession};
+use gomq_engine::{Counter, Engine, Input, Options, ServeSession};
 use gomq_rewriting::emit::emit_datalog;
 use gomq_rewriting::ElementTypeSystem;
 
@@ -37,8 +37,8 @@ fn jsonl_session_roundtrip() {
         "{r4}"
     );
     let stats = s.engine().stats();
-    assert_eq!(stats.cache_hits, 1);
-    assert_eq!(stats.cache_misses, 2);
+    assert_eq!(stats[Counter::CacheHits], 1);
+    assert_eq!(stats[Counter::CacheMisses], 2);
 }
 
 /// On the Theorem-7 horn-chain workload, the cached engine plan answers
