@@ -3,8 +3,9 @@
 //! Reads one JSON request object per line and writes one JSON response
 //! per line (see `gomq_engine::serve` for the protocol). By default the
 //! transport is stdin/stdout; with `--listen ADDR` the same protocol is
-//! served over TCP to many concurrent connections, backed by a bounded
-//! worker pool (`gomq_engine::net`). Plans are cached across lines and
+//! served over TCP to many concurrent connections, each request
+//! evaluated on its connection's thread behind a bounded admission gate
+//! (`gomq_engine::net`). Plans are cached across lines and
 //! connections, so a stream of requests posing the same OMQ compiles it
 //! once. With `--data-dir` the session ABox (`"op": "assert"` /
 //! `"mark"` / `"rollback"`) is journaled to a write-ahead log and
@@ -76,12 +77,11 @@ TCP mode (the flags below require --listen):
                        SIGTERM/SIGINT drain gracefully: in-flight
                        requests finish, the WAL is fsynced, and a final
                        snapshot is cut before exit
-  --workers N          request-executing worker threads (default: all
-                       cores)
-  --queue-depth N      backpressure bound: requests queued beyond N are
-                       refused with {\"status\": \"overloaded\",
-                       \"limit\": \"queue\"} (default: 16 x workers,
-                       at least 64)
+  --workers N          requests evaluated at once (default: all cores)
+  --queue-depth N      backpressure bound: requests waiting for a slot
+                       beyond N are refused with {\"status\":
+                       \"overloaded\", \"limit\": \"queue\"} (default:
+                       16 x cores, at least 64)
   --max-conns N        refuse connections beyond N open at once
                        (default 1024)
   --max-conns-per-ip N refuse connections beyond N open per peer IP
@@ -383,7 +383,8 @@ struct ReplOptions {
     promote_on_disconnect: bool,
 }
 
-/// TCP mode: accept loop + worker pool until SIGTERM/SIGINT, then a
+/// TCP mode: accept loop + per-connection threads behind the admission
+/// gate until SIGTERM/SIGINT, then a
 /// graceful drain (finish in-flight, fsync WAL, final snapshot).
 fn serve_tcp(addr: &str, shared: Arc<ServeShared>, net: NetConfig, repl: ReplOptions) {
     let drain = match DrainToken::with_signals() {

@@ -1,7 +1,7 @@
 //! Graceful-shutdown signaling for the serving front ends.
 //!
 //! A [`DrainToken`] is a cheap, cloneable flag shared by the accept
-//! loop, every connection thread, and the worker pool. Once it trips —
+//! loop, its waker and every connection thread. Once it trips —
 //! programmatically via [`DrainToken::trigger`], or by SIGTERM/SIGINT
 //! when the token was built with [`DrainToken::with_signals`] — the
 //! server stops accepting connections and reading new requests, finishes
@@ -12,8 +12,11 @@
 //!
 //! Signal handling is deliberately primitive: the handler only stores to
 //! a process-wide atomic (the only async-signal-safe thing it could do),
-//! and the serving loops *poll* that atomic on their existing read/accept
-//! timeout ticks, so no self-pipe or signal-dedicated thread is needed.
+//! and everything else *polls* that atomic. Connection threads check it
+//! on their read-timeout ticks; the TCP accept loop blocks in `accept`,
+//! so one waker thread per listener ([`crate::net`]) checks it on a
+//! short tick and, once it trips, connects to the listener to wake the
+//! loop. No self-pipe is needed.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;

@@ -43,8 +43,9 @@
 //!   down or wedge its siblings.
 //! * [`net`] + [`drain`] — the TCP front end (`gomq-serve --listen`):
 //!   a multi-connection accept loop speaking the same JSONL protocol,
-//!   a bounded worker pool with a backpressure queue (full ⇒ typed
-//!   `"overloaded"` refusals), connection caps, idle timeouts, and
+//!   each request evaluated on its connection's thread behind a bounded
+//!   admission gate (wait line full ⇒ typed `"overloaded"` refusals),
+//!   connection caps, idle timeouts, and
 //!   graceful drain on SIGTERM ([`DrainToken`]): in-flight requests
 //!   finish, the WAL is fsynced and a final snapshot cut.
 //! * [`repl`] — primary/replica replication (`gomq-serve
@@ -89,8 +90,8 @@ pub use net::{NetConfig, NetReport, NetServer};
 pub use plan::{EngineError, OmqPlan};
 pub use repl::{FollowConfig, ReplContext, ReplHub, ReplServer, Role};
 pub use serve::{
-    handle_connection, read_line_capped, resolve_view_flags, CappedLineReader, ConnClose,
-    ConnControl, ConnOutcome, Limits, LineRead, ServeConfig, ServeSession, ServeShared,
+    handle_connection, resolve_view_flags, CappedLineReader, ConnClose, ConnControl, ConnOutcome,
+    Limits, LineRead, ServeConfig, ServeSession, ServeShared,
 };
 pub use session::{
     DurableSession, MutationInfo, PersistOptions, RecoveryInfo, SessionError, ViewMaintenance,

@@ -4,37 +4,38 @@
 //! ## Architecture
 //!
 //! ```text
-//!             accept loop (nonblocking, polls the DrainToken)
-//!                  │  admission: global + per-IP connection caps
-//!                  ▼
-//!   one I/O thread per connection ──────────────┐
-//!     capped JSONL framing (CappedLineReader,   │ handle_connection
-//!     read-timeout ticks → drain/idle checks)   │ (crate::serve)
-//!                  │ submit line                ▼
-//!        bounded worker pool (backpressure queue; full ⇒ typed
-//!        {"status": "overloaded", "limit": "queue"} refusal)
-//!                  │
-//!        N workers, each a ServeSession over one shared
-//!        Arc<ServeShared> (plan cache, vocab, durable session)
+//!   accept loop (blocking accept) ◄── waker thread: polls the DrainToken,
+//!          │                          self-connects once when it trips
+//!          │  admission: global + per-IP connection caps
+//!          ▼
+//!   one thread per connection, each a ServeSession over one shared
+//!   Arc<ServeShared> (plan cache, vocab, durable session)
+//!     capped JSONL framing (CappedLineReader,   handle_connection
+//!     read-timeout ticks → drain/idle checks)   (crate::serve)
+//!          │ each request passes
+//!          ▼
+//!   admission gate: at most `workers` evaluate at once, at most
+//!   `queue_depth` wait (FIFO); beyond that ⇒ typed
+//!   {"status": "overloaded", "limit": "queue"} refusal
 //! ```
 //!
-//! A connection's requests are answered strictly in order: the I/O
-//! thread submits one line at a time and blocks for its response, so
-//! JSONL pipelining works exactly as it does over stdin. Concurrency
-//! comes from connections, capped by the worker pool — when every
-//! worker is busy and the queue is full, requests are refused
+//! A connection's requests are answered strictly in order: its thread
+//! reads one line, evaluates it and writes the response before reading
+//! the next, so JSONL pipelining works exactly as it does over stdin.
+//! Concurrency comes from connections, capped by the gate — when every
+//! slot is busy and the wait line is full, requests are refused
 //! *immediately* with the same `"overloaded"` shape a blown budget
 //! produces, instead of queueing without bound. The read-only
-//! `{"op": "stats"}` is the one request the I/O thread answers itself,
-//! so an operator can read the totals of a server whose queue is full.
+//! `{"op": "stats"}` skips the gate, so an operator can read the totals
+//! of a server whose wait line is full.
 //!
 //! ## Graceful drain
 //!
 //! When the [`DrainToken`] trips (SIGTERM/SIGINT or programmatic), the
-//! listener stops accepting, every connection finishes the request it
-//! is serving (queued requests included — the pool drains its queue
-//! before workers exit) and closes, and the durable session is flushed:
-//! WAL fsync, then a final snapshot
+//! waker connects once to the listener so the blocked `accept` returns,
+//! the listener stops accepting, every connection finishes the request
+//! it is serving (requests waiting at the gate included) and closes,
+//! and the durable session is flushed: WAL fsync, then a final snapshot
 //! ([`ServeShared::drain_persist`]), so a deploy-time restart recovers
 //! from the snapshot alone. Connections that ignore the drain longer
 //! than [`NetConfig::drain_timeout`] are abandoned (the process is
@@ -44,9 +45,10 @@ use crate::drain::DrainToken;
 use crate::json::{self, Json};
 use crate::serve::{handle_connection, ConnControl, ServeSession, ServeShared};
 use crate::stats::Counter;
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::io::{BufReader, BufWriter, Write};
-use std::net::{IpAddr, SocketAddr, TcpListener, TcpStream};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
+use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
@@ -54,11 +56,10 @@ use std::time::{Duration, Instant};
 /// configured by [`crate::ServeConfig`]).
 #[derive(Clone, Debug)]
 pub struct NetConfig {
-    /// Worker threads executing requests (each owns a [`ServeSession`]
-    /// over the shared state).
+    /// Requests evaluated at once (each on its connection's thread).
     pub workers: usize,
-    /// Backpressure bound: requests queued (not yet picked up by a
-    /// worker) beyond this are refused with `"limit": "queue"`.
+    /// Backpressure bound: requests waiting for an evaluation slot
+    /// beyond this are refused with `"limit": "queue"`.
     pub queue_depth: usize,
     /// Global cap on simultaneously open connections.
     pub max_conns: usize,
@@ -90,16 +91,13 @@ impl Default for NetConfig {
     }
 }
 
-/// What a completed [`NetServer::serve`] run did.
+/// What a [`NetServer::serve`] run that drained did.
 #[derive(Clone, Debug)]
 pub struct NetReport {
     /// Connections accepted over the server's lifetime.
     pub conns_accepted: u64,
     /// Connections refused at accept time (connection caps).
     pub conns_refused: u64,
-    /// Whether the run ended in a graceful drain (currently the only
-    /// exit; kept explicit for future listener-error exits).
-    pub drained: bool,
     /// Whether some connections outlived [`NetConfig::drain_timeout`]
     /// and were abandoned.
     pub drain_timed_out: bool,
@@ -139,73 +137,102 @@ impl NetServer {
         drain: DrainToken,
     ) -> std::io::Result<NetReport> {
         let config = Arc::new(sanitize(config));
-        self.listener.set_nonblocking(true)?;
-        let pool = Pool::start(shared.clone(), &config);
+        let gate = Arc::new(Gate::new(shared.clone(), &config));
         let conns = Arc::new(ConnTable::default());
         let mut accepted = 0u64;
         let mut refused = 0u64;
-        let mut accept_errors = 0u32;
 
-        while !drain.is_draining() {
-            match self.listener.accept() {
-                Ok((stream, peer)) => {
-                    accept_errors = 0;
-                    if conns.try_admit(peer.ip(), &config) {
-                        accepted += 1;
-                        shared.engine().add(Counter::ConnsAccepted, 1);
-                        shared.engine().add(Counter::ConnsActive, 1);
-                        spawn_connection(
-                            stream,
-                            peer,
-                            shared.clone(),
-                            pool.clone(),
-                            conns.clone(),
-                            config.clone(),
-                            drain.clone(),
-                        );
-                    } else {
-                        refused += 1;
-                        shared.engine().add(Counter::ConnsRefused, 1);
-                        refuse_connection(stream, config.max_conns);
-                    }
+        // The waker lives exactly as long as the accept loop: the scope
+        // joins it on every way out, and dropping `_stop` ends its wait.
+        std::thread::scope(|scope| {
+            let (_stop, stopped) = mpsc::channel::<()>();
+            let tick = config.poll_interval.min(Duration::from_millis(50));
+            let (addr, drain_ref) = (self.addr, &drain);
+            scope.spawn(move || wake_on_drain(addr, drain_ref, &stopped, tick));
+            let mut accept_errors = 0u32;
+            while !drain.is_draining() {
+                let result = self.listener.accept();
+                if drain.is_draining() {
+                    // The waker's self-connect (or a client that raced
+                    // the drain): dropped unadmitted and uncounted.
+                    break;
                 }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(config.poll_interval.min(Duration::from_millis(50)));
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                Err(e) => {
-                    // Transient accept failures (EMFILE under a conn
-                    // flood) must not kill the server; a persistent
-                    // failure streak must not spin it either.
-                    accept_errors += 1;
-                    if accept_errors >= 100 {
-                        return Err(e);
+                match result {
+                    Ok((stream, peer)) => {
+                        accept_errors = 0;
+                        if conns.try_admit(peer.ip(), &config) {
+                            accepted += 1;
+                            shared.engine().add(Counter::ConnsAccepted, 1);
+                            shared.engine().add(Counter::ConnsActive, 1);
+                            spawn_connection(
+                                stream,
+                                peer,
+                                shared.clone(),
+                                gate.clone(),
+                                conns.clone(),
+                                config.clone(),
+                                drain.clone(),
+                            );
+                        } else {
+                            refused += 1;
+                            shared.engine().add(Counter::ConnsRefused, 1);
+                            refuse_connection(stream, config.max_conns);
+                        }
                     }
-                    std::thread::sleep(config.poll_interval);
+                    Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                    Err(e) => {
+                        // Transient accept failures (EMFILE under a conn
+                        // flood) must not kill the server; a persistent
+                        // failure streak must not spin it either.
+                        accept_errors += 1;
+                        if accept_errors >= 100 {
+                            return Err(e);
+                        }
+                        std::thread::sleep(config.poll_interval);
+                    }
                 }
             }
-        }
+            Ok(())
+        })?;
         drop(self.listener); // stop the kernel accepting more
 
         // Connections notice the drain within one poll tick and close
-        // once their in-flight request (if any) is answered.
+        // once their in-flight request (if any) is answered. Requests
+        // of stragglers abandoned past the timeout are refused from
+        // here on rather than evaluated.
         let drain_timed_out = !conns.wait_empty(config.drain_timeout);
-        // Closing the pool lets workers exit after the queue is empty;
-        // queued jobs of abandoned stragglers still complete first, so
-        // joining is safe unless we timed out (a stuck evaluation could
-        // block forever — the process is exiting anyway).
-        pool.close();
-        if !drain_timed_out {
-            pool.join();
-        }
+        gate.close();
         let final_snapshot = shared.drain_persist().unwrap_or(false);
         Ok(NetReport {
             conns_accepted: accepted,
             conns_refused: refused,
-            drained: true,
             drain_timed_out,
             final_snapshot,
         })
+    }
+}
+
+/// The waker: checks `drain` every `tick` and, once it trips, connects
+/// to the listener at `addr` so the blocked `accept` returns. Ends when
+/// the accept loop drops the sender behind `stopped`.
+fn wake_on_drain(
+    mut addr: SocketAddr,
+    drain: &DrainToken,
+    stopped: &mpsc::Receiver<()>,
+    tick: Duration,
+) {
+    if addr.ip().is_unspecified() {
+        addr.set_ip(match addr {
+            SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+            SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+        });
+    }
+    while let Err(RecvTimeoutError::Timeout) = stopped.recv_timeout(tick) {
+        // A failed connect retries on the next tick.
+        if drain.is_draining() && TcpStream::connect_timeout(&addr, Duration::from_secs(1)).is_ok()
+        {
+            return;
+        }
     }
 }
 
@@ -312,176 +339,104 @@ impl ConnTable {
     }
 }
 
-// ---- the bounded worker pool ----
+// ---- the admission gate ----
 
-/// One request handed to the pool; the submitting connection thread
-/// blocks on `reply`.
-struct Job {
-    line: String,
-    reply: Arc<Reply>,
-}
-
-/// A one-shot response slot.
 #[derive(Default)]
-struct Reply {
-    slot: Mutex<Option<String>>,
-    ready: Condvar,
+struct GateState {
+    /// Requests evaluating now (at most `workers`).
+    running: usize,
+    /// The ticket the next arrival takes.
+    next_ticket: u64,
+    /// Tickets below this have been let through; those from here to
+    /// `next_ticket` are waiting.
+    serving: u64,
+    /// Set once the drain has finished waiting for connections.
+    closed: bool,
 }
 
-impl Reply {
-    fn put(&self, response: String) {
-        *self.slot.lock().unwrap_or_else(|e| e.into_inner()) = Some(response);
-        self.ready.notify_all();
-    }
-
-    fn wait(&self) -> String {
-        let mut slot = self.slot.lock().unwrap_or_else(|e| e.into_inner());
-        loop {
-            if let Some(response) = slot.take() {
-                return response;
-            }
-            slot = self.ready.wait(slot).unwrap_or_else(|e| e.into_inner());
-        }
-    }
-}
-
-struct PoolInner {
-    jobs: VecDeque<Job>,
-    closing: bool,
-}
-
-/// The bounded worker pool: a queue with a hard depth cap, drained by
-/// `workers` threads each owning a [`ServeSession`].
-struct Pool {
-    inner: Mutex<PoolInner>,
-    work: Condvar,
-    depth: usize,
+/// Bounds evaluation: at most `workers` requests run at once, at most
+/// `queue_depth` wait for a slot, and waiters go through in arrival
+/// order (tickets, not condvar wake order).
+struct Gate {
+    state: Mutex<GateState>,
+    turn: Condvar,
+    workers: usize,
+    queue_depth: usize,
     shared: Arc<ServeShared>,
 }
 
-enum Submit {
-    /// The job was queued; wait on the reply.
-    Queued(Arc<Reply>),
-    /// The queue is at capacity — refuse with `"limit": "queue"`.
+/// What the gate did with a request.
+#[derive(Debug, PartialEq)]
+enum Admit {
+    /// The request was admitted and evaluated to this response.
+    Done(String),
+    /// `queue_depth` requests were already waiting — refuse with
+    /// `"limit": "queue"`.
     Full,
-    /// The pool is shutting down (only reachable from a connection
-    /// abandoned past the drain timeout).
+    /// The gate is closed (only reachable from a connection abandoned
+    /// past the drain timeout).
     Closing,
 }
 
-impl Pool {
-    fn start(shared: Arc<ServeShared>, config: &NetConfig) -> Arc<PoolHandle> {
-        let pool = Arc::new(Pool {
-            inner: Mutex::new(PoolInner {
-                jobs: VecDeque::new(),
-                closing: false,
-            }),
-            work: Condvar::new(),
-            depth: config.queue_depth,
+impl Gate {
+    fn new(shared: Arc<ServeShared>, config: &NetConfig) -> Gate {
+        Gate {
+            state: Mutex::default(),
+            turn: Condvar::new(),
+            workers: config.workers,
+            queue_depth: config.queue_depth,
             shared,
-        });
-        let workers = (0..config.workers)
-            .map(|i| {
-                let pool = pool.clone();
-                std::thread::Builder::new()
-                    .name(format!("gomq-worker-{i}"))
-                    .spawn(move || pool.worker_loop())
-                    .expect("spawn worker thread")
-            })
-            .collect();
-        Arc::new(PoolHandle {
-            pool,
-            workers: Mutex::new(workers),
-        })
+        }
     }
 
-    fn submit(&self, line: String) -> Submit {
-        let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        if inner.closing {
-            return Submit::Closing;
+    /// Runs `f` once a slot is free and every earlier arrival has had
+    /// its turn.
+    fn run(&self, f: impl FnOnce() -> String) -> Admit {
+        let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
+        if state.closed {
+            return Admit::Closing;
         }
-        if inner.jobs.len() >= self.depth {
-            drop(inner);
+        if state.next_ticket - state.serving >= self.queue_depth as u64 {
+            drop(state);
             self.shared.engine().add(Counter::QueueRejects, 1);
-            return Submit::Full;
+            return Admit::Full;
         }
-        let reply = Arc::new(Reply::default());
-        // The gauge rises before any worker can see the job (the lock
-        // is held), so the job's completion can never lower it first.
+        // The gauge counts admitted requests, running or waiting.
         self.shared.engine().add(Counter::QueueDepth, 1);
-        inner.jobs.push_back(Job {
-            line,
-            reply: reply.clone(),
-        });
-        drop(inner);
-        self.work.notify_one();
-        Submit::Queued(reply)
-    }
-
-    fn worker_loop(&self) {
-        let mut session = ServeSession::with_shared(self.shared.clone());
-        loop {
-            let job = {
-                let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-                loop {
-                    if let Some(job) = inner.jobs.pop_front() {
-                        break job;
-                    }
-                    if inner.closing {
-                        return;
-                    }
-                    inner = self.work.wait(inner).unwrap_or_else(|e| e.into_inner());
-                }
-            };
-            // handle_line never panics (its catch_unwind fence turns
-            // panics into structured errors), so the reply always lands
-            // and the submitter can never deadlock.
-            let response = session.handle_line(&job.line);
-            // Completed: the gauge drops before the reply is released,
-            // so a peer that has every response sees an idle pool.
-            self.shared.engine().sub(Counter::QueueDepth, 1);
-            job.reply.put(response);
+        let ticket = state.next_ticket;
+        state.next_ticket += 1;
+        while ticket != state.serving || state.running >= self.workers {
+            state = self.turn.wait(state).unwrap_or_else(|e| e.into_inner());
         }
+        state.serving += 1;
+        state.running += 1;
+        drop(state);
+        // The next ticket may fit in a slot that is still free.
+        self.turn.notify_all();
+        // handle_line never panics (its catch_unwind fence turns
+        // panics into structured errors), so the slot is always freed.
+        let response = f();
+        self.state.lock().unwrap_or_else(|e| e.into_inner()).running -= 1;
+        self.turn.notify_all();
+        // Completed: the gauge drops before the response is written,
+        // so a peer that has every response sees an idle gate.
+        self.shared.engine().sub(Counter::QueueDepth, 1);
+        Admit::Done(response)
     }
-}
 
-/// The pool plus its worker join handles.
-struct PoolHandle {
-    pool: Arc<Pool>,
-    workers: Mutex<Vec<std::thread::JoinHandle<()>>>,
-}
-
-impl PoolHandle {
-    fn submit(&self, line: String) -> Submit {
-        self.pool.submit(line)
-    }
-
-    /// Lets workers exit once the queue is empty (queued jobs still
-    /// complete first).
+    /// Refuses arrivals from now on; requests already admitted run.
     fn close(&self) {
-        self.pool
-            .inner
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .closing = true;
-        self.pool.work.notify_all();
-    }
-
-    fn join(&self) {
-        let handles = std::mem::take(&mut *self.workers.lock().unwrap_or_else(|e| e.into_inner()));
-        for h in handles {
-            let _ = h.join();
-        }
+        self.state.lock().unwrap_or_else(|e| e.into_inner()).closed = true;
     }
 }
 
-// ---- per-connection I/O threads ----
+// ---- per-connection threads ----
 
 fn spawn_connection(
     stream: TcpStream,
     peer: SocketAddr,
     shared: Arc<ServeShared>,
-    pool: Arc<PoolHandle>,
+    gate: Arc<Gate>,
     conns: Arc<ConnTable>,
     config: Arc<NetConfig>,
     drain: DrainToken,
@@ -491,7 +446,7 @@ fn spawn_connection(
     let spawned = std::thread::Builder::new()
         .name("gomq-conn".to_owned())
         .spawn(move || {
-            run_connection(&stream, shared.clone(), &pool, &config, drain);
+            run_connection(&stream, shared.clone(), &gate, &config, drain);
             shared.engine().sub(Counter::ConnsActive, 1);
             conns.release(peer.ip());
         });
@@ -506,7 +461,7 @@ fn spawn_connection(
 fn run_connection(
     stream: &TcpStream,
     shared: Arc<ServeShared>,
-    pool: &PoolHandle,
+    gate: &Gate,
     config: &NetConfig,
     drain: DrainToken,
 ) {
@@ -522,22 +477,22 @@ fn run_connection(
         idle_timeout: config.idle_timeout,
     };
     let max_line = shared.max_line_bytes();
-    // The stats op never queues: it answers even when every worker is
-    // busy, and `queue_depth` counts evaluation work only.
-    let mut inline = ServeSession::with_shared(shared);
+    let mut session = ServeSession::with_shared(shared);
     handle_connection(
         BufReader::new(read_half),
         BufWriter::new(stream),
         max_line,
         &control,
         |line| {
+            // The stats op skips the gate: it answers even when every
+            // slot is busy, and `queue_depth` counts evaluation only.
             if is_stats_op(line) {
-                return inline.handle_line(line);
+                return session.handle_line(line);
             }
-            match pool.submit(line.to_owned()) {
-                Submit::Queued(reply) => reply.wait(),
-                Submit::Full => refuse_queue_full(line),
-                Submit::Closing => refuse_draining(line),
+            match gate.run(|| session.handle_line(line)) {
+                Admit::Done(response) => response,
+                Admit::Full => refuse_queue_full(line),
+                Admit::Closing => refuse_draining(line),
             }
         },
     );
@@ -577,7 +532,7 @@ fn refuse_queue_full(line: &str) -> String {
     )
 }
 
-/// Refusal for a request submitted after the pool began shutting down.
+/// Refusal for a request that arrives after the gate closed.
 fn refuse_draining(line: &str) -> String {
     format!(
         "{{{}\"status\": \"overloaded\", \"error\": \"server is draining\", \"limit\": \"queue\"}}",
@@ -636,13 +591,160 @@ mod tests {
         assert!(table.try_admit(ip, &config));
     }
 
+    fn shared() -> Arc<ServeShared> {
+        Arc::new(ServeShared::with_config(ServeConfig {
+            threads: 1,
+            ..ServeConfig::default()
+        }))
+    }
+
+    fn gate(workers: usize, queue_depth: usize) -> Arc<Gate> {
+        let config = NetConfig {
+            workers,
+            queue_depth,
+            ..NetConfig::default()
+        };
+        Arc::new(Gate::new(shared(), &config))
+    }
+
+    fn counter(gate: &Gate, c: Counter) -> u64 {
+        gate.shared.engine().stats()[c]
+    }
+
+    type Log = Arc<Mutex<Vec<&'static str>>>;
+
+    /// A request on its own thread whose evaluation logs `name` when it
+    /// starts, then holds its slot until the returned sender fires.
+    fn spawn_request(
+        gate: &Arc<Gate>,
+        name: &'static str,
+        log: &Log,
+    ) -> (mpsc::Sender<()>, std::thread::JoinHandle<Admit>) {
+        let (release, released) = mpsc::channel::<()>();
+        let (gate, log) = (gate.clone(), log.clone());
+        let handle = std::thread::spawn(move || {
+            gate.run(|| {
+                log.lock().unwrap().push(name);
+                released.recv().expect("release");
+                name.to_owned()
+            })
+        });
+        (release, handle)
+    }
+
+    /// Spins until `n` requests have passed the gate's admission check.
+    fn wait_admitted(gate: &Gate, n: u64) {
+        while gate.state.lock().unwrap().next_ticket < n {
+            std::thread::yield_now();
+        }
+    }
+
+    #[test]
+    fn gate_refuses_past_queue_depth_and_balances_the_gauge() {
+        let gate = gate(1, 1);
+        let log = Log::default();
+        let (release1, first) = spawn_request(&gate, "first", &log);
+        wait_admitted(&gate, 1);
+        let (release2, second) = spawn_request(&gate, "second", &log);
+        wait_admitted(&gate, 2);
+        // One runs, one waits: the third finds the wait line full. It
+        // runs on its own thread so that a gate wrongly admitting it
+        // fails the assertions below instead of blocking the test.
+        let third = std::thread::spawn({
+            let gate = gate.clone();
+            move || gate.run(|| "third".to_owned())
+        });
+        while counter(&gate, Counter::QueueRejects) == 0
+            && gate.state.lock().unwrap().next_ticket < 3
+        {
+            std::thread::yield_now();
+        }
+        assert_eq!(counter(&gate, Counter::QueueRejects), 1);
+        assert_eq!(counter(&gate, Counter::QueueDepth), 2);
+        assert_eq!(*log.lock().unwrap(), ["first"]);
+        release1.send(()).unwrap();
+        release2.send(()).unwrap();
+        assert_eq!(third.join().unwrap(), Admit::Full);
+        assert_eq!(first.join().unwrap(), Admit::Done("first".into()));
+        assert_eq!(second.join().unwrap(), Admit::Done("second".into()));
+        assert_eq!(counter(&gate, Counter::QueueDepth), 0);
+        assert_eq!(counter(&gate, Counter::QueueRejects), 1);
+    }
+
+    #[test]
+    fn gate_admits_waiters_in_arrival_order() {
+        const NAMES: [&str; 6] = ["r0", "r1", "r2", "r3", "r4", "r5"];
+        // With five waiters, a gate that ignored tickets would get the
+        // order right by luck only rarely.
+        for depth in [2, 5] {
+            let gate = gate(1, depth);
+            let log = Log::default();
+            let requests: Vec<_> = NAMES[..=depth]
+                .iter()
+                .enumerate()
+                .map(|(i, name)| {
+                    let request = spawn_request(&gate, name, &log);
+                    wait_admitted(&gate, i as u64 + 1);
+                    request
+                })
+                .collect();
+            // Every waiter may run as soon as it is let through (later
+            // ones are released first); only the gate decides the order.
+            for (release, _) in requests.iter().rev() {
+                release.send(()).unwrap();
+            }
+            for ((_, handle), name) in requests.into_iter().zip(NAMES) {
+                assert_eq!(handle.join().unwrap(), Admit::Done(name.into()));
+            }
+            assert_eq!(*log.lock().unwrap(), NAMES[..=depth]);
+            assert_eq!(counter(&gate, Counter::QueueDepth), 0);
+        }
+    }
+
+    #[test]
+    fn closed_gate_refuses_arrivals_but_runs_admitted_waiters() {
+        let gate = gate(1, 1);
+        let log = Log::default();
+        let (release1, first) = spawn_request(&gate, "first", &log);
+        wait_admitted(&gate, 1);
+        let (release2, second) = spawn_request(&gate, "second", &log);
+        wait_admitted(&gate, 2);
+        gate.close();
+        assert_eq!(gate.run(|| unreachable!("refused")), Admit::Closing);
+        release1.send(()).unwrap();
+        release2.send(()).unwrap();
+        assert_eq!(first.join().unwrap(), Admit::Done("first".into()));
+        assert_eq!(second.join().unwrap(), Admit::Done("second".into()));
+        assert_eq!(counter(&gate, Counter::QueueRejects), 0);
+        assert_eq!(counter(&gate, Counter::QueueDepth), 0);
+    }
+
+    #[test]
+    fn gate_refusal_lines_are_exact() {
+        let with_id = r#"{"id": "q7", "ontology": "A sub B", "query": "B", "abox": "A(x)"}"#;
+        let without_id = r#"{"ontology": "A sub B", "query": "B", "abox": "A(x)"}"#;
+        assert_eq!(
+            refuse_queue_full(with_id),
+            r#"{"id": "q7", "status": "overloaded", "error": "server overloaded: the worker queue is full", "limit": "queue"}"#
+        );
+        assert_eq!(
+            refuse_queue_full(without_id),
+            r#"{"status": "overloaded", "error": "server overloaded: the worker queue is full", "limit": "queue"}"#
+        );
+        assert_eq!(
+            refuse_draining(with_id),
+            r#"{"id": "q7", "status": "overloaded", "error": "server is draining", "limit": "queue"}"#
+        );
+        assert_eq!(
+            refuse_draining(without_id),
+            r#"{"status": "overloaded", "error": "server is draining", "limit": "queue"}"#
+        );
+    }
+
     fn start_server(
         config: NetConfig,
     ) -> (SocketAddr, DrainToken, std::thread::JoinHandle<NetReport>) {
-        let shared = Arc::new(ServeShared::with_config(ServeConfig {
-            threads: 1,
-            ..ServeConfig::default()
-        }));
+        let shared = shared();
         let server = NetServer::bind("127.0.0.1:0").expect("bind ephemeral");
         let addr = server.local_addr();
         let drain = DrainToken::new();
@@ -695,7 +797,6 @@ mod tests {
         assert!(crate::json::parse(&r1).is_ok() && crate::json::parse(&r2).is_ok());
         drain.trigger();
         let report = handle.join().expect("server thread");
-        assert!(report.drained);
         assert!(!report.drain_timed_out);
         assert_eq!(report.conns_accepted, 2);
         // Drained connections are closed server-side.

@@ -922,8 +922,7 @@ pub fn force_epoch(shared: &Arc<ServeShared>, epoch: u64) {
 /// the thread's life.
 fn fencer(addr: String, epoch: u64, token: DrainToken) {
     while !token.is_draining() {
-        if let Ok(mut stream) = TcpStream::connect_timeout_compat(&addr, Duration::from_millis(500))
-        {
+        if let Ok(mut stream) = connect_timeout(&addr, Duration::from_millis(500)) {
             let _ = write_msg(&mut stream, &ReplMsg::Fence(epoch));
             // Give the peer a beat to read before we drop the socket.
             std::thread::sleep(Duration::from_millis(50));
@@ -934,19 +933,13 @@ fn fencer(addr: String, epoch: u64, token: DrainToken) {
 
 /// `TcpStream::connect_timeout` needs a resolved `SocketAddr`; this
 /// resolves a host:port string first (taking the first resolution).
-trait ConnectCompat {
-    fn connect_timeout_compat(addr: &str, timeout: Duration) -> io::Result<TcpStream>;
-}
-
-impl ConnectCompat for TcpStream {
-    fn connect_timeout_compat(addr: &str, timeout: Duration) -> io::Result<TcpStream> {
-        use std::net::ToSocketAddrs;
-        let resolved = addr
-            .to_socket_addrs()?
-            .next()
-            .ok_or_else(|| io::Error::new(io::ErrorKind::NotFound, "address did not resolve"))?;
-        TcpStream::connect_timeout(&resolved, timeout)
-    }
+fn connect_timeout(addr: &str, timeout: Duration) -> io::Result<TcpStream> {
+    use std::net::ToSocketAddrs;
+    let resolved = addr
+        .to_socket_addrs()?
+        .next()
+        .ok_or_else(|| io::Error::new(io::ErrorKind::NotFound, "address did not resolve"))?;
+    TcpStream::connect_timeout(&resolved, timeout)
 }
 
 /// Follower configuration (`gomq-serve --follow`).
@@ -1015,7 +1008,7 @@ pub fn bootstrap_follower(dir: &Path, addr: &str) -> io::Result<(u64, u64)> {
 fn connect_with_retry(addr: &str, attempts: u32) -> io::Result<TcpStream> {
     let mut last = None;
     for _ in 0..attempts {
-        match TcpStream::connect_timeout_compat(addr, Duration::from_millis(500)) {
+        match connect_timeout(addr, Duration::from_millis(500)) {
             Ok(s) => {
                 let _ = s.set_nodelay(true);
                 return Ok(s);
@@ -1118,7 +1111,7 @@ enum FollowEnd {
 
 /// One follower connection: returns when it drops.
 fn follow_once(shared: &Arc<ServeShared>, addr: &str, token: &DrainToken) -> FollowEnd {
-    let mut stream = match TcpStream::connect_timeout_compat(addr, Duration::from_millis(500)) {
+    let mut stream = match connect_timeout(addr, Duration::from_millis(500)) {
         Ok(s) => s,
         Err(_) => return FollowEnd::NoProgress,
     };

@@ -89,7 +89,7 @@
 //! request whose deadline is already expired at admission is refused as
 //! `"overloaded"` without entering the executor. Input lines beyond
 //! [`ServeConfig::max_line_bytes`] are refused as `"status":
-//! "malformed"` without being buffered in full ([`read_line_capped`]).
+//! "malformed"` without being buffered in full ([`CappedLineReader`]).
 
 use crate::cache::{lock_recover, panic_message, PlanCache};
 use crate::engine::{Certify, Engine, Input, Options, CERTIFY_BATCH};
@@ -1299,12 +1299,6 @@ impl ServeSession {
         out
     }
 
-    /// The structured refusal for an over-long input line (the caller
-    /// never got a parseable request, so there is no id to echo).
-    pub fn refuse_oversized_line(&self, limit: usize) -> String {
-        refuse_oversized_line(limit)
-    }
-
     fn write_answers(&self, out: &mut String, answers: &BTreeSet<Vec<Term>>) {
         let vocab = lock_recover(&self.shared.vocab);
         out.push('[');
@@ -1342,9 +1336,13 @@ pub enum LineRead {
     Eof,
 }
 
-/// Stateful capped line framing over any [`BufRead`].
+/// Stateful capped line framing over any [`BufRead`]: lines longer
+/// than `max_bytes` are refused, not buffered. Unlike
+/// [`BufRead::read_line`], a hostile gigabyte-long line cannot balloon
+/// resident memory — it is drained chunk by chunk and answered with
+/// [`LineRead::TooLong`].
 ///
-/// Unlike the one-shot [`read_line_capped`], the partial-line buffer
+/// The partial-line buffer
 /// lives *in the struct*, so a read timeout mid-line (a socket with
 /// `SO_RCVTIMEO`, used by the TCP front end to poll its drain flag)
 /// loses nothing: [`CappedLineReader::poll_line`] returns `Ok(None)` and
@@ -1429,23 +1427,6 @@ impl<R: BufRead> CappedLineReader<R> {
     }
 }
 
-/// Reads one `\n`-terminated line from `reader`, refusing (not
-/// buffering) lines longer than `max_bytes`. This is the serve binary's
-/// framing primitive: unlike [`BufRead::read_line`], a hostile
-/// gigabyte-long line cannot balloon resident memory — it is drained
-/// chunk by chunk and answered with [`LineRead::TooLong`].
-///
-/// One-shot wrapper over [`CappedLineReader`] for blocking streams
-/// (stdin, pipes): a would-block pause simply retries.
-pub fn read_line_capped<R: BufRead>(reader: &mut R, max_bytes: usize) -> std::io::Result<LineRead> {
-    let mut framer = CappedLineReader::new(reader, max_bytes);
-    loop {
-        if let Some(event) = framer.poll_line()? {
-            return Ok(event);
-        }
-    }
-}
-
 /// Per-connection knobs for [`handle_connection`]: how the request loop
 /// notices a server-wide drain and when it hangs up on an idle peer.
 #[derive(Clone, Debug, Default)]
@@ -1500,7 +1481,7 @@ pub struct ConnOutcome {
 /// mode passes `stdin.lock()` / `stdout.lock()` and an `exec` that calls
 /// [`ServeSession::handle_line`] inline; the TCP front end
 /// ([`crate::net`]) passes a socket with a short read timeout and an
-/// `exec` that submits to the bounded worker pool. Oversized lines are
+/// `exec` that evaluates behind the bounded admission gate. Oversized lines are
 /// refused in-loop with [`refuse_oversized_line`] without consulting
 /// `exec`.
 pub fn handle_connection<R, W, F>(
@@ -2122,48 +2103,36 @@ mod tests {
     #[test]
     fn capped_reader_frames_and_refuses() {
         use std::io::Cursor;
-        let mut r = Cursor::new(b"short\r\nanother line\n".to_vec());
+        let framer = |bytes: Vec<u8>, cap| CappedLineReader::new(Cursor::new(bytes), cap);
+        let mut r = framer(b"short\r\nanother line\n".to_vec(), 64);
+        assert_eq!(r.poll_line().unwrap(), Some(LineRead::Line("short".into())));
         assert_eq!(
-            read_line_capped(&mut r, 64).unwrap(),
-            LineRead::Line("short".into())
+            r.poll_line().unwrap(),
+            Some(LineRead::Line("another line".into()))
         );
-        assert_eq!(
-            read_line_capped(&mut r, 64).unwrap(),
-            LineRead::Line("another line".into())
-        );
-        assert_eq!(read_line_capped(&mut r, 64).unwrap(), LineRead::Eof);
+        assert_eq!(r.poll_line().unwrap(), Some(LineRead::Eof));
         // An oversized line is refused and the stream resyncs at its
         // newline; the following request is intact.
         let huge = "x".repeat(1 << 16);
-        let mut r = Cursor::new(format!("{huge}\nnext\n").into_bytes());
+        let mut r = framer(format!("{huge}\nnext\n").into_bytes(), 1024);
         assert_eq!(
-            read_line_capped(&mut r, 1024).unwrap(),
-            LineRead::TooLong { limit: 1024 }
+            r.poll_line().unwrap(),
+            Some(LineRead::TooLong { limit: 1024 })
         );
-        assert_eq!(
-            read_line_capped(&mut r, 1024).unwrap(),
-            LineRead::Line("next".into())
-        );
+        assert_eq!(r.poll_line().unwrap(), Some(LineRead::Line("next".into())));
         // Exactly at the cap passes; one byte past it does not.
-        let mut r = Cursor::new(b"abcd\nabcde\n".to_vec());
-        assert_eq!(
-            read_line_capped(&mut r, 4).unwrap(),
-            LineRead::Line("abcd".into())
-        );
-        assert_eq!(
-            read_line_capped(&mut r, 4).unwrap(),
-            LineRead::TooLong { limit: 4 }
-        );
+        let mut r = framer(b"abcd\nabcde\n".to_vec(), 4);
+        assert_eq!(r.poll_line().unwrap(), Some(LineRead::Line("abcd".into())));
+        assert_eq!(r.poll_line().unwrap(), Some(LineRead::TooLong { limit: 4 }));
         // Unterminated oversized tail at EOF is still refused.
-        let mut r = Cursor::new(huge.into_bytes());
+        let mut r = framer(huge.into_bytes(), 1024);
         assert_eq!(
-            read_line_capped(&mut r, 1024).unwrap(),
-            LineRead::TooLong { limit: 1024 }
+            r.poll_line().unwrap(),
+            Some(LineRead::TooLong { limit: 1024 })
         );
-        assert_eq!(read_line_capped(&mut r, 1024).unwrap(), LineRead::Eof);
+        assert_eq!(r.poll_line().unwrap(), Some(LineRead::Eof));
         // The refusal the serve loop emits for such a line is valid JSON.
-        let s = ServeSession::with_threads(1);
-        let refusal = s.refuse_oversized_line(1024);
+        let refusal = refuse_oversized_line(1024);
         assert!(refusal.contains("\"status\": \"malformed\""));
         assert!(crate::json::parse(&refusal).is_ok());
     }

@@ -116,8 +116,8 @@ fn sigterm_mid_load_answers_in_flight_and_recovers_identically() {
 
     // Phase 1: K connections pipeline their asserts without reading a
     // single response, so SIGTERM lands with requests in flight at
-    // every stage: unread in socket buffers, queued in the worker pool,
-    // and executing.
+    // every stage: unread in socket buffers, waiting at the admission
+    // gate, and executing.
     let listener = spawn_listener(&dir);
     let mut conns: Vec<TcpStream> = (0..CONNS)
         .map(|_| TcpStream::connect(&listener.addr).expect("connect"))

@@ -180,6 +180,15 @@ tcp_smoke() {
         cat "$tcp_dir/serve.err" >&2
         exit 1
     fi
+    # Every admitted request and connection was released: the gate's
+    # and the connection table's gauges must both read 0 at exit.
+    for tcp_gauge in '"queue_depth": 0,' '"conns_active": 0,'; do
+        if ! grep '^gomq-serve: stats ' "$tcp_dir/serve.err" | grep -qF "$tcp_gauge"; then
+            echo "gauge not balanced after drain (want $tcp_gauge):" >&2
+            cat "$tcp_dir/serve.err" >&2
+            exit 1
+        fi
+    done
     target/release/gomq-bench --validate "$tcp_dir/BENCH_serve_$tcp_tag.json"
     rm -rf "$tcp_dir"
 }
