@@ -98,10 +98,13 @@ Replication (requires --listen and --data-dir):
                        ephemeral port, printed to stderr as
                        \"replication listening on <addr>\"). Drain
                        waits for replicas to acknowledge before exit
-  --follow ADDR        follower: bootstrap from the primary's
-                       replication listener at ADDR (snapshot if
-                       behind, then tail the log), serve reads locally,
-                       and refuse writes with \"status\": \"read-only\".
+  --follow ADDR        follower: recover the data dir, then catch up from
+                       the primary's replication listener at ADDR
+                       (snapshot if behind its retained log, then tail
+                       the log); the client listener opens once the
+                       primary answers (exit 1 after 30s without an
+                       answer). Serves reads locally and refuses writes
+                       with \"status\": \"read-only\".
                        {\"op\": \"promote\"} promotes this node: it
                        stamps the next epoch into its WAL and fences
                        the old primary
@@ -322,22 +325,6 @@ fn main() {
             eprintln!("gomq-serve: --chaos-seed ignored (built without the chaos feature)");
         }
     }
-    // Follower bootstrap runs before the session opens: if the local
-    // log is behind the primary's retained window, the shipped snapshot
-    // replaces the data directory's contents and recovery below starts
-    // from it ("copy immutable objects, then flip HEAD").
-    if let Some(addr) = &follow {
-        let dir = config.data_dir.clone().expect("validated above");
-        match gomq_engine::repl::bootstrap_follower(&dir, addr) {
-            Ok((lsn, epoch)) => {
-                eprintln!("gomq-serve: follower bootstrapped at lsn {lsn} (epoch {epoch})")
-            }
-            Err(e) => {
-                eprintln!("gomq-serve: cannot bootstrap from {addr}: {e}");
-                std::process::exit(1);
-            }
-        }
-    }
     let (shared, recovery) = match ServeShared::try_with_config(config) {
         Ok(ok) => ok,
         Err(e) => {
@@ -394,6 +381,19 @@ fn serve_tcp(addr: &str, shared: Arc<ServeShared>, net: NetConfig, repl: ReplOpt
             std::process::exit(1);
         }
     };
+    // A follower binds its client listener only once the primary has
+    // answered: it serves nothing before its first contact.
+    if let Some(primary) = &repl.follow {
+        let follow = gomq_engine::repl::FollowConfig {
+            addr: primary.clone(),
+            promote_on_disconnect: repl.promote_on_disconnect,
+        };
+        if let Err(e) = gomq_engine::repl::start_follower(&shared, follow, drain.clone()) {
+            eprintln!("gomq-serve: cannot bootstrap from {primary}: {e}");
+            std::process::exit(1);
+        }
+        eprintln!("gomq-serve: following {primary}");
+    }
     let server = match NetServer::bind(addr) {
         Ok(server) => server,
         Err(e) => {
@@ -410,17 +410,6 @@ fn serve_tcp(addr: &str, shared: Arc<ServeShared>, net: NetConfig, repl: ReplOpt
                 std::process::exit(1);
             }
         }
-    }
-    if let Some(primary) = &repl.follow {
-        gomq_engine::repl::start_follower(
-            &shared,
-            gomq_engine::repl::FollowConfig {
-                addr: primary.clone(),
-                promote_on_disconnect: repl.promote_on_disconnect,
-            },
-            drain.clone(),
-        );
-        eprintln!("gomq-serve: following {primary}");
     }
     match server.serve(shared, net, drain) {
         Ok(report) => {

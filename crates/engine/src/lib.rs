@@ -50,9 +50,10 @@
 //!   finish, the WAL is fsynced and a final snapshot cut.
 //! * [`repl`] — primary/replica replication (`gomq-serve
 //!   --replicate-to` / `--follow`): the primary ships checksummed WAL
-//!   frames (snapshot bootstrap for replicas behind the retained log),
-//!   replicas serve session reads with a per-request `"staleness"` lsn
-//!   lag bounded by `--max-staleness-lsn`, and failover promotes a
+//!   frames, and a snapshot first to any replica behind its retained
+//!   log (a fresh follower's first connection included); replicas
+//!   serve session reads with a per-request `"staleness"` lsn lag
+//!   bounded by `--max-staleness-lsn`, and failover promotes a
 //!   replica via a `promote` op or `--promote-on-disconnect`, stamping
 //!   an epoch into the WAL that fences the old primary.
 //!

@@ -41,14 +41,13 @@
 //! than [`NetConfig::drain_timeout`] are abandoned (the process is
 //! exiting); everything they had acknowledged is already in the WAL.
 
-use crate::drain::DrainToken;
+use crate::drain::{accept_until_drain, DrainToken};
 use crate::json::{self, Json};
 use crate::serve::{handle_connection, ConnControl, ServeSession, ServeShared};
 use crate::stats::Counter;
 use std::collections::HashMap;
 use std::io::{BufReader, BufWriter, Write};
-use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
-use std::sync::mpsc::{self, RecvTimeoutError};
+use std::net::{IpAddr, SocketAddr, TcpListener, TcpStream};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
@@ -142,58 +141,31 @@ impl NetServer {
         let mut accepted = 0u64;
         let mut refused = 0u64;
 
-        // The waker lives exactly as long as the accept loop: the scope
-        // joins it on every way out, and dropping `_stop` ends its wait.
-        std::thread::scope(|scope| {
-            let (_stop, stopped) = mpsc::channel::<()>();
-            let tick = config.poll_interval.min(Duration::from_millis(50));
-            let (addr, drain_ref) = (self.addr, &drain);
-            scope.spawn(move || wake_on_drain(addr, drain_ref, &stopped, tick));
-            let mut accept_errors = 0u32;
-            while !drain.is_draining() {
-                let result = self.listener.accept();
-                if drain.is_draining() {
-                    // The waker's self-connect (or a client that raced
-                    // the drain): dropped unadmitted and uncounted.
-                    break;
+        accept_until_drain(
+            &self.listener,
+            &drain,
+            config.poll_interval,
+            |stream, peer| {
+                if conns.try_admit(peer.ip(), &config) {
+                    accepted += 1;
+                    shared.engine().add(Counter::ConnsAccepted, 1);
+                    shared.engine().add(Counter::ConnsActive, 1);
+                    spawn_connection(
+                        stream,
+                        peer,
+                        shared.clone(),
+                        gate.clone(),
+                        conns.clone(),
+                        config.clone(),
+                        drain.clone(),
+                    );
+                } else {
+                    refused += 1;
+                    shared.engine().add(Counter::ConnsRefused, 1);
+                    refuse_connection(stream, config.max_conns);
                 }
-                match result {
-                    Ok((stream, peer)) => {
-                        accept_errors = 0;
-                        if conns.try_admit(peer.ip(), &config) {
-                            accepted += 1;
-                            shared.engine().add(Counter::ConnsAccepted, 1);
-                            shared.engine().add(Counter::ConnsActive, 1);
-                            spawn_connection(
-                                stream,
-                                peer,
-                                shared.clone(),
-                                gate.clone(),
-                                conns.clone(),
-                                config.clone(),
-                                drain.clone(),
-                            );
-                        } else {
-                            refused += 1;
-                            shared.engine().add(Counter::ConnsRefused, 1);
-                            refuse_connection(stream, config.max_conns);
-                        }
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                    Err(e) => {
-                        // Transient accept failures (EMFILE under a conn
-                        // flood) must not kill the server; a persistent
-                        // failure streak must not spin it either.
-                        accept_errors += 1;
-                        if accept_errors >= 100 {
-                            return Err(e);
-                        }
-                        std::thread::sleep(config.poll_interval);
-                    }
-                }
-            }
-            Ok(())
-        })?;
+            },
+        )?;
         drop(self.listener); // stop the kernel accepting more
 
         // Connections notice the drain within one poll tick and close
@@ -209,30 +181,6 @@ impl NetServer {
             drain_timed_out,
             final_snapshot,
         })
-    }
-}
-
-/// The waker: checks `drain` every `tick` and, once it trips, connects
-/// to the listener at `addr` so the blocked `accept` returns. Ends when
-/// the accept loop drops the sender behind `stopped`.
-fn wake_on_drain(
-    mut addr: SocketAddr,
-    drain: &DrainToken,
-    stopped: &mpsc::Receiver<()>,
-    tick: Duration,
-) {
-    if addr.ip().is_unspecified() {
-        addr.set_ip(match addr {
-            SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
-            SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
-        });
-    }
-    while let Err(RecvTimeoutError::Timeout) = stopped.recv_timeout(tick) {
-        // A failed connect retries on the next tick.
-        if drain.is_draining() && TcpStream::connect_timeout(&addr, Duration::from_secs(1)).is_ok()
-        {
-            return;
-        }
     }
 }
 
@@ -545,6 +493,7 @@ mod tests {
     use super::*;
     use crate::serve::ServeConfig;
     use std::io::{BufRead, Write};
+    use std::sync::mpsc;
 
     #[test]
     fn conn_table_prunes_departed_ips() {

@@ -26,6 +26,18 @@
 //! applied lsns with `ACK`; `HEARTBEAT` carries liveness plus the
 //! primary's head lsn so the replica can report per-request staleness.
 //!
+//! There is no separate bootstrap protocol. A follower opens its data
+//! directory like any node (empty, stale or current) and its first
+//! connection is an ordinary one: a `SNAPSHOT` answer is installed over
+//! the live session ([`DurableSession::install_replicated_snapshot`]),
+//! exactly as on a reconnect after the primary pruned past it.
+//! [`start_follower`] returns once that first answer has been handled,
+//! so `gomq-serve --follow` binds its client listener only after first
+//! contact.
+//!
+//! [`DurableSession::install_replicated_snapshot`]:
+//! crate::session::DurableSession::install_replicated_snapshot
+//!
 //! # Fencing
 //!
 //! Promotion stamps `epoch = max(seen) + 1` into the WAL
@@ -45,7 +57,6 @@
 use std::collections::HashMap;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
@@ -53,9 +64,9 @@ use std::time::{Duration, Instant};
 use gomq_core::faults;
 
 use crate::cache::lock_recover;
-use crate::drain::DrainToken;
+use crate::drain::{accept_until_drain, DrainToken};
 use crate::serve::ServeShared;
-use crate::session::{self, RecordSink, SessionError};
+use crate::session::{RecordSink, SessionError};
 use crate::stats::Counter;
 use crate::wal::{WalRecord, MAX_FRAME_BYTES};
 use gomq_rewriting::fnv1a;
@@ -79,6 +90,9 @@ const HEARTBEAT_EVERY: Duration = Duration::from_millis(100);
 /// `repl.ship`/`repl.apply` faults) reconnects instead of promoting.
 const RECONNECT_ATTEMPTS: u32 = 8;
 const RECONNECT_DELAY: Duration = Duration::from_millis(125);
+
+/// How long [`start_follower`] waits for the primary's first answer.
+const FIRST_CONTACT_DEADLINE: Duration = Duration::from_secs(30);
 
 /// One decoded replication message.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -314,6 +328,10 @@ pub struct ReplContext {
     /// The process drain token, so replication-spawned threads (the
     /// [`fencer`]) terminate on shutdown instead of leaking.
     drain: Mutex<Option<DrainToken>>,
+    /// Whether this follower has heard from its primary since the
+    /// process started (a handled SNAPSHOT, RECORD or HEARTBEAT).
+    contacted: Mutex<bool>,
+    contact: Condvar,
 }
 
 impl Default for ReplContext {
@@ -326,6 +344,8 @@ impl Default for ReplContext {
             hub: Mutex::new(None),
             fence_target: Mutex::new(None),
             drain: Mutex::new(None),
+            contacted: Mutex::new(false),
+            contact: Condvar::new(),
         }
     }
 }
@@ -405,6 +425,27 @@ impl ReplContext {
     /// Registers the process drain token replication threads observe.
     pub fn set_drain_token(&self, token: DrainToken) {
         *lock_recover(&self.drain) = Some(token);
+    }
+
+    /// Whether this follower has heard from its primary yet.
+    fn contacted(&self) -> bool {
+        *lock_recover(&self.contacted)
+    }
+
+    /// Records the follower's contact with its primary.
+    fn note_contact(&self) {
+        *lock_recover(&self.contacted) = true;
+        self.contact.notify_all();
+    }
+
+    /// Waits up to `timeout` for the first contact; `true` once made.
+    fn wait_contact(&self, timeout: Duration) -> bool {
+        let g = lock_recover(&self.contacted);
+        let (g, _) = self
+            .contact
+            .wait_timeout_while(g, timeout, |made| !*made)
+            .unwrap_or_else(|e| e.into_inner());
+        *g
     }
 }
 
@@ -619,11 +660,11 @@ pub struct ReplServer {
 }
 
 impl ReplServer {
-    /// Binds the replication listener (non-blocking accepts).
+    /// Binds the replication listener.
     pub fn bind(addr: &str) -> io::Result<Self> {
-        let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
-        Ok(ReplServer { listener })
+        Ok(ReplServer {
+            listener: TcpListener::bind(addr)?,
+        })
     }
 
     /// The bound listener address (for `:0` ephemeral ports).
@@ -631,28 +672,21 @@ impl ReplServer {
         self.listener.local_addr()
     }
 
-    /// Accept loop: one sender thread + one ack-reader thread per
-    /// replica connection. Blocks until drain. Deliberately does NOT
-    /// close the hub on drain: in-flight requests may still be
-    /// journaling acknowledged writes, and the senders must keep
-    /// shipping until replicas ack them. The hub is closed by
+    /// Accept loop ([`accept_until_drain`]): one sender thread + one
+    /// ack-reader thread per replica connection. Blocks until drain.
+    /// Deliberately does NOT close the hub on drain: in-flight requests
+    /// may still be journaling acknowledged writes, and the senders must
+    /// keep shipping until replicas ack them. The hub is closed by
     /// [`crate::ServeShared::drain_persist`] after its replication
     /// flush.
     pub fn serve(self, shared: Arc<ServeShared>, hub: Arc<ReplHub>, token: DrainToken) {
-        loop {
-            if token.is_draining() {
-                return;
-            }
-            match self.listener.accept() {
-                Ok((stream, _peer)) => {
-                    let shared = Arc::clone(&shared);
-                    let hub = Arc::clone(&hub);
-                    let token = token.clone();
-                    std::thread::spawn(move || serve_replica(stream, shared, hub, token));
-                }
-                Err(e) if is_timeout(&e) => std::thread::sleep(Duration::from_millis(25)),
-                Err(_) => std::thread::sleep(Duration::from_millis(25)),
-            }
+        let poll = Duration::from_millis(100);
+        let served = accept_until_drain(&self.listener, &token, poll, |stream, _peer| {
+            let (shared, hub, token) = (Arc::clone(&shared), Arc::clone(&hub), token.clone());
+            std::thread::spawn(move || serve_replica(stream, shared, hub, token));
+        });
+        if let Err(e) = served {
+            eprintln!("gomq-serve: repl: replication listener failed: {e}");
         }
     }
 }
@@ -897,15 +931,38 @@ pub fn start_primary(
 
 /// Starts follower-side replication: flips the role to
 /// [`Role::Follower`], remembers the primary's address as the fence
-/// target for a later promotion, and spawns the tailing loop
-/// ([`run_follower`]). Call after [`bootstrap_follower`] and session
-/// recovery.
-pub fn start_follower(shared: &Arc<ServeShared>, cfg: FollowConfig, token: DrainToken) {
+/// target for a later promotion, spawns the tailing loop
+/// ([`run_follower`]) over the recovered session, and blocks until the
+/// primary has answered its first HELLO — with a SNAPSHOT when the
+/// session is behind the primary's retained log, else RECORDs or a
+/// HEARTBEAT — so the caller serves nothing before first contact. Fails
+/// when no contact is made within 30 s or the tailing loop stops first;
+/// the loop keeps retrying until `token` drains.
+pub fn start_follower(
+    shared: &Arc<ServeShared>,
+    cfg: FollowConfig,
+    token: DrainToken,
+) -> io::Result<()> {
     shared.repl().set_fence_target(cfg.addr.clone());
     shared.repl().set_role(Role::Follower);
     shared.repl().set_drain_token(token.clone());
-    let shared = Arc::clone(shared);
-    std::thread::spawn(move || run_follower(shared, cfg, token));
+    let follower = {
+        let shared = Arc::clone(shared);
+        std::thread::spawn(move || run_follower(shared, cfg, token))
+    };
+    let deadline = Instant::now() + FIRST_CONTACT_DEADLINE;
+    while !shared.repl().wait_contact(Duration::from_millis(100)) {
+        if follower.is_finished() {
+            return Err(io::Error::other("follower stopped before first contact"));
+        }
+        if Instant::now() >= deadline {
+            return Err(io::Error::new(
+                io::ErrorKind::TimedOut,
+                "primary sent nothing within 30s",
+            ));
+        }
+    }
+    Ok(())
 }
 
 /// Forces the node's observed epoch floor (the `--epoch` operator
@@ -951,110 +1008,11 @@ pub struct FollowConfig {
     pub promote_on_disconnect: bool,
 }
 
-/// Pre-open bootstrap: probe the data directory's durable position,
-/// ask the primary for a snapshot if we are behind its retained log,
-/// and install it (then the normal [`ServeShared`] open recovers from
-/// it). Returns the position the follower will recover to. Failure to
-/// reach the primary is an error — a follower must not silently start
-/// from a stale position without even trying.
-pub fn bootstrap_follower(dir: &Path, addr: &str) -> io::Result<(u64, u64)> {
-    let (local_lsn, local_epoch) = session::local_log_position(dir)
-        .map_err(|e| corrupt(format!("probing {}: {e}", dir.display())))?;
-    let mut stream = connect_with_retry(addr, 40)?;
-    stream.set_read_timeout(Some(Duration::from_millis(200)))?;
-    write_msg(
-        &mut stream,
-        &ReplMsg::Hello {
-            proto: PROTO_VERSION,
-            last_lsn: local_lsn,
-            epoch: local_epoch,
-        },
-    )?;
-    let deadline = Instant::now() + Duration::from_secs(30);
-    loop {
-        match read_msg(&mut stream)? {
-            ReadOutcome::Msg(ReplMsg::Snapshot(bytes)) => {
-                let (snap_lsn, snap_epoch) = session::snapshot_position(&bytes)
-                    .ok_or_else(|| corrupt("primary shipped an unparseable snapshot".to_owned()))?;
-                install_snapshot(dir, &bytes)?;
-                eprintln!(
-                    "gomq-serve: repl: bootstrap installed snapshot (lsn {snap_lsn}, epoch {snap_epoch}, {} bytes)",
-                    bytes.len()
-                );
-                return Ok((snap_lsn, snap_epoch));
-            }
-            // Record or heartbeat first means our local log is within
-            // the primary's retained window — recover locally and tail.
-            ReadOutcome::Msg(ReplMsg::Record(_) | ReplMsg::Heartbeat { .. }) => {
-                return Ok((local_lsn, local_epoch));
-            }
-            ReadOutcome::Msg(ReplMsg::Fence(epoch)) => {
-                return Err(corrupt(format!("primary is fenced at epoch {epoch}")));
-            }
-            ReadOutcome::Msg(_) => return Err(corrupt("unexpected bootstrap message".to_owned())),
-            ReadOutcome::Eof => return Err(corrupt("primary closed during bootstrap".to_owned())),
-            ReadOutcome::Idle => {
-                if Instant::now() >= deadline {
-                    return Err(io::Error::new(
-                        io::ErrorKind::TimedOut,
-                        "primary sent nothing during bootstrap",
-                    ));
-                }
-            }
-        }
-    }
-}
-
-fn connect_with_retry(addr: &str, attempts: u32) -> io::Result<TcpStream> {
-    let mut last = None;
-    for _ in 0..attempts {
-        match connect_timeout(addr, Duration::from_millis(500)) {
-            Ok(s) => {
-                let _ = s.set_nodelay(true);
-                return Ok(s);
-            }
-            Err(e) => {
-                last = Some(e);
-                std::thread::sleep(Duration::from_millis(250));
-            }
-        }
-    }
-    Err(last.unwrap_or_else(|| io::Error::other("no connect attempts made")))
-}
-
-/// Atomically installs a shipped snapshot image and clears any stale
-/// journal, so the next open recovers exactly the snapshot state. The
-/// image and its rename are fsynced *before* the old journal is
-/// removed: a crash at any point leaves either the old (snapshot, wal)
-/// pair or a durable new snapshot — never a torn snapshot with the
-/// journal already gone.
-fn install_snapshot(dir: &Path, bytes: &[u8]) -> io::Result<()> {
-    std::fs::create_dir_all(dir)?;
-    let tmp = dir.join("snapshot.tmp");
-    {
-        let mut f = std::fs::File::create(&tmp)?;
-        f.write_all(bytes)?;
-        f.sync_all()?;
-    }
-    std::fs::rename(&tmp, dir.join(session::SNAPSHOT_FILE))?;
-    // Durable rename needs the directory synced too; best effort on
-    // filesystems that refuse to fsync directories.
-    if let Ok(d) = std::fs::File::open(dir) {
-        let _ = d.sync_data();
-    }
-    for stale in [session::WAL_FILE, "wal.old"] {
-        match std::fs::remove_file(dir.join(stale)) {
-            Ok(()) => {}
-            Err(e) if e.kind() == io::ErrorKind::NotFound => {}
-            Err(e) => return Err(e),
-        }
-    }
-    Ok(())
-}
-
 /// The follower's tailing loop: connect, HELLO from the session's
 /// position, apply the stream, reconnect on drops, and (optionally)
-/// promote once the reconnect window is exhausted. Blocks; run on a
+/// promote once the reconnect window is exhausted — never before the
+/// first contact, so a follower that never reached its primary cannot
+/// stamp an epoch into an empty or stale store. Blocks; run on a
 /// thread. Returns when the node stops being a follower.
 pub fn run_follower(shared: Arc<ServeShared>, cfg: FollowConfig, token: DrainToken) {
     let mut failures = 0u32;
@@ -1072,7 +1030,7 @@ pub fn run_follower(shared: Arc<ServeShared>, cfg: FollowConfig, token: DrainTok
         }
         shared.engine().add(Counter::ReplReconnects, 1);
         if failures >= RECONNECT_ATTEMPTS {
-            if cfg.promote_on_disconnect {
+            if cfg.promote_on_disconnect && shared.repl().contacted() {
                 // Stamping the epoch journals one record; a transient
                 // (or chaos-injected) append failure rolls the log back
                 // cleanly, so retry a few times before giving up.
@@ -1161,6 +1119,7 @@ fn follow_once(shared: &Arc<ServeShared>, addr: &str, token: &DrainToken) -> Fol
                 match apply_record(shared, lsn, &record) {
                     Ok(fresh) => {
                         progressed = true;
+                        shared.repl().note_contact();
                         shared.repl().note_primary_lsn(lsn);
                         let applied_lsn = shared.session_lock().position().0;
                         let engine = shared.engine();
@@ -1198,6 +1157,7 @@ fn follow_once(shared: &Arc<ServeShared>, addr: &str, token: &DrainToken) -> Fol
             }
             Ok(ReadOutcome::Msg(ReplMsg::Heartbeat { next_lsn, epoch })) => {
                 progressed = true;
+                shared.repl().note_contact();
                 shared.repl().note_primary_lsn(next_lsn.saturating_sub(1));
                 if epoch > shared.repl().epoch() {
                     shared.repl().observe_epoch(epoch);
@@ -1210,10 +1170,10 @@ fn follow_once(shared: &Arc<ServeShared>, addr: &str, token: &DrainToken) -> Fol
                 );
             }
             Ok(ReadOutcome::Msg(ReplMsg::Snapshot(bytes))) => {
-                // The primary pruned its retained log past our position
-                // while we were disconnected: re-bootstrap in place by
-                // installing the shipped snapshot over the live session
-                // and tail from its lsn.
+                // Our position is behind the primary's retained log (a
+                // fresh or stale data dir, or the primary pruned past us
+                // while we were disconnected): install the shipped
+                // snapshot over the live session and tail from its lsn.
                 let installed = shared.with_durable_consts(|session, vocab| {
                     session.install_replicated_snapshot(&bytes, vocab)
                 });
@@ -1224,6 +1184,7 @@ fn follow_once(shared: &Arc<ServeShared>, addr: &str, token: &DrainToken) -> Fol
                             bytes.len()
                         );
                         progressed = true;
+                        shared.repl().note_contact();
                         shared.repl().note_primary_lsn(lsn);
                         if write_msg(&mut stream, &ReplMsg::Ack(lsn)).is_err() {
                             break end(progressed);
@@ -1283,7 +1244,62 @@ fn end(progressed: bool) -> FollowEnd {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::serve::ServeConfig;
+    use crate::session;
     use gomq_core::{Term, Vocab};
+
+    /// A durable single-threaded serving state over a scratch data dir.
+    fn durable_shared(dir: &crate::scratch::ScratchDir) -> Arc<ServeShared> {
+        let config = ServeConfig {
+            threads: 1,
+            data_dir: Some(dir.to_path_buf()),
+            ..ServeConfig::default()
+        };
+        Arc::new(ServeShared::try_with_config(config).unwrap().0)
+    }
+
+    /// `--promote-on-disconnect` must not fire for a follower that never
+    /// reached its primary: promoting would stamp an epoch into an
+    /// empty store and take writes no primary ever saw.
+    #[test]
+    fn follower_never_promotes_before_first_contact() {
+        let dir = crate::scratch::ScratchDir::new("repl-no-contact");
+        let shared = durable_shared(&dir);
+        // A port nothing listens on: bound, then released.
+        let addr = {
+            let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+            listener.local_addr().unwrap().to_string()
+        };
+        shared.repl().set_role(Role::Follower);
+        let token = DrainToken::new();
+        let follower = {
+            let (shared, token) = (Arc::clone(&shared), token.clone());
+            let cfg = FollowConfig {
+                addr,
+                promote_on_disconnect: true,
+            };
+            std::thread::spawn(move || run_follower(shared, cfg, token))
+        };
+        // Wait past the reconnect window, where a contacted follower
+        // would have promoted (and stopped counting reconnects).
+        let deadline = Instant::now() + Duration::from_secs(30);
+        while shared.stats()[Counter::ReplReconnects] <= u64::from(RECONNECT_ATTEMPTS)
+            && shared.repl().role() == Role::Follower
+        {
+            assert!(Instant::now() < deadline, "the follower stopped retrying");
+            std::thread::sleep(Duration::from_millis(25));
+        }
+        assert_eq!(shared.repl().role(), Role::Follower);
+        assert!(!shared.repl().contacted());
+        {
+            let session = shared.session_lock();
+            assert_eq!(session.position().0, 0, "nothing was journaled");
+            assert_eq!(session.repl_epoch(), 0, "no epoch was stamped");
+        }
+        assert_eq!(shared.stats()[Counter::ReplPromotions], 0);
+        token.trigger();
+        follower.join().unwrap();
+    }
 
     /// A follower applies replicated asserts while client requests are
     /// in flight. The record's constants belong to the session store,
@@ -1291,14 +1307,9 @@ mod tests {
     /// a later read would render (or panic on) a dangling constant.
     #[test]
     fn replicated_constants_survive_an_in_flight_request() {
-        use crate::serve::{ServeConfig, ServeSession};
+        use crate::serve::ServeSession;
         let dir = crate::scratch::ScratchDir::new("repl-consts");
-        let config = ServeConfig {
-            threads: 1,
-            data_dir: Some(dir.to_path_buf()),
-            ..ServeConfig::default()
-        };
-        let shared = Arc::new(ServeShared::try_with_config(config).unwrap().0);
+        let shared = durable_shared(&dir);
         let record = {
             let mut v = Vocab::new();
             let manager = v.rel("Manager", 1);

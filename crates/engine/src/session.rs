@@ -25,6 +25,7 @@ use gomq_datalog::{Budget, Materialization};
 use gomq_rewriting::fnv1a;
 use std::collections::HashMap;
 use std::fmt;
+use std::io::Write;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -391,8 +392,10 @@ impl DurableSession {
     /// if one exists, replays WAL records past it (truncating a torn
     /// tail), and leaves the log open for appending.
     ///
-    /// `vocab` must be freshly created — snapshot restore re-interns the
-    /// dumped symbol tables and needs the id space to itself.
+    /// Snapshot restore and replay intern every name they meet into
+    /// `vocab`, which may already hold names of its own: ids are
+    /// remapped by name, so a fresh vocabulary gets the dump's ids back
+    /// unchanged.
     pub fn open(
         dir: &Path,
         opts: PersistOptions,
@@ -403,11 +406,14 @@ impl DurableSession {
         let mut store = SessionStore::default();
         let mut last_lsn = 0u64;
         let mut repl_epoch = 0u64;
-        if let Some(snap) = read_snapshot(&dir.join(SNAPSHOT_FILE))? {
-            last_lsn = snap.last_lsn;
-            repl_epoch = snap.epoch;
-            restore_snapshot(snap, vocab, &mut store)?;
-            info.snapshot_facts = store.facts.len() as u64;
+        match std::fs::read(dir.join(SNAPSHOT_FILE)) {
+            Ok(bytes) => {
+                let snap = decode_snapshot(&bytes, vocab)?;
+                (last_lsn, repl_epoch, store) = (snap.last_lsn, snap.epoch, snap.store);
+                info.snapshot_facts = store.facts.len() as u64;
+            }
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
+            Err(e) => return Err(SessionError::Io(e.to_string())),
         }
         let replayed =
             Wal::replay(&dir.join(WAL_FILE)).map_err(|e| SessionError::Io(e.to_string()))?;
@@ -654,25 +660,25 @@ impl DurableSession {
         Ok(true)
     }
 
-    /// Installs a snapshot shipped by the primary over the *live*
-    /// session: the replica's catch-up fallback when it reconnects from
-    /// behind the primary's retained log window and tailing is no
-    /// longer possible ("copy immutable objects, then flip HEAD",
-    /// mid-life edition).
+    /// Installs a snapshot shipped by the primary: how a follower
+    /// catches up whenever its position is behind the primary's retained
+    /// log — on its first connection from an empty or stale data
+    /// directory, or on a reconnect after the primary pruned past it
+    /// ("copy immutable objects, then flip HEAD").
     ///
-    /// The image's dense symbol ids assume a fresh vocabulary, but a
-    /// serving replica's vocabulary holds extra names interned by
-    /// queries — so every dumped id is remapped through the live tables
-    /// by name. The raw image is persisted as the local snapshot (its
-    /// ids are self-consistent for a fresh recovery), the journal is
-    /// emptied and fast-forwarded to the snapshot's position, and the
-    /// store is swapped. Returns the installed `(lsn, epoch)`.
+    /// The image is decoded against the live vocabulary (ids remapped by
+    /// name, as on [`DurableSession::open`]), persisted as the local
+    /// snapshot — always fsynced, its ids are self-consistent for a
+    /// fresh recovery — and only then is the journal emptied and
+    /// fast-forwarded to the snapshot's position and the store swapped,
+    /// so a crash mid-install recovers either the old or the new
+    /// position, never a torn mix. Returns the installed `(lsn, epoch)`.
     pub fn install_replicated_snapshot(
         &mut self,
         bytes: &[u8],
         vocab: &mut Vocab,
     ) -> Result<(u64, u64), SessionError> {
-        let Some(p) = self.persist.as_ref() else {
+        let Some(p) = self.persist.as_mut() else {
             return Err(SessionError::Io(
                 "snapshot install requires a durable session".into(),
             ));
@@ -680,70 +686,12 @@ impl DurableSession {
         if let Some(why) = &p.poisoned {
             return Err(SessionError::Poisoned(why.clone()));
         }
-        let snap = parse_snapshot(bytes)?;
-        let corrupt = |why: &str| SessionError::Corrupt(format!("snapshot: {why}"));
-        let const_map: Vec<gomq_core::ConstId> =
-            snap.consts.iter().map(|n| vocab.constant(n)).collect();
-        let rel_map: Vec<RelId> = snap
-            .rels
-            .iter()
-            .map(|(n, a)| vocab.rel(n, *a as usize))
-            .collect();
-        vocab.ensure_nulls(snap.null_horizon);
-        let arena = snap
-            .store_arena
-            .iter()
-            .map(|t| match t {
-                Term::Const(c) => const_map
-                    .get(c.0 as usize)
-                    .map(|&id| Term::Const(id))
-                    .ok_or("dangling constant id"),
-                Term::Null(n) if n.0 < snap.null_horizon => Ok(Term::Null(*n)),
-                Term::Null(_) => Err("dangling null id"),
-            })
-            .collect::<Result<Vec<_>, _>>()
-            .map_err(corrupt)?;
-        let rels = snap
-            .store_rels
-            .iter()
-            .map(|r| {
-                rel_map
-                    .get(r.0 as usize)
-                    .copied()
-                    .ok_or("dangling relation id")
-            })
-            .collect::<Result<Vec<_>, _>>()
-            .map_err(corrupt)?;
-        let fact_store =
-            FactStore::from_columns(rels, snap.store_starts, arena).map_err(|e| corrupt(&e))?;
-        let len = fact_store.len();
-        if snap.marks.iter().any(|&(_, l)| l as usize > len) {
-            return Err(corrupt("mark past the end of the store"));
-        }
-        // Persist the image before flipping in-memory state, with the
-        // same temp-write / fsync / rename / dir-sync discipline as
-        // snapshot_now — a crash mid-install recovers either the old or
-        // the new position, never a torn mix.
-        let p = self.persist.as_mut().expect("checked durable above");
-        let tmp = p.dir.join("snapshot.tmp");
-        let target = p.dir.join(SNAPSHOT_FILE);
-        let write = || -> std::io::Result<()> {
-            std::fs::write(&tmp, bytes)?;
-            std::fs::File::open(&tmp)?.sync_data()?;
-            std::fs::rename(&tmp, &target)?;
-            if let Ok(d) = std::fs::File::open(&p.dir) {
-                let _ = d.sync_data();
-            }
-            Ok(())
-        };
-        write().map_err(|e| SessionError::Io(e.to_string()))?;
-        p.wal
-            .reset_to(snap.last_lsn + 1)
-            .map_err(|e| SessionError::Io(e.to_string()))?;
+        let snap = decode_snapshot(bytes, vocab)?;
+        let io = |e: std::io::Error| SessionError::Io(e.to_string());
+        replace_snapshot(&p.dir, bytes, true).map_err(io)?;
+        p.wal.reset_to(snap.last_lsn + 1).map_err(io)?;
         p.records_since_snapshot = 0;
-        self.store.facts = Arc::new(IndexedInstance::from_store(fact_store));
-        self.store.marks = snap.marks.iter().map(|&(id, l)| (id, l as usize)).collect();
-        self.store.next_mark = snap.next_mark;
+        self.store = snap.store;
         self.repl_epoch = self.repl_epoch.max(snap.epoch);
         // Views synced against the replaced store must not survive it.
         self.views.bump_epoch();
@@ -843,24 +791,7 @@ impl DurableSession {
         {
             return Err(SessionError::Io("chaos: injected snapshot failure".into()));
         }
-        let tmp = p.dir.join("snapshot.tmp");
-        let target = p.dir.join(SNAPSHOT_FILE);
-        let write = || -> std::io::Result<()> {
-            std::fs::write(&tmp, &bytes)?;
-            if p.fsync {
-                std::fs::File::open(&tmp)?.sync_data()?;
-            }
-            std::fs::rename(&tmp, &target)?;
-            if p.fsync {
-                // Durable rename needs the directory synced too; best
-                // effort on filesystems that refuse to fsync directories.
-                if let Ok(d) = std::fs::File::open(&p.dir) {
-                    let _ = d.sync_data();
-                }
-            }
-            Ok(())
-        };
-        write().map_err(|e| SessionError::Io(e.to_string()))?;
+        replace_snapshot(&p.dir, &bytes, p.fsync).map_err(|e| SessionError::Io(e.to_string()))?;
         // Rotate rather than truncate: the pre-snapshot records are
         // sealed aside as `wal.old` for shipping and triage; they are
         // never replayed (all at or below the snapshot's lsn).
@@ -900,45 +831,6 @@ impl DurableSession {
     }
 }
 
-/// Probes a data directory for its durable replication position without
-/// opening a session: `(last applied lsn, highest epoch)` from the
-/// snapshot header plus any WAL records past it. A missing directory or
-/// empty log probes as `(0, 0)`. The follower sends this in its HELLO
-/// before recovery runs, so the primary can decide between shipping a
-/// snapshot and tailing the log.
-pub(crate) fn local_log_position(dir: &Path) -> Result<(u64, u64), SessionError> {
-    let mut last = 0u64;
-    let mut epoch = 0u64;
-    if let Some(snap) = read_snapshot(&dir.join(SNAPSHOT_FILE))? {
-        last = snap.last_lsn;
-        epoch = snap.epoch;
-    }
-    let replayed = Wal::replay(&dir.join(WAL_FILE)).map_err(|e| SessionError::Io(e.to_string()))?;
-    for (lsn, record) in &replayed.records {
-        if *lsn <= last {
-            continue;
-        }
-        if let WalRecord::Epoch(e) = record {
-            epoch = epoch.max(*e);
-        }
-    }
-    Ok((last.max(replayed.last_lsn), epoch))
-}
-
-/// Reads `(last lsn, epoch)` out of a snapshot byte image's header
-/// (checksum is *not* verified here — installation replays through the
-/// fully validating [`read_snapshot`] on the next open).
-pub(crate) fn snapshot_position(bytes: &[u8]) -> Option<(u64, u64)> {
-    if bytes.len() < 8 + 4 + 16 || &bytes[..8] != SNAP_MAGIC {
-        return None;
-    }
-    let mut c = Cursor::new(&bytes[8..]);
-    let version = c.take_u32().ok()?;
-    let last_lsn = c.take_u64().ok()?;
-    let epoch = if version >= 2 { c.take_u64().ok()? } else { 0 };
-    Some((last_lsn, epoch))
-}
-
 /// Resolves a symbolic fact against the vocabulary, interning names as
 /// needed (replay re-creates exactly the names the live session used).
 pub fn resolve_sym_fact(vocab: &mut Vocab, sf: &SymFact) -> Fact {
@@ -973,17 +865,33 @@ pub fn sym_fact(vocab: &Vocab, rel: RelId, args: &[Term]) -> SymFact {
 
 // ---- snapshot encode/decode ----
 
+/// A decoded GOMQSNAP image: the log position it denotes and the store
+/// it dumps, with every id remapped into the decoding vocabulary.
 struct Snapshot {
     last_lsn: u64,
     epoch: u64,
-    next_mark: u64,
-    null_horizon: u32,
-    consts: Vec<String>,
-    rels: Vec<(String, u32)>,
-    store_rels: Vec<RelId>,
-    store_starts: Vec<u32>,
-    store_arena: Vec<Term>,
-    marks: Vec<(u64, u64)>,
+    store: SessionStore,
+}
+
+/// Replaces `dir/snapshot.bin` with `bytes` atomically: write a temp
+/// file, then rename it over the old snapshot. With `fsync` the temp
+/// file is synced before the rename and the directory after it (best
+/// effort on filesystems that refuse to fsync directories), so the new
+/// snapshot survives a crash once this returns.
+fn replace_snapshot(dir: &Path, bytes: &[u8], fsync: bool) -> std::io::Result<()> {
+    let tmp = dir.join("snapshot.tmp");
+    let mut f = std::fs::File::create(&tmp)?;
+    f.write_all(bytes)?;
+    if fsync {
+        f.sync_data()?;
+    }
+    std::fs::rename(&tmp, dir.join(SNAPSHOT_FILE))?;
+    if fsync {
+        if let Ok(d) = std::fs::File::open(dir) {
+            let _ = d.sync_data();
+        }
+    }
+    Ok(())
 }
 
 fn encode_snapshot(vocab: &Vocab, store: &SessionStore, last_lsn: u64, epoch: u64) -> Vec<u8> {
@@ -1040,17 +948,14 @@ fn encode_snapshot(vocab: &Vocab, store: &SessionStore, last_lsn: u64, epoch: u6
     b
 }
 
-fn read_snapshot(path: &Path) -> Result<Option<Snapshot>, SessionError> {
-    let bytes = match std::fs::read(path) {
-        Ok(b) => b,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
-        Err(e) => return Err(SessionError::Io(e.to_string())),
-    };
-    parse_snapshot(&bytes).map(Some)
-}
-
-/// Checksum-verifies and decodes one GOMQSNAP image.
-fn parse_snapshot(bytes: &[u8]) -> Result<Snapshot, SessionError> {
+/// Checksum-verifies and decodes one GOMQSNAP image (version 1 or 2)
+/// against `vocab`. The dumped names are interned by name and the
+/// image's dense ids remapped through them, so the same decoder serves
+/// a fresh vocabulary (where the remap is the identity) and a serving
+/// replica's live one (which holds extra names interned by queries).
+/// Dangling ids, duplicate names and marks past the end of the store
+/// are corruption.
+fn decode_snapshot(bytes: &[u8], vocab: &mut Vocab) -> Result<Snapshot, SessionError> {
     let corrupt = |why: String| SessionError::Corrupt(format!("snapshot: {why}"));
     if bytes.len() < SNAP_MAGIC.len() + 12 || &bytes[..8] != SNAP_MAGIC {
         return Err(corrupt("bad magic".into()));
@@ -1061,7 +966,7 @@ fn parse_snapshot(bytes: &[u8]) -> Result<Snapshot, SessionError> {
         return Err(corrupt("checksum mismatch".into()));
     }
     let mut c = Cursor::new(&body[8..]);
-    let mut parse = || -> Result<Snapshot, String> {
+    let mut decode = || -> Result<Snapshot, String> {
         let version = c.take_u32()?;
         if version != 1 && version != SNAP_VERSION {
             return Err(format!("unsupported version {version}"));
@@ -1073,19 +978,33 @@ fn parse_snapshot(bytes: &[u8]) -> Result<Snapshot, SessionError> {
         let n_consts = c.take_u32()? as usize;
         let mut consts = Vec::with_capacity(n_consts.min(1 << 20));
         for _ in 0..n_consts {
-            consts.push(c.take_str()?);
+            consts.push(vocab.constant(&c.take_str()?));
         }
         let n_rels = c.take_u32()? as usize;
         let mut rels = Vec::with_capacity(n_rels.min(1 << 20));
         for _ in 0..n_rels {
             let name = c.take_str()?;
-            let arity = c.take_u32()?;
-            rels.push((name, arity));
+            let arity = c.take_u32()? as usize;
+            if vocab
+                .find_rel(&name)
+                .is_some_and(|r| vocab.arity(r) != arity)
+            {
+                return Err(format!("relation {name} dumped with arity {arity}"));
+            }
+            rels.push(vocab.rel(&name, arity));
         }
+        if !all_distinct(&consts) {
+            return Err("duplicate constant in dump".into());
+        }
+        if !all_distinct(&rels) {
+            return Err("duplicate relation in dump".into());
+        }
+        vocab.ensure_nulls(null_horizon);
         let n_facts = c.take_u32()? as usize;
         let mut store_rels = Vec::with_capacity(n_facts.min(1 << 20));
         for _ in 0..n_facts {
-            store_rels.push(RelId(c.take_u32()?));
+            let r = rels.get(c.take_u32()? as usize);
+            store_rels.push(*r.ok_or("dangling relation id")?);
         }
         let mut store_starts = Vec::with_capacity((n_facts + 1).min(1 << 20));
         for _ in 0..n_facts + 1 {
@@ -1094,18 +1013,23 @@ fn parse_snapshot(bytes: &[u8]) -> Result<Snapshot, SessionError> {
         let n_terms = c.take_u32()? as usize;
         let mut store_arena = Vec::with_capacity(n_terms.min(1 << 20));
         for _ in 0..n_terms {
-            store_arena.push(match c.take_u8()? {
-                0 => Term::Const(gomq_core::ConstId(c.take_u32()?)),
-                1 => Term::Null(NullId(c.take_u32()?)),
-                t => return Err(format!("unknown term tag {t}")),
+            store_arena.push(match (c.take_u8()?, c.take_u32()?) {
+                (0, id) => Term::Const(*consts.get(id as usize).ok_or("dangling constant id")?),
+                (1, id) if id < null_horizon => Term::Null(NullId(id)),
+                (1, _) => return Err("dangling null id".into()),
+                (t, _) => return Err(format!("unknown term tag {t}")),
             });
         }
+        let facts = FactStore::from_columns(store_rels, store_starts, store_arena)?;
         let n_marks = c.take_u32()? as usize;
-        let mut marks = Vec::with_capacity(n_marks.min(1 << 20));
+        let mut marks = HashMap::with_capacity(n_marks.min(1 << 20));
         for _ in 0..n_marks {
             let id = c.take_u64()?;
             let len = c.take_u64()?;
-            marks.push((id, len));
+            if len > facts.len() as u64 {
+                return Err("mark past the end of the store".into());
+            }
+            marks.insert(id, len as usize);
         }
         if !c.done() {
             return Err("trailing bytes".into());
@@ -1113,65 +1037,21 @@ fn parse_snapshot(bytes: &[u8]) -> Result<Snapshot, SessionError> {
         Ok(Snapshot {
             last_lsn,
             epoch,
-            next_mark,
-            null_horizon,
-            consts,
-            rels,
-            store_rels,
-            store_starts,
-            store_arena,
-            marks,
+            store: SessionStore {
+                facts: Arc::new(IndexedInstance::from_store(facts)),
+                marks,
+                next_mark,
+            },
         })
     };
-    parse().map_err(corrupt)
+    decode().map_err(corrupt)
 }
 
-fn restore_snapshot(
-    snap: Snapshot,
-    vocab: &mut Vocab,
-    store: &mut SessionStore,
-) -> Result<(), SessionError> {
-    let corrupt = |why: &str| SessionError::Corrupt(format!("snapshot: {why}"));
-    if vocab.rel_count() != 0 || vocab.const_count() != 0 {
-        return Err(corrupt("restore requires a fresh vocabulary"));
-    }
-    // Re-intern the dumped tables in id order, so the dense ids the
-    // dumped store columns refer to come back out identically.
-    for (i, name) in snap.consts.iter().enumerate() {
-        let id = vocab.constant(name);
-        if id.0 as usize != i {
-            return Err(corrupt("duplicate constant in dump"));
-        }
-    }
-    for (i, (name, arity)) in snap.rels.iter().enumerate() {
-        let id = vocab.rel(name, *arity as usize);
-        if id.0 as usize != i {
-            return Err(corrupt("duplicate relation in dump"));
-        }
-    }
-    vocab.ensure_nulls(snap.null_horizon);
-    let n_consts = vocab.const_count() as u32;
-    let n_rels = vocab.rel_count() as u32;
-    for t in &snap.store_arena {
-        match t {
-            Term::Const(c) if c.0 >= n_consts => return Err(corrupt("dangling constant id")),
-            Term::Null(n) if n.0 >= snap.null_horizon => return Err(corrupt("dangling null id")),
-            _ => {}
-        }
-    }
-    if snap.store_rels.iter().any(|r| r.0 >= n_rels) {
-        return Err(corrupt("dangling relation id"));
-    }
-    let fact_store = FactStore::from_columns(snap.store_rels, snap.store_starts, snap.store_arena)
-        .map_err(|e| corrupt(&e))?;
-    let len = fact_store.len();
-    store.facts = Arc::new(IndexedInstance::from_store(fact_store));
-    store.marks = snap.marks.iter().map(|&(id, l)| (id, l as usize)).collect();
-    if store.marks.values().any(|&l| l > len) {
-        return Err(corrupt("mark past the end of the store"));
-    }
-    store.next_mark = snap.next_mark;
-    Ok(())
+/// Whether no id occurs twice: two dumped names interning to one id
+/// means the dump repeated a name.
+fn all_distinct<T: Copy + Eq + std::hash::Hash>(ids: &[T]) -> bool {
+    let mut seen = std::collections::HashSet::with_capacity(ids.len());
+    ids.iter().all(|id| seen.insert(*id))
 }
 
 #[cfg(test)]
@@ -1494,10 +1374,6 @@ mod tests {
             assert_eq!(info.replayed_records, 0, "snapshot covers the log");
             assert_eq!(s.repl_epoch(), 3);
         }
-        // The pre-open probe agrees with a full recovery.
-        let (lsn, epoch) = local_log_position(&dir).unwrap();
-        assert_eq!(epoch, 3);
-        assert!(lsn >= 2);
     }
 
     #[test]
@@ -1512,8 +1388,9 @@ mod tests {
             s.observe_epoch(5);
             assert_eq!(s.repl_epoch(), 7, "observation is monotone");
         }
-        let (_, epoch) = local_log_position(&dir).unwrap();
-        assert_eq!(epoch, 0, "an observed epoch is not journaled");
+        let mut vocab = Vocab::new();
+        let (s, _) = DurableSession::open(&dir, PersistOptions::default(), &mut vocab).unwrap();
+        assert_eq!(s.repl_epoch(), 0, "an observed epoch is not journaled");
     }
 
     #[test]
@@ -1586,25 +1463,157 @@ mod tests {
         assert_text(&mut primary, &mut vocab, "R(a,b)\nS(c)\n");
         primary.stamp_epoch(2).unwrap();
         let image = primary.encode_current_snapshot(&vocab);
-        assert_eq!(
-            snapshot_position(&image),
-            Some((primary.position().0, 2)),
-            "header probe must agree with the session position"
-        );
-        // Install the image the way `repl::bootstrap_follower` does.
-        std::fs::create_dir_all(&replica_dir).unwrap();
-        std::fs::write(replica_dir.join(SNAPSHOT_FILE), &image).unwrap();
+        // Install the image the way a follower's first connection from
+        // an empty data directory does.
         let mut replica_vocab = Vocab::new();
-        let (replica, info) =
+        let (mut replica, _) =
             DurableSession::open(&replica_dir, PersistOptions::default(), &mut replica_vocab)
                 .unwrap();
-        assert_eq!(info.snapshot_facts, 2);
+        assert_eq!(
+            replica.install_replicated_snapshot(&image, &mut replica_vocab),
+            Ok((primary.position().0, 2)),
+            "the installed position must agree with the primary's"
+        );
         assert_eq!(replica.position().0, primary.position().0);
         assert_eq!(replica.repl_epoch(), 2);
         assert_eq!(
             store_shape(&replica, &replica_vocab),
             store_shape(&primary, &vocab)
         );
+        // A restart recovers the installed image from disk.
+        drop(replica);
+        let mut fresh_vocab = Vocab::new();
+        let (recovered, info) =
+            DurableSession::open(&replica_dir, PersistOptions::default(), &mut fresh_vocab)
+                .unwrap();
+        assert_eq!(info.snapshot_facts, 2);
+        assert_eq!(recovered.position().0, primary.position().0);
+        assert_eq!(recovered.repl_epoch(), 2);
+        assert_eq!(
+            store_shape(&recovered, &fresh_vocab),
+            store_shape(&primary, &vocab)
+        );
+    }
+
+    /// A fact in [`image`]: relation id and `(term tag, id)` arguments.
+    type RawFact<'a> = (u32, &'a [(u8, u32)]);
+
+    /// Builds a checksummed GOMQSNAP image from raw parts (lsn 7, epoch
+    /// 4 when the version carries one, next mark 9, null horizon 1).
+    fn image(
+        version: u32,
+        consts: &[&str],
+        rels: &[(&str, u32)],
+        facts: &[RawFact<'_>],
+        marks: &[(u64, u64)],
+    ) -> Vec<u8> {
+        let mut b = SNAP_MAGIC.to_vec();
+        put_u32(&mut b, version);
+        put_u64(&mut b, 7);
+        if version >= 2 {
+            put_u64(&mut b, 4);
+        }
+        put_u64(&mut b, 9);
+        put_u32(&mut b, 1);
+        put_u32(&mut b, consts.len() as u32);
+        for c in consts {
+            put_str(&mut b, c);
+        }
+        put_u32(&mut b, rels.len() as u32);
+        for (name, arity) in rels {
+            put_str(&mut b, name);
+            put_u32(&mut b, *arity);
+        }
+        put_u32(&mut b, facts.len() as u32);
+        for (rel, _) in facts {
+            put_u32(&mut b, *rel);
+        }
+        let mut end = 0;
+        put_u32(&mut b, end);
+        for (_, args) in facts {
+            end += args.len() as u32;
+            put_u32(&mut b, end);
+        }
+        put_u32(&mut b, end);
+        for (tag, id) in facts.iter().flat_map(|(_, args)| args.iter()) {
+            b.push(*tag);
+            put_u32(&mut b, *id);
+        }
+        put_u32(&mut b, marks.len() as u32);
+        for (id, len) in marks {
+            put_u64(&mut b, *id);
+            put_u64(&mut b, *len);
+        }
+        let sum = fnv1a(&b);
+        put_u64(&mut b, sum);
+        b
+    }
+
+    #[test]
+    fn snapshot_decoder_checks_every_image() {
+        let fact: RawFact<'_> = (0, &[(0, 1), (1, 0)]); // R(b, null 0)
+        let good = |version| image(version, &["a", "b"], &[("R", 2)], &[fact], &[(3, 1)]);
+        // Versions 1 and 2 decode; a version-1 image reads as epoch 0.
+        for (version, epoch) in [(1, 0), (2, 4)] {
+            let snap = decode_snapshot(&good(version), &mut Vocab::new()).unwrap();
+            assert_eq!((snap.last_lsn, snap.epoch), (7, epoch));
+            assert_eq!((snap.store.facts.len(), snap.store.next_mark), (1, 9));
+            assert_eq!(snap.store.marks, HashMap::from([(3, 1)]));
+        }
+        // A live vocabulary gets the dumped names remapped onto its ids.
+        let mut live = Vocab::new();
+        live.constant("b");
+        live.rel("Q", 1);
+        let snap = decode_snapshot(&good(2), &mut live).unwrap();
+        let f = snap.store.facts.iter().next().unwrap();
+        assert_eq!(live.rel_name(f.rel), "R");
+        assert_eq!(f.args[0], Term::Const(live.find_constant("b").unwrap()));
+        assert_eq!(f.args[1], Term::Null(NullId(0)));
+        assert_eq!(live.null_count(), 1);
+
+        let refused = |bytes: Vec<u8>| match decode_snapshot(&bytes, &mut Vocab::new()) {
+            Err(SessionError::Corrupt(msg)) => msg,
+            Err(e) => panic!("expected corruption, got {e}"),
+            Ok(_) => panic!("a corrupt image was accepted"),
+        };
+        let mut flipped = good(2);
+        flipped[20] ^= 0xff;
+        let cases = [
+            (flipped, "checksum mismatch"),
+            (image(3, &[], &[], &[], &[]), "unsupported version 3"),
+            (
+                image(2, &["a", "a"], &[("R", 2)], &[], &[]),
+                "duplicate constant",
+            ),
+            (
+                image(2, &["a"], &[("R", 2), ("R", 2)], &[], &[]),
+                "duplicate relation",
+            ),
+            (
+                image(2, &["a"], &[("R", 2), ("R", 1)], &[], &[]),
+                "dumped with arity 1",
+            ),
+            (
+                image(2, &["a"], &[("R", 1)], &[(0, &[(0, 5)])], &[]),
+                "dangling constant id",
+            ),
+            (
+                image(2, &["a"], &[("R", 1)], &[(3, &[(0, 0)])], &[]),
+                "dangling relation id",
+            ),
+            (
+                image(2, &["a"], &[("R", 1)], &[(0, &[(1, 1)])], &[]),
+                "dangling null id",
+            ),
+            (
+                image(2, &["a"], &[("R", 1)], &[(0, &[(0, 0)])], &[(0, 2)]),
+                "mark past the end of the store",
+            ),
+        ];
+        for (bytes, why) in cases {
+            let msg = refused(bytes);
+            assert!(msg.contains(why), "{msg} should name {why}");
+        }
     }
 
     #[test]
@@ -1628,6 +1637,9 @@ mod tests {
             DurableSession::open(&replica_dir, PersistOptions::default(), &mut replica_vocab)
                 .unwrap();
         assert_text(&mut replica, &mut replica_vocab, "Stale(x)\n");
+        replica.snapshot_now(&replica_vocab).unwrap();
+        assert_text(&mut replica, &mut replica_vocab, "Stale(y)\n");
+        assert!(replica_dir.join("wal.old").exists());
 
         let (lsn, epoch) = replica
             .install_replicated_snapshot(&image, &mut replica_vocab)
@@ -1649,6 +1661,10 @@ mod tests {
         assert_eq!(
             info.replayed_records, 0,
             "journal must be empty after install"
+        );
+        assert!(
+            !replica_dir.join("wal.old").exists(),
+            "the replaced history's sealed segment must be gone"
         );
         assert_eq!(recovered.position(), primary.position());
         assert_eq!(

@@ -425,12 +425,15 @@ impl Wal {
         Ok(())
     }
 
-    /// Empties the log and fast-forwards the lsn counter. Used when a
-    /// replica installs a snapshot shipped by the primary over its live
-    /// session: every local record is at or below the snapshot's lsn,
-    /// and the next shipped record continues from `next_lsn`.
+    /// Empties the log, drops the sealed segment ([`Wal::rotate`]) and
+    /// fast-forwards the lsn counter. Used when a replica installs a
+    /// snapshot shipped by the primary over its live session: every
+    /// local record belongs to the history the snapshot replaces, and
+    /// the next shipped record continues from `next_lsn`. The sealed
+    /// segment is never replayed, so failing to remove it is harmless.
     pub fn reset_to(&mut self, next_lsn: u64) -> io::Result<()> {
         self.reset()?;
+        let _ = std::fs::remove_file(self.path.with_extension("old"));
         self.next_lsn = next_lsn;
         Ok(())
     }
@@ -483,36 +486,13 @@ impl Wal {
         let mut records = Vec::new();
         let mut good = 0usize; // offset of the end of the last valid frame
         let mut last_lsn = 0u64;
-        loop {
-            let rest = &buf[good..];
-            if rest.is_empty() {
-                break;
-            }
-            let Some(frame_end) = Self::validate_frame(rest) else {
-                break;
-            };
-            let payload = &rest[12..frame_end];
-            let mut c = Cursor::new(payload);
-            // Checksum already verified; decode errors past it mean a
-            // writer bug or bit rot inside a "valid" frame — treat as
-            // corruption and cut here too.
-            let parsed = (|| {
-                let lsn = c.take_u64()?;
-                let tag = c.take_u8()?;
-                let rec = WalRecord::decode(tag, &mut c)?;
-                if !c.done() {
-                    return Err("trailing bytes in payload".to_owned());
-                }
-                Ok((lsn, rec))
-            })();
-            match parsed {
-                Ok((lsn, rec)) => {
-                    last_lsn = last_lsn.max(lsn);
-                    records.push((lsn, rec));
-                    good += frame_end;
-                }
-                Err(_) => break,
-            }
+        // The end of the file, a torn or corrupt frame, or one whose
+        // checksummed payload fails to decode (a writer bug or bit rot)
+        // cuts the log here.
+        while let Ok((lsn, rec, frame_end)) = WalRecord::decode_frame(&buf[good..]) {
+            last_lsn = last_lsn.max(lsn);
+            records.push((lsn, rec));
+            good += frame_end;
         }
         let truncated = good < buf.len();
         if truncated {

@@ -483,3 +483,70 @@ fn resurrected_primary_is_fenced_by_the_promoted_node() {
     resurrected.kill();
     round.replica.kill();
 }
+
+/// One cumulative counter of a node, read through `{"op": "stats"}`.
+fn stat(client: &mut Client, key: &str) -> f64 {
+    let response = client.request(r#"{"id": "s", "op": "stats"}"#);
+    match parse_obj(&response).get("engine") {
+        Some(Json::Obj(engine)) => match engine.get(key) {
+            Some(Json::Num(n)) => *n,
+            _ => panic!("stats carry no {key}: {response}"),
+        },
+        _ => panic!("stats response has no engine block: {response}"),
+    }
+}
+
+/// Drives acknowledged asserts at the primary, numbered from `*next`,
+/// until its `snapshots` total exceeds `floor`: with no replica
+/// connected, a snapshot moves the primary's retained log floor up to
+/// its lsn, so a follower behind it can only catch up from a snapshot.
+fn write_past_a_snapshot(writes: &mut Client, next: &mut usize, floor: f64) {
+    while stat(writes, "snapshots") <= floor {
+        assert!(*next < 64, "the primary never cut a snapshot");
+        acked(writes, &assert_line(*next));
+        *next += 1;
+    }
+}
+
+#[test]
+fn late_follower_bootstraps_from_a_shipped_snapshot() {
+    let primary_dir = ScratchDir::new("repl-late-primary");
+    let replica_dir = ScratchDir::new("repl-late-replica");
+    let primary = Node::spawn(&primary_dir, &["--replicate-to", "127.0.0.1:0"]);
+    let repl_addr = primary.repl_addr.clone().expect("primary announces");
+    let mut writes = Client::connect(&primary.addr);
+    let mut facts = 0;
+    write_past_a_snapshot(&mut writes, &mut facts, 0.0);
+
+    // A follower joining from an empty data dir is behind the floor:
+    // it must be shipped a snapshot and then serve every acknowledged
+    // fact with no lag.
+    let replica = Node::spawn(&replica_dir, &["--follow", &repl_addr]);
+    let mut reads = Client::connect(&replica.addr);
+    await_caught_up(&mut reads, facts);
+    let shipped = stat(&mut writes, "repl_snapshots_shipped");
+    assert!(
+        shipped >= 1.0,
+        "no snapshot shipped to the late follower:\n{}",
+        replica.log()
+    );
+
+    // SIGKILL it, let the primary take more writes and snapshot past
+    // its position, and restart it over its own stale directory.
+    drop(reads);
+    replica.kill();
+    std::thread::sleep(Duration::from_millis(300));
+    let snapshots = stat(&mut writes, "snapshots");
+    write_past_a_snapshot(&mut writes, &mut facts, snapshots);
+    let replica = Node::spawn(&replica_dir, &["--follow", &repl_addr]);
+    let mut reads = Client::connect(&replica.addr);
+    await_caught_up(&mut reads, facts);
+    assert!(
+        stat(&mut writes, "repl_snapshots_shipped") > shipped,
+        "the restarted follower was not caught up from a snapshot:\n{}",
+        replica.log()
+    );
+
+    replica.kill();
+    primary.kill();
+}

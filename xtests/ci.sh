@@ -197,17 +197,20 @@ echo "==> TCP smoke: gomq-serve --listen + gomq-bench (release)"
 tcp_smoke "" smoke
 
 # Two-process replication smoke: a primary ships its WAL to a follower
-# on ephemeral ports, gomq-bench drives read-only load at the replica
-# (--target replica labels the report), the primary is SIGKILLed, the
-# follower promotes itself (--promote-on-disconnect), and the promoted
-# node must take writes — both bench reports pass --validate.
+# on ephemeral ports. The follower joins only after the primary has
+# taken writes and (--snapshot-every 4) moved its retained log past lsn
+# 0, so it must bootstrap from a shipped snapshot. gomq-bench then
+# drives read-only load at the replica (--target replica labels the
+# report), the primary is SIGKILLed, the follower promotes itself
+# (--promote-on-disconnect), and the promoted node must take writes —
+# both bench reports pass --validate.
 repl_smoke() {
     repl_extra=$1
     repl_tag=$2
     repl_dir="$(mktemp -d)"
     # shellcheck disable=SC2086  # word-splitting of $repl_extra is intended
     target/release/gomq-serve --listen 127.0.0.1:0 --data-dir "$repl_dir/primary" \
-        --replicate-to 127.0.0.1:0 $repl_extra 2>"$repl_dir/primary.err" &
+        --replicate-to 127.0.0.1:0 --snapshot-every 4 $repl_extra 2>"$repl_dir/primary.err" &
     repl_pri=$!
     repl_ship=""
     for _ in $(seq 1 50); do
@@ -221,6 +224,9 @@ repl_smoke() {
         exit 1
     fi
     repl_pri_addr="$(sed -n 's/^gomq-serve: listening on //p' "$repl_dir/primary.err")"
+    # Writes land at the primary, before the follower exists.
+    target/release/gomq-bench --addr "$repl_pri_addr" --rate 100 --duration-ms 1000 \
+        --conns 1 --seed 42 --out "$repl_dir/BENCH_primary_$repl_tag.json"
     # shellcheck disable=SC2086
     target/release/gomq-serve --listen 127.0.0.1:0 --data-dir "$repl_dir/replica" \
         --follow "$repl_ship" --promote-on-disconnect $repl_extra 2>"$repl_dir/replica.err" &
@@ -236,9 +242,12 @@ repl_smoke() {
         cat "$repl_dir/replica.err" >&2
         exit 1
     fi
-    # Writes land at the primary, reads at the replica.
-    target/release/gomq-bench --addr "$repl_pri_addr" --rate 100 --duration-ms 1000 \
-        --conns 1 --seed 42 --out "$repl_dir/BENCH_primary_$repl_tag.json"
+    grep -q "installed primary snapshot" "$repl_dir/replica.err" || {
+        echo "late follower did not bootstrap from a shipped snapshot:" >&2
+        cat "$repl_dir/replica.err" >&2
+        exit 1
+    }
+    # Reads land at the replica.
     target/release/gomq-bench --addr "$repl_fol_addr" --target replica --rate 100 \
         --duration-ms 2000 --conns 1,4 --seed 42 \
         --out "$repl_dir/BENCH_replica_$repl_tag.json"
