@@ -19,7 +19,8 @@
 use crate::fact::Fact;
 use crate::interpretation::Instance;
 use crate::query::{Cq, CqAtom, CqBuilder, Ucq, VarOrConst};
-use crate::symbols::Vocab;
+use crate::symbols::{is_reserved_rel_name, reserved_rel_message, Vocab};
+use std::collections::HashMap;
 use std::fmt;
 
 /// A parse error with its 1-based line number.
@@ -73,40 +74,107 @@ fn split_atom(text: &str, line: usize) -> Result<(&str, Vec<&str>), ParseError> 
 
 /// Parses an instance from its text representation, interning relation
 /// symbols (with inferred arities) and constants into `vocab`.
+///
+/// A relation name in the reserved namespace ([`is_reserved_rel_name`])
+/// or an arity clash — with `vocab` or between two lines — refuses the
+/// text, and a refused text interns no relation: the text is checked
+/// through to its end before its first new name is interned.
 pub fn parse_instance(text: &str, vocab: &mut Vocab) -> Result<Instance, ParseError> {
-    let mut d = Instance::new();
-    for (idx, raw) in text.lines().enumerate() {
-        let lineno = idx + 1;
-        let line = raw.split('#').next().unwrap_or("").trim();
-        if line.is_empty() {
-            continue;
-        }
-        let (name, args) = split_atom(line, lineno)?;
-        if args.is_empty() {
-            return Err(err(lineno, "facts need at least one argument"));
-        }
-        if let Some(existing) = vocab.find_rel(name) {
-            if vocab.arity(existing) != args.len() {
-                return Err(err(
-                    lineno,
-                    format!(
-                        "relation `{name}` used with arity {} but declared with {}",
-                        args.len(),
-                        vocab.arity(existing)
-                    ),
-                ));
+    parse_facts(text, vocab, true)
+}
+
+/// Parses an instance over the relations `vocab` already knows, for
+/// data that only lives as long as one evaluation: a fact over a
+/// relation name `vocab` has never seen is dropped rather than interned,
+/// so such data can never fix the arity of a name a later ontology
+/// uses. Constants are interned; refusals are those of
+/// [`parse_instance`].
+pub fn parse_known_instance(text: &str, vocab: &mut Vocab) -> Result<Instance, ParseError> {
+    parse_facts(text, vocab, false)
+}
+
+/// The non-blank fact lines of `text` from 1-based line `from` on, as
+/// `(line number, relation name, argument texts)`. Malformed atoms,
+/// argument-less facts and reserved relation names are errors.
+fn fact_lines(
+    text: &str,
+    from: usize,
+) -> impl Iterator<Item = Result<(usize, &str, Vec<&str>), ParseError>> {
+    text.lines()
+        .enumerate()
+        .skip(from - 1)
+        .filter_map(|(idx, raw)| {
+            let lineno = idx + 1;
+            let line = raw.split('#').next().unwrap_or("").trim();
+            if line.is_empty() {
+                return None;
             }
-        }
-        let rel = vocab.rel(name, args.len());
+            Some(split_atom(line, lineno).and_then(|(name, args)| {
+                if args.is_empty() {
+                    return Err(err(lineno, "facts need at least one argument"));
+                }
+                if is_reserved_rel_name(name) {
+                    return Err(err(lineno, reserved_rel_message(name)));
+                }
+                Ok((lineno, name, args))
+            }))
+        })
+}
+
+fn arity_clash(lineno: usize, name: &str, used: usize, declared: usize) -> ParseError {
+    err(
+        lineno,
+        format!("relation `{name}` used with arity {used} but declared with {declared}"),
+    )
+}
+
+fn parse_facts(text: &str, vocab: &mut Vocab, intern_rels: bool) -> Result<Instance, ParseError> {
+    let mut d = Instance::new();
+    // The first never-seen name triggers one check of the rest of the
+    // text before it is interned; a text over known names is read once.
+    let mut rest_checked = false;
+    for line in fact_lines(text, 1) {
+        let (lineno, name, args) = line?;
+        let rel = match vocab.find_rel(name) {
+            Some(rel) if vocab.arity(rel) != args.len() => {
+                return Err(arity_clash(lineno, name, args.len(), vocab.arity(rel)));
+            }
+            Some(rel) => rel,
+            None if !intern_rels => continue,
+            None => {
+                if !rest_checked {
+                    check_unseen_names(text, lineno, vocab)?;
+                    rest_checked = true;
+                }
+                vocab.rel(name, args.len())
+            }
+        };
         let consts: Vec<_> = args.iter().map(|a| vocab.constant(a)).collect();
-        // The vocabulary-level arity guard above makes this infallible for
-        // text reaching us through `split_atom`, but the typed check stays
-        // on in release builds: an ill-formed fact must never reach the
-        // store silently.
+        // The arity checks make this infallible, but the typed check
+        // stays on in release builds: an ill-formed fact must never reach
+        // the store silently.
         d.insert_checked(&Fact::consts(rel, &consts), vocab)
             .map_err(|e| err(lineno, e.to_string()))?;
     }
     Ok(d)
+}
+
+/// Checks the fact lines of `text` from line `from` on without touching
+/// `vocab`: every line must parse, and every relation name must keep one
+/// arity — the one `vocab` holds, or the first one the text uses.
+fn check_unseen_names(text: &str, from: usize, vocab: &Vocab) -> Result<(), ParseError> {
+    let mut unseen: HashMap<&str, usize> = HashMap::new();
+    for line in fact_lines(text, from) {
+        let (lineno, name, args) = line?;
+        let declared = match vocab.find_rel(name) {
+            Some(rel) => vocab.arity(rel),
+            None => *unseen.entry(name).or_insert(args.len()),
+        };
+        if declared != args.len() {
+            return Err(arity_clash(lineno, name, args.len(), declared));
+        }
+    }
+    Ok(())
 }
 
 /// Parses a UCQ: each non-empty line is one CQ `q(?x̄) :- atom, …`. All
@@ -230,6 +298,41 @@ mod tests {
         let e = parse_instance("R(a,b)\nR(a)\n", &mut v).unwrap_err();
         assert_eq!(e.line, 2);
         assert!(e.message.contains("arity"));
+    }
+
+    #[test]
+    fn refused_texts_intern_nothing() {
+        let mut v = Vocab::new();
+        v.rel("R", 2);
+        for text in [
+            "New(a)\n_goal(a, b)\n",
+            "New(a)\nR(a)\n",
+            "New(a)\nNew(a, b)\n",
+        ] {
+            let e = parse_instance(text, &mut v).unwrap_err();
+            assert_eq!(e.line, 2, "{text:?}: {e}");
+            assert_eq!(v.rel_count(), 1, "{text:?} interned a relation");
+            assert_eq!(v.const_count(), 0, "{text:?} interned a constant");
+        }
+        let e = parse_instance("_dom(a)\n", &mut v).unwrap_err();
+        assert!(e.message.contains("reserved"), "{e}");
+    }
+
+    #[test]
+    fn known_instances_drop_facts_over_unseen_relations() {
+        let mut v = Vocab::new();
+        let r = v.rel("R", 2);
+        let d = parse_known_instance("R(a, b)\nworksOn(ada)\nworksOn(ada, x, y)\n", &mut v)
+            .expect("parses");
+        assert_eq!(d.len(), 1);
+        assert_eq!(d.facts_of(r).count(), 1);
+        assert!(v.find_rel("worksOn").is_none(), "unseen names stay unseen");
+        // Known relations keep their arity check, reserved names stay
+        // refused even when the rewriting has interned them.
+        assert!(parse_known_instance("R(a)\n", &mut v).is_err());
+        v.rel("_goal", 1);
+        let e = parse_known_instance("_goal(eve)\n", &mut v).unwrap_err();
+        assert!(e.message.contains("reserved"), "{e}");
     }
 
     #[test]

@@ -7,6 +7,29 @@
 use std::collections::HashMap;
 use std::fmt;
 
+/// Relation names beginning with this character are reserved for the
+/// relations the system derives itself — the Theorem-5 rewriting's
+/// `_elim{t}`, `_dom`, `_goal` and `_sedge{r}` IDB predicates, whose
+/// names every compiled plan shares. The text parsers for ontologies
+/// and instances refuse such names, so no user fact can land in (or
+/// pin the arity of) a derived relation.
+pub const RESERVED_REL_PREFIX: char = '_';
+
+/// Whether `name` lies in the reserved relation namespace
+/// ([`RESERVED_REL_PREFIX`]).
+pub fn is_reserved_rel_name(name: &str) -> bool {
+    name.starts_with(RESERVED_REL_PREFIX)
+}
+
+/// The refusal for a reserved relation name met where user data names a
+/// relation.
+pub fn reserved_rel_message(name: &str) -> String {
+    format!(
+        "relation name `{name}` is reserved (names starting with `{RESERVED_REL_PREFIX}` belong \
+         to derived relations)"
+    )
+}
+
 /// Identifier of a relation symbol. The arity is stored in the [`Vocab`].
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct RelId(pub u32);

@@ -1,8 +1,10 @@
 //! Rule and program representation.
 
 use gomq_core::{RelId, Term, Vocab};
-use std::collections::BTreeSet;
+use std::collections::hash_map::DefaultHasher;
+use std::collections::{BTreeSet, HashMap};
 use std::fmt;
+use std::hash::{Hash, Hasher};
 
 /// A term in a rule: a variable or a fixed ground term.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -162,10 +164,16 @@ impl Program {
     ///
     /// * drops rules with a trivially false body (`t ≠ t`),
     /// * deduplicates body literals within each rule,
-    /// * deduplicates identical rules.
+    /// * deduplicates identical rules (same head, same body literals in
+    ///   the same order), keeping the first.
+    ///
+    /// Idempotent: an optimized program optimizes to itself.
     pub fn optimize(&self) -> Program {
-        let mut seen: std::collections::BTreeSet<String> = std::collections::BTreeSet::new();
-        let mut rules = Vec::new();
+        // Kept rules bucketed by a structural hash of (head, body); a
+        // bucket is verified by equality, so collisions cannot merge
+        // distinct rules.
+        let mut seen: HashMap<u64, Vec<usize>> = HashMap::with_capacity(self.rules.len());
+        let mut rules: Vec<Rule> = Vec::with_capacity(self.rules.len());
         for r in &self.rules {
             // Trivially false inequality?
             let falsum = r.body.iter().any(|l| match l {
@@ -175,20 +183,29 @@ impl Program {
             if falsum {
                 continue;
             }
-            let mut body = r.body.clone();
-            let mut kept: Vec<Literal> = Vec::new();
-            for l in body.drain(..) {
-                if !kept.contains(&l) {
-                    kept.push(l);
+            let mut body: Vec<Literal> = Vec::with_capacity(r.body.len());
+            for l in &r.body {
+                if !body.contains(l) {
+                    body.push(l.clone());
                 }
             }
-            // Dropping duplicate literals keeps every variable bound, so
-            // re-running the `Rule::new` checks is safe.
-            let rule = Rule::new(r.head.clone(), kept);
-            let key = format!("{rule:?}");
-            if seen.insert(key) {
-                rules.push(rule);
+            let mut h = DefaultHasher::new();
+            (&r.head, &body).hash(&mut h);
+            let bucket = seen.entry(h.finish()).or_default();
+            if bucket
+                .iter()
+                .any(|&i| rules[i].head == r.head && rules[i].body == body)
+            {
+                continue;
             }
+            bucket.push(rules.len());
+            // Dropping duplicate literals keeps one copy of each, so the
+            // range-restriction checks and the slot count carry over.
+            rules.push(Rule {
+                head: r.head.clone(),
+                body,
+                slots: r.slots,
+            });
         }
         Program {
             rules,
@@ -325,6 +342,97 @@ mod tests {
         let mut d = gomq_core::Instance::new();
         d.insert(gomq_core::Fact::consts(e, &[a, b]));
         assert_eq!(p.eval(&d), opt.eval(&d));
+    }
+
+    /// The structural dedup keeps exactly the rules a `format!("{rule:?}")`
+    /// key keeps, in the same order, over random programs full of
+    /// duplicate rules, duplicate literals, literal permutations and
+    /// `t ≠ t` bodies.
+    #[test]
+    fn structural_dedup_matches_the_debug_string_key() {
+        fn debug_key_optimize(p: &Program) -> Vec<Rule> {
+            let mut seen = BTreeSet::new();
+            let mut out = Vec::new();
+            for r in &p.rules {
+                if r.body
+                    .iter()
+                    .any(|l| matches!(l, Literal::Neq(a, b) if a == b))
+                {
+                    continue;
+                }
+                let mut kept: Vec<Literal> = Vec::new();
+                for l in &r.body {
+                    if !kept.contains(l) {
+                        kept.push(l.clone());
+                    }
+                }
+                let rule = Rule::new(r.head.clone(), kept);
+                if seen.insert(format!("{rule:?}")) {
+                    out.push(rule);
+                }
+            }
+            out
+        }
+        let mut v = Vocab::new();
+        let rels: Vec<RelId> = (0..3).map(|i| v.rel(&format!("E{i}"), 2)).collect();
+        let goal = v.rel("goal", 1);
+        let c = Term::Const(v.constant("c"));
+        let mut seed = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = |n: u64| {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            seed % n
+        };
+        let (mut kept_total, mut dropped_total) = (0, 0);
+        for _ in 0..200 {
+            let mut rules = Vec::new();
+            for _ in 0..30 {
+                let mut body: Vec<Literal> = (0..1 + next(3))
+                    .map(|_| {
+                        let rel = rels[next(3) as usize];
+                        let args = if next(5) == 0 {
+                            vec![DTerm::Var(next(3) as u32), DTerm::Ground(c)]
+                        } else {
+                            vec![DTerm::Var(next(3) as u32), DTerm::Var(next(3) as u32)]
+                        };
+                        Literal::Pos(DAtom { rel, args })
+                    })
+                    .collect();
+                let DTerm::Var(x) = (match &body[0] {
+                    Literal::Pos(a) => a.args[0],
+                    Literal::Neq(..) => unreachable!(),
+                }) else {
+                    unreachable!()
+                };
+                if next(4) == 0 {
+                    let y = if next(3) == 0 { x } else { 0 };
+                    let bound = body
+                        .iter()
+                        .any(|l| matches!(l, Literal::Pos(a) if a.args.contains(&DTerm::Var(y))));
+                    if bound {
+                        body.push(Literal::Neq(DTerm::Var(x), DTerm::Var(y)));
+                    }
+                }
+                if next(3) == 0 {
+                    let dup = body[next(body.len() as u64) as usize].clone();
+                    body.push(dup);
+                }
+                rules.push(Rule::new(DAtom::vars(goal, &[x]), body));
+                if next(3) == 0 {
+                    let again = rules[next(rules.len() as u64) as usize].clone();
+                    rules.push(again);
+                }
+            }
+            let p = Program::new(rules, goal);
+            let expected = debug_key_optimize(&p);
+            let opt = p.optimize();
+            assert_eq!(opt.rules, expected);
+            assert_eq!(opt.optimize(), opt, "optimize is idempotent");
+            kept_total += opt.len();
+            dropped_total += p.len() - opt.len();
+        }
+        assert!(kept_total > 0 && dropped_total > 0);
     }
 
     #[test]

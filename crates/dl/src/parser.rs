@@ -25,7 +25,7 @@
 
 use crate::concept::{Concept, Role};
 use crate::ontology::DlOntology;
-use gomq_core::Vocab;
+use gomq_core::{is_reserved_rel_name, reserved_rel_message, RelId, Vocab};
 use std::fmt;
 
 /// A parse error with its 1-based line number.
@@ -142,6 +142,19 @@ impl<'a> Parser<'a> {
         }
     }
 
+    /// Interns a concept (arity 1) or role (arity 2) name, refusing a
+    /// name the vocabulary already holds at the other arity.
+    fn rel(&mut self, name: &str, arity: usize) -> Result<RelId, ParseError> {
+        match self.vocab.find_rel(name) {
+            Some(rel) if self.vocab.arity(rel) != arity => Err(self.err(format!(
+                "relation `{name}` used with arity {arity} but declared with {}",
+                self.vocab.arity(rel)
+            ))),
+            Some(rel) => Ok(rel),
+            None => Ok(self.vocab.rel(name, arity)),
+        }
+    }
+
     fn peek(&self) -> Option<&Tok> {
         self.toks.get(self.pos)
     }
@@ -164,7 +177,7 @@ impl<'a> Parser<'a> {
     fn role(&mut self) -> Result<Role, ParseError> {
         match self.next() {
             Some(Tok::Name(n)) => {
-                let rel = self.vocab.rel(&n, 2);
+                let rel = self.rel(&n, 2)?;
                 if matches!(self.peek(), Some(Tok::Minus)) {
                     self.pos += 1;
                     Ok(Role::inv(rel))
@@ -226,7 +239,7 @@ impl<'a> Parser<'a> {
                 "and" | "or" | "sub" | "equiv" => {
                     Err(self.err(format!("unexpected keyword `{n}`")))
                 }
-                name => Ok(Concept::Name(self.vocab.rel(name, 1))),
+                name => Ok(Concept::Name(self.rel(name, 1)?)),
             },
             Some(Tok::Geq) => {
                 let n = self.int()?;
@@ -261,6 +274,12 @@ impl<'a> Parser<'a> {
 /// Parses an ontology from its text representation, interning symbols into
 /// `vocab` (concept names as unary relations, role names as binary).
 ///
+/// Every line is tokenized before anything is interned, so a text naming
+/// a relation in the reserved namespace ([`is_reserved_rel_name`]) is
+/// refused with `vocab` untouched. A name used at an arity `vocab`
+/// already holds it at differently (a concept name used as a role, or
+/// the reverse) is a [`ParseError`] too.
+///
 /// ```
 /// use gomq_core::Vocab;
 /// use gomq_dl::parser::parse_ontology;
@@ -274,13 +293,26 @@ impl<'a> Parser<'a> {
 /// assert_eq!(gomq_dl::depth::ontology_depth(&onto), 1);
 /// ```
 pub fn parse_ontology(text: &str, vocab: &mut Vocab) -> Result<DlOntology, ParseError> {
-    let mut onto = DlOntology::new();
+    let mut lines = Vec::new();
     for (idx, raw_line) in text.lines().enumerate() {
         let lineno = idx + 1;
         let toks = tokenize(raw_line, lineno)?;
-        if toks.is_empty() {
-            continue;
+        let reserved = toks.iter().find_map(|t| match t {
+            Tok::Name(n) if is_reserved_rel_name(n) => Some(n),
+            _ => None,
+        });
+        if let Some(name) = reserved {
+            return Err(ParseError {
+                line: lineno,
+                message: reserved_rel_message(name),
+            });
         }
+        if !toks.is_empty() {
+            lines.push((lineno, toks));
+        }
+    }
+    let mut onto = DlOntology::new();
+    for (lineno, toks) in lines {
         let mut p = Parser {
             toks,
             pos: 0,
@@ -418,6 +450,32 @@ func(hasMother-)
         let mut v = Vocab::new();
         let err = parse_ontology("A sub B\nA sub\n", &mut v).unwrap_err();
         assert_eq!(err.line, 2);
+    }
+
+    #[test]
+    fn arity_clashes_are_parse_errors() {
+        let mut v = Vocab::new();
+        let err = parse_ontology("A sub ex A.B\n", &mut v).unwrap_err();
+        assert_eq!(err.line, 1);
+        assert!(err.message.contains("`A` used with arity 2"), "{err}");
+        // Against names an earlier text interned, both ways round.
+        parse_ontology("X sub ex worksOn.Y\n", &mut v).expect("parses");
+        assert!(parse_ontology("worksOn sub Y\n", &mut v).is_err());
+        assert!(parse_ontology("Z sub ex X.Y\n", &mut v).is_err());
+    }
+
+    #[test]
+    fn reserved_names_are_refused_before_interning() {
+        let mut v = Vocab::new();
+        for text in [
+            "A sub B\nC sub _goal\n",
+            "A sub ex _goal.B\n",
+            "role _r sub S\n",
+        ] {
+            let err = parse_ontology(text, &mut v).unwrap_err();
+            assert!(err.message.contains("reserved"), "{text:?}: {err}");
+            assert_eq!(v.rel_count(), 0, "{text:?} interned a relation");
+        }
     }
 
     #[test]

@@ -661,4 +661,58 @@ mod tests {
         assert_eq!(err, EngineError::BadRequest(CERTIFY_BATCH.into()));
         assert_eq!(engine.stats()[Counter::Requests], requests);
     }
+
+    /// Distinct OMQs over one fixed pool of names, compiled through a
+    /// 2-plan cache: after one pass over them the vocabulary holds every
+    /// IDB name the rewritings use, and a second pass — every plan
+    /// evicted and recompiled — interns nothing.
+    #[test]
+    fn recompiling_over_a_name_pool_interns_nothing_new() {
+        fn omq(i: usize) -> (String, String) {
+            let (a, b, k) = (i % 5, (i / 5) % 4 + 1, (i / 20) % 2);
+            let c = (a + b) % 5;
+            let axioms = [
+                format!("C{a} sub ex r{k}.C{b}"),
+                format!("C{b} sub C{c}"),
+                match i % 4 {
+                    0 => "func(r0)\nrole r1 sub r0".to_owned(),
+                    1 => format!("C{c} sub all r{k}-.C{a}"),
+                    2 => format!("C{a} sub not C{c}"),
+                    _ => format!("C{c} sub >=2 r1.C{b}"),
+                },
+            ];
+            (axioms.join("\n"), format!("C{c}"))
+        }
+        const N: usize = 40;
+        let mut v = Vocab::new();
+        let engine = Engine::with_cache(1, PlanCache::with_capacity(2));
+        let compile = |v: &mut Vocab, i: usize| {
+            let (text, query) = omq(i);
+            let o = to_gf(&parse_ontology(&text, v).unwrap());
+            let q = v.find_rel(&query).unwrap();
+            let (plan, hit, _) = engine.plan(&o, q, v);
+            assert!(!hit, "omq {i} must be a miss");
+            plan.unwrap_or_else(|e| panic!("omq {i}: {e}"))
+        };
+        for i in 0..N {
+            compile(&mut v, i);
+        }
+        let warm = v.rel_count();
+        let mut sedge = false;
+        for i in 0..N {
+            let plan = compile(&mut v, i);
+            sedge |= plan
+                .program
+                .idb()
+                .iter()
+                .any(|&r| v.rel_name(r).starts_with("_sedge"));
+            assert_eq!(
+                v.rel_count(),
+                warm,
+                "recompiling omq {i} interned a relation"
+            );
+        }
+        assert!(sedge, "the pool exercises the counting auxiliaries");
+        assert_eq!(engine.cache().evictions() as usize, 2 * N - 2);
+    }
 }

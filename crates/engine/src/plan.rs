@@ -8,8 +8,12 @@
 //! * the **element-type system** with its prebuilt bitset kernel, which
 //!   answers every uncertified request,
 //! * the **compiled Datalog≠ rewriting** (Theorem 5: one `elim_θ`
-//!   predicate per surviving element type), already `optimize()`d —
-//!   what certificates cite and session views maintain,
+//!   predicate per surviving element type), as `emit_datalog` returns
+//!   it, optimized — what certificates cite and session views maintain.
+//!   Its IDB relations have fixed reserved names (`_elim{t}`, `_dom`,
+//!   `_goal`, `_sedge{r}`) that every plan in a vocabulary shares, so
+//!   compiling costs the same and interns nothing new however many
+//!   plans came before,
 //! * the rewriting pre-**stratified** into SCC strata ([`Strata`]), so
 //!   Datalog evaluation never pays the stratification cost per request,
 //! * the **canonical cache key** ([`canonical_omq_hash`]) under which
@@ -151,11 +155,12 @@ pub struct OmqPlan {
 
 impl OmqPlan {
     /// Compiles a plan: classifies the ontology, builds the element-type
-    /// system, emits and optimizes the Datalog≠ rewriting, and
-    /// stratifies it.
+    /// system, emits the optimized Datalog≠ rewriting from its kernel,
+    /// and stratifies it.
     ///
-    /// Interns fresh `_elim`/`_dom`/`_goal` relations in `vocab`; a
-    /// cached plan must only be reused with the same vocabulary.
+    /// Interns the rewriting's fixed `_elim{t}`/`_dom`/`_goal`/`_sedge{r}`
+    /// relations in `vocab` on first use only; a cached plan must only
+    /// be reused with the same vocabulary.
     pub fn compile(
         o: &GfOntology,
         query: RelId,
@@ -168,13 +173,12 @@ impl OmqPlan {
         // rewritability); probing is a research-tool concern.
         let report = classify_ontology(o, &[], &CertainEngine::new(1), vocab);
         let sys = ElementTypeSystem::build(o, vocab)?;
-        let program = emit_datalog(&sys, query, vocab).optimize();
+        // The emitter builds the bitset kernel to read its edge rules
+        // off it, so cached plans never pay a first-use stall.
+        let program = emit_datalog(&sys, query, vocab);
         let strata = Strata::of(&program);
         let sql = emit_sql(&strata, vocab);
         let types = Arc::new(sys);
-        // Build the bitset kernel now, while we are paying compilation
-        // cost anyway, so cached plans never pay a first-use stall.
-        types.kernel();
         Ok(OmqPlan {
             key,
             canonical_text,

@@ -336,14 +336,16 @@ impl ServeShared {
     }
 
     /// A snapshot of every cumulative counter: the engine's own
-    /// ([`Engine::stats`]) plus the session gauges, read from the
-    /// session store and its view registry now.
+    /// ([`Engine::stats`]) plus the session and vocabulary gauges, read
+    /// from the session store, its view registry and the vocabulary now.
     pub fn stats(&self) -> EngineStats {
         let mut snap = self.engine.stats();
         let session = lock_recover(&self.session);
         snap[Counter::SessionFacts] = session.len() as u64;
         snap[Counter::ViewsActive] = session.views().len() as u64;
         snap[Counter::ViewsEvicted] = session.views().evicted();
+        // session → vocab is the one permitted lock nesting order.
+        snap[Counter::VocabRelations] = lock_recover(&self.vocab).rel_count() as u64;
         snap
     }
 
@@ -484,6 +486,12 @@ impl<'a> QueryRequest<'a> {
         };
         let ontology = field("ontology")?;
         let query = field("query")?;
+        if gomq_core::is_reserved_rel_name(query) {
+            return Err(EngineError::BadRequest(format!(
+                "query: {}",
+                gomq_core::reserved_rel_message(query)
+            )));
+        }
         let certify = match obj.get("certificate") {
             None => false,
             Some(Json::Bool(b)) => *b,
@@ -811,10 +819,14 @@ impl ServeSession {
     }
 
     /// Parses one request-supplied ABox text into a fact store (moved
-    /// out of the parsed instance, never copied).
+    /// out of the parsed instance, never copied). Facts over relation
+    /// names the vocabulary has never seen are dropped, not interned:
+    /// the query and every relation the plan reads occur in the
+    /// ontology, so such facts cannot reach an answer, and interning
+    /// them would fix an arity for every later ontology.
     fn parse_abox(&self, text: &str) -> Result<FactStore, EngineError> {
         let mut vocab = lock_recover(&self.shared.vocab);
-        let d = gomq_core::parse::parse_instance(text, &mut vocab)
+        let d = gomq_core::parse::parse_known_instance(text, &mut vocab)
             .map_err(|e| EngineError::BadRequest(format!("abox: {e}")))?;
         Ok(d.into_store())
     }
@@ -1626,7 +1638,7 @@ mod tests {
     fn stats_op_pins_the_protocol() {
         // The 43 keys of the former per-response "engine" block, in its
         // order, then the counters the stats op appends.
-        const WIRE: [&str; 48] = [
+        const WIRE: [&str; 49] = [
             "requests",
             "cache_hits",
             "cache_misses",
@@ -1675,6 +1687,7 @@ mod tests {
             "answers",
             "compile_ns",
             "eval_ns",
+            "vocab_relations",
         ];
         let mut s = ServeSession::with_threads(1);
         let st = s.handle_line(r#"{"id": "s", "op": "stats"}"#);
@@ -1761,10 +1774,14 @@ mod tests {
         // The "engine" block of the last response to SCRIPT before the
         // block moved to the stats op (`gomq-serve --threads 1
         // --data-dir D --snapshot-every 2`), whose exit summary also
-        // reported 16 rounds and 41 derived facts.
+        // reported 16 rounds and 41 derived facts — with two figures
+        // moved on purpose since. "boom"'s arity clash is a bad request,
+        // no longer an isolated panic (`panics` 1 → 0), and certificates
+        // cite the rewriting's fixed `_elim{t}`/`_dom`/`_goal` names
+        // rather than per-plan suffixed ones (`cert_bytes` 823 → 787).
         const BEFORE: &str = concat!(
             r#"{"requests": 8, "cache_hits": 6, "cache_misses": 3, "cache_size": 3, "#,
-            r#""evictions": 0, "inflight_waits": 0, "overloaded": 1, "panics": 1, "#,
+            r#""evictions": 0, "inflight_waits": 0, "overloaded": 1, "panics": 0, "#,
             r#""facts_interned": 45, "arena_bytes": 360, "dedup_hits": 13, "#,
             r#""wal_records": 4, "wal_bytes": 159, "snapshots": 2, "#,
             r#""recovered_records": 0, "recovered_facts": 0, "session_facts": 1, "#,
@@ -1773,7 +1790,7 @@ mod tests {
             r#""queue_depth": 0, "queue_rejects": 0, "drains": 0, "#,
             r#""ivm_maintained_hits": 2, "ivm_deleted": 10, "ivm_rederived": 0, "#,
             r#""views_active": 1, "views_evicted": 1, "certs_emitted": 2, "#,
-            r#""cert_bytes": 823, "repl_frames_shipped": 0, "repl_bytes_shipped": 0, "#,
+            r#""cert_bytes": 787, "repl_frames_shipped": 0, "repl_bytes_shipped": 0, "#,
             r#""repl_snapshots_shipped": 0, "repl_records_applied": 0, "#,
             r#""repl_bytes_applied": 0, "repl_reconnects": 0, "repl_promotions": 0, "#,
             r#""repl_write_refusals": 0, "repl_stale_refusals": 0, "repl_lag_lsn": 0, "#,
@@ -1882,22 +1899,119 @@ mod tests {
 
     #[test]
     fn panics_are_isolated_and_counted() {
-        let mut s = ServeSession::with_threads(1);
-        // "R" is first interned as a role (arity 2) by "ex R.A sub B",
-        // then used as a concept (arity 1) by "R sub B": the DL parser
-        // trips the vocabulary's arity assertion. The fence must turn
-        // that panic into a structured error.
+        // A plan-cache hasher that panics on one ontology stands in for
+        // a bug anywhere on the request path. The fence must turn that
+        // panic into a structured error.
+        fn boom_hasher(text: &str) -> u64 {
+            assert!(!text.contains("Boom"), "hasher tripped");
+            let mut h = std::collections::hash_map::DefaultHasher::new();
+            std::hash::Hash::hash(text, &mut h);
+            std::hash::Hasher::finish(&h)
+        }
+        let engine = Engine::with_cache(1, PlanCache::with_capacity_and_hasher(8, boom_hasher));
+        let shared = ServeShared::with_engine(engine, Limits::default());
+        let mut s = ServeSession::with_shared(Arc::new(shared));
         let resp = s.handle_line(
-            r#"{"id": "boom", "ontology": "A sub ex R.A\nR sub B", "query": "B", "abox": ""}"#,
+            r#"{"id": "boom", "ontology": "A sub Boom", "query": "Boom", "abox": ""}"#,
         );
         ok_field(&resp, "\"status\": \"error\"");
         ok_field(&resp, "\"id\": \"boom\"");
-        ok_field(&resp, "internal error (panic isolated)");
+        ok_field(&resp, "internal error (panic isolated): hasher tripped");
         assert!(crate::json::parse(&resp).is_ok());
         assert_eq!(s.engine().stats()[Counter::Panics], 1);
         // The session still works afterwards.
         let good = s.handle_line(r#"{"ontology": "A sub B", "query": "B", "abox": "A(x)"}"#);
         ok_field(&good, "\"status\": \"ok\"");
+    }
+
+    #[test]
+    fn reserved_relation_names_are_refused() {
+        let mut s = ServeSession::with_threads(1);
+        let omq = r#""ontology": "Manager sub Employee", "query": "Employee""#;
+        // Compile the plan first, so `_goal` is interned at arity 1.
+        let warm = s.handle_line(&format!(r#"{{{omq}, "abox": "Manager(ada)"}}"#));
+        ok_field(&warm, r#""answers": [["ada"]]"#);
+        let rels = s.shared().stats()[Counter::VocabRelations];
+        let reserved = "is reserved (names starting with `_` belong to derived relations)";
+        for line in [
+            format!(r#"{{{omq}, "abox": "_goal(eve)\nManager(ada)"}}"#),
+            format!(r#"{{{omq}, "abox": "_goal(eve)\nManager(ada)", "certificate": true}}"#),
+            format!(r#"{{{omq}, "aboxes": ["Manager(ada)", "_goal(eve, x)"]}}"#),
+            r#"{"op": "assert", "abox": "Manager(ada)\n_goal(eve)"}"#.to_owned(),
+            r#"{"op": "assert", "abox": "_elim0(eve, x)"}"#.to_owned(),
+            r#"{"ontology": "A sub _goal", "query": "A", "abox": ""}"#.to_owned(),
+            r#"{"ontology": "A sub ex _r.B", "query": "B", "abox": ""}"#.to_owned(),
+            r#"{"ontology": "A sub B", "query": "_goal", "abox": ""}"#.to_owned(),
+        ] {
+            let resp = s.handle_line(&line);
+            ok_field(&resp, "\"error\": \"bad request: ");
+            ok_field(&resp, reserved);
+        }
+        // Nothing was interned or asserted, and the plan still answers
+        // without the smuggled fact.
+        assert_eq!(s.shared().stats()[Counter::VocabRelations], rels);
+        assert_eq!(s.shared().stats()[Counter::SessionFacts], 0);
+        s.handle_line(r#"{"op": "assert", "abox": "Manager(ada)"}"#);
+        for line in [
+            format!(r#"{{{omq}, "abox": "Manager(ada)", "certificate": true}}"#),
+            format!(r#"{{{omq}, "session": true}}"#),
+            format!(r#"{{{omq}, "session": true, "certificate": true}}"#),
+        ] {
+            ok_field(&s.handle_line(&line), r#""answers": [["ada"]]"#);
+        }
+    }
+
+    #[test]
+    fn request_aboxes_do_not_intern_relation_names() {
+        let mut s = ServeSession::with_threads(1);
+        // A fact over a never-seen name cannot reach an answer: dropped.
+        let resp = s.handle_line(
+            r#"{"ontology": "X sub Y", "query": "Y", "abox": "worksOn(ada)\nX(bob)"}"#,
+        );
+        ok_field(&resp, r#""answers": [["bob"]]"#);
+        assert!(s.shared().vocab_lock().find_rel("worksOn").is_none());
+        // So a later ontology may use the name at another arity.
+        let resp = s.handle_line(
+            r#"{"ontology": "X sub all worksOn.Y\nY sub Z", "query": "Z", "abox": "worksOn(a, b)\nX(a)"}"#,
+        );
+        ok_field(&resp, r#""answers": [["b"]]"#);
+        // Known names keep their arity check.
+        let resp =
+            s.handle_line(r#"{"ontology": "X sub Y", "query": "Y", "abox": "worksOn(ada)"}"#);
+        ok_field(
+            &resp,
+            "bad request: abox: line 1: relation `worksOn` used with arity 1",
+        );
+        // Session asserts still intern: the session store outlives any
+        // one ontology.
+        s.handle_line(r#"{"op": "assert", "abox": "hired(ada)"}"#);
+        let resp =
+            s.handle_line(r#"{"ontology": "hired sub Staff", "query": "Staff", "session": true}"#);
+        ok_field(&resp, r#""answers": [["ada"]]"#);
+    }
+
+    #[test]
+    fn arity_clashes_are_bad_requests_not_panics() {
+        let mut s = ServeSession::with_threads(1);
+        // "R" is first interned as a role (arity 2) by "ex R.A", then
+        // used as a concept (arity 1) by "R sub B".
+        let resp = s.handle_line(
+            r#"{"id": "clash", "ontology": "A sub ex R.A\nR sub B", "query": "B", "abox": ""}"#,
+        );
+        ok_field(
+            &resp,
+            "\"error\": \"bad request: ontology: line 2: relation `R` used with arity 1 but \
+             declared with 2\"",
+        );
+        // Across requests too: "A" is a concept of the first ontology.
+        let resp = s.handle_line(r#"{"ontology": "A sub ex A.B", "query": "B", "abox": ""}"#);
+        ok_field(
+            &resp,
+            "bad request: ontology: line 1: relation `A` used with arity 2",
+        );
+        assert_eq!(s.engine().stats()[Counter::Panics], 0);
+        let good = s.handle_line(r#"{"ontology": "A sub B", "query": "B", "abox": "A(x)"}"#);
+        ok_field(&good, r#"[["x"]]"#);
     }
 
     #[test]

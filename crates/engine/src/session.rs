@@ -425,8 +425,7 @@ impl DurableSession {
             info.replayed_records += 1;
             match record {
                 WalRecord::Assert(syms) => {
-                    let facts: Vec<Fact> =
-                        syms.iter().map(|sf| resolve_sym_fact(vocab, sf)).collect();
+                    let facts = resolve_batch(vocab, syms)?;
                     info.replayed_facts += store.apply_assert(facts.iter());
                 }
                 WalRecord::Mark(id) => store.apply_mark(*id),
@@ -643,10 +642,15 @@ impl DurableSession {
                 "replication gap: expected lsn {expected}, got {lsn}"
             )));
         }
+        // Resolve before journaling: a batch this node cannot apply must
+        // not enter its log.
+        let facts = match record {
+            WalRecord::Assert(syms) => resolve_batch(vocab, syms)?,
+            _ => Vec::new(),
+        };
         self.journal(record)?;
         match record {
-            WalRecord::Assert(syms) => {
-                let facts: Vec<Fact> = syms.iter().map(|sf| resolve_sym_fact(vocab, sf)).collect();
+            WalRecord::Assert(_) => {
                 self.store.apply_assert(facts.iter());
             }
             WalRecord::Mark(id) => self.store.apply_mark(*id),
@@ -833,8 +837,27 @@ impl DurableSession {
 
 /// Resolves a symbolic fact against the vocabulary, interning names as
 /// needed (replay re-creates exactly the names the live session used).
-pub fn resolve_sym_fact(vocab: &mut Vocab, sf: &SymFact) -> Fact {
-    let rel = vocab.rel(&sf.rel, sf.args.len());
+///
+/// A journaled fact over a reserved relation name (only logs written
+/// before the namespace was reserved can hold one) or at an arity the
+/// vocabulary holds its name at differently is corrupt data: replaying
+/// it would put a user fact into a derived relation, or trip the
+/// vocabulary's arity assertion.
+pub fn resolve_sym_fact(vocab: &mut Vocab, sf: &SymFact) -> Result<Fact, SessionError> {
+    if gomq_core::is_reserved_rel_name(&sf.rel) {
+        return Err(SessionError::Corrupt(reserved_fact(&sf.rel)));
+    }
+    let arity = sf.args.len();
+    if let Some(r) = vocab.find_rel(&sf.rel) {
+        if vocab.arity(r) != arity {
+            return Err(SessionError::Corrupt(format!(
+                "fact over {} with arity {arity}, declared with {}",
+                sf.rel,
+                vocab.arity(r)
+            )));
+        }
+    }
+    let rel = vocab.rel(&sf.rel, arity);
     let args = sf
         .args
         .iter()
@@ -846,7 +869,17 @@ pub fn resolve_sym_fact(vocab: &mut Vocab, sf: &SymFact) -> Fact {
             }
         })
         .collect();
-    Fact::new(rel, args)
+    Ok(Fact::new(rel, args))
+}
+
+/// Why a stored fact over a reserved relation name is refused.
+fn reserved_fact(name: &str) -> String {
+    format!("stored fact: {}", gomq_core::reserved_rel_message(name))
+}
+
+/// Resolves a journaled assert batch ([`resolve_sym_fact`] per fact).
+fn resolve_batch(vocab: &mut Vocab, syms: &[SymFact]) -> Result<Vec<Fact>, SessionError> {
+    syms.iter().map(|sf| resolve_sym_fact(vocab, sf)).collect()
 }
 
 /// Converts an interned fact to its symbolic form via the vocabulary.
@@ -981,30 +1014,46 @@ fn decode_snapshot(bytes: &[u8], vocab: &mut Vocab) -> Result<Snapshot, SessionE
             consts.push(vocab.constant(&c.take_str()?));
         }
         let n_rels = c.take_u32()? as usize;
-        let mut rels = Vec::with_capacity(n_rels.min(1 << 20));
+        // Dumped id → live id, or the reserved name the dump holds there.
+        // Reserved names are never interned from a dump: the live
+        // rewriting owns them (images written before the namespace was
+        // reserved list every plan's IDB names, at whatever arity a
+        // request once gave them). No fact may cite one.
+        let mut rels: Vec<Result<RelId, String>> = Vec::with_capacity(n_rels.min(1 << 20));
         for _ in 0..n_rels {
             let name = c.take_str()?;
             let arity = c.take_u32()? as usize;
+            if gomq_core::is_reserved_rel_name(&name) {
+                rels.push(Err(name));
+                continue;
+            }
             if vocab
                 .find_rel(&name)
                 .is_some_and(|r| vocab.arity(r) != arity)
             {
                 return Err(format!("relation {name} dumped with arity {arity}"));
             }
-            rels.push(vocab.rel(&name, arity));
+            rels.push(Ok(vocab.rel(&name, arity)));
         }
         if !all_distinct(&consts) {
             return Err("duplicate constant in dump".into());
         }
-        if !all_distinct(&rels) {
+        let live: Vec<RelId> = rels
+            .iter()
+            .filter_map(|r| r.as_ref().ok().copied())
+            .collect();
+        if !all_distinct(&live) {
             return Err("duplicate relation in dump".into());
         }
         vocab.ensure_nulls(null_horizon);
         let n_facts = c.take_u32()? as usize;
         let mut store_rels = Vec::with_capacity(n_facts.min(1 << 20));
         for _ in 0..n_facts {
-            let r = rels.get(c.take_u32()? as usize);
-            store_rels.push(*r.ok_or("dangling relation id")?);
+            match rels.get(c.take_u32()? as usize) {
+                Some(Ok(r)) => store_rels.push(*r),
+                Some(Err(name)) => return Err(reserved_fact(name)),
+                None => return Err("dangling relation id".into()),
+            }
         }
         let mut store_starts = Vec::with_capacity((n_facts + 1).min(1 << 20));
         for _ in 0..n_facts + 1 {
@@ -1614,6 +1663,75 @@ mod tests {
             let msg = refused(bytes);
             assert!(msg.contains(why), "{msg} should name {why}");
         }
+    }
+
+    /// Data directories written before the `_` namespace was reserved:
+    /// the per-plan IDB names their snapshots dump are shed on decode
+    /// (at any arity), and a stored fact over a reserved name — a
+    /// snapshot fact, a journaled assert or a replicated one — refuses
+    /// as corrupt instead of reaching a derived relation.
+    #[test]
+    fn reserved_names_in_old_data_dirs() {
+        let fact: RawFact<'_> = (0, &[(0, 0), (0, 0)]); // R(a, a)
+        let dump = [("R", 2), ("_goal", 2), ("_elim0_1", 1)];
+        let mut vocab = Vocab::new();
+        let snap = decode_snapshot(&image(2, &["a"], &dump, &[fact], &[]), &mut vocab).unwrap();
+        assert_eq!(snap.store.facts.len(), 1);
+        assert_eq!(vocab.rel_count(), 1, "only R is interned");
+        vocab.rel("_goal", 1); // the rewriting's arity, free to take
+        let smuggled: RawFact<'_> = (1, &[(0, 0), (0, 0)]); // _goal(a, a)
+        let err = decode_snapshot(
+            &image(2, &["a"], &dump, &[smuggled], &[]),
+            &mut Vocab::new(),
+        )
+        .err()
+        .expect("a fact over _goal is refused");
+        assert!(
+            err.to_string()
+                .contains("stored fact: relation name `_goal` is reserved"),
+            "{err}"
+        );
+
+        // A log holding `_goal(eve)`, as an older server journaled it.
+        let dir = ScratchDir::new("session-reserved-wal");
+        let goal = SymFact {
+            rel: "_goal".into(),
+            args: vec![SymTerm::Const("eve".into())],
+        };
+        {
+            let mut old = Vocab::new();
+            let (mut s, _) =
+                DurableSession::open(&dir, PersistOptions::default(), &mut old).unwrap();
+            let eve = Term::Const(old.constant("eve"));
+            let fact = Fact::new(old.rel("_goal", 1), vec![eve]);
+            s.assert(vec![goal.clone()], &[fact]).unwrap();
+        }
+        let err = DurableSession::open(&dir, PersistOptions::default(), &mut Vocab::new())
+            .err()
+            .expect("replaying _goal(eve) is refused");
+        assert!(matches!(err, SessionError::Corrupt(_)), "{err}");
+        assert!(
+            err.to_string()
+                .contains("stored fact: relation name `_goal` is reserved"),
+            "{err}"
+        );
+
+        // A replica refuses the record before journaling it.
+        let replica_dir = ScratchDir::new("session-reserved-replica");
+        let mut rv = Vocab::new();
+        let (mut replica, _) =
+            DurableSession::open(&replica_dir, PersistOptions::default(), &mut rv).unwrap();
+        let before = replica.position();
+        let err = replica
+            .apply_replicated(before.0 + 1, &WalRecord::Assert(vec![goal]), &mut rv)
+            .unwrap_err();
+        assert!(
+            err.to_string()
+                .contains("stored fact: relation name `_goal` is reserved"),
+            "{err}"
+        );
+        assert_eq!(replica.position(), before);
+        assert!(rv.find_rel("_goal").is_none());
     }
 
     #[test]

@@ -192,6 +192,11 @@ counters! {
     CompileNs = "compile_ns",
     /// Total wall time in evaluation, in nanoseconds.
     EvalNs = "eval_ns",
+    /// Relation symbols interned in the serving vocabulary (gauge, read
+    /// from the vocabulary). Compiling a plan adds only the rewriting's
+    /// fixed IDB names it has not met before, so the gauge stays flat
+    /// once the OMQs in use have been compiled.
+    VocabRelations = "vocab_relations",
 }
 
 /// A snapshot of every [`Counter`], indexed by counter. Renders (via

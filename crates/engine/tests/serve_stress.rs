@@ -139,12 +139,15 @@ fn exhausted_budgets_leave_the_session_healthy() {
 
 /// The E16 adversarial stream: a forced-collision cache (every OMQ
 /// hashes to the same bucket), a non-rewritable OMQ, a budget-blowing
-/// ABox, and a panicking input — interleaved with good requests. Every
-/// line gets a structured response, later answers stay correct, and the
-/// cache never exceeds its cap.
+/// ABox, an arity-clashing ontology and a panicking input — interleaved
+/// with good requests. Every line gets a structured response, later
+/// answers stay correct, and the cache never exceeds its cap.
 #[test]
 fn adversarial_stream_is_fully_survivable() {
-    fn colliding(_: &str) -> u64 {
+    /// Collides every OMQ, and panics on one ontology — a stand-in for
+    /// a bug on the request path.
+    fn colliding(text: &str) -> u64 {
+        assert!(!text.contains("Boom"), "hasher tripped");
         0x42
     }
     let engine = Engine::with_cache(2, PlanCache::with_capacity_and_hasher(2, colliding));
@@ -177,11 +180,13 @@ fn adversarial_stream_is_fully_survivable() {
         ),
         // Budget blowup.
         (blow, "\"status\": \"overloaded\""),
-        // Panicking input (arity clash on R inside the DL parser).
+        // Arity clash on R inside the DL parser: a typed refusal.
         (
-            request("boom", "A sub ex R.A\nR sub B", "B", ""),
-            "panic isolated",
+            request("clash", "A sub ex R.A\nR sub B", "B", ""),
+            "bad request: ontology: line 2",
         ),
+        // Panicking input.
+        (request("boom", "A sub Boom", "Boom", ""), "panic isolated"),
         // The same colliding OMQs again: still correct, now cache hits
         // (or clean recompiles after eviction, never wrong answers).
         (request("c1b", "P sub Q", "Q", "P(pp)"), r#"[["pp"]]"#),

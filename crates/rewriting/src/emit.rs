@@ -10,33 +10,30 @@
 //! paper's `P_∅` rule).
 
 use crate::types::ElementTypeSystem;
-use gomq_core::{RelId, Vocab};
+use gomq_core::{bitset, RelId, Vocab};
 use gomq_datalog::{DAtom, DTerm, Literal, Program, Rule};
 
 /// Emits the Datalog rewriting of the atomic query `query(x)` w.r.t. the
-/// compiled ontology. Fresh IDB relation names `_elimN`, `_dom` and
-/// `_goal` are interned into `vocab`.
+/// compiled ontology, already [`Program::optimize`]d.
+///
+/// The IDB relations have fixed names: `_elim{t}` for type index `t`,
+/// `_dom`, `_goal`, and `_sedge{r}` for the counted relation with id
+/// `r`. They are interned into `vocab` on first use and shared by every
+/// program emitted into it, so the vocabulary stays bounded however
+/// many OMQs are compiled. Sharing is safe because derived facts only
+/// ever live in the private store of one evaluation, and the reserved
+/// namespace ([`gomq_core::is_reserved_rel_name`]) keeps user text out
+/// of these names.
+///
+/// The edge rules are read off the type system's [`TypeKernel`]
+/// compatibility matrices (built here if not yet built).
+///
+/// [`TypeKernel`]: crate::types::TypeKernel
 pub fn emit_datalog(sys: &ElementTypeSystem, query: RelId, vocab: &mut Vocab) -> Program {
     let n = sys.num_types();
-    let fresh = |vocab: &mut Vocab, base: &str, arity: usize| -> RelId {
-        let mut i = 0usize;
-        loop {
-            let name = if i == 0 {
-                base.to_owned()
-            } else {
-                format!("{base}_{i}")
-            };
-            if vocab.find_rel(&name).is_none() {
-                return vocab.rel(&name, arity);
-            }
-            i += 1;
-        }
-    };
-    let elim: Vec<RelId> = (0..n)
-        .map(|t| fresh(vocab, &format!("_elim{t}"), 1))
-        .collect();
-    let dom = fresh(vocab, "_dom", 1);
-    let goal = fresh(vocab, "_goal", 1);
+    let elim: Vec<RelId> = (0..n).map(|t| vocab.rel(&format!("_elim{t}"), 1)).collect();
+    let dom = vocab.rel("_dom", 1);
+    let goal = vocab.rel("_goal", 1);
     let mut rules: Vec<Rule> = Vec::new();
 
     // Active-domain rules.
@@ -74,10 +71,11 @@ pub fn emit_datalog(sys: &ElementTypeSystem, query: RelId, vocab: &mut Vocab) ->
     // this is exactly where the rewriting becomes Datalog≠ rather than
     // plain Datalog (Theorem 5's `≠` for fragments with equality).
     let needs_neq = sys.uses_distinctness();
-    for &r in sys.binary_rels() {
-        for (ti, t) in sys.types().iter().enumerate() {
+    let kernel = sys.kernel();
+    for (ri, &r) in sys.binary_rels().iter().enumerate() {
+        for ti in 0..n {
             // Self-loops constrain a type against itself.
-            if !sys.compat_self_loop(t, r) {
+            if !bitset::test_bit(&kernel.loop_ok[ri], ti) {
                 rules.push(Rule::new(
                     DAtom::vars(elim[ti], &[0]),
                     vec![Literal::Pos(DAtom::vars(r, &[0, 0]))],
@@ -85,40 +83,24 @@ pub fn emit_datalog(sys: &ElementTypeSystem, query: RelId, vocab: &mut Vocab) ->
             }
             // Forward: θ at x dies when all compatible successor types are
             // eliminated at y.
-            let partners: Vec<usize> = sys
-                .types()
-                .iter()
-                .enumerate()
-                .filter(|(_, w)| sys.compat_edge(t, w, r))
-                .map(|(j, _)| j)
-                .collect();
             let mut body = vec![Literal::Pos(DAtom::vars(r, &[0, 1]))];
             if needs_neq {
                 body.push(Literal::Neq(DTerm::Var(0), DTerm::Var(1)));
             }
             body.extend(
-                partners
-                    .iter()
-                    .map(|&j| Literal::Pos(DAtom::vars(elim[j], &[1]))),
+                bitset::ones(kernel.fwd[ri].row(ti))
+                    .map(|j| Literal::Pos(DAtom::vars(elim[j], &[1]))),
             );
             rules.push(Rule::new(DAtom::vars(elim[ti], &[0]), body));
             // Backward: θ at y dies when all compatible predecessor types
             // are eliminated at x.
-            let partners_b: Vec<usize> = sys
-                .types()
-                .iter()
-                .enumerate()
-                .filter(|(_, w)| sys.compat_edge(w, t, r))
-                .map(|(j, _)| j)
-                .collect();
             let mut body = vec![Literal::Pos(DAtom::vars(r, &[0, 1]))];
             if needs_neq {
                 body.push(Literal::Neq(DTerm::Var(0), DTerm::Var(1)));
             }
             body.extend(
-                partners_b
-                    .iter()
-                    .map(|&j| Literal::Pos(DAtom::vars(elim[j], &[0]))),
+                bitset::ones(kernel.bwd[ri].row(ti))
+                    .map(|j| Literal::Pos(DAtom::vars(elim[j], &[0]))),
             );
             rules.push(Rule::new(DAtom::vars(elim[ti], &[1]), body));
         }
@@ -127,39 +109,23 @@ pub fn emit_datalog(sys: &ElementTypeSystem, query: RelId, vocab: &mut Vocab) ->
     // Counting rules (uGC⁻₂(1,=)): a type with a FALSE `∃≥n` dies once n
     // distinct witnesses are forced. These rules are inherently Datalog≠.
     // With role hierarchies, the counted relation's edges are the union of
-    // its sub-roles' edges, materialized into an auxiliary `_sedgeN` IDB.
-    let mut sedge_cache: std::collections::BTreeMap<RelId, RelId> =
-        std::collections::BTreeMap::new();
+    // its sub-roles' edges, materialized into an auxiliary `_sedge{r}` IDB.
+    let mut sedge_done: std::collections::BTreeSet<RelId> = std::collections::BTreeSet::new();
     let mut counting_rel = |rel: RelId, rules: &mut Vec<Rule>, vocab: &mut Vocab| -> RelId {
         let subs = sys.sub_rels(rel);
         if subs.as_slice() == [(rel, false)] {
             return rel;
         }
-        if let Some(&aux) = sedge_cache.get(&rel) {
-            return aux;
-        }
-        let aux = {
-            let mut i = 0usize;
-            loop {
-                let name = if i == 0 {
-                    format!("_sedge{}", rel.0)
-                } else {
-                    format!("_sedge{}_{i}", rel.0)
-                };
-                if vocab.find_rel(&name).is_none() {
-                    break vocab.rel(&name, 2);
-                }
-                i += 1;
+        let aux = vocab.rel(&format!("_sedge{}", rel.0), 2);
+        if sedge_done.insert(rel) {
+            for (r2, flipped) in subs {
+                let head_args: &[u32] = if flipped { &[1, 0] } else { &[0, 1] };
+                rules.push(Rule::new(
+                    DAtom::vars(aux, head_args),
+                    vec![Literal::Pos(DAtom::vars(r2, &[0, 1]))],
+                ));
             }
-        };
-        for (r2, flipped) in subs {
-            let head_args: &[u32] = if flipped { &[1, 0] } else { &[0, 1] };
-            rules.push(Rule::new(
-                DAtom::vars(aux, head_args),
-                vec![Literal::Pos(DAtom::vars(r2, &[0, 1]))],
-            ));
         }
-        sedge_cache.insert(rel, aux);
         aux
     };
     for (ti, base_rel, fwd, count, loop_witness, _distinct, avoiders) in sys.counting_constraints()

@@ -38,8 +38,9 @@ pub struct SqlPlan {
     /// Base tables the statement reads, as `(name, arity)` in name
     /// order. Columns of a table of arity `n` are `c0 … c{n-1}`. IDB
     /// relations appear here too: their tables seed the corresponding
-    /// CTE (usually empty for the fresh `_elim`/`_dom`/`_goal`
-    /// relations of an OMQ rewriting, but required to exist).
+    /// CTE (empty for the reserved `_elim{t}`/`_dom`/`_goal`/`_sedge{r}`
+    /// relations of an OMQ rewriting, which no user data may name, but
+    /// required to exist).
     pub tables: Vec<(String, usize)>,
     /// Number of answer columns (the goal relation's arity).
     pub goal_columns: usize,

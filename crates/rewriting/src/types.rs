@@ -1339,11 +1339,11 @@ pub struct TypeKernel {
     /// All of `T*` as a row (trailing bits clear).
     full: Vec<u64>,
     /// Forward compat: `fwd[r].row(ti) = {tj : compat_edge(ti, tj, r)}`.
-    fwd: Vec<BitMatrix>,
+    pub(crate) fwd: Vec<BitMatrix>,
     /// Transpose: `bwd[r].row(tj) = {ti : compat_edge(ti, tj, r)}`.
-    bwd: Vec<BitMatrix>,
+    pub(crate) bwd: Vec<BitMatrix>,
     /// Self-loop survivors per relation.
-    loop_ok: Vec<Vec<u64>>,
+    pub(crate) loop_ok: Vec<Vec<u64>>,
     /// Types asserting each unary closure bit.
     unary_ok: Vec<Vec<u64>>,
     /// Compiled counting constraints.

@@ -149,6 +149,40 @@ case "$stats_out" in
         ;;
 esac
 
+# Vocabulary-bound smoke: 200 distinct OMQs over one pool of ten
+# concept and three role names, through a 4-plan cache so nearly every
+# request evicts and compiles. Plans share the rewriting's fixed IDB
+# names, so the second hundred compiles must intern no relation: the
+# vocab_relations gauge reads the same after 100 and after 200.
+vocab_omqs() {
+    awk -v from="$1" -v to="$2" 'BEGIN {
+        for (i = from; i < to; i++) {
+            a = i % 10; k = i % 3; b = (a + 1 + int(i / 30) % 9) % 10
+            printf "{\"ontology\": \"C%d sub ex r%d.C%d\\nC%d sub not C%d\", ", a, k, b, b, a
+            printf "\"query\": \"C%d\", \"abox\": \"C%d(x)\"}\n", b, a
+        }
+    }'
+}
+echo "==> gomq-serve vocabulary-bound smoke (stdin, --cache 4, release)"
+vocab_out="$( { vocab_omqs 0 100; echo '{"op": "stats"}'; vocab_omqs 100 200; echo '{"op": "stats"}'; } \
+    | target/release/gomq-serve --cache 4 2>/dev/null)"
+vocab_ok="$(printf '%s\n' "$vocab_out" | grep -c '"status": "ok", "cached": false')"
+vocab_rels="$(printf '%s\n' "$vocab_out" | grep '"op": "stats"' \
+    | sed -n 's/.*"vocab_relations": \([0-9]*\).*/\1/p' | tr '\n' ' ')"
+case "$vocab_ok:$vocab_rels" in
+    200:[0-9]*)
+        set -- $vocab_rels
+        if [ "$#" -ne 2 ] || [ "$1" != "$2" ]; then
+            echo "vocab_relations grew between 100 and 200 compiles: $vocab_rels" >&2
+            exit 1
+        fi
+        ;;
+    *)
+        echo "vocabulary smoke: $vocab_ok of 200 compiles answered, gauges '$vocab_rels'" >&2
+        exit 1
+        ;;
+esac
+
 # Release-mode TCP smoke: an ephemeral-port listener driven by
 # gomq-bench for ~2s at low rate. The bench exits nonzero on any lost
 # or malformed response, and --validate re-checks the JSON report.
