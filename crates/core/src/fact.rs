@@ -63,8 +63,9 @@ impl fmt::Display for TermDisplay<'_> {
 /// A fact `R(t₁, …, t_k)`: a relation symbol applied to ground terms.
 ///
 /// The arity of `rel` (as recorded in the [`Vocab`]) must equal
-/// `args.len()`; ingestion boundaries enforce this with
-/// [`crate::Interpretation::insert_checked`].
+/// `args.len()`; ingestion boundaries enforce this: the text parser
+/// before it interns a fact, and
+/// [`crate::Interpretation::insert_checked`] for owned facts.
 ///
 /// `Fact` is the *owned-escape* form of a fact, used at parse and display
 /// boundaries and in tests; the working currency inside evaluation is the

@@ -120,8 +120,8 @@ impl Interpretation {
     /// vocabulary; malformed facts are rejected with a typed error
     /// instead of (in release builds) silently corrupting the store.
     ///
-    /// Ingestion boundaries — the textual parser and the JSONL serving
-    /// protocol — route every external fact through this check.
+    /// The textual parser makes the same check, with the same error,
+    /// before it interns a fact into its store.
     pub fn insert_checked(&mut self, fact: &Fact, vocab: &Vocab) -> Result<bool, ArityError> {
         let expected = vocab.arity(fact.rel);
         if expected != fact.args.len() {

@@ -16,9 +16,10 @@
 //!
 //! Arguments without the `?` prefix are constants.
 
-use crate::fact::Fact;
-use crate::interpretation::Instance;
+use crate::fact::Term;
+use crate::interpretation::{ArityError, Instance};
 use crate::query::{Cq, CqAtom, CqBuilder, Ucq, VarOrConst};
+use crate::store::FactStore;
 use crate::symbols::{is_reserved_rel_name, reserved_rel_message, Vocab};
 use std::collections::HashMap;
 use std::fmt;
@@ -47,8 +48,11 @@ fn err(line: usize, message: impl Into<String>) -> ParseError {
     }
 }
 
-/// Splits `R(a, b)` into the relation name and trimmed argument list.
-fn split_atom(text: &str, line: usize) -> Result<(&str, Vec<&str>), ParseError> {
+/// Scans `R(a, b)` into the relation name, the argument list text
+/// between the parentheses and the number of arguments, checking that
+/// no argument is empty. Allocates nothing: [`atom_args`] reads the
+/// arguments back out of the list text.
+fn scan_atom(text: &str, line: usize) -> Result<(&str, &str, usize), ParseError> {
     let text = text.trim().trim_end_matches('.');
     let open = text
         .find('(')
@@ -61,62 +65,101 @@ fn split_atom(text: &str, line: usize) -> Result<(&str, Vec<&str>), ParseError> 
         return Err(err(line, format!("bad relation name `{name}`")));
     }
     let inner = &text[open + 1..text.len() - 1];
-    let args: Vec<&str> = if inner.trim().is_empty() {
+    let mut arity = 0;
+    if !inner.trim().is_empty() {
+        for arg in atom_args(inner) {
+            if arg.is_empty() {
+                return Err(err(line, format!("empty argument in `{text}`")));
+            }
+            arity += 1;
+        }
+    }
+    Ok((name, inner, arity))
+}
+
+/// The trimmed arguments of an argument list text from [`scan_atom`]
+/// that holds at least one argument.
+fn atom_args(inner: &str) -> impl Iterator<Item = &str> {
+    inner.split(',').map(str::trim)
+}
+
+/// Splits `R(a, b)` into the relation name and trimmed argument list.
+fn split_atom(text: &str, line: usize) -> Result<(&str, Vec<&str>), ParseError> {
+    let (name, inner, arity) = scan_atom(text, line)?;
+    let args = if arity == 0 {
         Vec::new()
     } else {
-        inner.split(',').map(|a| a.trim()).collect()
+        atom_args(inner).collect()
     };
-    if args.iter().any(|a| a.is_empty()) {
-        return Err(err(line, format!("empty argument in `{text}`")));
-    }
     Ok((name, args))
 }
 
 /// Parses an instance from its text representation, interning relation
-/// symbols (with inferred arities) and constants into `vocab`.
+/// symbols (with inferred arities) and constants into `vocab`: the
+/// facts of [`parse_facts`] with the per-term index built over them.
+pub fn parse_instance(text: &str, vocab: &mut Vocab) -> Result<Instance, ParseError> {
+    parse_facts(text, vocab).map(Instance::from_store)
+}
+
+/// Parses instance text straight into a [`FactStore`], in one pass that
+/// allocates nothing per fact, interning relation symbols (with inferred
+/// arities) and constants into `vocab`. Facts keep their text order;
+/// duplicates are interned once.
 ///
 /// A relation name in the reserved namespace ([`is_reserved_rel_name`])
 /// or an arity clash — with `vocab` or between two lines — refuses the
 /// text, and a refused text interns no relation: the text is checked
-/// through to its end before its first new name is interned.
-pub fn parse_instance(text: &str, vocab: &mut Vocab) -> Result<Instance, ParseError> {
-    parse_facts(text, vocab, true)
+/// through to its end before its first new name is interned. Constants
+/// of the lines before a refused line stay interned.
+pub fn parse_facts(text: &str, vocab: &mut Vocab) -> Result<FactStore, ParseError> {
+    scan_facts(text, vocab, true)
 }
 
-/// Parses an instance over the relations `vocab` already knows, for
+/// Parses instance text over the relations `vocab` already knows, for
 /// data that only lives as long as one evaluation: a fact over a
 /// relation name `vocab` has never seen is dropped rather than interned,
 /// so such data can never fix the arity of a name a later ontology
-/// uses. Constants are interned; refusals are those of
-/// [`parse_instance`].
-pub fn parse_known_instance(text: &str, vocab: &mut Vocab) -> Result<Instance, ParseError> {
-    parse_facts(text, vocab, false)
+/// uses. Constants are interned; refusals are those of [`parse_facts`].
+pub fn parse_known_facts(text: &str, vocab: &mut Vocab) -> Result<FactStore, ParseError> {
+    scan_facts(text, vocab, false)
 }
 
-/// The non-blank fact lines of `text` from 1-based line `from` on, as
-/// `(line number, relation name, argument texts)`. Malformed atoms,
-/// argument-less facts and reserved relation names are errors.
-fn fact_lines(
-    text: &str,
-    from: usize,
-) -> impl Iterator<Item = Result<(usize, &str, Vec<&str>), ParseError>> {
+/// One fact line of an instance text, as [`scan_atom`] left it.
+struct FactLine<'t> {
+    /// 1-based line number.
+    line: usize,
+    name: &'t str,
+    /// The argument list text (at least one argument).
+    args: &'t str,
+    arity: usize,
+}
+
+/// The non-blank fact lines of `text` from 1-based line `from` on.
+/// Malformed atoms, argument-less facts and reserved relation names are
+/// errors.
+fn fact_lines(text: &str, from: usize) -> impl Iterator<Item = Result<FactLine<'_>, ParseError>> {
     text.lines()
         .enumerate()
         .skip(from - 1)
         .filter_map(|(idx, raw)| {
-            let lineno = idx + 1;
-            let line = raw.split('#').next().unwrap_or("").trim();
-            if line.is_empty() {
+            let line = idx + 1;
+            let atom = raw.split('#').next().unwrap_or("").trim();
+            if atom.is_empty() {
                 return None;
             }
-            Some(split_atom(line, lineno).and_then(|(name, args)| {
-                if args.is_empty() {
-                    return Err(err(lineno, "facts need at least one argument"));
+            Some(scan_atom(atom, line).and_then(|(name, args, arity)| {
+                if arity == 0 {
+                    return Err(err(line, "facts need at least one argument"));
                 }
                 if is_reserved_rel_name(name) {
-                    return Err(err(lineno, reserved_rel_message(name)));
+                    return Err(err(line, reserved_rel_message(name)));
                 }
-                Ok((lineno, name, args))
+                Ok(FactLine {
+                    line,
+                    name,
+                    args,
+                    arity,
+                })
             }))
         })
 }
@@ -128,35 +171,51 @@ fn arity_clash(lineno: usize, name: &str, used: usize, declared: usize) -> Parse
     )
 }
 
-fn parse_facts(text: &str, vocab: &mut Vocab, intern_rels: bool) -> Result<Instance, ParseError> {
-    let mut d = Instance::new();
+fn scan_facts(text: &str, vocab: &mut Vocab, intern_rels: bool) -> Result<FactStore, ParseError> {
+    let mut store = FactStore::new();
+    // One argument buffer, reused by every fact.
+    let mut args: Vec<Term> = Vec::new();
     // The first never-seen name triggers one check of the rest of the
     // text before it is interned; a text over known names is read once.
     let mut rest_checked = false;
-    for line in fact_lines(text, 1) {
-        let (lineno, name, args) = line?;
-        let rel = match vocab.find_rel(name) {
-            Some(rel) if vocab.arity(rel) != args.len() => {
-                return Err(arity_clash(lineno, name, args.len(), vocab.arity(rel)));
+    for fact in fact_lines(text, 1) {
+        let fact = fact?;
+        let rel = match vocab.find_rel(fact.name) {
+            Some(rel) if vocab.arity(rel) != fact.arity => {
+                return Err(arity_clash(
+                    fact.line,
+                    fact.name,
+                    fact.arity,
+                    vocab.arity(rel),
+                ));
             }
             Some(rel) => rel,
             None if !intern_rels => continue,
             None => {
                 if !rest_checked {
-                    check_unseen_names(text, lineno, vocab)?;
+                    check_unseen_names(text, fact.line, vocab)?;
                     rest_checked = true;
                 }
-                vocab.rel(name, args.len())
+                vocab.rel(fact.name, fact.arity)
             }
         };
-        let consts: Vec<_> = args.iter().map(|a| vocab.constant(a)).collect();
+        args.clear();
+        args.extend(atom_args(fact.args).map(|a| Term::Const(vocab.constant(a))));
         // The arity checks make this infallible, but the typed check
         // stays on in release builds: an ill-formed fact must never reach
         // the store silently.
-        d.insert_checked(&Fact::consts(rel, &consts), vocab)
-            .map_err(|e| err(lineno, e.to_string()))?;
+        let expected = vocab.arity(rel);
+        if expected != args.len() {
+            let clash = ArityError {
+                rel,
+                expected,
+                got: args.len(),
+            };
+            return Err(err(fact.line, clash.to_string()));
+        }
+        store.intern(rel, &args);
     }
-    Ok(d)
+    Ok(store)
 }
 
 /// Checks the fact lines of `text` from line `from` on without touching
@@ -164,14 +223,14 @@ fn parse_facts(text: &str, vocab: &mut Vocab, intern_rels: bool) -> Result<Insta
 /// arity — the one `vocab` holds, or the first one the text uses.
 fn check_unseen_names(text: &str, from: usize, vocab: &Vocab) -> Result<(), ParseError> {
     let mut unseen: HashMap<&str, usize> = HashMap::new();
-    for line in fact_lines(text, from) {
-        let (lineno, name, args) = line?;
-        let declared = match vocab.find_rel(name) {
+    for fact in fact_lines(text, from) {
+        let fact = fact?;
+        let declared = match vocab.find_rel(fact.name) {
             Some(rel) => vocab.arity(rel),
-            None => *unseen.entry(name).or_insert(args.len()),
+            None => *unseen.entry(fact.name).or_insert(fact.arity),
         };
-        if declared != args.len() {
-            return Err(arity_clash(lineno, name, args.len(), declared));
+        if declared != fact.arity {
+            return Err(arity_clash(fact.line, fact.name, fact.arity, declared));
         }
     }
     Ok(())
@@ -277,7 +336,6 @@ pub fn parse_ucq(text: &str, vocab: &mut Vocab) -> Result<Ucq, ParseError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fact::Term;
 
     #[test]
     fn parses_facts_with_comments_and_dots() {
@@ -322,16 +380,16 @@ mod tests {
     fn known_instances_drop_facts_over_unseen_relations() {
         let mut v = Vocab::new();
         let r = v.rel("R", 2);
-        let d = parse_known_instance("R(a, b)\nworksOn(ada)\nworksOn(ada, x, y)\n", &mut v)
+        let d = parse_known_facts("R(a, b)\nworksOn(ada)\nworksOn(ada, x, y)\n", &mut v)
             .expect("parses");
         assert_eq!(d.len(), 1);
-        assert_eq!(d.facts_of(r).count(), 1);
+        assert_eq!(d.rel_ids(r).len(), 1);
         assert!(v.find_rel("worksOn").is_none(), "unseen names stay unseen");
         // Known relations keep their arity check, reserved names stay
         // refused even when the rewriting has interned them.
-        assert!(parse_known_instance("R(a)\n", &mut v).is_err());
+        assert!(parse_known_facts("R(a)\n", &mut v).is_err());
         v.rel("_goal", 1);
-        let e = parse_known_instance("_goal(eve)\n", &mut v).unwrap_err();
+        let e = parse_known_facts("_goal(eve)\n", &mut v).unwrap_err();
         assert!(e.message.contains("reserved"), "{e}");
     }
 
@@ -388,5 +446,218 @@ mod tests {
         assert!(parse_ucq("q(?x) :- A(?x\n", &mut v).is_err());
         assert!(parse_ucq("", &mut v).is_err());
         assert!(parse_ucq("q(?x) :- A(?x)\nq(?x,?y) :- R(?x,?y)\n", &mut v).is_err());
+    }
+
+    /// The instance parser as it was before it parsed into a store: one
+    /// `Vec` per line and per fact, and an owned [`Fact`] per fact,
+    /// inserted through [`Instance::insert_checked`]. The property test
+    /// below holds the one-pass parser to it.
+    mod reference {
+        use super::super::{arity_clash, err, ParseError};
+        use crate::fact::Fact;
+        use crate::interpretation::Instance;
+        use crate::symbols::{is_reserved_rel_name, reserved_rel_message, Vocab};
+        use std::collections::HashMap;
+
+        fn split_atom(text: &str, line: usize) -> Result<(&str, Vec<&str>), ParseError> {
+            let text = text.trim().trim_end_matches('.');
+            let open = text
+                .find('(')
+                .ok_or_else(|| err(line, format!("expected `(` in atom `{text}`")))?;
+            if !text.ends_with(')') {
+                return Err(err(line, format!("expected `)` at the end of `{text}`")));
+            }
+            let name = text[..open].trim();
+            if name.is_empty() || !name.chars().all(|c| c.is_alphanumeric() || c == '_') {
+                return Err(err(line, format!("bad relation name `{name}`")));
+            }
+            let inner = &text[open + 1..text.len() - 1];
+            let args: Vec<&str> = if inner.trim().is_empty() {
+                Vec::new()
+            } else {
+                inner.split(',').map(|a| a.trim()).collect()
+            };
+            if args.iter().any(|a| a.is_empty()) {
+                return Err(err(line, format!("empty argument in `{text}`")));
+            }
+            Ok((name, args))
+        }
+
+        type Line<'t> = (usize, &'t str, Vec<&'t str>);
+
+        fn fact_lines(
+            text: &str,
+            from: usize,
+        ) -> impl Iterator<Item = Result<Line<'_>, ParseError>> {
+            text.lines()
+                .enumerate()
+                .skip(from - 1)
+                .filter_map(|(idx, raw)| {
+                    let lineno = idx + 1;
+                    let line = raw.split('#').next().unwrap_or("").trim();
+                    if line.is_empty() {
+                        return None;
+                    }
+                    Some(split_atom(line, lineno).and_then(|(name, args)| {
+                        if args.is_empty() {
+                            return Err(err(lineno, "facts need at least one argument"));
+                        }
+                        if is_reserved_rel_name(name) {
+                            return Err(err(lineno, reserved_rel_message(name)));
+                        }
+                        Ok((lineno, name, args))
+                    }))
+                })
+        }
+
+        pub fn parse_facts(
+            text: &str,
+            vocab: &mut Vocab,
+            intern_rels: bool,
+        ) -> Result<Instance, ParseError> {
+            let mut d = Instance::new();
+            let mut rest_checked = false;
+            for line in fact_lines(text, 1) {
+                let (lineno, name, args) = line?;
+                let rel = match vocab.find_rel(name) {
+                    Some(rel) if vocab.arity(rel) != args.len() => {
+                        return Err(arity_clash(lineno, name, args.len(), vocab.arity(rel)));
+                    }
+                    Some(rel) => rel,
+                    None if !intern_rels => continue,
+                    None => {
+                        if !rest_checked {
+                            check_unseen_names(text, lineno, vocab)?;
+                            rest_checked = true;
+                        }
+                        vocab.rel(name, args.len())
+                    }
+                };
+                let consts: Vec<_> = args.iter().map(|a| vocab.constant(a)).collect();
+                d.insert_checked(&Fact::consts(rel, &consts), vocab)
+                    .map_err(|e| err(lineno, e.to_string()))?;
+            }
+            Ok(d)
+        }
+
+        fn check_unseen_names(text: &str, from: usize, vocab: &Vocab) -> Result<(), ParseError> {
+            let mut unseen: HashMap<&str, usize> = HashMap::new();
+            for line in fact_lines(text, from) {
+                let (lineno, name, args) = line?;
+                let declared = match vocab.find_rel(name) {
+                    Some(rel) => vocab.arity(rel),
+                    None => *unseen.entry(name).or_insert(args.len()),
+                };
+                if declared != args.len() {
+                    return Err(arity_clash(lineno, name, args.len(), declared));
+                }
+            }
+            Ok(())
+        }
+    }
+
+    /// One generated line of instance text: a well-formed fact (possibly
+    /// dotted, commented or padded), a blank or comment line, or one of
+    /// the malformed shapes the parser must refuse.
+    fn gen_line(kind: usize, a: usize, b: usize) -> String {
+        const RELS: [(&str, usize); 6] = [
+            ("A", 1),
+            ("R", 2),
+            ("T", 3),
+            ("Straße", 1),
+            ("関係", 2),
+            ("New", 1),
+        ];
+        const CONSTS: [&str; 6] = ["a", "b", "c1", "ü", "名前", "x_y"];
+        let (rel, arity) = RELS[a % RELS.len()];
+        let args: Vec<&str> = (0..arity)
+            .map(|i| CONSTS[(b + i * a) % CONSTS.len()])
+            .collect();
+        let fact = format!("{rel}({})", args.join(", "));
+        match kind {
+            6 => format!("{fact}."),
+            7 => format!("{fact}..  # note"),
+            8 => format!("  {rel} ( {} )  ", args.join(" ,  ")),
+            9 => String::new(),
+            10 => "   # only a comment".to_owned(),
+            11 => "\t ".to_owned(),
+            12 => format!("{rel}({})", args.join(",")),
+            13 => format!("{rel}(a,,b)"),
+            14 => format!("{rel}( )"),
+            15 => format!("{rel}(a"),
+            16 => format!("{rel}a)"),
+            17 => format!("{rel}((a)"),
+            18 => ["_goal(a)", "_x(a, b)", "_dom(c1)", "_dom( )"][b % 4].to_owned(),
+            19 => format!("{rel}({}, extra)", args.join(", ")),
+            20 => ["Neu(a)", "Neu(a, b)", "Ünseen(名前)", "Q2(a, b)"][b % 4].to_owned(),
+            21 => ["R-x(a)", "(a)", "A b(c)"][b % 3].to_owned(),
+            22 => format!("{fact} trailing"),
+            23 => format!("{rel}(a, )"),
+            // Well-formed facts dominate, so many texts parse through.
+            _ => fact,
+        }
+    }
+
+    /// The facts of an instance as names, in id order.
+    fn named_facts<'a>(
+        facts: impl Iterator<Item = crate::store::FactRef<'a>>,
+        v: &Vocab,
+    ) -> Vec<String> {
+        facts.map(|f| f.display(v).to_string()).collect()
+    }
+
+    fn vocab_names(v: &Vocab) -> (Vec<(String, usize)>, Vec<String>) {
+        let rels = v
+            .rels()
+            .map(|r| (v.rel_name(r).to_owned(), v.arity(r)))
+            .collect();
+        let consts = (0..v.const_count() as u32)
+            .map(|c| v.const_name(crate::symbols::ConstId(c)).to_owned())
+            .collect();
+        (rels, consts)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(1000))]
+
+        #[test]
+        fn one_pass_parser_matches_the_reference(
+            lines in proptest::collection::vec((0usize..48, 0usize..7, 0usize..7, 0usize..3), 0..12),
+            known in proptest::strategy::Strategy::prop_map(0usize..2, |k| k == 1),
+        ) {
+            let mut text = String::new();
+            for &(kind, a, b, end) in &lines {
+                text.push_str(&gen_line(kind, a, b));
+                text.push_str(["\n", "\r\n", "\n"][end]);
+            }
+            let mut base = Vocab::new();
+            base.rel("A", 1);
+            base.rel("R", 2);
+            base.rel("_goal", 1);
+            base.constant("b");
+            let (mut got_v, mut want_v) = (base.clone(), base);
+            let want = reference::parse_facts(&text, &mut want_v, !known);
+            let got = if known {
+                parse_known_facts(&text, &mut got_v)
+            } else {
+                parse_facts(&text, &mut got_v)
+            };
+            match (got, want) {
+                (Ok(got), Ok(want)) => {
+                    proptest::prop_assert_eq!(
+                        named_facts(got.iter(), &got_v),
+                        named_facts(want.iter(), &want_v),
+                        "text {:?}", text
+                    );
+                    proptest::prop_assert_eq!(got.stats(), want.store_stats());
+                }
+                (got, want) => proptest::prop_assert_eq!(
+                    got.map(|_| ()),
+                    want.map(|_| ()),
+                    "text {:?}", text
+                ),
+            }
+            proptest::prop_assert_eq!(vocab_names(&got_v), vocab_names(&want_v), "text {:?}", text);
+        }
     }
 }

@@ -8,9 +8,13 @@
 //! with a columnar layout:
 //!
 //! * one flat argument arena (`Vec<Term>`) shared by all facts,
-//! * parallel per-fact columns (`rels`, `starts`, `hashes`),
-//! * dedup via a hash map keyed on the fact's hash with bucket
-//!   verification against the arena slice (no owned `Fact` keys), and
+//! * parallel per-fact columns (`rels`, `starts`, `hashes`, `older`),
+//! * dedup through chains: a hash map takes a fact's hash to the newest
+//!   fact with that hash, and the `older` column links each fact to the
+//!   next older fact with the same hash. A lookup verifies each link
+//!   against the arena slice (no owned `Fact` keys, and no per-hash
+//!   bucket allocation), and [`FactStore::truncate`] unhooks the doomed
+//!   facts newest first from their stored hashes, and
 //! * a per-relation id index whose buckets are ascending in
 //!   [`FactId`], so "the facts derived since round `k`" is a contiguous
 //!   id range rather than a cloned set.
@@ -26,8 +30,8 @@
 //! ([`crate::index`]), is keyed by interned, densely numbered ids, never
 //! by client text. They hash with [`FxHasher`], a multiply-rotate hasher
 //! that costs one multiply per word, instead of the standard library's
-//! DoS-resistant SipHash. [`Vocab`] keeps SipHash for its name tables:
-//! those are keyed by strings the client controls.
+//! DoS-resistant SipHash. [`Vocab`] keeps keyed SipHash for its name
+//! tables: those are keyed by strings the client controls.
 
 use crate::fact::{Fact, FactDisplay, Term};
 use crate::symbols::{RelId, Vocab};
@@ -194,9 +198,12 @@ pub struct FactStore {
     /// Hash of fact `i` (over relation and arguments); kept per fact so
     /// [`FactStore::truncate`] can unhook dedup entries without rehashing.
     hashes: Vec<u64>,
-    /// Hash → ids of facts with that hash; membership is verified against
-    /// the arena, so colliding facts simply share a bucket.
-    dedup: FxHashMap<u64, Vec<u32>>,
+    /// The next older fact with the same hash as fact `i`, or
+    /// [`NO_FACT`]: colliding facts form a chain from `dedup`.
+    older: Vec<u32>,
+    /// Hash → the newest fact with that hash. Membership is verified
+    /// against the arena along the `older` chain.
+    dedup: FxHashMap<u64, u32>,
     /// Relation → ascending ids of its facts.
     by_rel: FxHashMap<RelId, Vec<u32>>,
     /// Interns answered from `dedup` rather than by appending.
@@ -220,6 +227,7 @@ impl Default for FactStore {
             starts: vec![0],
             arena: Vec::new(),
             hashes: Vec::new(),
+            older: Vec::new(),
             dedup: FxHashMap::default(),
             by_rel: FxHashMap::default(),
             dedup_hits: 0,
@@ -228,6 +236,9 @@ impl Default for FactStore {
         }
     }
 }
+
+/// The end of a dedup chain: no older fact has the same hash.
+const NO_FACT: u32 = u32::MAX;
 
 impl FactStore {
     /// Creates an empty store.
@@ -244,13 +255,19 @@ impl FactStore {
 
     /// Looks up a fact without inserting it.
     pub fn lookup(&self, rel: RelId, args: &[Term]) -> Option<FactId> {
-        let h = Self::hash_fact(rel, args);
-        self.dedup.get(&h).and_then(|bucket| {
-            bucket
-                .iter()
-                .find(|&&id| self.rels[id as usize] == rel && self.args_of(id) == args)
-                .map(|&id| FactId(id))
-        })
+        self.lookup_hashed(rel, args, Self::hash_fact(rel, args))
+    }
+
+    /// [`FactStore::lookup`] with the fact's hash `h` given.
+    fn lookup_hashed(&self, rel: RelId, args: &[Term], h: u64) -> Option<FactId> {
+        let mut id = *self.dedup.get(&h)?;
+        while id != NO_FACT {
+            if self.rels[id as usize] == rel && self.args_of(id) == args {
+                return Some(FactId(id));
+            }
+            id = self.older[id as usize];
+        }
+        None
     }
 
     /// Interns a fact, returning its id and whether it was new.
@@ -258,15 +275,14 @@ impl FactStore {
     /// The argument slice is copied into the arena only when the fact is
     /// new; a duplicate costs one hash and one slice comparison.
     pub fn intern(&mut self, rel: RelId, args: &[Term]) -> (FactId, bool) {
-        let h = Self::hash_fact(rel, args);
-        if let Some(bucket) = self.dedup.get(&h) {
-            if let Some(&id) = bucket
-                .iter()
-                .find(|&&id| self.rels[id as usize] == rel && self.args_of(id) == args)
-            {
-                self.dedup_hits = self.dedup_hits.saturating_add(1);
-                return (FactId(id), false);
-            }
+        self.intern_hashed(rel, args, Self::hash_fact(rel, args))
+    }
+
+    /// [`FactStore::intern`] with the fact's hash `h` given.
+    fn intern_hashed(&mut self, rel: RelId, args: &[Term], h: u64) -> (FactId, bool) {
+        if let Some(id) = self.lookup_hashed(rel, args, h) {
+            self.dedup_hits = self.dedup_hits.saturating_add(1);
+            return (id, false);
         }
         crate::faults::alloc_point(
             crate::faults::STORE_INTERN,
@@ -278,7 +294,7 @@ impl FactStore {
         self.starts.push(self.arena.len() as u32);
         self.hashes.push(h);
         self.support.push(1);
-        self.dedup.entry(h).or_default().push(id);
+        self.older.push(self.dedup.insert(h, id).unwrap_or(NO_FACT));
         self.by_rel.entry(rel).or_default().push(id);
         (FactId(id), true)
     }
@@ -406,8 +422,8 @@ impl FactStore {
     }
 
     /// Rebuilds a store from raw columns (the inverse of
-    /// [`FactStore::columns`]), recomputing hashes, the dedup map and the
-    /// per-relation index. Fact ids are preserved: fact `i` of the dump
+    /// [`FactStore::columns`]), recomputing hashes, the dedup chains and
+    /// the per-relation index. Fact ids are preserved: fact `i` of the dump
     /// is fact `i` of the rebuilt store.
     ///
     /// Returns an error when the columns are structurally inconsistent
@@ -437,6 +453,7 @@ impl FactStore {
             starts,
             arena,
             hashes: Vec::new(),
+            older: Vec::new(),
             dedup: FxHashMap::default(),
             by_rel: FxHashMap::default(),
             dedup_hits: 0,
@@ -444,11 +461,14 @@ impl FactStore {
             dead: 0,
         };
         store.hashes.reserve(store.rels.len());
+        store.older.reserve(store.rels.len());
         for id in 0..store.rels.len() as u32 {
             let rel = store.rels[id as usize];
             let h = Self::hash_fact(rel, store.args_of(id));
             store.hashes.push(h);
-            store.dedup.entry(h).or_default().push(id);
+            store
+                .older
+                .push(store.dedup.insert(h, id).unwrap_or(NO_FACT));
             store.by_rel.entry(rel).or_default().push(id);
         }
         Ok(store)
@@ -466,14 +486,14 @@ impl FactStore {
         if mark >= self.rels.len() {
             return;
         }
-        for id in (mark as u32)..self.rels.len() as u32 {
+        // Newest first: each fact is still the head of its hash's chain
+        // when it is reached, because every newer fact went before it.
+        for id in ((mark as u32)..self.rels.len() as u32).rev() {
             let h = self.hashes[id as usize];
-            if let Some(bucket) = self.dedup.get_mut(&h) {
-                bucket.retain(|&i| i != id);
-                if bucket.is_empty() {
-                    self.dedup.remove(&h);
-                }
-            }
+            match self.older[id as usize] {
+                NO_FACT => self.dedup.remove(&h),
+                older => self.dedup.insert(h, older),
+            };
             if let Some(bucket) = self.by_rel.get_mut(&self.rels[id as usize]) {
                 // Ids are appended in order, so the doomed ids form the
                 // bucket's tail.
@@ -491,6 +511,7 @@ impl FactStore {
         self.starts.truncate(mark + 1);
         self.rels.truncate(mark);
         self.hashes.truncate(mark);
+        self.older.truncate(mark);
     }
 }
 
@@ -768,5 +789,70 @@ mod tests {
         assert_eq!(left.get(2).args, &[ab[1], ab[0]]);
         left.clear();
         assert!(left.is_empty());
+    }
+
+    /// The dedup chains against a `HashSet` model, under interleaved
+    /// interns, lookups and truncations. `coarse` folds every hash into
+    /// three values, so nearly every fact shares its chain.
+    fn dedup_matches_a_set(ops: &[(usize, usize, usize)], coarse: bool) {
+        let mut v = Vocab::new();
+        let rels = [v.rel("R", 1), v.rel("S", 2)];
+        let ts = terms(&mut v, &["a", "b", "c", "d"]);
+        let hash = |rel: RelId, args: &[Term]| {
+            let h = FactStore::hash_fact(rel, args);
+            if coarse {
+                h % 3
+            } else {
+                h
+            }
+        };
+        let mut store = FactStore::new();
+        let mut model: Vec<Fact> = Vec::new();
+        let mut set: std::collections::HashSet<Fact> = std::collections::HashSet::new();
+        for &(op, x, y) in ops {
+            let rel = rels[x % 2];
+            let args = &[ts[x % 4], ts[y % 4]][..=x % 2];
+            let fact = Fact::new(rel, args.to_vec());
+            match op {
+                0..=5 => {
+                    let (id, new) = store.intern_hashed(rel, args, hash(rel, args));
+                    assert_eq!(new, set.insert(fact.clone()));
+                    if new {
+                        model.push(fact);
+                    }
+                    assert_eq!(model[id.index()], store.fact_ref(id).to_fact());
+                }
+                6..=8 => {
+                    let found = store.lookup_hashed(rel, args, hash(rel, args));
+                    let want = model.iter().position(|f| *f == fact);
+                    assert_eq!(found.map(FactId::index), want);
+                }
+                _ => {
+                    let mark = y * model.len() / 4;
+                    store.truncate(mark);
+                    for f in model.drain(mark..) {
+                        set.remove(&f);
+                    }
+                }
+            }
+            assert_eq!(store.len(), model.len());
+            assert!(store.iter().map(FactRef::to_fact).eq(model.iter().cloned()));
+        }
+        // The rebuilt chains of a columns dump answer like the originals.
+        let (rels, starts, arena) = store.columns();
+        let back = FactStore::from_columns(rels.to_vec(), starts.to_vec(), arena.to_vec()).unwrap();
+        for (i, f) in model.iter().enumerate() {
+            assert_eq!(back.lookup(f.rel, &f.args), Some(FactId(i as u32)));
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn chained_dedup_matches_a_set(
+            ops in proptest::collection::vec((0usize..10, 0usize..8, 0usize..5), 0..60),
+        ) {
+            dedup_matches_a_set(&ops, false);
+            dedup_matches_a_set(&ops, true);
+        }
     }
 }

@@ -3,9 +3,24 @@
 //!
 //! All structural algorithms work on compact integer ids; a [`Vocab`] owns
 //! the id ↔ name mapping and is only consulted for display and parsing.
+//!
+//! Constants churn: every request ABox interns its own and the serving
+//! session rolls them back afterwards ([`Vocab::const_mark`],
+//! [`Vocab::truncate_consts`]). So the constant table allocates nothing
+//! per name. Names live end to end in one `String` arena with an end
+//! offset per id. Each id also keeps its name's hash, computed once
+//! with the process-keyed SipHash of [`RandomState`]. The index maps a
+//! hash to the newest id that has it, and a chain links each id to the
+//! next older id with the same hash. A lookup hashes the name once and
+//! compares arena slices along the chain. A keyed hash leaves a client
+//! no way to aim names at one chain. Truncation pops the arena and
+//! unhooks ids newest first from their stored hashes, without rehashing.
 
+use crate::store::FxHashMap;
+use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
 use std::fmt;
+use std::hash::BuildHasher;
 
 /// Relation names beginning with this character are reserved for the
 /// relations the system derives itself — the Theorem-5 rewriting's
@@ -72,9 +87,96 @@ impl fmt::Display for NullId {
 pub struct Vocab {
     rel_names: Vec<(String, usize)>,
     rel_by_name: HashMap<String, RelId>,
-    const_names: Vec<String>,
-    const_by_name: HashMap<String, ConstId>,
+    consts: ConstTable,
     next_null: u32,
+}
+
+/// No older id with the same hash (the end of a chain).
+const NO_CONST: u32 = u32::MAX;
+
+/// The constant table: see the [module docs](self).
+#[derive(Clone, Debug, Default)]
+struct ConstTable {
+    /// Every name, end to end, in id order.
+    text: String,
+    /// `ends[i]` is where name `i` ends in `text`; it starts where name
+    /// `i - 1` ends (or at 0).
+    ends: Vec<u32>,
+    /// The keyed hash of name `i`.
+    hashes: Vec<u64>,
+    /// The next older id whose name has the same hash, or [`NO_CONST`].
+    older: Vec<u32>,
+    /// Hash → the newest id whose name has it.
+    newest: FxHashMap<u64, u32>,
+    /// The process-keyed hash function.
+    keys: RandomState,
+}
+
+impl ConstTable {
+    fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    fn start(&self, id: usize) -> usize {
+        if id == 0 {
+            0
+        } else {
+            self.ends[id - 1] as usize
+        }
+    }
+
+    fn name(&self, id: usize) -> &str {
+        &self.text[self.start(id)..self.ends[id] as usize]
+    }
+
+    /// The id of `name`, given its hash `h`.
+    fn find(&self, name: &str, h: u64) -> Option<u32> {
+        let mut id = *self.newest.get(&h)?;
+        while id != NO_CONST {
+            if self.name(id as usize) == name {
+                return Some(id);
+            }
+            id = self.older[id as usize];
+        }
+        None
+    }
+
+    fn hash(&self, name: &str) -> u64 {
+        self.keys.hash_one(name)
+    }
+
+    /// Interns `name`, given its hash `h`.
+    fn intern(&mut self, name: &str, h: u64) -> u32 {
+        if let Some(id) = self.find(name, h) {
+            return id;
+        }
+        let id = self.len() as u32;
+        self.text.push_str(name);
+        self.ends.push(self.text.len() as u32);
+        self.hashes.push(h);
+        self.older
+            .push(self.newest.insert(h, id).unwrap_or(NO_CONST));
+        id
+    }
+
+    fn truncate(&mut self, mark: usize) {
+        if mark >= self.len() {
+            return;
+        }
+        // Newest first: each id is still the head of its hash's chain
+        // when it is reached, because every newer id went before it.
+        for id in (mark..self.len()).rev() {
+            let h = self.hashes[id];
+            match self.older[id] {
+                NO_CONST => self.newest.remove(&h),
+                older => self.newest.insert(h, older),
+            };
+        }
+        self.text.truncate(self.start(mark));
+        self.ends.truncate(mark);
+        self.hashes.truncate(mark);
+        self.older.truncate(mark);
+    }
 }
 
 impl Vocab {
@@ -130,28 +232,23 @@ impl Vocab {
 
     /// Interns a constant.
     pub fn constant(&mut self, name: &str) -> ConstId {
-        if let Some(&id) = self.const_by_name.get(name) {
-            return id;
-        }
-        let id = ConstId(self.const_names.len() as u32);
-        self.const_names.push(name.to_owned());
-        self.const_by_name.insert(name.to_owned(), id);
-        id
+        let h = self.consts.hash(name);
+        ConstId(self.consts.intern(name, h))
     }
 
     /// Looks up a constant by name without interning it.
     pub fn find_constant(&self, name: &str) -> Option<ConstId> {
-        self.const_by_name.get(name).copied()
+        self.consts.find(name, self.consts.hash(name)).map(ConstId)
     }
 
     /// The name of a constant.
     pub fn const_name(&self, c: ConstId) -> &str {
-        &self.const_names[c.0 as usize]
+        self.consts.name(c.0 as usize)
     }
 
     /// Number of interned constants.
     pub fn const_count(&self) -> usize {
-        self.const_names.len()
+        self.consts.len()
     }
 
     /// A checkpoint of the constant table, for scoped interning: pass it
@@ -159,7 +256,7 @@ impl Vocab {
     /// after this point. Long-lived serving sessions use this to keep
     /// per-request ABox constants from accumulating forever.
     pub fn const_mark(&self) -> usize {
-        self.const_names.len()
+        self.consts.len()
     }
 
     /// Drops every constant interned after `mark` (a value previously
@@ -167,9 +264,7 @@ impl Vocab {
     /// become dangling — callers must not retain [`ConstId`]s across the
     /// truncation. Relation symbols and nulls are unaffected.
     pub fn truncate_consts(&mut self, mark: usize) {
-        for name in self.const_names.drain(mark.min(self.const_names.len())..) {
-            self.const_by_name.remove(&name);
-        }
+        self.consts.truncate(mark);
     }
 
     /// Creates a fresh labelled null.
@@ -260,5 +355,86 @@ mod tests {
         v.constant("a");
         assert!(v.find_rel("R").is_some());
         assert!(v.find_constant("a").is_some());
+    }
+
+    const NAMES: [&str; 6] = ["a", "b", "ab", "", "ü", "名前"];
+
+    /// The constant table against a `Vec` + `HashMap` model, under
+    /// interleaved interns, lookups and truncations. `hash` gives each
+    /// name's hash, so a coarse one forces chains of colliding names.
+    fn table_matches_a_map(ops: &[(usize, usize)], hash: impl Fn(&ConstTable, &str) -> u64) {
+        let mut t = ConstTable::default();
+        let mut names: Vec<&str> = Vec::new();
+        let mut ids: HashMap<&str, u32> = HashMap::new();
+        for &(op, x) in ops {
+            let name = NAMES[x % NAMES.len()];
+            match op {
+                0..=4 => {
+                    let id = t.intern(name, hash(&t, name));
+                    let want = *ids.entry(name).or_insert_with(|| {
+                        names.push(name);
+                        names.len() as u32 - 1
+                    });
+                    assert_eq!(id, want);
+                }
+                5..=7 => assert_eq!(t.find(name, hash(&t, name)), ids.get(name).copied()),
+                _ => {
+                    let mark = x % 6 * names.len() / 5;
+                    t.truncate(mark);
+                    for n in names.drain(mark..) {
+                        ids.remove(n);
+                    }
+                }
+            }
+            assert_eq!(t.len(), names.len());
+            for (i, n) in names.iter().enumerate() {
+                assert_eq!(t.name(i), *n);
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn const_table_matches_a_map(
+            ops in proptest::collection::vec((0usize..10, 0usize..12), 0..60),
+        ) {
+            table_matches_a_map(&ops, |t, n| t.hash(n));
+            table_matches_a_map(&ops, |t, n| t.hash(n) % 2);
+            table_matches_a_map(&ops, |_, _| 7);
+        }
+
+        #[test]
+        fn vocab_constants_match_a_map(
+            ops in proptest::collection::vec((0usize..10, 0usize..12), 0..60),
+        ) {
+            let mut v = Vocab::new();
+            let mut names: Vec<&str> = Vec::new();
+            for &(op, x) in &ops {
+                let name = NAMES[x % NAMES.len()];
+                match op {
+                    0..=4 => {
+                        let id = v.constant(name);
+                        if !names.contains(&name) {
+                            names.push(name);
+                        }
+                        proptest::prop_assert_eq!(names[id.0 as usize], name);
+                    }
+                    5..=7 => {
+                        let want = names.iter().position(|n| *n == name);
+                        proptest::prop_assert_eq!(
+                            v.find_constant(name).map(|c| c.0 as usize),
+                            want
+                        );
+                    }
+                    _ => {
+                        let mark = x % 6 * names.len() / 5;
+                        v.truncate_consts(mark);
+                        names.truncate(mark);
+                    }
+                }
+                proptest::prop_assert_eq!(v.const_count(), names.len());
+                proptest::prop_assert_eq!(v.const_mark(), names.len());
+            }
+        }
     }
 }

@@ -345,7 +345,9 @@ impl ServeShared {
         snap[Counter::ViewsActive] = session.views().len() as u64;
         snap[Counter::ViewsEvicted] = session.views().evicted();
         // session → vocab is the one permitted lock nesting order.
-        snap[Counter::VocabRelations] = lock_recover(&self.vocab).rel_count() as u64;
+        let vocab = lock_recover(&self.vocab);
+        snap[Counter::VocabRelations] = vocab.rel_count() as u64;
+        snap[Counter::VocabConstants] = vocab.const_count() as u64;
         snap
     }
 
@@ -763,12 +765,17 @@ impl ServeSession {
             let dl = parse_ontology(req.ontology, &mut vocab)
                 .map_err(|e| EngineError::BadRequest(format!("ontology: {e}")))?;
             let o = to_gf(&dl);
-            let query = vocab.find_rel(req.query).ok_or_else(|| {
-                EngineError::BadRequest(format!(
-                    "query relation \"{}\" does not occur in the ontology",
-                    req.query
-                ))
-            })?;
+            // Checked against the ontology's own signature: whether some
+            // earlier request interned the name must not matter.
+            let query = vocab
+                .find_rel(req.query)
+                .filter(|rel| o.sig().contains(rel))
+                .ok_or_else(|| {
+                    EngineError::BadRequest(format!(
+                        "query relation \"{}\" does not occur in the ontology",
+                        req.query
+                    ))
+                })?;
             (o, query)
         };
         // The vocab lock is released before planning: the cache takes it
@@ -818,17 +825,16 @@ impl ServeSession {
         })
     }
 
-    /// Parses one request-supplied ABox text into a fact store (moved
-    /// out of the parsed instance, never copied). Facts over relation
+    /// Parses one request-supplied ABox text straight into a fact store,
+    /// in one pass that allocates nothing per fact. Facts over relation
     /// names the vocabulary has never seen are dropped, not interned:
     /// the query and every relation the plan reads occur in the
     /// ontology, so such facts cannot reach an answer, and interning
     /// them would fix an arity for every later ontology.
     fn parse_abox(&self, text: &str) -> Result<FactStore, EngineError> {
         let mut vocab = lock_recover(&self.shared.vocab);
-        let d = gomq_core::parse::parse_known_instance(text, &mut vocab)
-            .map_err(|e| EngineError::BadRequest(format!("abox: {e}")))?;
-        Ok(d.into_store())
+        gomq_core::parse::parse_known_facts(text, &mut vocab)
+            .map_err(|e| EngineError::BadRequest(format!("abox: {e}")))
     }
 
     /// Evaluates a query under its plan's circuit breaker and renders
@@ -1186,7 +1192,7 @@ impl ServeSession {
         // what the WAL journals (names survive constant-table shifts).
         let (facts, syms, const_floor) = {
             let mut vocab = lock_recover(&self.shared.vocab);
-            let d = gomq_core::parse::parse_instance(text, &mut vocab)
+            let d = gomq_core::parse::parse_facts(text, &mut vocab)
                 .map_err(|e| EngineError::BadRequest(format!("abox: {e}")))?;
             let facts: Vec<Fact> = d.iter().map(|f| f.to_fact()).collect();
             let syms: Vec<SymFact> = facts
@@ -1323,7 +1329,10 @@ impl ServeSession {
                 if j > 0 {
                     out.push_str(", ");
                 }
-                json::write_str(out, &format!("{}", t.display(&vocab)));
+                match t {
+                    Term::Const(c) => json::write_str(out, vocab.const_name(*c)),
+                    Term::Null(_) => json::write_str(out, &t.display(&vocab).to_string()),
+                }
             }
             out.push(']');
         }
@@ -1638,7 +1647,7 @@ mod tests {
     fn stats_op_pins_the_protocol() {
         // The 43 keys of the former per-response "engine" block, in its
         // order, then the counters the stats op appends.
-        const WIRE: [&str; 49] = [
+        const WIRE: [&str; 50] = [
             "requests",
             "cache_hits",
             "cache_misses",
@@ -1688,6 +1697,7 @@ mod tests {
             "compile_ns",
             "eval_ns",
             "vocab_relations",
+            "vocab_constants",
         ];
         let mut s = ServeSession::with_threads(1);
         let st = s.handle_line(r#"{"id": "s", "op": "stats"}"#);
@@ -1988,6 +1998,35 @@ mod tests {
         let resp =
             s.handle_line(r#"{"ontology": "hired sub Staff", "query": "Staff", "session": true}"#);
         ok_field(&resp, r#""answers": [["ada"]]"#);
+    }
+
+    #[test]
+    fn vocab_constants_gauge_returns_to_its_floor_between_requests() {
+        let gauge = |s: &ServeSession| s.shared().stats()[Counter::VocabConstants];
+        let mut s = ServeSession::with_threads(1);
+        let floor = gauge(&s);
+        for i in 0..3 {
+            let line =
+                format!(r#"{{"ontology": "A sub B", "query": "B", "abox": "A(c{i})\nA(d{i})"}}"#);
+            ok_field(&s.handle_line(&line), r#""status": "ok""#);
+            assert_eq!(gauge(&s), floor, "request {i} left constants behind");
+        }
+        // Session constants are durable and count.
+        s.handle_line(r#"{"op": "assert", "abox": "A(kept)"}"#);
+        assert_eq!(gauge(&s), floor + 1);
+    }
+
+    #[test]
+    fn query_validation_does_not_depend_on_server_history() {
+        let line = r#"{"ontology": "A sub B", "query": "X", "abox": "X(c)\nA(d)"}"#;
+        let refusal = r#"bad request: query relation \"X\" does not occur in the ontology"#;
+        let mut fresh = ServeSession::with_threads(1);
+        ok_field(&fresh.handle_line(line), refusal);
+        // An earlier request interns `X`; the same line is still refused.
+        let mut used = ServeSession::with_threads(1);
+        let resp = used.handle_line(r#"{"ontology": "X sub Y", "query": "Y", "abox": "X(q)"}"#);
+        ok_field(&resp, r#""answers": [["q"]]"#);
+        ok_field(&used.handle_line(line), refusal);
     }
 
     #[test]

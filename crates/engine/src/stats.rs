@@ -197,6 +197,11 @@ counters! {
     /// fixed IDB names it has not met before, so the gauge stays flat
     /// once the OMQs in use have been compiled.
     VocabRelations = "vocab_relations",
+    /// Constants interned in the serving vocabulary (gauge, read from
+    /// the vocabulary). A request's ABox constants are rolled back once
+    /// no request is in flight, so between requests the gauge counts
+    /// only the constants of the ontologies, queries and session facts.
+    VocabConstants = "vocab_constants",
 }
 
 /// A snapshot of every [`Counter`], indexed by counter. Renders (via

@@ -183,6 +183,31 @@ case "$vocab_ok:$vocab_rels" in
         ;;
 esac
 
+# Constant-rollback smoke: 200 request ABoxes over one OMQ, each with
+# its own constants, and a stats op before them, after 100 and after
+# 200. A request's constants are rolled back when it ends, so the
+# vocab_constants gauge reads the same all three times.
+const_aboxes() {
+    awk -v from="$1" -v to="$2" 'BEGIN {
+        for (i = from; i < to; i++) {
+            printf "{\"ontology\": \"A sub ex r.B\\nB sub C\", \"query\": \"C\", "
+            printf "\"abox\": \"A(a%d)\\nr(a%d, b%d)\\nB(c%d)\"}\n", i, i, i, i
+        }
+    }'
+}
+echo "==> gomq-serve constant-rollback smoke (stdin, release)"
+const_out="$( { echo '{"op": "stats"}'; const_aboxes 0 100; echo '{"op": "stats"}'
+    const_aboxes 100 200; echo '{"op": "stats"}'; } \
+    | target/release/gomq-serve 2>/dev/null)"
+const_ok="$(printf '%s\n' "$const_out" | grep -c '"status": "ok", "cached"')"
+const_gauges="$(printf '%s\n' "$const_out" | grep '"op": "stats"' \
+    | sed -n 's/.*"vocab_constants": \([0-9]*\).*/\1/p' | tr '\n' ' ')"
+set -- $const_gauges
+if [ "$const_ok" != 200 ] || [ "$#" -ne 3 ] || [ "$1" != "$2" ] || [ "$2" != "$3" ]; then
+    echo "constant smoke: $const_ok of 200 answered, vocab_constants '$const_gauges'" >&2
+    exit 1
+fi
+
 # Release-mode TCP smoke: an ephemeral-port listener driven by
 # gomq-bench for ~2s at low rate. The bench exits nonzero on any lost
 # or malformed response, and --validate re-checks the JSON report.
