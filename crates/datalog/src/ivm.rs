@@ -199,8 +199,9 @@ impl Materialization {
     }
 
     /// Incorporates the base facts appended since the last maintenance
-    /// call (`base` must extend the prefix this view has seen) and
-    /// propagates their consequences. O(consequences of the new facts).
+    /// call (`base` must extend the prefix this view has seen; a shorter
+    /// one panics) and propagates their consequences. O(consequences of
+    /// the new facts).
     pub fn sync(
         &mut self,
         base: &IndexedInstance,
@@ -219,7 +220,10 @@ impl Materialization {
         budget: &Budget,
         stats: &mut EvalStats,
     ) -> Result<(), BudgetExceeded> {
-        debug_assert!(
+        // Checked in every build profile: a base shorter than the frontier
+        // means a rollback skipped this view, and syncing would silently
+        // serve facts the store no longer holds.
+        assert!(
             base.len() >= self.base_ids.len(),
             "sync on a shrunk base: rollback must run first"
         );

@@ -6,8 +6,10 @@
 //! one IR:
 //!
 //! * [`native`] — the in-process semi-naive fixpoint engine (indexed,
-//!   parallel, budgeted). Runs every plan, recursive or not, and
-//!   answers every served query.
+//!   parallel, budgeted). Runs every plan, recursive or not. It is not
+//!   the served answer path: uncertified answers come from the plan's
+//!   type kernel, certified ones from `gomq_datalog::fixpoint_traced`,
+//!   and session reads from maintained views.
 //! * [`sql`] — executes the portable SQL emitted by
 //!   `gomq_rewriting::emit_sql` against the zero-dependency
 //!   `gomq-sqlexec` table model: the oracle `tests/sql_crosscheck.rs`

@@ -23,8 +23,8 @@
 //! ```
 
 use gomq_engine::{
-    handle_connection, resolve_view_flags, ConnClose, ConnControl, DrainToken, NetConfig,
-    NetServer, ServeConfig, ServeSession, ServeShared,
+    handle_connection, ConnClose, ConnControl, DrainToken, NetConfig, NetServer, ServeConfig,
+    ServeSession, ServeShared,
 };
 use std::sync::Arc;
 use std::time::Duration;
@@ -34,8 +34,7 @@ const USAGE: &str = "gomq-serve — JSONL OMQ answering over stdin/stdout or TCP
 Usage: gomq-serve [--threads N] [--cache N] [--max-rounds N]
                   [--max-derived N] [--timeout-ms N] [--data-dir PATH]
                   [--snapshot-every N] [--fsync] [--quarantine-after N]
-                  [--max-line-bytes N] [--chaos-seed N]
-                  [--views on|off] [--max-views N]
+                  [--max-line-bytes N] [--chaos-seed N] [--max-views N]
                   [--listen ADDR] [--workers N] [--queue-depth N]
                   [--max-conns N] [--max-conns-per-ip N]
                   [--idle-timeout-ms N] [--drain-timeout-ms N]
@@ -60,15 +59,11 @@ Usage: gomq-serve [--threads N] [--cache N] [--max-rounds N]
                        \"malformed\" (default 16777216)
   --chaos-seed N       install the standard deterministic fault plan with
                        seed N (needs a build with the `chaos` feature)
-  --views on|off       incremental view maintenance for session queries:
-                       repeat \"session\": true queries are answered from
-                       a maintained materialization in O(changed facts)
-                       instead of a from-scratch fixpoint (default: on)
-  --max-views N        maintained materializations kept per session,
-                       LRU-evicted beyond N (default 8). N must be at
-                       least 1 — to disable maintenance say --views off,
-                       not --max-views 0; combining --views off with
-                       --max-views is a usage error
+  --max-views N        maintained views kept per session, LRU-evicted
+                       beyond N (default 8): repeat \"session\": true
+                       queries are answered from a view maintained in
+                       O(changed facts) instead of a from-scratch
+                       fixpoint. 0 disables view maintenance
 
 TCP mode (the flags below require --listen):
   --listen ADDR        serve the JSONL protocol over TCP on ADDR (e.g.
@@ -126,8 +121,10 @@ with optional \"id\", optional \"limits\" ({\"max_rounds\", \"max_derived\",
 \"timeout_ms\"}; clamped by the session limits above) and, instead of
 \"abox\", a batched \"aboxes\": [\"<facts>\", ...] or \"session\": true to
 query the session store. \"certificate\": true attaches a derivation
-certificate (one ABox or the session, not a batch). Every query runs on
-the native fixpoint engine; the SQL rewriting is printed by gomq-sql.
+certificate (one ABox or the session, not a batch). Uncertified answers
+come from the plan's type kernel, certified ones from the traced
+Datalog fixpoint and session reads from maintained views (with
+--max-views 0, as request ABoxes are); gomq-sql prints the SQL rewriting.
 Session mutations: {\"op\": \"assert\", \"abox\": ...}, {\"op\": \"mark\"},
 {\"op\": \"rollback\", \"mark\": N}. One JSON response per line; a blown
 limit answers {\"status\": \"overloaded\", ...}, a quarantined plan
@@ -154,11 +151,6 @@ fn numeric(args: &mut impl Iterator<Item = String>, flag: &str) -> u64 {
 
 fn main() {
     let mut config = ServeConfig::default();
-    // --views / --max-views are collected and resolved together after
-    // the loop (resolve_view_flags), so the outcome is order-independent
-    // and the ambiguous "--max-views 0" spelling is a typed usage error.
-    let mut views_flag: Option<bool> = None;
-    let mut max_views_flag: Option<u64> = None;
     let mut chaos_seed: Option<u64> = None;
     let mut listen: Option<String> = None;
     let mut replicate_to: Option<String> = None;
@@ -213,12 +205,7 @@ fn main() {
                 config.max_line_bytes = numeric(&mut args, "--max-line-bytes").max(1) as usize
             }
             "--chaos-seed" => chaos_seed = Some(numeric(&mut args, "--chaos-seed")),
-            "--views" => match args.next().as_deref() {
-                Some("on") => views_flag = Some(true),
-                Some("off") => views_flag = Some(false),
-                _ => usage_error("--views needs \"on\" or \"off\""),
-            },
-            "--max-views" => max_views_flag = Some(numeric(&mut args, "--max-views")),
+            "--max-views" => config.max_views = numeric(&mut args, "--max-views") as usize,
             "--listen" => {
                 let Some(addr) = args.next() else {
                     usage_error("--listen needs an address, e.g. 127.0.0.1:7401");
@@ -312,10 +299,6 @@ fn main() {
     }
     if epoch_floor.is_some() && replicate_to.is_none() && follow.is_none() {
         usage_error("--epoch requires --replicate-to or --follow");
-    }
-    match resolve_view_flags(views_flag, max_views_flag) {
-        Ok(n) => config.max_views = n,
-        Err(e) => usage_error(&e),
     }
     if let Some(seed) = chaos_seed {
         if cfg!(feature = "chaos") {

@@ -42,7 +42,8 @@ Usage: gomq-sql --ontology FILE --query REL [--abox FILE] [--execute]
 
 The SQL goes to stdout. A recursive rewriting is refused with
 \"non-rewritable-to-sql\" on stderr and exit status 1; gomq-serve
-still answers such plans with its native fixpoint engine.
+still answers such plans (from the type kernel, or the traced fixpoint
+when a certificate is asked for).
 ";
 
 fn usage_error(message: &str) -> ! {

@@ -91,8 +91,8 @@ pub use net::{NetConfig, NetReport, NetServer};
 pub use plan::{EngineError, OmqPlan};
 pub use repl::{FollowConfig, ReplContext, ReplHub, ReplServer, Role};
 pub use serve::{
-    handle_connection, resolve_view_flags, CappedLineReader, ConnClose, ConnControl, ConnOutcome,
-    Limits, LineRead, ServeConfig, ServeSession, ServeShared,
+    handle_connection, CappedLineReader, ConnClose, ConnControl, ConnOutcome, Limits, LineRead,
+    ServeConfig, ServeSession, ServeShared,
 };
 pub use session::{
     DurableSession, MutationInfo, PersistOptions, RecoveryInfo, SessionError, ViewMaintenance,

@@ -66,9 +66,9 @@ use gomq_core::faults;
 use crate::cache::lock_recover;
 use crate::drain::{accept_until_drain, DrainToken};
 use crate::serve::ServeShared;
-use crate::session::{RecordSink, SessionError};
+use crate::session::{resolve_record, RecordSink, SessionError};
 use crate::stats::Counter;
-use crate::wal::{WalRecord, MAX_FRAME_BYTES};
+use crate::wal::{self, put_u32, put_u64, Cursor, WalRecord};
 use gomq_rewriting::fnv1a;
 
 /// Replication protocol version carried in `HELLO`.
@@ -134,9 +134,9 @@ impl ReplMsg {
                 epoch,
             } => {
                 b.push(MSG_HELLO);
-                b.extend_from_slice(&proto.to_le_bytes());
-                b.extend_from_slice(&last_lsn.to_le_bytes());
-                b.extend_from_slice(&epoch.to_le_bytes());
+                put_u32(&mut b, *proto);
+                put_u64(&mut b, *last_lsn);
+                put_u64(&mut b, *epoch);
             }
             ReplMsg::Snapshot(bytes) => {
                 b.push(MSG_SNAPSHOT);
@@ -148,16 +148,16 @@ impl ReplMsg {
             }
             ReplMsg::Heartbeat { next_lsn, epoch } => {
                 b.push(MSG_HEARTBEAT);
-                b.extend_from_slice(&next_lsn.to_le_bytes());
-                b.extend_from_slice(&epoch.to_le_bytes());
+                put_u64(&mut b, *next_lsn);
+                put_u64(&mut b, *epoch);
             }
             ReplMsg::Ack(lsn) => {
                 b.push(MSG_ACK);
-                b.extend_from_slice(&lsn.to_le_bytes());
+                put_u64(&mut b, *lsn);
             }
             ReplMsg::Fence(epoch) => {
                 b.push(MSG_FENCE);
-                b.extend_from_slice(&epoch.to_le_bytes());
+                put_u64(&mut b, *epoch);
             }
         }
         b
@@ -165,42 +165,29 @@ impl ReplMsg {
 
     fn decode_payload(payload: &[u8]) -> Result<ReplMsg, String> {
         let (&tag, body) = payload.split_first().ok_or("empty repl payload")?;
-        let u32_at = |off: usize| -> Result<u32, String> {
-            body.get(off..off + 4)
-                .map(|b| u32::from_le_bytes(b.try_into().unwrap()))
-                .ok_or_else(|| "short repl message body".to_owned())
-        };
-        let u64_at = |off: usize| -> Result<u64, String> {
-            body.get(off..off + 8)
-                .map(|b| u64::from_le_bytes(b.try_into().unwrap()))
-                .ok_or_else(|| "short repl message body".to_owned())
-        };
+        let mut c = Cursor::new(body);
         match tag {
             MSG_HELLO => Ok(ReplMsg::Hello {
-                proto: u32_at(0)?,
-                last_lsn: u64_at(4)?,
-                epoch: u64_at(12)?,
+                proto: c.take_u32()?,
+                last_lsn: c.take_u64()?,
+                epoch: c.take_u64()?,
             }),
             MSG_SNAPSHOT => Ok(ReplMsg::Snapshot(body.to_vec())),
             MSG_RECORD => Ok(ReplMsg::Record(body.to_vec())),
             MSG_HEARTBEAT => Ok(ReplMsg::Heartbeat {
-                next_lsn: u64_at(0)?,
-                epoch: u64_at(8)?,
+                next_lsn: c.take_u64()?,
+                epoch: c.take_u64()?,
             }),
-            MSG_ACK => Ok(ReplMsg::Ack(u64_at(0)?)),
-            MSG_FENCE => Ok(ReplMsg::Fence(u64_at(0)?)),
+            MSG_ACK => Ok(ReplMsg::Ack(c.take_u64()?)),
+            MSG_FENCE => Ok(ReplMsg::Fence(c.take_u64()?)),
             other => Err(format!("unknown repl message tag {other}")),
         }
     }
 }
 
-/// Writes one framed message: `[len][fnv1a][payload]`.
+/// Writes one message, framed exactly like a WAL record.
 pub fn write_msg(w: &mut impl Write, msg: &ReplMsg) -> io::Result<usize> {
-    let payload = msg.encode_payload();
-    let mut frame = Vec::with_capacity(12 + payload.len());
-    frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    frame.extend_from_slice(&fnv1a(&payload).to_le_bytes());
-    frame.extend_from_slice(&payload);
+    let frame = wal::frame(&msg.encode_payload());
     w.write_all(&frame)?;
     Ok(frame.len())
 }
@@ -231,12 +218,8 @@ fn read_msg(r: &mut impl Read) -> io::Result<ReadOutcome> {
         Err(e) if is_timeout(&e) => return Ok(ReadOutcome::Idle),
         Err(e) => return Err(e),
     }
-    let len = u32::from_le_bytes(header[..4].try_into().unwrap());
-    let sum = u64::from_le_bytes(header[4..12].try_into().unwrap());
-    if len > MAX_FRAME_BYTES {
-        return Err(corrupt(format!("repl frame of {len} bytes exceeds cap")));
-    }
-    let mut payload = vec![0u8; len as usize];
+    let (len, sum) = wal::frame_header(&header).ok_or_else(|| corrupt("bad repl frame length"))?;
+    let mut payload = vec![0u8; len];
     read_exact_blocking(r, &mut payload)
         .map_err(|e| corrupt(format!("torn repl frame body: {e}")))?;
     if fnv1a(&payload) != sum {
@@ -1174,10 +1157,7 @@ fn follow_once(shared: &Arc<ServeShared>, addr: &str, token: &DrainToken) -> Fol
                 // fresh or stale data dir, or the primary pruned past us
                 // while we were disconnected): install the shipped
                 // snapshot over the live session and tail from its lsn.
-                let installed = shared.with_durable_consts(|session, vocab| {
-                    session.install_replicated_snapshot(&bytes, vocab)
-                });
-                match installed {
+                match install_snapshot(shared, &bytes) {
                     Ok((lsn, _epoch)) => {
                         eprintln!(
                             "gomq-serve: repl: installed primary snapshot (lsn {lsn}, {} bytes)",
@@ -1216,21 +1196,31 @@ fn follow_once(shared: &Arc<ServeShared>, addr: &str, token: &DrainToken) -> Fol
     outcome
 }
 
-/// Applies one replicated record to the live session, snapshotting
-/// when the policy says so. The record's constants are session
-/// constants, kept past the scope of any request in flight.
-fn apply_record(shared: &ServeShared, lsn: u64, record: &WalRecord) -> Result<bool, SessionError> {
-    shared.with_durable_consts(|session, vocab| {
-        let r = session.apply_replicated(lsn, record, vocab);
-        if r.is_ok() && session.snapshot_due() {
-            if let Err(e) = session.snapshot_now(vocab) {
-                eprintln!("gomq-serve: repl: replica snapshot failed: {e}");
-            } else {
-                shared.engine().add(Counter::Snapshots, 1);
-            }
-        }
-        r
-    })
+/// Applies one replicated record to the live session through the
+/// session's apply path, then accounts it and snapshots when the policy
+/// says so, as a live mutation is. The record's names are resolved under
+/// the vocabulary lock as session constants, kept past the scope of any
+/// request in flight; the view maintenance a rollback runs happens
+/// after that lock is released. Returns `Ok(false)` for a duplicate.
+pub fn apply_record(
+    shared: &ServeShared,
+    lsn: u64,
+    record: &WalRecord,
+) -> Result<bool, SessionError> {
+    let mut session = shared.session_lock();
+    let facts = shared.with_durable_consts(|vocab| resolve_record(vocab, record))?;
+    let Some(info) = session.apply_replicated(lsn, record, &facts)? else {
+        return Ok(false);
+    };
+    shared.finish_mutation(&mut session, &info);
+    Ok(true)
+}
+
+/// Installs a snapshot shipped by the primary over the live session;
+/// its names are session constants, like a replicated record's.
+fn install_snapshot(shared: &ServeShared, bytes: &[u8]) -> Result<(u64, u64), SessionError> {
+    let mut session = shared.session_lock();
+    shared.with_durable_consts(|vocab| session.install_replicated_snapshot(bytes, vocab))
 }
 
 fn end(progressed: bool) -> FollowEnd {
@@ -1327,29 +1317,143 @@ mod tests {
         assert!(q.contains(r#""answers": [["f0"]]"#), "{q}");
     }
 
+    /// A follower's registered view must follow a replicated rollback:
+    /// the follower answers every step of assert/mark/assert/rollback/
+    /// assert like an in-memory primary fed the same lines, and its
+    /// totals count the rollback's view maintenance.
+    #[test]
+    fn replicated_rollback_maintains_follower_views() {
+        use crate::serve::ServeSession;
+        let dir = crate::scratch::ScratchDir::new("repl-rollback-view");
+        let follower = durable_shared(&dir);
+        let mut reads = ServeSession::with_shared(Arc::clone(&follower));
+        let mut primary = ServeSession::with_threads(1);
+        let steps = [
+            (r#"{"op": "assert", "abox": "Manager(a)"}"#, manager("a")),
+            (r#"{"op": "mark"}"#, WalRecord::Mark(0)),
+            (r#"{"op": "assert", "abox": "Manager(b)"}"#, manager("b")),
+            (r#"{"op": "rollback", "mark": 0}"#, WalRecord::Rollback(0)),
+            (r#"{"op": "assert", "abox": "Manager(c)"}"#, manager("c")),
+        ];
+        for (lsn, (line, record)) in (1..).zip(&steps) {
+            primary.handle_line(line);
+            assert_eq!(apply_record(&follower, lsn, record), Ok(true));
+            // Queried after every step, so the view is registered
+            // before the rollback and must be maintained through it.
+            let want = employees(&mut primary);
+            assert_eq!(employees(&mut reads), want, "diverged after {line}");
+        }
+        assert_eq!(employees(&mut reads), [["a"], ["c"]]);
+        let stats = follower.stats();
+        assert!(stats[Counter::IvmDeleted] > 0, "the rollback ran DRed");
+        assert_eq!(stats[Counter::ViewsActive], 1, "the view survived");
+    }
+
+    /// A snapshot install replaces the store whole: every registered
+    /// view is dropped and counted, so reads answer only the image's
+    /// facts.
+    #[test]
+    fn snapshot_install_drops_follower_views() {
+        use crate::serve::ServeSession;
+        let dir = crate::scratch::ScratchDir::new("repl-install-view");
+        let follower = durable_shared(&dir);
+        let mut reads = ServeSession::with_shared(Arc::clone(&follower));
+        assert_eq!(apply_record(&follower, 1, &manager("a")), Ok(true));
+        assert_eq!(employees(&mut reads), [["a"]]);
+        let mut primary = ServeSession::with_threads(1);
+        primary.handle_line(r#"{"op": "assert", "abox": "Manager(z)\nManager(y)"}"#);
+        let image = (primary.shared().session_lock())
+            .encode_current_snapshot(&primary.shared().vocab_lock());
+        let evicted = follower.stats()[Counter::ViewsEvicted];
+        install_snapshot(&follower, &image).unwrap();
+        assert_eq!(employees(&mut reads), [["y"], ["z"]]);
+        // The dropped view is counted; the read registered a fresh one.
+        let stats = follower.stats();
+        assert_eq!(stats[Counter::ViewsEvicted], evicted + 1);
+        assert_eq!(stats[Counter::ViewsActive], 1);
+    }
+
+    /// A replicated assert of `Manager(name)`.
+    fn manager(name: &str) -> WalRecord {
+        let mut v = Vocab::new();
+        let manager = v.rel("Manager", 1);
+        let c = Term::Const(v.constant(name));
+        WalRecord::Assert(vec![session::sym_fact(&v, manager, &[c])])
+    }
+
+    /// The sorted answers of `Manager sub Employee` asking `Employee`
+    /// over the session store.
+    fn employees(reads: &mut crate::serve::ServeSession) -> Vec<Vec<String>> {
+        use crate::json::{self, Json};
+        let q = r#"{"ontology": "Manager sub Employee", "query": "Employee", "session": true}"#;
+        let response = reads.handle_line(q);
+        let Ok(Json::Obj(obj)) = json::parse(&response) else {
+            panic!("not a JSON object: {response}");
+        };
+        let Some(Json::Arr(rows)) = obj.get("answers") else {
+            panic!("no answers: {response}");
+        };
+        let mut answers: Vec<Vec<String>> = rows
+            .iter()
+            .map(|row| match row {
+                Json::Arr(terms) => terms
+                    .iter()
+                    .map(|t| t.as_str().expect("a constant").to_owned())
+                    .collect(),
+                _ => panic!("bad answer row: {response}"),
+            })
+            .collect();
+        answers.sort();
+        answers
+    }
+
     #[test]
     fn messages_roundtrip_through_frames() {
+        // Each message with its pinned wire bytes: the framing is the
+        // WAL's and must not change under either side.
         let msgs = [
-            ReplMsg::Hello {
-                proto: PROTO_VERSION,
-                last_lsn: 42,
-                epoch: 7,
-            },
-            ReplMsg::Snapshot(vec![1, 2, 3, 4]),
-            ReplMsg::Record(vec![9; 33]),
-            ReplMsg::Heartbeat {
-                next_lsn: 100,
-                epoch: 3,
-            },
-            ReplMsg::Ack(99),
-            ReplMsg::Fence(5),
+            (
+                ReplMsg::Hello {
+                    proto: PROTO_VERSION,
+                    last_lsn: 42,
+                    epoch: 7,
+                },
+                "150000003032c93ee7add05e01010000002a000000000000000700000000000000",
+            ),
+            (
+                ReplMsg::Snapshot(vec![1, 2, 3, 4]),
+                "050000007d2262d325fe6e6f0201020304",
+            ),
+            (
+                ReplMsg::Record(vec![9; 33]),
+                "22000000016bc67b124ffb0003090909090909090909090909090909090909090909\
+                 090909090909090909090909",
+            ),
+            (
+                ReplMsg::Heartbeat {
+                    next_lsn: 100,
+                    epoch: 3,
+                },
+                "11000000d45806722a6aed900464000000000000000300000000000000",
+            ),
+            (
+                ReplMsg::Ack(99),
+                "09000000636d9b441d89d6c3056300000000000000",
+            ),
+            (
+                ReplMsg::Fence(5),
+                "09000000fc1b281c9a2c201c060500000000000000",
+            ),
         ];
         let mut wire = Vec::new();
-        for m in &msgs {
+        for (m, pinned) in &msgs {
+            let start = wire.len();
             write_msg(&mut wire, m).unwrap();
+            let hex: String = wire[start..].iter().map(|b| format!("{b:02x}")).collect();
+            assert_eq!(hex, *pinned, "wire bytes of {m:?} changed");
         }
         let mut r = io::Cursor::new(wire);
-        for m in &msgs {
+        for (m, _) in &msgs {
             match read_msg(&mut r).unwrap() {
                 ReadOutcome::Msg(got) => assert_eq!(&got, m),
                 _ => panic!("expected a message"),
@@ -1378,7 +1482,7 @@ mod tests {
     #[test]
     fn oversized_frame_is_rejected() {
         let mut wire = Vec::new();
-        wire.extend_from_slice(&(MAX_FRAME_BYTES + 1).to_le_bytes());
+        wire.extend_from_slice(&(wal::MAX_FRAME_BYTES + 1).to_le_bytes());
         wire.extend_from_slice(&0u64.to_le_bytes());
         let mut r = io::Cursor::new(wire);
         assert!(read_msg(&mut r).is_err());

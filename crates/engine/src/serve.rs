@@ -187,38 +187,6 @@ pub struct ServeConfig {
 /// Default request-line cap: 16 MiB.
 pub const DEFAULT_MAX_LINE_BYTES: usize = 16 << 20;
 
-/// Resolves the `--views on|off` / `--max-views N` flag pair into a
-/// view capacity, independent of the order the flags appeared in.
-///
-/// The two flags overlap — a capacity of 0 *is* "off" — which
-/// historically made `--views on --max-views 0` and `--max-views 0
-/// --views on` mean different things depending on order. The resolution
-/// is now by type-checked combination, not by parse order:
-///
-/// - `--max-views 0` is a usage error (say `--views off`); 0 as a
-///   capacity is never accepted, so the ambiguity cannot arise.
-/// - `--views off` with `--max-views N` is a contradiction and also a
-///   usage error.
-/// - `--views off` alone disables maintenance (capacity 0).
-/// - `--max-views N` (with or without `--views on`) sets capacity N.
-/// - Neither flag, or `--views on` alone, means
-///   [`DEFAULT_MAX_VIEWS`].
-pub fn resolve_view_flags(views_on: Option<bool>, max_views: Option<u64>) -> Result<usize, String> {
-    if max_views == Some(0) {
-        return Err(
-            "--max-views 0 is ambiguous: use --views off to disable view maintenance".into(),
-        );
-    }
-    match (views_on, max_views) {
-        (Some(false), Some(_)) => {
-            Err("--views off contradicts --max-views (drop one of the two)".into())
-        }
-        (Some(false), None) => Ok(0),
-        (_, Some(n)) => Ok(n as usize),
-        (_, None) => Ok(DEFAULT_MAX_VIEWS),
-    }
-}
-
 impl Default for ServeConfig {
     fn default() -> Self {
         ServeConfig {
@@ -297,6 +265,7 @@ impl ServeShared {
             None => (DurableSession::in_memory(), None),
         };
         session.set_view_capacity(config.max_views);
+        session.set_limits(config.limits);
         let repl = crate::repl::ReplContext::default();
         if let Some(bound) = config.max_staleness_lsn {
             repl.set_max_staleness(bound);
@@ -319,11 +288,13 @@ impl ServeShared {
     /// Shared state around an existing engine (used by tests to inject a
     /// cache with a colliding hash function).
     pub fn with_engine(engine: Engine, limits: Limits) -> Self {
+        let mut session = DurableSession::in_memory();
+        session.set_limits(limits);
         ServeShared {
             engine,
             vocab: Mutex::new(Vocab::new()),
             scope: Mutex::new(ConstScope::default()),
-            session: Mutex::new(DurableSession::in_memory()),
+            session: Mutex::new(session),
             limits,
             max_line_bytes: DEFAULT_MAX_LINE_BYTES,
             repl: crate::repl::ReplContext::default(),
@@ -396,26 +367,53 @@ impl ServeShared {
         scope.floor = scope.floor.max(mark);
     }
 
-    /// Runs `f` over the session and the vocabulary (locked `session →
-    /// vocab`) as one more in-flight member of the constant scope, then
-    /// keeps every constant it interned. For session mutations that
-    /// arrive outside any request — replicated records and snapshots —
-    /// whose constants the store references: a request in flight when
-    /// they land must not roll those names back on its scope exit.
-    pub(crate) fn with_durable_consts<T>(
-        &self,
-        f: impl FnOnce(&mut DurableSession, &mut Vocab) -> T,
-    ) -> T {
+    /// Runs `f` over the vocabulary as one more in-flight member of the
+    /// constant scope, then keeps every constant it interned. For
+    /// session mutations that arrive outside any request — replicated
+    /// records and snapshots — whose constants the store references: a
+    /// request in flight when they land must not roll those names back
+    /// on its scope exit. A caller that holds the session lock takes it
+    /// first (`session → vocab`).
+    pub(crate) fn with_durable_consts<T>(&self, f: impl FnOnce(&mut Vocab) -> T) -> T {
         self.scope_enter();
         let (out, mark) = {
-            let mut session = lock_recover(&self.session);
             let mut vocab = lock_recover(&self.vocab);
-            let out = f(&mut session, &mut vocab);
+            let out = f(&mut vocab);
             (out, vocab.const_mark())
         };
         self.keep_consts(mark);
         self.scope_exit();
         out
+    }
+
+    /// Accounts an applied mutation — its view maintenance, and its WAL
+    /// record when durable — and snapshots when due. Called with the
+    /// session lock held; takes the vocab lock (session → vocab is the
+    /// one permitted nesting order). A failed snapshot is not an error:
+    /// the records are safe in the WAL and the policy retries on the
+    /// next mutation. Returns whether a snapshot was cut.
+    pub(crate) fn finish_mutation(
+        &self,
+        session: &mut DurableSession,
+        info: &MutationInfo,
+    ) -> bool {
+        let engine = &self.engine;
+        engine.add(Counter::IvmDeleted, info.views.deleted);
+        engine.add(Counter::IvmRederived, info.views.rederived);
+        engine.add(Counter::Panics, info.views.panicked);
+        if !session.is_durable() {
+            return false;
+        }
+        engine.add(Counter::WalRecords, 1);
+        engine.add(Counter::WalBytes, info.wal_bytes);
+        if !session.snapshot_due() {
+            return false;
+        }
+        let snapshotted = session.snapshot_now(&lock_recover(&self.vocab)).is_ok();
+        if snapshotted {
+            engine.add(Counter::Snapshots, 1);
+        }
+        snapshotted
     }
 
     /// The configured request-line byte cap.
@@ -589,6 +587,36 @@ fn open_response(id: Option<&str>) -> String {
         out.push_str(", ");
     }
     out
+}
+
+/// A maintained view checked out of the session registry for one
+/// query. Dropping the guard re-registers the synced or freshly built
+/// view (`done`) under the epoch it was checked out at — `put` refuses
+/// it if a store shrink intervened — or, when the query failed after
+/// taking a registered view out, counts that view as dropped: the
+/// registry's eviction total never misses a view that died.
+struct ViewCheckout<'a> {
+    session: &'a Mutex<DurableSession>,
+    key: u64,
+    epoch: u64,
+    /// Whether a registered view was taken out of the registry.
+    taken: bool,
+    /// The view to re-register, set once the query succeeded.
+    done: Option<Materialization>,
+}
+
+impl Drop for ViewCheckout<'_> {
+    fn drop(&mut self) {
+        match self.done.take() {
+            Some(view) => {
+                lock_recover(self.session)
+                    .views_mut()
+                    .put(self.key, view, self.epoch);
+            }
+            None if self.taken => lock_recover(self.session).views_mut().note_dropped(1),
+            None => {}
+        }
+    }
 }
 
 /// A serving session: a view onto [`ServeShared`] state plus the
@@ -793,8 +821,8 @@ impl ServeSession {
         let plan = &planned.plan;
         let aboxes = match &req.input {
             Facts::Session => {
-                return self.guarded(id, &planned, |view_out| {
-                    self.session_answer(plan, &budget, req.certify, view_out)
+                return self.guarded(id, &planned, || {
+                    self.session_answer(plan, &budget, req.certify)
                 })
             }
             Facts::Abox(text) => vec![self.parse_abox(text)?],
@@ -813,7 +841,7 @@ impl ServeSession {
                 snapshot: None,
             }),
         };
-        self.guarded(id, &planned, |_| {
+        self.guarded(id, &planned, || {
             let input = if batch {
                 Input::Batch(&aboxes)
             } else {
@@ -840,25 +868,19 @@ impl ServeSession {
     /// Evaluates a query under its plan's circuit breaker and renders
     /// the `"ok"` response. A quarantined plan is refused before `eval`
     /// runs; blown budgets and panics inside `eval` count against the
-    /// breaker (bad requests do not) and a success resets it. `eval`
-    /// raises its flag once it has checked a maintained view out of the
-    /// session registry: a failure after that consumed the view, so the
-    /// drop is counted here — the registry never claims a view that no
-    /// longer exists.
+    /// breaker (bad requests do not) and a success resets it.
     fn guarded(
         &self,
         id: Option<&str>,
         planned: &Planned,
-        eval: impl FnOnce(&mut bool) -> Result<(String, RequestStats), EngineError>,
+        eval: impl FnOnce() -> Result<(String, RequestStats), EngineError>,
     ) -> Result<String, EngineError> {
         let engine = &self.shared.engine;
         let key = planned.plan.key;
         if let Some(n) = engine.quarantine_reject(key) {
             return Err(EngineError::Quarantined(n));
         }
-        let mut view_out = false;
-        let evaluated = catch_unwind(AssertUnwindSafe(|| eval(&mut view_out)));
-        match evaluated {
+        match catch_unwind(AssertUnwindSafe(eval)) {
             Ok(Ok((payload, stats))) => {
                 engine.record_eval_success(key);
                 Ok(self.query_response(id, planned, &payload, &stats))
@@ -867,16 +889,10 @@ impl ServeSession {
                 if matches!(e, EngineError::Overloaded(_)) {
                     engine.record_eval_failure(key);
                 }
-                if view_out {
-                    self.note_view_dropped();
-                }
                 Err(e)
             }
             Err(panic) => {
                 engine.record_eval_failure(key);
-                if view_out {
-                    self.note_view_dropped();
-                }
                 std::panic::resume_unwind(panic)
             }
         }
@@ -897,7 +913,6 @@ impl ServeSession {
         plan: &OmqPlan,
         budget: &Budget,
         want_cert: bool,
-        view_out: &mut bool,
     ) -> Result<(String, RequestStats), EngineError> {
         let engine = &self.shared.engine;
         // Replica reads carry their lsn lag behind the primary's head
@@ -946,7 +961,15 @@ impl ServeSession {
             (store, view, epoch, views_on, position)
         };
         let maintained = view.is_some();
-        *view_out = maintained;
+        // From here on, every exit — an error or a panic included —
+        // puts the view back or counts it as dropped.
+        let mut checkout = ViewCheckout {
+            session: &self.shared.session,
+            key: plan.key,
+            epoch,
+            taken: maintained,
+            done: None,
+        };
         let t0 = Instant::now();
         let (answers, cert, stats) = if view.is_none() && !views_on {
             // Maintenance disabled: one engine call over the shared
@@ -992,9 +1015,10 @@ impl ServeSession {
                 ..RequestStats::default()
             };
             engine.absorb(&stats);
-            self.put_view(plan.key, view, epoch);
+            checkout.done = Some(view);
             (vec![answers], cert, stats)
         };
+        drop(checkout);
         let mut payload = self.payload(&answers, false, cert.as_deref());
         if let Some(lag) = staleness {
             let _ = write!(payload, ", \"staleness\": {lag}");
@@ -1026,24 +1050,6 @@ impl ServeSession {
             |fact| view.derivation(fact),
         )
         .map_err(|e| EngineError::Internal(format!("certificate assembly: {e}")))
-    }
-
-    /// Accounts a view that died outside the registry (a failed sync or
-    /// certificate-assembly error consumed it) in the registry's drop
-    /// counter.
-    fn note_view_dropped(&self) {
-        lock_recover(&self.shared.session)
-            .views_mut()
-            .note_dropped(1);
-    }
-
-    /// Re-registers a checked-out (or freshly built) view. A stale epoch
-    /// (a rollback raced this request) drops the view instead — the next
-    /// query rebuilds from the rolled-back store.
-    fn put_view(&self, key: u64, view: Materialization, epoch: u64) {
-        lock_recover(&self.shared.session)
-            .views_mut()
-            .put(key, view, epoch);
     }
 
     /// Renders the answer part of an `"ok"` query response: `"answers"`
@@ -1207,7 +1213,7 @@ impl ServeSession {
         let (info, snapshotted) = {
             let mut session = lock_recover(&self.shared.session);
             let info = session.assert(syms, &facts)?;
-            let snapshotted = self.finish_mutation(&mut session, &info);
+            let snapshotted = self.shared.finish_mutation(&mut session, &info);
             (info, snapshotted)
         };
         let mut out = self.mutation_head(id, "assert");
@@ -1228,7 +1234,7 @@ impl ServeSession {
         let (mark, info, snapshotted) = {
             let mut session = lock_recover(&self.shared.session);
             let (mark, info) = session.mark()?;
-            let snapshotted = self.finish_mutation(&mut session, &info);
+            let snapshotted = self.shared.finish_mutation(&mut session, &info);
             (mark, info, snapshotted)
         };
         let mut out = self.mutation_head(id, "mark");
@@ -1258,23 +1264,12 @@ impl ServeSession {
                 ))
             }
         };
-        let (info, snapshotted, maint) = {
+        let (info, snapshotted) = {
             let mut session = lock_recover(&self.shared.session);
             let info = session.rollback(mark)?;
-            // Maintain registered views eagerly, inside the lock: lazy
-            // maintenance would misread the store's positional base
-            // prefix once new asserts land on the truncated store. A
-            // view whose maintenance fails (budget or panic) is
-            // dropped; the next query rebuilds it.
-            let budget = self.limits.budget_from_now();
-            let maint = session.maintain_views_rollback(info.facts as usize, &budget);
-            let snapshotted = self.finish_mutation(&mut session, &info);
-            (info, snapshotted, maint)
+            let snapshotted = self.shared.finish_mutation(&mut session, &info);
+            (info, snapshotted)
         };
-        let engine = &self.shared.engine;
-        engine.add(Counter::IvmDeleted, maint.deleted);
-        engine.add(Counter::IvmRederived, maint.rederived);
-        engine.add(Counter::Panics, maint.panicked);
         let mut out = self.mutation_head(id, "rollback");
         let _ = write!(
             out,
@@ -1283,30 +1278,6 @@ impl ServeSession {
         );
         out.push('}');
         Ok(out)
-    }
-
-    /// Accounts a journaled mutation and snapshots when due (called with
-    /// the session lock held; takes the vocab lock — session → vocab is
-    /// the one permitted nesting order). A failed snapshot is not an
-    /// error: the records are safe in the WAL and the policy retries on
-    /// the next mutation.
-    fn finish_mutation(&self, session: &mut DurableSession, info: &MutationInfo) -> bool {
-        if !session.is_durable() {
-            return false;
-        }
-        self.shared.engine.add(Counter::WalRecords, 1);
-        self.shared.engine.add(Counter::WalBytes, info.wal_bytes);
-        if !session.snapshot_due() {
-            return false;
-        }
-        let snapshotted = {
-            let vocab = lock_recover(&self.shared.vocab);
-            session.snapshot_now(&vocab).is_ok()
-        };
-        if snapshotted {
-            self.shared.engine.add(Counter::Snapshots, 1);
-        }
-        snapshotted
     }
 
     /// The common `{"id": ..., "status": "ok", "op": ..., ` response
@@ -2385,29 +2356,6 @@ mod tests {
             Some(LineRead::TooLong { limit: cap })
         );
         assert_eq!(framer.poll_line().unwrap(), Some(LineRead::Eof));
-    }
-
-    #[test]
-    fn view_flags_resolve_order_independently() {
-        // Neither flag, or --views on alone: the default capacity.
-        assert_eq!(resolve_view_flags(None, None), Ok(DEFAULT_MAX_VIEWS));
-        assert_eq!(resolve_view_flags(Some(true), None), Ok(DEFAULT_MAX_VIEWS));
-        // --views off alone disables maintenance.
-        assert_eq!(resolve_view_flags(Some(false), None), Ok(0));
-        // --max-views N sets the capacity, with or without --views on —
-        // there is no order for the pure resolution to depend on.
-        assert_eq!(resolve_view_flags(None, Some(4)), Ok(4));
-        assert_eq!(resolve_view_flags(Some(true), Some(4)), Ok(4));
-        // --max-views 0 is the historically ambiguous spelling: a typed
-        // usage error pointing at --views off, in every combination.
-        for views in [None, Some(true), Some(false)] {
-            let err = resolve_view_flags(views, Some(0)).unwrap_err();
-            assert!(err.contains("--views off"), "unhelpful error: {err}");
-        }
-        // --views off with an explicit positive capacity contradicts
-        // itself and is refused rather than silently picking a winner.
-        let err = resolve_view_flags(Some(false), Some(8)).unwrap_err();
-        assert!(err.contains("contradicts"), "unhelpful error: {err}");
     }
 
     #[test]

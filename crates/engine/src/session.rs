@@ -10,6 +10,17 @@
 //! ([`DurableSession::open`]): same [`gomq_core::FactId`]s, same
 //! answers, torn final record tolerated.
 //!
+//! ## One apply path
+//!
+//! A live mutation, a record replayed by recovery and a record shipped
+//! from a primary all change the store through one private function,
+//! `DurableSession::apply`. It also keeps the maintained views in step:
+//! a rollback fences checked-out views and runs the DRed pass over the
+//! registered ones, so a replica's views follow its store exactly as
+//! the primary's do. The only other store writes replace the store
+//! whole — `open`'s snapshot restore and a replica's snapshot install,
+//! which drops every registered view.
+//!
 //! ## Snapshots
 //!
 //! Every `snapshot_every` journaled records the session dumps itself to
@@ -19,6 +30,7 @@
 //! with an lsn above the snapshot's — which also covers a crash between
 //! the snapshot rename and the WAL truncation.
 
+use crate::serve::Limits;
 use crate::wal::{put_str, put_u32, put_u64, Cursor, SymFact, SymTerm, Wal, WalRecord};
 use gomq_core::{Fact, FactStore, IndexedInstance, NullId, RelId, Term, Vocab};
 use gomq_datalog::{Budget, Materialization};
@@ -95,8 +107,9 @@ pub struct MutationInfo {
     pub added: u64,
     /// Session store size after the mutation.
     pub facts: u64,
-    /// Whether this mutation triggered a snapshot.
-    pub snapshotted: bool,
+    /// The view maintenance the mutation ran (a rollback's DRed pass
+    /// over the registered views; zero for the other records).
+    pub views: ViewMaintenance,
 }
 
 /// The in-memory half: the session's fact store plus rollback marks.
@@ -114,7 +127,7 @@ struct SessionStore {
 }
 
 impl SessionStore {
-    fn apply_assert<'a>(&mut self, facts: impl IntoIterator<Item = &'a Fact>) -> u64 {
+    fn apply_assert(&mut self, facts: &[Fact]) -> u64 {
         let store = Arc::make_mut(&mut self.facts);
         let mut added = 0u64;
         for f in facts {
@@ -172,9 +185,10 @@ struct ViewSlot {
 /// Views are checked *out* for maintenance ([`ViewRegistry::take`]) and
 /// re-registered afterwards ([`ViewRegistry::put`]), so the session
 /// lock is never held across a sync. The registry's `epoch` is bumped
-/// by every session rollback; `put` refuses a view checked out under an
-/// older epoch — a view that raced a rollback is silently dropped
-/// rather than re-registered stale (the next query rebuilds it).
+/// by every store shrink (a rollback or a snapshot install); `put`
+/// refuses a view checked out under an older epoch — a view that raced
+/// a shrink is dropped rather than re-registered stale (the next query
+/// rebuilds it).
 ///
 /// Views never outlive the process: recovery (snapshot restore + WAL
 /// replay) starts with an empty registry, and because replay re-interns
@@ -218,8 +232,7 @@ impl ViewRegistry {
     pub fn set_capacity(&mut self, cap: usize) {
         self.cap = cap;
         if cap == 0 {
-            self.evicted += self.views.len() as u64;
-            self.views.clear();
+            self.clear();
         } else {
             self.shrink_to_cap();
         }
@@ -253,7 +266,7 @@ impl ViewRegistry {
         self.evicted = self.evicted.saturating_add(n);
     }
 
-    /// The current epoch (bumped by every session rollback).
+    /// The current epoch (bumped by every store shrink).
     pub fn epoch(&self) -> u64 {
         self.epoch
     }
@@ -292,6 +305,15 @@ impl ViewRegistry {
     /// Invalidates checked-out views (called on every store shrink).
     fn bump_epoch(&mut self) {
         self.epoch += 1;
+    }
+
+    /// Drops every registered view, counted in
+    /// [`ViewRegistry::evicted`], and invalidates checked-out ones: the
+    /// store they were synced against is gone.
+    fn clear(&mut self) {
+        self.evicted += self.views.len() as u64;
+        self.views.clear();
+        self.bump_epoch();
     }
 
     /// Evicts least-recently-used views down to the capacity. The view
@@ -368,6 +390,9 @@ pub struct DurableSession {
     repl_epoch: u64,
     /// Where journaled frames are published for replica shipping.
     publisher: Option<Arc<dyn RecordSink>>,
+    /// Bounds a rollback's view maintenance (the server's default
+    /// request limits; unlimited unless the serving layer sets them).
+    limits: Limits,
 }
 
 impl Default for DurableSession {
@@ -385,6 +410,7 @@ impl DurableSession {
             views: ViewRegistry::default(),
             repl_epoch: 0,
             publisher: None,
+            limits: Limits::default(),
         }
     }
 
@@ -403,14 +429,14 @@ impl DurableSession {
     ) -> Result<(Self, RecoveryInfo), SessionError> {
         std::fs::create_dir_all(dir).map_err(|e| SessionError::Io(e.to_string()))?;
         let mut info = RecoveryInfo::default();
-        let mut store = SessionStore::default();
+        let mut session = Self::in_memory();
         let mut last_lsn = 0u64;
-        let mut repl_epoch = 0u64;
         match std::fs::read(dir.join(SNAPSHOT_FILE)) {
             Ok(bytes) => {
                 let snap = decode_snapshot(&bytes, vocab)?;
-                (last_lsn, repl_epoch, store) = (snap.last_lsn, snap.epoch, snap.store);
-                info.snapshot_facts = store.facts.len() as u64;
+                (last_lsn, session.repl_epoch, session.store) =
+                    (snap.last_lsn, snap.epoch, snap.store);
+                info.snapshot_facts = session.len() as u64;
             }
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
             Err(e) => return Err(SessionError::Io(e.to_string())),
@@ -423,36 +449,21 @@ impl DurableSession {
                 continue; // already folded into the snapshot
             }
             info.replayed_records += 1;
-            match record {
-                WalRecord::Assert(syms) => {
-                    let facts = resolve_batch(vocab, syms)?;
-                    info.replayed_facts += store.apply_assert(facts.iter());
-                }
-                WalRecord::Mark(id) => store.apply_mark(*id),
-                WalRecord::Rollback(id) => store.apply_rollback(*id)?,
-                WalRecord::Epoch(e) => repl_epoch = repl_epoch.max(*e),
-            }
+            let facts = resolve_record(vocab, record)?;
+            info.replayed_facts += session.apply(record, &facts)?.added;
             last_lsn = last_lsn.max(*lsn);
         }
         let wal = Wal::open(&dir.join(WAL_FILE), opts.fsync, last_lsn + 1)
             .map_err(|e| SessionError::Io(e.to_string()))?;
-        Ok((
-            DurableSession {
-                store,
-                views: ViewRegistry::default(),
-                persist: Some(Persistence {
-                    wal,
-                    dir: dir.to_owned(),
-                    fsync: opts.fsync,
-                    snapshot_every: opts.snapshot_every,
-                    records_since_snapshot: replayed.records.len() as u64,
-                    poisoned: None,
-                }),
-                repl_epoch,
-                publisher: None,
-            },
-            info,
-        ))
+        session.persist = Some(Persistence {
+            wal,
+            dir: dir.to_owned(),
+            fsync: opts.fsync,
+            snapshot_every: opts.snapshot_every,
+            records_since_snapshot: replayed.records.len() as u64,
+            poisoned: None,
+        });
+        Ok((session, info))
     }
 
     /// Number of facts in the session store.
@@ -502,12 +513,19 @@ impl DurableSession {
         self.views.set_capacity(cap);
     }
 
+    /// Sets the limits a rollback's view maintenance runs under (the
+    /// serving layer passes its default request limits once).
+    pub(crate) fn set_limits(&mut self, limits: Limits) {
+        self.limits = limits;
+    }
+
     /// Runs the DRed delete-rederive pass over every registered view
     /// after the session store shrank to `keep` facts. A view whose
     /// maintenance fails (blown budget or panic) is dropped — the next
     /// query rebuilds it from the store — so the session itself never
-    /// pays for a pathological view. Call after a successful
-    /// [`DurableSession::rollback`], with the same store length.
+    /// pays for a pathological view. Every rollback already runs this
+    /// pass under the session's limits (its [`MutationInfo::views`]);
+    /// a further call finds the views at `keep` and changes nothing.
     pub fn maintain_views_rollback(&mut self, keep: usize, budget: &Budget) -> ViewMaintenance {
         let mut out = ViewMaintenance::default();
         let keys: Vec<u64> = self.views.views.keys().copied().collect();
@@ -550,11 +568,58 @@ impl DurableSession {
         (lsn, self.store.facts.len() as u64)
     }
 
+    /// Applies one record to the store and its views. This is the only
+    /// code that changes either, apart from the two whole-store swaps
+    /// (`open`'s snapshot restore and a replica's snapshot install).
+    /// Recovery replay calls it directly; live and replicated mutations
+    /// validate and journal first ([`DurableSession::commit`]). `facts`
+    /// is an assert's batch, resolved against the vocabulary.
+    fn apply(&mut self, record: &WalRecord, facts: &[Fact]) -> Result<MutationInfo, SessionError> {
+        let mut info = MutationInfo::default();
+        match record {
+            WalRecord::Assert(_) => info.added = self.store.apply_assert(facts),
+            WalRecord::Mark(id) => self.store.apply_mark(*id),
+            WalRecord::Rollback(id) => {
+                self.store.apply_rollback(*id)?;
+                // Views checked out across the shrink may have synced
+                // doomed facts: the epoch bump makes `put` refuse them.
+                // Registered views are maintained now, eagerly: a lazy
+                // pass would misread the positional base prefix once new
+                // asserts land on the truncated store.
+                self.views.bump_epoch();
+                let budget = self.limits.budget_from_now();
+                info.views = self.maintain_views_rollback(self.len(), &budget);
+            }
+            WalRecord::Epoch(e) => self.repl_epoch = self.repl_epoch.max(*e),
+        }
+        info.facts = self.len() as u64;
+        Ok(info)
+    }
+
+    /// Validates, journals and applies one live or replicated mutation.
+    /// A rollback's mark is checked before journaling, so an invalid
+    /// rollback never reaches the log.
+    fn commit(&mut self, record: &WalRecord, facts: &[Fact]) -> Result<MutationInfo, SessionError> {
+        if let WalRecord::Rollback(id) = record {
+            if !self.store.marks.contains_key(id) {
+                return Err(SessionError::UnknownMark(*id));
+            }
+        }
+        let (lsn, wal_bytes) = self.journal(record)?;
+        let info = self.apply(record, facts)?;
+        Ok(MutationInfo {
+            lsn,
+            wal_bytes,
+            ..info
+        })
+    }
+
     /// Journals one record, rolling the mutation attempt back on
-    /// failure. A durably journaled record is republished to the
-    /// replication sink (if one is attached) — publication happens only
-    /// *after* the append succeeded, so replicas can never hold a frame
-    /// the primary rolled back.
+    /// failure, and counts it toward the snapshot policy. A durably
+    /// journaled record is republished to the replication sink (if one
+    /// is attached) — publication happens only *after* the append
+    /// succeeded, so replicas can never hold a frame the primary rolled
+    /// back.
     fn journal(&mut self, record: &WalRecord) -> Result<(u64, u64), SessionError> {
         let Some(p) = self.persist.as_mut() else {
             return Ok((0, 0));
@@ -564,6 +629,7 @@ impl DurableSession {
         }
         match p.wal.append(record) {
             Ok((lsn, bytes)) => {
+                p.records_since_snapshot += 1;
                 if let Some(sink) = &self.publisher {
                     sink.publish(lsn, record.encode_frame(lsn));
                 }
@@ -602,32 +668,25 @@ impl DurableSession {
     /// resurrected primary still on a lower epoch, and survives crash
     /// and snapshot like every other mutation.
     pub fn stamp_epoch(&mut self, epoch: u64) -> Result<MutationInfo, SessionError> {
-        let (lsn, wal_bytes) = self.journal(&WalRecord::Epoch(epoch))?;
-        self.repl_epoch = self.repl_epoch.max(epoch);
-        self.bump_record_count();
-        Ok(MutationInfo {
-            lsn,
-            wal_bytes,
-            added: 0,
-            facts: self.store.facts.len() as u64,
-            snapshotted: false,
-        })
+        self.commit(&WalRecord::Epoch(epoch), &[])
     }
 
     /// Applies one record shipped from the primary, journaling it
     /// locally at the *primary's* lsn so the replica's durable position
     /// (and certificate bindings) match the primary's byte-for-byte.
+    /// `facts` is the record's assert batch resolved against this
+    /// node's vocabulary ([`resolve_record`]).
     ///
     /// Records must arrive in lsn order: one at or below the local
-    /// position is a duplicate (already applied — `Ok(false)`), one
-    /// past the expected next lsn is a gap and refuses with
+    /// position is a duplicate (already applied — `Ok(None)`), one past
+    /// the expected next lsn is a gap and refuses with
     /// [`SessionError::Corrupt`] rather than silently diverging.
     pub fn apply_replicated(
         &mut self,
         lsn: u64,
         record: &WalRecord,
-        vocab: &mut Vocab,
-    ) -> Result<bool, SessionError> {
+        facts: &[Fact],
+    ) -> Result<Option<MutationInfo>, SessionError> {
         let Some(p) = self.persist.as_ref() else {
             return Err(SessionError::Io(
                 "replica apply requires a durable session".into(),
@@ -635,33 +694,14 @@ impl DurableSession {
         };
         let expected = p.wal.next_lsn();
         if lsn < expected {
-            return Ok(false); // duplicate re-ship after a reconnect
+            return Ok(None); // duplicate re-ship after a reconnect
         }
         if lsn > expected {
             return Err(SessionError::Corrupt(format!(
                 "replication gap: expected lsn {expected}, got {lsn}"
             )));
         }
-        // Resolve before journaling: a batch this node cannot apply must
-        // not enter its log.
-        let facts = match record {
-            WalRecord::Assert(syms) => resolve_batch(vocab, syms)?,
-            _ => Vec::new(),
-        };
-        self.journal(record)?;
-        match record {
-            WalRecord::Assert(_) => {
-                self.store.apply_assert(facts.iter());
-            }
-            WalRecord::Mark(id) => self.store.apply_mark(*id),
-            WalRecord::Rollback(id) => {
-                self.store.apply_rollback(*id)?;
-                self.views.bump_epoch();
-            }
-            WalRecord::Epoch(e) => self.repl_epoch = self.repl_epoch.max(*e),
-        }
-        self.bump_record_count();
-        Ok(true)
+        self.commit(record, facts).map(Some)
     }
 
     /// Installs a snapshot shipped by the primary: how a follower
@@ -698,7 +738,7 @@ impl DurableSession {
         self.store = snap.store;
         self.repl_epoch = self.repl_epoch.max(snap.epoch);
         // Views synced against the replaced store must not survive it.
-        self.views.bump_epoch();
+        self.views.clear();
         Ok((snap.last_lsn, snap.epoch))
     }
 
@@ -710,63 +750,20 @@ impl DurableSession {
         syms: Vec<SymFact>,
         facts: &[Fact],
     ) -> Result<MutationInfo, SessionError> {
-        let (lsn, wal_bytes) = self.journal(&WalRecord::Assert(syms))?;
-        let added = self.store.apply_assert(facts.iter());
-        self.bump_record_count();
-        Ok(MutationInfo {
-            lsn,
-            wal_bytes,
-            added,
-            facts: self.store.facts.len() as u64,
-            snapshotted: false,
-        })
+        self.commit(&WalRecord::Assert(syms), facts)
     }
 
     /// Creates a rollback mark, returning `(mark id, mutation info)`.
     pub fn mark(&mut self) -> Result<(u64, MutationInfo), SessionError> {
         let id = self.store.next_mark;
-        let (lsn, wal_bytes) = self.journal(&WalRecord::Mark(id))?;
-        self.store.apply_mark(id);
-        self.bump_record_count();
-        Ok((
-            id,
-            MutationInfo {
-                lsn,
-                wal_bytes,
-                added: 0,
-                facts: self.store.facts.len() as u64,
-                snapshotted: false,
-            },
-        ))
+        Ok((id, self.commit(&WalRecord::Mark(id), &[])?))
     }
 
-    /// Rolls the store back to a mark. The mark is validated *before*
-    /// journaling, so an invalid rollback never reaches the log.
+    /// Rolls the store back to a mark and maintains the registered
+    /// views to match ([`MutationInfo::views`]). The mark is validated
+    /// *before* journaling, so an invalid rollback never reaches the log.
     pub fn rollback(&mut self, id: u64) -> Result<MutationInfo, SessionError> {
-        if !self.store.marks.contains_key(&id) {
-            return Err(SessionError::UnknownMark(id));
-        }
-        let (lsn, wal_bytes) = self.journal(&WalRecord::Rollback(id))?;
-        self.store
-            .apply_rollback(id)
-            .expect("mark existence was checked before journaling");
-        // The store shrank: views checked out across this rollback must
-        // not be re-registered (they may have synced doomed facts).
-        self.views.bump_epoch();
-        self.bump_record_count();
-        Ok(MutationInfo {
-            lsn,
-            wal_bytes,
-            added: 0,
-            facts: self.store.facts.len() as u64,
-            snapshotted: false,
-        })
-    }
-
-    fn bump_record_count(&mut self) {
-        if let Some(p) = self.persist.as_mut() {
-            p.records_since_snapshot += 1;
-        }
+        self.commit(&WalRecord::Rollback(id), &[])
     }
 
     /// Whether the snapshot policy says it is time to snapshot.
@@ -877,9 +874,13 @@ fn reserved_fact(name: &str) -> String {
     format!("stored fact: {}", gomq_core::reserved_rel_message(name))
 }
 
-/// Resolves a journaled assert batch ([`resolve_sym_fact`] per fact).
-fn resolve_batch(vocab: &mut Vocab, syms: &[SymFact]) -> Result<Vec<Fact>, SessionError> {
-    syms.iter().map(|sf| resolve_sym_fact(vocab, sf)).collect()
+/// Resolves a journaled record's facts ([`resolve_sym_fact`] per fact
+/// of an assert; other records carry none).
+pub fn resolve_record(vocab: &mut Vocab, record: &WalRecord) -> Result<Vec<Fact>, SessionError> {
+    match record {
+        WalRecord::Assert(syms) => syms.iter().map(|sf| resolve_sym_fact(vocab, sf)).collect(),
+        _ => Ok(Vec::new()),
+    }
 }
 
 /// Converts an interned fact to its symbolic form via the vocabulary.
@@ -1358,10 +1359,13 @@ mod tests {
         assert_eq!(view.answers().len(), 2);
         let epoch = s.views().epoch();
         assert!(s.views_mut().put(1, view, epoch));
-        s.rollback(m).unwrap();
-        let maint = s.maintain_views_rollback(s.len(), &Budget::UNLIMITED);
+        let maint = s.rollback(m).unwrap().views;
         assert!(maint.deleted > 0, "DRed must retract doomed consequences");
         assert_eq!(maint.over_budget + maint.panicked, 0);
+        // The rollback already maintained the view: a further pass over
+        // the same prefix finds nothing to do.
+        let again = s.maintain_views_rollback(s.len(), &Budget::UNLIMITED);
+        assert_eq!((again.deleted, again.rederived), (0, 0));
         let view = s.views_mut().take(1).expect("the view survived");
         let keep = Term::Const(vocab.constant("keep"));
         assert_eq!(view.answers(), [vec![keep]].into_iter().collect());
@@ -1379,16 +1383,15 @@ mod tests {
             Materialization::build(&rules, goal, &s.share_store(), &Budget::UNLIMITED).unwrap();
         let epoch = s.views().epoch();
         assert!(s.views_mut().put(1, view, epoch));
-        s.rollback(m).unwrap();
-        // A zero-round budget makes the DRed pass fail: the view must
-        // be dropped *and* the drop must land in the eviction total.
-        let before = s.views().evicted();
-        let tight = Budget {
+        // A zero-round limit makes the rollback's DRed pass fail: the
+        // view must be dropped *and* the drop must land in the eviction
+        // total.
+        s.set_limits(Limits {
             max_rounds: Some(0),
-            max_derived: None,
-            deadline: None,
-        };
-        let maint = s.maintain_views_rollback(s.len(), &tight);
+            ..Limits::default()
+        });
+        let before = s.views().evicted();
+        let maint = s.rollback(m).unwrap().views;
         assert_eq!(maint.over_budget, 1);
         assert!(s.views().is_empty(), "the failed view was dropped");
         assert_eq!(s.views().evicted(), before + 1, "the drop is counted");
@@ -1473,33 +1476,32 @@ mod tests {
         let (mut replica, _) =
             DurableSession::open(&replica_dir, PersistOptions::default(), &mut replica_vocab)
                 .unwrap();
+        let mut apply = |replica: &mut DurableSession, lsn: u64, record: &WalRecord| {
+            let facts = resolve_record(&mut replica_vocab, record).unwrap();
+            replica.apply_replicated(lsn, record, &facts)
+        };
         for (lsn, frame) in &frames {
             let (flsn, record, _) = WalRecord::decode_frame(frame).unwrap();
             assert_eq!(flsn, *lsn);
-            assert!(replica
-                .apply_replicated(*lsn, &record, &mut replica_vocab)
-                .unwrap());
+            assert!(apply(&mut replica, *lsn, &record).unwrap().is_some());
         }
-        assert_eq!(replica.position(), primary.position());
-        assert_eq!(
-            store_shape(&replica, &replica_vocab),
-            store_shape(&primary, &primary_vocab)
-        );
         // A duplicate (re-shipped after reconnect) is a no-op.
         let (lsn, record, _) = WalRecord::decode_frame(&frames[0].1).unwrap();
-        assert!(!replica
-            .apply_replicated(lsn, &record, &mut replica_vocab)
-            .unwrap());
+        assert!(apply(&mut replica, lsn, &record).unwrap().is_none());
         assert_eq!(replica.position(), primary.position());
         // A gap (skipped lsn) is refused as corrupt, not silently
         // applied out of order.
         let next = replica.position().0 + 5;
-        match replica.apply_replicated(next, &record, &mut replica_vocab) {
+        match apply(&mut replica, next, &record) {
             Err(SessionError::Corrupt(msg)) => {
                 assert!(msg.contains("replication gap"), "{msg}")
             }
             other => panic!("gap must be Corrupt, got {other:?}"),
         }
+        assert_eq!(
+            store_shape(&replica, &replica_vocab),
+            store_shape(&primary, &primary_vocab)
+        );
     }
 
     #[test]
@@ -1716,15 +1718,14 @@ mod tests {
             "{err}"
         );
 
-        // A replica refuses the record before journaling it.
+        // A replica refuses the record before journaling it: resolving
+        // its names fails, so it never reaches `apply_replicated`.
         let replica_dir = ScratchDir::new("session-reserved-replica");
         let mut rv = Vocab::new();
-        let (mut replica, _) =
+        let (replica, _) =
             DurableSession::open(&replica_dir, PersistOptions::default(), &mut rv).unwrap();
         let before = replica.position();
-        let err = replica
-            .apply_replicated(before.0 + 1, &WalRecord::Assert(vec![goal]), &mut rv)
-            .unwrap_err();
+        let err = resolve_record(&mut rv, &WalRecord::Assert(vec![goal])).unwrap_err();
         assert!(
             err.to_string()
                 .contains("stored fact: relation name `_goal` is reserved"),

@@ -95,6 +95,25 @@ pub(crate) fn put_str(buf: &mut Vec<u8>, s: &str) {
     buf.extend_from_slice(s.as_bytes());
 }
 
+/// Frames `payload`: `[u32 payload_len][u64 fnv1a(payload)][payload]`.
+/// The replication stream frames its messages the same way.
+pub(crate) fn frame(payload: &[u8]) -> Vec<u8> {
+    let mut frame = Vec::with_capacity(payload.len() + 12);
+    put_u32(&mut frame, payload.len() as u32);
+    put_u64(&mut frame, fnv1a(payload));
+    frame.extend_from_slice(payload);
+    frame
+}
+
+/// Reads a frame header: `(payload length, payload checksum)`, or
+/// `None` for a length word of 0 or past [`MAX_FRAME_BYTES`] (a torn or
+/// garbage length would otherwise ask for gigabytes).
+pub(crate) fn frame_header(header: &[u8; 12]) -> Option<(usize, u64)> {
+    let mut c = Cursor::new(header);
+    let (len, sum) = (c.take_u32().ok()?, c.take_u64().ok()?);
+    (len != 0 && len <= MAX_FRAME_BYTES).then_some((len as usize, sum))
+}
+
 /// A bounds-checked reader over a byte slice; every decode error is a
 /// `String` describing the corruption.
 pub(crate) struct Cursor<'a> {
@@ -247,11 +266,7 @@ impl WalRecord {
         put_u64(&mut payload, lsn);
         payload.push(self.tag());
         self.encode_body(&mut payload);
-        let mut frame = Vec::with_capacity(payload.len() + 12);
-        put_u32(&mut frame, payload.len() as u32);
-        put_u64(&mut frame, fnv1a(&payload));
-        frame.extend_from_slice(&payload);
-        frame
+        frame(&payload)
     }
 }
 
@@ -510,22 +525,9 @@ impl Wal {
     /// Checks the frame at the start of `bytes`; returns its total
     /// length (header + payload) when intact.
     fn validate_frame(bytes: &[u8]) -> Option<usize> {
-        if bytes.len() < 12 {
-            return None; // torn header
-        }
-        let len = u32::from_le_bytes(bytes[0..4].try_into().unwrap());
-        if len == 0 || len > MAX_FRAME_BYTES {
-            return None; // garbage length word
-        }
-        let sum = u64::from_le_bytes(bytes[4..12].try_into().unwrap());
-        let end = 12usize.checked_add(len as usize)?;
-        if bytes.len() < end {
-            return None; // torn payload
-        }
-        if fnv1a(&bytes[12..end]) != sum {
-            return None; // corrupt payload
-        }
-        Some(end)
+        let (len, sum) = frame_header(bytes.first_chunk()?)?; // torn header or garbage length
+        let payload = bytes.get(12..12 + len)?; // torn payload
+        (fnv1a(payload) == sum).then_some(12 + len) // corrupt payload
     }
 }
 

@@ -3,7 +3,9 @@
 //! a views-on serving session must answer every query identically to a
 //! views-off oracle that recomputes each fixpoint from scratch — in
 //! memory, and across a drop-and-recover restart over the same WAL.
-//! A separate binary-level test SIGKILLs `gomq-serve` with an active
+//! The same scripts drive a durable primary whose every journaled frame
+//! is applied to a follower, which must answer like its primary. A
+//! separate binary-level test SIGKILLs `gomq-serve` with an active
 //! materialization and checks the recovered session answers
 //! byte-identically.
 
@@ -11,9 +13,11 @@ mod common;
 
 use common::{ScratchDir, Serve};
 use gomq_engine::json::{self, Json};
-use gomq_engine::{ServeConfig, ServeSession};
+use gomq_engine::repl::{apply_record, Role};
+use gomq_engine::{ServeConfig, ServeSession, ServeShared, WalRecord};
 use proptest::collection::vec;
 use proptest::prelude::*;
+use std::sync::Arc;
 
 /// The OMQ pool: three distinct plans so a small view cap sees LRU
 /// eviction and rebuild, not just steady-state hits.
@@ -140,17 +144,31 @@ fn query_answers(response: &str) -> Option<Json> {
 /// Feeds identical lines to the maintained session and the recompute
 /// oracle; every session query must agree.
 fn drive_and_compare(lines: &[String], on: &mut ServeSession, off: &mut ServeSession) {
+    compare_queries(
+        lines,
+        |line| on.handle_line(line),
+        |line| off.handle_line(line),
+    );
+}
+
+/// Feeds every line to `on`, then to `oracle`; the two must answer
+/// every session query alike.
+fn compare_queries(
+    lines: &[String],
+    mut on: impl FnMut(&str) -> String,
+    mut oracle: impl FnMut(&str) -> String,
+) {
     for line in lines {
-        let a = on.handle_line(line);
-        let b = off.handle_line(line);
+        let a = on(line);
+        let b = oracle(line);
         if !line.contains("\"session\": true") {
             continue;
         }
         let expect = query_answers(&b).expect("oracle query must succeed");
-        let got = query_answers(&a).expect("maintained query must succeed");
+        let got = query_answers(&a).expect("query must succeed");
         assert_eq!(
             got, expect,
-            "maintained answers diverged from recompute on {line}\nmaintained: {a}\nrecompute: {b}"
+            "answers diverged from the oracle on {line}\nanswer: {a}\noracle: {b}"
         );
     }
 }
@@ -197,6 +215,42 @@ proptest! {
         let mut on = durable("b");
         drive_and_compare(&lines[split..], &mut on, &mut off);
         drop(on);
+    }
+
+    /// A follower applies every frame its primary journals through
+    /// `apply_record`, the replication stream's apply call, before each
+    /// of its reads; it must answer every session query of every random
+    /// script like the primary does — rollbacks, view eviction and its
+    /// own snapshots included. The primary never snapshots, so its log
+    /// holds every frame it journaled.
+    #[test]
+    fn follower_answers_match_primary(ops in vec(op_strategy(), 1..32)) {
+        let lines = script_lines(&ops);
+        let (primary_dir, follower_dir) =
+            (ScratchDir::new("ivm-primary"), ScratchDir::new("ivm-follower"));
+        let durable = |dir: &ScratchDir, snapshot_every| ServeConfig {
+            threads: 1,
+            max_views: 2,
+            data_dir: Some(dir.to_path_buf()),
+            snapshot_every,
+            ..ServeConfig::default()
+        };
+        let mut primary = ServeSession::with_config(durable(&primary_dir, 0));
+        let follower = Arc::new(ServeShared::with_config(durable(&follower_dir, 3)));
+        follower.repl().set_role(Role::Follower);
+        let mut reads = ServeSession::with_shared(Arc::clone(&follower));
+        let wal = primary_dir.join("wal.log");
+        let mut shipped = 0; // bytes of the primary's log applied so far
+        compare_queries(&lines, |line| primary.handle_line(line), |line| {
+            let log = std::fs::read(&wal).expect("the primary's log");
+            while shipped < log.len() {
+                let (lsn, record, len) =
+                    WalRecord::decode_frame(&log[shipped..]).expect("an intact frame");
+                assert_eq!(apply_record(&follower, lsn, &record), Ok(true));
+                shipped += len;
+            }
+            reads.handle_line(line)
+        });
     }
 }
 

@@ -34,8 +34,16 @@ cargo test -q --release -p gomq-engine --test wal_props
 echo "==> cargo test -q --release -p gomq-engine --test chaos_recovery"
 cargo test -q --release -p gomq-engine --test chaos_recovery
 
-echo "==> cargo test -q --release -p gomq-engine --test ivm_props"
+# The follower tests run in release: a view that misses a replicated
+# rollback answers stale there, where a debug build would panic.
+echo "==> cargo test -q --release -p gomq-engine --test ivm_props (views = recompute, follower = primary)"
 cargo test -q --release -p gomq-engine --test ivm_props
+
+echo "==> cargo test -q --release -p gomq-engine --lib follower_views"
+cargo test -q --release -p gomq-engine --lib follower_views
+
+echo "==> cargo test -q --release -p gomq-engine --test repl_chaos"
+cargo test -q --release -p gomq-engine --test repl_chaos
 
 echo "==> cargo test -q --release -p gomq-engine --features chaos --test ivm_props (chaos build, no plan)"
 cargo test -q --release -p gomq-engine --features chaos --test ivm_props
