@@ -23,6 +23,36 @@
 //! type elimination every time. All internal locks recover from
 //! poisoning: one panicked request cannot permanently kill the serving
 //! loop.
+//!
+//! ## Two keys: the canonical OMQ and the request text
+//!
+//! The canonical key needs a parsed ontology: a lookup parses and
+//! translates the request's DL text, then renders and sorts its
+//! canonical text. The *text memo* is a second way in that skips all of
+//! it. Its key is a hash of the request's exact `(ontology, query)`
+//! strings, and a hit is verified by full-text equality of both
+//! strings, as a canonical hit is verified by its canonical text
+//! ([`PlanCache::get_text`]). A text is recorded only after it was
+//! parsed, its query validated and its plan fetched or compiled
+//! ([`PlanCache::get_or_compile_text`]), as an *alias* of that plan's
+//! entry. So a hit returns exactly what the full path would:
+//!
+//! - the serving vocabulary is append-only for relations, so the same
+//!   text parses to the same relation ids every time, and ontology
+//!   parsing interns no constants;
+//! - whether a text parses, and whether its query occurs in its
+//!   ontology, depends on the text alone once it has parsed once;
+//! - refusals never reach the cache, so they are never aliased and are
+//!   re-derived on every request. A negatively cached compile failure
+//!   is aliased like a plan and replays as a hit. A compilation panic
+//!   is not cached, so nothing aliases it.
+//!
+//! The memo needs no bound of its own. Each entry keeps at most
+//! [`MAX_ALIASES`] aliases (a fifth replaces the oldest), and its
+//! aliases die with it on eviction or [`PlanCache::clear`], so the memo
+//! holds at most `MAX_ALIASES × capacity` texts. A text hit counts in
+//! [`PlanCache::hits`] like any hit, refreshes the entry's LRU stamp,
+//! and also counts in [`PlanCache::text_hits`].
 
 use crate::plan::{EngineError, OmqPlan};
 use gomq_core::{RelId, Vocab};
@@ -39,6 +69,10 @@ pub type PlanOutcome = Result<Arc<OmqPlan>, EngineError>;
 
 /// Default number of cached plans (positive and negative entries).
 pub const DEFAULT_CAPACITY: usize = 256;
+
+/// Most request texts one cache entry can be reached by through the
+/// text memo (see the module docs).
+pub const MAX_ALIASES: usize = 4;
 
 /// Locks a mutex, recovering the guard from a poisoned lock. A poisoned
 /// mutex means some request panicked mid-update; the cache's state is
@@ -68,11 +102,35 @@ enum Slot {
 }
 
 /// One cache entry: the full canonical text it was keyed under (the
-/// collision check), an LRU stamp, and the slot.
+/// collision check), an LRU stamp, the slot and its text-memo aliases.
 struct Entry {
     text: String,
+    /// The tick the entry was created at. Aliases name an entry by its
+    /// key and this stamp, so they never reach a later entry for the
+    /// same OMQ.
+    born: u64,
     last_used: u64,
     slot: Slot,
+    /// Text-memo keys of the aliases naming this entry, oldest first
+    /// (at most [`MAX_ALIASES`]).
+    aliases: Vec<u64>,
+}
+
+/// One text-memo alias: a request's exact `(ontology, query)` texts and
+/// the entry they planned to.
+struct Alias {
+    ontology: Box<str>,
+    query: Box<str>,
+    /// The entry's canonical key.
+    key: u64,
+    /// The entry's [`Entry::born`] stamp.
+    born: u64,
+}
+
+impl Alias {
+    fn names(&self, key: u64, born: u64) -> bool {
+        self.key == key && self.born == born
+    }
 }
 
 /// Mutable cache state behind the one lock.
@@ -80,15 +138,74 @@ struct Entry {
 struct CacheState {
     /// Hash → colliding entries (almost always a single-element bucket).
     entries: HashMap<u64, Vec<Entry>>,
+    /// Text-memo hash → colliding aliases (almost always one).
+    aliases: HashMap<u64, Vec<Alias>>,
     /// Monotone LRU clock.
     tick: u64,
     /// Total entries across all buckets.
     len: usize,
 }
 
+impl CacheState {
+    /// Records `(ontology, query)` as an alias of the ready entry
+    /// `(key, canonical)`, replacing the entry's oldest alias when it
+    /// already has [`MAX_ALIASES`]. A text already aliased (a
+    /// concurrent request for the same text got here first) is left as
+    /// it is: the same text always plans to the same entry.
+    fn alias(&mut self, key: u64, canonical: &str, text_key: u64, ontology: &str, query: &str) {
+        let known = self.aliases.get(&text_key).is_some_and(|bucket| {
+            bucket
+                .iter()
+                .any(|a| *a.ontology == *ontology && *a.query == *query)
+        });
+        let entry = self
+            .entries
+            .get_mut(&key)
+            .and_then(|b| b.iter_mut().find(|e| e.text == canonical));
+        let Some(entry) = entry.filter(|_| !known) else {
+            return;
+        };
+        let born = entry.born;
+        let oldest = (entry.aliases.len() == MAX_ALIASES).then(|| entry.aliases.remove(0));
+        entry.aliases.push(text_key);
+        if let Some(oldest) = oldest {
+            // An entry's aliases sit in their buckets in the order they
+            // were made, so the first one naming it is its oldest.
+            let bucket = self.aliases.get_mut(&oldest).expect("alias bucket exists");
+            let i = bucket
+                .iter()
+                .position(|a| a.names(key, born))
+                .expect("alias exists");
+            bucket.remove(i);
+            if bucket.is_empty() {
+                self.aliases.remove(&oldest);
+            }
+        }
+        self.aliases.entry(text_key).or_default().push(Alias {
+            ontology: ontology.into(),
+            query: query.into(),
+            key,
+            born,
+        });
+    }
+
+    /// Drops the aliases of `entry`, just removed from bucket `key`.
+    fn unlink(&mut self, key: u64, entry: &Entry) {
+        for text_key in &entry.aliases {
+            if let Some(bucket) = self.aliases.get_mut(text_key) {
+                bucket.retain(|a| !a.names(key, entry.born));
+                if bucket.is_empty() {
+                    self.aliases.remove(text_key);
+                }
+            }
+        }
+    }
+}
+
 /// A thread-safe, verified, single-flight, bounded LRU cache of
 /// compiled [`OmqPlan`]s keyed by [`canonical_omq_hash`]
-/// (`fnv1a(canonical_omq_text)`) and verified against the full text.
+/// (`fnv1a(canonical_omq_text)`) and verified against the full text,
+/// with a text memo in front (see the module docs).
 ///
 /// [`canonical_omq_hash`]: gomq_rewriting::canonical_omq_hash
 pub struct PlanCache {
@@ -96,7 +213,9 @@ pub struct PlanCache {
     ready: Condvar,
     capacity: usize,
     hasher: fn(&str) -> u64,
+    text_hasher: fn(&str, &str) -> u64,
     hits: AtomicU64,
+    text_hits: AtomicU64,
     misses: AtomicU64,
     evictions: AtomicU64,
     inflight_waits: AtomicU64,
@@ -110,6 +229,11 @@ impl Default for PlanCache {
 
 fn default_hasher(text: &str) -> u64 {
     fnv1a(text.as_bytes())
+}
+
+/// The production text-memo hasher: FNV-1a of each text, combined.
+fn default_text_hasher(ontology: &str, query: &str) -> u64 {
+    fnv1a(ontology.as_bytes()).rotate_left(5) ^ fnv1a(query.as_bytes())
 }
 
 impl PlanCache {
@@ -134,11 +258,55 @@ impl PlanCache {
             ready: Condvar::new(),
             capacity: capacity.max(1),
             hasher,
+            text_hasher: default_text_hasher,
             hits: AtomicU64::new(0),
+            text_hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
             inflight_waits: AtomicU64::new(0),
         }
+    }
+
+    /// Replaces the text memo's hash function over `(ontology, query)`.
+    /// Tests inject a constant function to prove that the full-text
+    /// verification never serves a colliding request text the wrong
+    /// plan.
+    pub fn with_text_hasher(mut self, text_hasher: fn(&str, &str) -> u64) -> Self {
+        self.text_hasher = text_hasher;
+        self
+    }
+
+    /// Looks a request's exact `(ontology, query)` texts up in the text
+    /// memo: the outcome they planned to before, or `None` when these
+    /// texts were never planned or their entry has been evicted. A hit
+    /// takes no vocabulary lock and parses nothing; it counts as a
+    /// cache hit and refreshes the entry's LRU stamp.
+    pub fn get_text(&self, ontology: &str, query: &str) -> Option<PlanOutcome> {
+        let text_key = (self.text_hasher)(ontology, query);
+        let mut state = lock_recover(&self.state);
+        let st = &mut *state;
+        let alias = st
+            .aliases
+            .get(&text_key)?
+            .iter()
+            .find(|a| *a.ontology == *ontology && *a.query == *query)?;
+        let (key, born) = (alias.key, alias.born);
+        let entry = st
+            .entries
+            .get_mut(&key)?
+            .iter_mut()
+            .find(|e| e.born == born)?;
+        // Only ready entries are aliased.
+        let Slot::Ready(outcome) = &entry.slot else {
+            return None;
+        };
+        let outcome = outcome.clone();
+        st.tick += 1;
+        entry.last_used = st.tick;
+        drop(state);
+        self.hits.fetch_add(1, Ordering::Relaxed);
+        self.text_hits.fetch_add(1, Ordering::Relaxed);
+        Some(outcome)
     }
 
     /// Looks the OMQ up by canonical hash + full canonical text,
@@ -155,11 +323,41 @@ impl PlanCache {
         query: RelId,
         vocab: &Mutex<Vocab>,
     ) -> (PlanOutcome, bool) {
+        self.lookup(o, query, vocab, None)
+    }
+
+    /// [`PlanCache::get_or_compile`] for a request whose texts
+    /// `(ontology, query)` parsed to `(o, query)` with the query
+    /// validated against the ontology's signature. Once the outcome is
+    /// cached, the texts are recorded as an alias of its entry, so the
+    /// next request with the same texts is served by
+    /// [`PlanCache::get_text`].
+    pub fn get_or_compile_text(
+        &self,
+        o: &GfOntology,
+        query: RelId,
+        vocab: &Mutex<Vocab>,
+        texts: (&str, &str),
+    ) -> (PlanOutcome, bool) {
+        self.lookup(o, query, vocab, Some(texts))
+    }
+
+    /// [`PlanCache::get_or_compile`], recording `texts` (when given) as
+    /// an alias of the entry once its outcome is cached.
+    fn lookup(
+        &self,
+        o: &GfOntology,
+        query: RelId,
+        vocab: &Mutex<Vocab>,
+        texts: Option<(&str, &str)>,
+    ) -> (PlanOutcome, bool) {
         let text = {
             let v = lock_recover(vocab);
             canonical_omq_text(o, query, &v)
         };
         let key = (self.hasher)(&text);
+        let alias =
+            texts.map(|(ontology, query)| ((self.text_hasher)(ontology, query), ontology, query));
 
         let mut state = lock_recover(&self.state);
         let mut waited = false;
@@ -173,6 +371,9 @@ impl PlanCache {
                     entry.last_used = tick;
                     if let Slot::Ready(outcome) = &entry.slot {
                         let outcome = outcome.clone();
+                        if let Some((text_key, ontology, query)) = alias {
+                            st.alias(key, &text, text_key, ontology, query);
+                        }
                         drop(state);
                         self.hits.fetch_add(1, Ordering::Relaxed);
                         return (outcome, true);
@@ -182,8 +383,10 @@ impl PlanCache {
                 None => {
                     bucket.push(Entry {
                         text: text.clone(),
+                        born: tick,
                         last_used: tick,
                         slot: Slot::InFlight,
+                        aliases: Vec::new(),
                     });
                     st.len += 1;
                     break;
@@ -217,12 +420,16 @@ impl PlanCache {
                 {
                     entry.slot = Slot::Ready(outcome.clone());
                 }
+                if let Some((text_key, ontology, query)) = alias {
+                    state.alias(key, &text, text_key, ontology, query);
+                }
                 self.evict_over_capacity(&mut state, key, &text);
                 outcome
             }
             Err(payload) => {
                 // Panics are not cached: drop the in-flight marker so a
                 // later request retries, and surface a structured error.
+                // An in-flight entry has no aliases.
                 let st = &mut *state;
                 if let Some(bucket) = st.entries.get_mut(&key) {
                     if let Some(i) = bucket.iter().position(|e| e.text == text) {
@@ -244,9 +451,10 @@ impl PlanCache {
         (outcome, false)
     }
 
-    /// Evicts least-recently-used ready entries until the size respects
-    /// the capacity. The just-inserted `(keep_key, keep_text)` entry and
-    /// in-flight markers are never evicted.
+    /// Evicts least-recently-used ready entries, with their aliases,
+    /// until the size respects the capacity. The just-inserted
+    /// `(keep_key, keep_text)` entry and in-flight markers are never
+    /// evicted.
     fn evict_over_capacity(&self, state: &mut CacheState, keep_key: u64, keep_text: &str) {
         while state.len > self.capacity {
             let mut victim: Option<(u64, usize, u64)> = None; // (key, index, stamp)
@@ -266,10 +474,11 @@ impl PlanCache {
                 break; // everything is in flight or protected
             };
             let bucket = state.entries.get_mut(&key).expect("victim bucket exists");
-            bucket.remove(i);
+            let evicted = bucket.remove(i);
             if bucket.is_empty() {
                 state.entries.remove(&key);
             }
+            state.unlink(key, &evicted);
             state.len -= 1;
             self.evictions.fetch_add(1, Ordering::Relaxed);
         }
@@ -283,6 +492,22 @@ impl PlanCache {
     /// Number of cache hits so far.
     pub fn hits(&self) -> u64 {
         self.hits.load(Ordering::Relaxed)
+    }
+
+    /// Number of those hits served by the text memo, without parsing
+    /// the request's ontology ([`PlanCache::get_text`]).
+    pub fn text_hits(&self) -> u64 {
+        self.text_hits.load(Ordering::Relaxed)
+    }
+
+    /// Number of request texts the text memo currently holds (at most
+    /// [`MAX_ALIASES`] per cached entry).
+    pub fn aliases(&self) -> usize {
+        lock_recover(&self.state)
+            .aliases
+            .values()
+            .map(Vec::len)
+            .sum()
     }
 
     /// Number of cache misses (compilations attempted) so far.
@@ -311,14 +536,16 @@ impl PlanCache {
         self.len() == 0
     }
 
-    /// Drops every cached plan (counters are kept).
+    /// Drops every cached plan and the text memo (counters are kept).
     pub fn clear(&self) {
         let mut state = lock_recover(&self.state);
-        // Keep in-flight markers: their leaders will still publish.
+        // Keep in-flight markers: their leaders will still publish. Only
+        // ready entries have aliases.
         for bucket in state.entries.values_mut() {
             bucket.retain(|e| matches!(e.slot, Slot::InFlight));
         }
         state.entries.retain(|_, b| !b.is_empty());
+        state.aliases.clear();
         state.len = state.entries.values().map(Vec::len).sum();
     }
 }
@@ -336,6 +563,142 @@ mod tests {
 
     fn rel(vocab: &Mutex<Vocab>, name: &str) -> RelId {
         lock_recover(vocab).find_rel(name).unwrap()
+    }
+
+    /// What serving does with a request's texts: the text memo first,
+    /// else parse and plan them, recording the texts as an alias. The
+    /// boolean is `true` on a text-memo hit.
+    fn plan_texts(
+        cache: &PlanCache,
+        v: &Mutex<Vocab>,
+        ontology: &str,
+        query: &str,
+    ) -> (Arc<OmqPlan>, bool) {
+        if let Some(outcome) = cache.get_text(ontology, query) {
+            return (outcome.unwrap(), true);
+        }
+        let o = parse_in(v, ontology);
+        let q = rel(v, query);
+        let (outcome, _) = cache.get_or_compile_text(&o, q, v, (ontology, query));
+        (outcome.unwrap(), false)
+    }
+
+    /// With a constant text hasher every request text collides; only
+    /// the full-text check keeps each text on its own plan.
+    #[test]
+    fn forced_text_collision_never_serves_the_wrong_plan() {
+        let v = Mutex::new(Vocab::new());
+        let cache = PlanCache::new().with_text_hasher(|_, _| 0x42);
+        let (p1, _) = plan_texts(&cache, &v, "A sub B\n", "B");
+        let (p2, _) = plan_texts(&cache, &v, "X sub Y\n", "Y");
+        assert_eq!(cache.aliases(), 2);
+        for _ in 0..2 {
+            let (again1, hit1) = plan_texts(&cache, &v, "A sub B\n", "B");
+            let (again2, hit2) = plan_texts(&cache, &v, "X sub Y\n", "Y");
+            assert!(hit1 && hit2);
+            assert!(Arc::ptr_eq(&p1, &again1));
+            assert!(Arc::ptr_eq(&p2, &again2));
+        }
+        // Same bucket, texts never planned: no false hit. The query text
+        // is part of the key as much as the ontology text.
+        assert!(cache.get_text("A sub B\n", "A").is_none());
+        assert!(cache.get_text("A sub B", "B").is_none());
+        assert!(cache.get_text("X sub Y\n", "B").is_none());
+        assert_eq!(cache.misses(), 2);
+        assert_eq!((cache.hits(), cache.text_hits()), (4, 4));
+    }
+
+    /// Whitespace and comment variants of one OMQ share one canonical
+    /// entry: they compile once, and each variant, once planned, hits
+    /// by its own text.
+    #[test]
+    fn text_variants_compile_once_then_hit_without_a_parse() {
+        let v = Mutex::new(Vocab::new());
+        let cache = PlanCache::new();
+        let variants = [
+            "A sub B\nB sub C",
+            "B sub C\nA sub B\n",
+            "  A sub B\n\nB sub C   ",
+            "# a comment\nA sub B # trailing\nB sub C",
+        ];
+        let plans: Vec<_> = variants
+            .iter()
+            .map(|o| plan_texts(&cache, &v, o, "C"))
+            .collect();
+        assert!(plans.iter().all(|(_, text_hit)| !text_hit));
+        assert_eq!(cache.misses(), 1, "one compile for every variant");
+        assert_eq!(cache.hits(), 3);
+        for (o, (plan, _)) in variants.iter().zip(&plans) {
+            let (again, text_hit) = plan_texts(&cache, &v, o, "C");
+            assert!(text_hit, "{o:?} hits by text");
+            assert!(Arc::ptr_eq(plan, &again));
+            assert!(Arc::ptr_eq(&plans[0].0, &again));
+        }
+        assert_eq!(cache.text_hits(), 4);
+        assert_eq!(cache.misses(), 1);
+    }
+
+    /// An entry keeps at most `MAX_ALIASES` texts, a new one replacing
+    /// the oldest; aliases die with their entry, so the memo never holds
+    /// more than `MAX_ALIASES × capacity` texts, and an evicted OMQ
+    /// recompiles as a miss.
+    #[test]
+    fn aliases_stay_bounded_and_die_with_their_entry() {
+        let v = Mutex::new(Vocab::new());
+        let capacity = 2;
+        let cache = PlanCache::with_capacity(capacity);
+        let variant = |i: usize, k: usize| format!("O{i}A sub O{i}B{}", " ".repeat(k));
+        // One OMQ posed in more variants than an entry keeps.
+        for k in 0..MAX_ALIASES + 2 {
+            plan_texts(&cache, &v, &variant(0, k), "O0B");
+        }
+        assert_eq!(cache.aliases(), MAX_ALIASES);
+        assert!(
+            cache.get_text(&variant(0, 0), "O0B").is_none(),
+            "oldest replaced"
+        );
+        assert!(cache
+            .get_text(&variant(0, MAX_ALIASES + 1), "O0B")
+            .is_some());
+        // More distinct OMQs than the cache holds, each in variants.
+        for i in 1..=3 * capacity {
+            for k in 0..MAX_ALIASES + 1 {
+                plan_texts(&cache, &v, &variant(i, k), &format!("O{i}B"));
+                assert!(cache.aliases() <= MAX_ALIASES * capacity);
+                assert!(cache.len() <= capacity);
+            }
+        }
+        // OMQ 1 was evicted with its aliases: its text misses the memo,
+        // and planning it again compiles.
+        let misses = cache.misses();
+        assert!(cache.get_text(&variant(1, MAX_ALIASES), "O1B").is_none());
+        let (_, text_hit) = plan_texts(&cache, &v, &variant(1, MAX_ALIASES), "O1B");
+        assert!(!text_hit);
+        assert_eq!(cache.misses(), misses + 1);
+        // Clearing the cache clears the memo.
+        cache.clear();
+        assert_eq!(cache.aliases(), 0);
+        assert!(cache.get_text(&variant(1, MAX_ALIASES), "O1B").is_none());
+    }
+
+    /// A negatively cached compile failure is aliased like a plan: its
+    /// text replays the cached error without a compile.
+    #[test]
+    fn cached_failures_replay_by_text() {
+        let v = Mutex::new(Vocab::new());
+        let cache = PlanCache::new();
+        let cycle: String = (0..21)
+            .map(|i| format!("A{i} sub A{}\n", (i + 1) % 21))
+            .collect();
+        let o = parse_in(&v, &cycle);
+        let q = rel(&v, "A0");
+        let (first, _) = cache.get_or_compile_text(&o, q, &v, (&cycle, "A0"));
+        let again = cache
+            .get_text(&cycle, "A0")
+            .expect("the failure is aliased");
+        assert!(first.is_err() && again.is_err());
+        assert_eq!(format!("{:?}", first.err()), format!("{:?}", again.err()));
+        assert_eq!((cache.misses(), cache.text_hits()), (1, 1));
     }
 
     #[test]

@@ -207,6 +207,33 @@ impl Engine {
         (outcome, hit, t0.elapsed())
     }
 
+    /// Fetches or compiles the plan for a request's raw `(ontology,
+    /// query)` texts. Texts planned before are served from the cache's
+    /// text memo without calling `resolve`. Otherwise `resolve` parses
+    /// them and validates the query; its refusal is returned as it is
+    /// and never memoized. A resolved OMQ is planned as by
+    /// [`Engine::plan_shared`] and its texts are memoized. The duration
+    /// is the wall time of the memo lookup or of the plan lookup or
+    /// compilation, not of `resolve`.
+    pub fn plan_text(
+        &self,
+        ontology: &str,
+        query: &str,
+        vocab: &Mutex<Vocab>,
+        resolve: impl FnOnce() -> Result<(GfOntology, RelId), EngineError>,
+    ) -> Result<(PlanOutcome, bool, std::time::Duration), EngineError> {
+        let t0 = Instant::now();
+        if let Some(outcome) = self.cache.get_text(ontology, query) {
+            return Ok((outcome, true, t0.elapsed()));
+        }
+        let (o, rel) = resolve()?;
+        let t0 = Instant::now();
+        let (outcome, hit) = self
+            .cache
+            .get_or_compile_text(&o, rel, vocab, (ontology, query));
+        Ok((outcome, hit, t0.elapsed()))
+    }
+
     /// Answers one plan against one ABox or a batch of ABoxes, under
     /// the cooperative budget in `opts` (a batch shares its deadline;
     /// the first blown budget fails the whole batch) and, for one ABox,
@@ -384,6 +411,7 @@ impl Engine {
             self.counters[i].load(Ordering::Relaxed)
         }));
         snap[Counter::CacheHits] = self.cache.hits();
+        snap[Counter::PlanTextHits] = self.cache.text_hits();
         snap[Counter::CacheMisses] = self.cache.misses();
         snap[Counter::CacheEvictions] = self.cache.evictions();
         snap[Counter::InflightWaits] = self.cache.inflight_waits();

@@ -1116,10 +1116,10 @@ fn follow_once(shared: &Arc<ServeShared>, addr: &str, token: &DrainToken) -> Fol
                             break end(progressed);
                         }
                     }
-                    Err(SessionError::Corrupt(msg)) if msg.contains("replication gap") => {
+                    Err(e @ SessionError::Gap { .. }) => {
                         // Reconnect re-HELLOs from our durable position,
                         // which makes the primary re-ship the gap.
-                        eprintln!("gomq-serve: repl: {msg}; reconnecting");
+                        eprintln!("gomq-serve: repl: {e}; reconnecting");
                         break end(progressed);
                     }
                     Err(SessionError::Io(msg)) => {
@@ -1289,6 +1289,86 @@ mod tests {
         assert_eq!(shared.stats()[Counter::ReplPromotions], 0);
         token.trigger();
         follower.join().unwrap();
+    }
+
+    /// A record that skips ahead of the follower's log is a gap, not a
+    /// fatal error: the follower drops the connection and says HELLO
+    /// again from its own position, so the primary re-ships what it
+    /// missed, and following resumes.
+    #[test]
+    fn replication_gap_reconnects_from_the_follower_position() {
+        let dir = crate::scratch::ScratchDir::new("repl-gap");
+        let shared = durable_shared(&dir);
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        shared.repl().set_role(Role::Follower);
+        let token = DrainToken::new();
+        let follower = {
+            let (shared, token) = (Arc::clone(&shared), token.clone());
+            let cfg = FollowConfig {
+                addr: listener.local_addr().unwrap().to_string(),
+                promote_on_disconnect: false,
+            };
+            std::thread::spawn(move || run_follower(shared, cfg, token))
+        };
+        // The next message the fake primary reads (`None` at EOF),
+        // skipping idle ticks.
+        let next = |stream: &mut TcpStream| {
+            let deadline = Instant::now() + Duration::from_secs(30);
+            loop {
+                match read_msg(stream).unwrap() {
+                    ReadOutcome::Msg(msg) => break Some(msg),
+                    ReadOutcome::Idle => {
+                        assert!(Instant::now() < deadline, "the follower is silent")
+                    }
+                    ReadOutcome::Eof => break None,
+                }
+            }
+        };
+        listener.set_nonblocking(true).unwrap();
+        let accept = || {
+            let deadline = Instant::now() + Duration::from_secs(30);
+            let mut stream = loop {
+                match listener.accept() {
+                    Ok((stream, _)) => break stream,
+                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
+                        assert!(Instant::now() < deadline, "the follower never connected");
+                        std::thread::sleep(Duration::from_millis(10));
+                    }
+                    Err(e) => panic!("accept: {e}"),
+                }
+            };
+            stream.set_nonblocking(false).unwrap();
+            stream
+                .set_read_timeout(Some(Duration::from_millis(200)))
+                .unwrap();
+            let hello = next(&mut stream);
+            let Some(ReplMsg::Hello { last_lsn, .. }) = hello else {
+                panic!("expected HELLO, got {hello:?}");
+            };
+            (stream, last_lsn)
+        };
+        // Ship lsn 3 to a follower whose log is empty.
+        let (mut first, last_lsn) = accept();
+        assert_eq!(last_lsn, 0);
+        write_msg(
+            &mut first,
+            &ReplMsg::Record(manager("late").encode_frame(3)),
+        )
+        .unwrap();
+        assert_eq!(next(&mut first), None, "the follower dropped the gap");
+        // It reconnects from lsn 0 and applies the re-shipped record.
+        let (mut second, last_lsn) = accept();
+        assert_eq!(last_lsn, 0);
+        write_msg(&mut second, &ReplMsg::Record(manager("a").encode_frame(1))).unwrap();
+        assert_eq!(next(&mut second), Some(ReplMsg::Ack(1)));
+        assert_eq!(shared.repl().role(), Role::Follower);
+        let stats = shared.stats();
+        assert_eq!(stats[Counter::ReplReconnects], 1);
+        assert_eq!(stats[Counter::ReplRecordsApplied], 1);
+        token.trigger();
+        follower.join().unwrap();
+        let mut reads = crate::serve::ServeSession::with_shared(Arc::clone(&shared));
+        assert_eq!(employees(&mut reads), [["a"]]);
     }
 
     /// A follower applies replicated asserts while client requests are

@@ -100,10 +100,11 @@ use crate::session::{
 };
 use crate::stats::{nanos, Counter, EngineStats, RequestStats};
 use crate::wal::SymFact;
-use gomq_core::{Fact, FactStore, Term, Vocab};
+use gomq_core::{Fact, FactStore, RelId, Term, Vocab};
 use gomq_datalog::{Budget, BudgetExceeded, LimitKind, Materialization};
 use gomq_dl::parser::parse_ontology;
 use gomq_dl::translate::to_gf;
+use gomq_logic::GfOntology;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
 use std::io::BufRead;
@@ -788,30 +789,16 @@ impl ServeSession {
                 derived: 0,
             }));
         }
-        let (o, query) = {
-            let mut vocab = lock_recover(&self.shared.vocab);
-            let dl = parse_ontology(req.ontology, &mut vocab)
-                .map_err(|e| EngineError::BadRequest(format!("ontology: {e}")))?;
-            let o = to_gf(&dl);
-            // Checked against the ontology's own signature: whether some
-            // earlier request interned the name must not matter.
-            let query = vocab
-                .find_rel(req.query)
-                .filter(|rel| o.sig().contains(rel))
-                .ok_or_else(|| {
-                    EngineError::BadRequest(format!(
-                        "query relation \"{}\" does not occur in the ontology",
-                        req.query
-                    ))
-                })?;
-            (o, query)
-        };
-        // The vocab lock is released before planning: the cache takes it
+        // A text planned before is served from the plan cache's text
+        // memo; any other text is parsed and validated first. Parsing
+        // releases the vocab lock before planning: the cache takes it
         // itself, and single-flight waiters must not hold it.
-        let (plan, cached, compile) = self
-            .shared
-            .engine
-            .plan_shared(&o, query, &self.shared.vocab);
+        let (plan, cached, compile) =
+            self.shared
+                .engine
+                .plan_text(req.ontology, req.query, &self.shared.vocab, || {
+                    self.resolve_omq(&req)
+                })?;
         self.shared.engine.add(Counter::CompileNs, nanos(compile));
         let planned = Planned {
             plan: plan?,
@@ -851,6 +838,26 @@ impl ServeSession {
             let payload = self.payload(&answered.answers, batch, answered.certificate.as_deref());
             Ok((payload, answered.stats))
         })
+    }
+
+    /// Parses a query's ontology into the serving vocabulary and checks
+    /// its query against the ontology's own signature: whether some
+    /// earlier request interned the name must not matter.
+    fn resolve_omq(&self, req: &QueryRequest<'_>) -> Result<(GfOntology, RelId), EngineError> {
+        let mut vocab = lock_recover(&self.shared.vocab);
+        let dl = parse_ontology(req.ontology, &mut vocab)
+            .map_err(|e| EngineError::BadRequest(format!("ontology: {e}")))?;
+        let o = to_gf(&dl);
+        let query = vocab
+            .find_rel(req.query)
+            .filter(|rel| o.sig().contains(rel))
+            .ok_or_else(|| {
+                EngineError::BadRequest(format!(
+                    "query relation \"{}\" does not occur in the ontology",
+                    req.query
+                ))
+            })?;
+        Ok((o, query))
     }
 
     /// Parses one request-supplied ABox text straight into a fact store,
@@ -1618,7 +1625,7 @@ mod tests {
     fn stats_op_pins_the_protocol() {
         // The 43 keys of the former per-response "engine" block, in its
         // order, then the counters the stats op appends.
-        const WIRE: [&str; 50] = [
+        const WIRE: [&str; 51] = [
             "requests",
             "cache_hits",
             "cache_misses",
@@ -1669,6 +1676,7 @@ mod tests {
             "eval_ns",
             "vocab_relations",
             "vocab_constants",
+            "plan_text_hits",
         ];
         let mut s = ServeSession::with_threads(1);
         let st = s.handle_line(r#"{"id": "s", "op": "stats"}"#);
@@ -2022,6 +2030,77 @@ mod tests {
         assert_eq!(s.engine().stats()[Counter::Panics], 0);
         let good = s.handle_line(r#"{"ontology": "A sub B", "query": "B", "abox": "A(x)"}"#);
         ok_field(&good, r#"[["x"]]"#);
+    }
+
+    /// A response with its timing fields zeroed.
+    fn untimed(response: &str) -> String {
+        let mut out = response.to_owned();
+        for field in ["\"compile_us\": ", "\"eval_us\": "] {
+            let from = out.find(field).expect("a timing field") + field.len();
+            let to = from + out[from..].find(',').expect("more stats");
+            out.replace_range(from..to, "0");
+        }
+        out
+    }
+
+    #[test]
+    fn text_memo_serves_repeats_and_variants_without_a_parse() {
+        let mut s = ServeSession::with_threads(1);
+        let line = |ontology: &str| {
+            format!(r#"{{"ontology": "{ontology}", "query": "C", "abox": "A(x)\nB(y)"}}"#)
+        };
+        let variants = [
+            r"A sub B\nB sub C",
+            r"B sub C\nA sub B",
+            r"  A sub B \n\nB sub C",
+            r"# comment\nA sub B\nB sub C",
+        ];
+        let first: Vec<String> = variants.iter().map(|o| s.handle_line(&line(o))).collect();
+        let stats = s.shared().stats();
+        assert_eq!(stats[Counter::CacheMisses], 1, "variants share one plan");
+        assert_eq!(stats[Counter::PlanTextHits], 0);
+        for (o, before) in variants.iter().zip(&first) {
+            let again = s.handle_line(&line(o));
+            let hit = untimed(before)
+                .replace(r#""cached": false"#, r#""cached": true"#)
+                .replace(r#""cache_hit": false"#, r#""cache_hit": true"#);
+            assert_eq!(untimed(&again), hit);
+            ok_field(&again, r#""answers": [["x"], ["y"]]"#);
+        }
+        let stats = s.shared().stats();
+        assert_eq!(stats[Counter::CacheMisses], 1);
+        assert_eq!(stats[Counter::PlanTextHits], 4);
+        assert_eq!(
+            stats[Counter::CacheHits],
+            3 + 4,
+            "every hit counts in cache_hits"
+        );
+        // A session query over the same texts hits the memo too.
+        let session = r#"{"ontology": "A sub B\nB sub C", "query": "C", "session": true}"#;
+        ok_field(&s.handle_line(session), r#""answers": []"#);
+        assert_eq!(s.shared().stats()[Counter::PlanTextHits], 5);
+    }
+
+    #[test]
+    fn served_omq_does_not_admit_an_out_of_signature_query() {
+        let mut s = ServeSession::with_threads(1);
+        let served = r#"{"ontology": "A sub B", "query": "B", "abox": "A(x)"}"#;
+        ok_field(&s.handle_line(served), r#""answers": [["x"]]"#);
+        ok_field(&s.handle_line(served), r#""cached": true"#);
+        // `X` is interned by another OMQ; the served ontology's text with
+        // `X` as its query is still refused, every time.
+        s.handle_line(r#"{"ontology": "X sub Y", "query": "Y", "abox": "X(q)"}"#);
+        let line = r#"{"ontology": "A sub B", "query": "X", "abox": "X(c)\nA(d)"}"#;
+        for _ in 0..2 {
+            ok_field(
+                &s.handle_line(line),
+                r#"bad request: query relation \"X\" does not occur in the ontology"#,
+            );
+        }
+        // Refusals are never memoized, and the served text still hits.
+        assert_eq!(s.shared().stats()[Counter::PlanTextHits], 1);
+        ok_field(&s.handle_line(served), r#""answers": [["x"]]"#);
+        assert_eq!(s.shared().stats()[Counter::PlanTextHits], 2);
     }
 
     #[test]

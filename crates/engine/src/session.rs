@@ -66,6 +66,15 @@ pub enum SessionError {
     /// An earlier failure left the log tail in an unknown state; every
     /// further mutation is refused (queries still work).
     Poisoned(String),
+    /// A replicated record skipped ahead of the local log: the record
+    /// was not applied. A follower recovers by reconnecting, which
+    /// makes the primary re-ship from the follower's position.
+    Gap {
+        /// The next lsn the local log expects.
+        expected: u64,
+        /// The lsn the record carried.
+        got: u64,
+    },
 }
 
 impl fmt::Display for SessionError {
@@ -76,6 +85,9 @@ impl fmt::Display for SessionError {
             SessionError::UnknownMark(id) => write!(f, "unknown mark {id}"),
             SessionError::Poisoned(e) => {
                 write!(f, "session persistence poisoned by an earlier failure: {e}")
+            }
+            SessionError::Gap { expected, got } => {
+                write!(f, "replication gap: expected lsn {expected}, got {got}")
             }
         }
     }
@@ -680,7 +692,7 @@ impl DurableSession {
     /// Records must arrive in lsn order: one at or below the local
     /// position is a duplicate (already applied — `Ok(None)`), one past
     /// the expected next lsn is a gap and refuses with
-    /// [`SessionError::Corrupt`] rather than silently diverging.
+    /// [`SessionError::Gap`] rather than silently diverging.
     pub fn apply_replicated(
         &mut self,
         lsn: u64,
@@ -697,9 +709,7 @@ impl DurableSession {
             return Ok(None); // duplicate re-ship after a reconnect
         }
         if lsn > expected {
-            return Err(SessionError::Corrupt(format!(
-                "replication gap: expected lsn {expected}, got {lsn}"
-            )));
+            return Err(SessionError::Gap { expected, got: lsn });
         }
         self.commit(record, facts).map(Some)
     }
@@ -1489,14 +1499,13 @@ mod tests {
         let (lsn, record, _) = WalRecord::decode_frame(&frames[0].1).unwrap();
         assert!(apply(&mut replica, lsn, &record).unwrap().is_none());
         assert_eq!(replica.position(), primary.position());
-        // A gap (skipped lsn) is refused as corrupt, not silently
+        // A gap (skipped lsn) is refused as a typed gap, not silently
         // applied out of order.
-        let next = replica.position().0 + 5;
+        let expected = replica.position().0 + 1;
+        let next = expected + 4;
         match apply(&mut replica, next, &record) {
-            Err(SessionError::Corrupt(msg)) => {
-                assert!(msg.contains("replication gap"), "{msg}")
-            }
-            other => panic!("gap must be Corrupt, got {other:?}"),
+            Err(SessionError::Gap { expected: e, got }) => assert_eq!((e, got), (expected, next)),
+            other => panic!("gap must be SessionError::Gap, got {other:?}"),
         }
         assert_eq!(
             store_shape(&replica, &replica_vocab),

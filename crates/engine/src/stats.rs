@@ -202,6 +202,11 @@ counters! {
     /// no request is in flight, so between requests the gauge counts
     /// only the constants of the ontologies, queries and session facts.
     VocabConstants = "vocab_constants",
+    /// Plan-cache hits served by the text memo: the request's exact
+    /// ontology and query texts were planned before, so the ontology was
+    /// not parsed again (read from the cache; also counted in
+    /// `cache_hits`).
+    PlanTextHits = "plan_text_hits",
 }
 
 /// A snapshot of every [`Counter`], indexed by counter. Renders (via

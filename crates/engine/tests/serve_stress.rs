@@ -71,6 +71,53 @@ fn concurrent_sessions_compile_each_omq_once() {
     assert_eq!(stats[Counter::Panics], 0);
 }
 
+/// Threads posing one OMQ in several texts share one compile: a text is
+/// parsed until some request has planned it, then served from the text
+/// memo, and every thread gets the same answers.
+#[test]
+fn concurrent_text_variants_compile_once() {
+    const THREADS: usize = 8;
+    const ITERS: usize = 10;
+    const VARIANTS: [&str; 4] = [
+        "V0 sub V1\nV1 sub V2",
+        "V1 sub V2\nV0 sub V1",
+        "  V0 sub V1 \n\nV1 sub V2",
+        "# a comment\nV0 sub V1\nV1 sub V2",
+    ];
+    let shared = Arc::new(ServeShared::with_config(ServeConfig {
+        threads: 1,
+        ..ServeConfig::default()
+    }));
+    thread::scope(|scope| {
+        for t in 0..THREADS {
+            let shared = Arc::clone(&shared);
+            scope.spawn(move || {
+                let mut session = ServeSession::with_shared(shared);
+                for iter in 0..ITERS {
+                    let ontology = VARIANTS[(t + iter) % VARIANTS.len()];
+                    let id = format!("t{t}-{iter}");
+                    let resp = session.handle_line(&request(&id, ontology, "V2", "V0(a)\nV1(b)"));
+                    assert!(
+                        resp.contains(r#""status": "ok""#) && resp.contains(r#"[["a"], ["b"]]"#),
+                        "thread {t} iter {iter}: {resp}"
+                    );
+                }
+            });
+        }
+    });
+    let stats = shared.engine().stats();
+    let lookups = (THREADS * ITERS) as u64;
+    assert_eq!(stats[Counter::CacheMisses], 1, "one compile for every text");
+    assert_eq!(stats[Counter::CacheHits], lookups - 1);
+    // Only requests that raced a text's first plan parsed it again.
+    let parsed = (VARIANTS.len() * THREADS) as u64;
+    assert!(
+        stats[Counter::PlanTextHits] >= lookups - parsed,
+        "stats: {stats:?}"
+    );
+    assert_eq!(shared.engine().cache().aliases(), VARIANTS.len());
+}
+
 /// A capacity-2 cache serving four OMQs never grows past its cap and
 /// keeps answering correctly through evictions and recompiles.
 #[test]

@@ -157,6 +157,28 @@ case "$stats_out" in
         ;;
 esac
 
+# Text-memo smoke: one OMQ, the same request text again, then a
+# whitespace variant. The repeat is served from the plan cache's text
+# memo without a parse; the variant misses the memo but hits the plan
+# by its canonical text. One compile, three equal answers, one text hit.
+echo "==> gomq-serve text-memo smoke (stdin, release)"
+memo_out="$(printf '%s\n' \
+    '{"ontology": "A sub B\nB sub C", "query": "C", "abox": "A(x)"}' \
+    '{"ontology": "A sub B\nB sub C", "query": "C", "abox": "A(x)"}' \
+    '{"ontology": "  A sub B\n\nB sub C ", "query": "C", "abox": "A(x)"}' \
+    '{"op": "stats"}' \
+    | target/release/gomq-serve 2>/dev/null)"
+memo_answers="$(printf '%s\n' "$memo_out" | grep -c '"answers": \[\["x"\]\]')"
+memo_stats="$(printf '%s\n' "$memo_out" | tail -n 1)"
+case "$memo_answers:$memo_stats" in
+    3:*'"cache_misses": 1,'*'"plan_text_hits": 1'*) ;;
+    *)
+        echo "text-memo smoke: $memo_answers of 3 equal answers, stats:" >&2
+        echo "$memo_stats" >&2
+        exit 1
+        ;;
+esac
+
 # Vocabulary-bound smoke: 200 distinct OMQs over one pool of ten
 # concept and three role names, through a 4-plan cache so nearly every
 # request evicts and compiles. Plans share the rewriting's fixed IDB
@@ -364,8 +386,8 @@ cargo test -q --release -p gomq-engine --test repl_chaos
 echo "==> cargo test -q --release -p gomq-engine --features chaos --test repl_chaos (repl.ship/repl.apply faults)"
 cargo test -q --release -p gomq-engine --features chaos --test repl_chaos
 
-echo "==> cargo test --release --manifest-path perfbench/Cargo.toml (benchmark self-tests)"
-cargo test --release --manifest-path perfbench/Cargo.toml
+echo "==> cargo test --release --offline --manifest-path perfbench/Cargo.toml (benchmark self-tests)"
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
 
 # One-second oracle-checked run of every BENCHMARK.json workload: the
 # benchmark checks every answer (hot_small mixes kernel-served and
