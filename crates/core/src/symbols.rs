@@ -230,6 +230,27 @@ impl Vocab {
         (0..self.rel_names.len() as u32).map(RelId)
     }
 
+    /// A checkpoint of the relation table: pass it to
+    /// [`Vocab::truncate_rels`] to drop every relation interned after
+    /// this point. A server uses it to take back the names of a request
+    /// it refuses, so a refused text fixes no arity for later ones.
+    pub fn rel_mark(&self) -> usize {
+        self.rel_names.len()
+    }
+
+    /// Drops every relation interned after `mark` (a value previously
+    /// returned by [`Vocab::rel_mark`]). Ids handed out after the mark
+    /// become dangling — callers must not retain [`RelId`]s across the
+    /// truncation. Constants and nulls are unaffected.
+    pub fn truncate_rels(&mut self, mark: usize) {
+        if mark >= self.rel_names.len() {
+            return;
+        }
+        for (name, _) in self.rel_names.drain(mark..) {
+            self.rel_by_name.remove(&name);
+        }
+    }
+
     /// Interns a constant.
     pub fn constant(&mut self, name: &str) -> ConstId {
         let h = self.consts.hash(name);
@@ -291,6 +312,24 @@ impl Vocab {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn truncate_rels_forgets_names_and_arities() {
+        let mut v = Vocab::new();
+        let a = v.rel("A", 1);
+        let mark = v.rel_mark();
+        v.rel("R", 1);
+        v.rel("B", 2);
+        v.truncate_rels(mark);
+        assert_eq!(v.rel_count(), 1);
+        assert_eq!(v.find_rel("R"), None);
+        assert_eq!(v.find_rel("A"), Some(a));
+        // The dropped names may come back with another arity.
+        let r = v.rel("R", 2);
+        assert_eq!((r, v.arity(r)), (RelId(1), 2));
+        v.truncate_rels(v.rel_mark() + 5);
+        assert_eq!(v.rel_count(), 2);
+    }
 
     #[test]
     fn rel_interning_is_idempotent() {

@@ -24,7 +24,7 @@
 
 use crate::program::{Program, Rule};
 use gomq_core::RelId;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 /// One SCC stratum: a rule partition plus its execution annotations.
 ///
@@ -93,39 +93,64 @@ pub struct PlanIr {
 
 impl PlanIr {
     /// Stratifies a program by the SCCs of its head-dependency graph.
+    ///
+    /// The graph's nodes are the IDB relations, numbered densely in
+    /// relation-id order; edges are visited in target order, so the
+    /// components and their order depend on the rules alone.
     pub fn of(program: &Program) -> PlanIr {
-        let idb: BTreeSet<RelId> = program.idb();
+        // Dense node numbers: `node[rel]` for every head relation.
+        let n_rels = program
+            .rules
+            .iter()
+            .map(|r| r.head.rel.0 as usize + 1)
+            .max()
+            .unwrap_or(0);
+        let mut node = vec![NO_NODE; n_rels];
+        for r in &program.rules {
+            node[r.head.rel.0 as usize] = 0;
+        }
+        let mut n_nodes = 0u32;
+        for slot in node.iter_mut().filter(|n| **n != NO_NODE) {
+            *slot = n_nodes;
+            n_nodes += 1;
+        }
+        let node_of = |rel: RelId| match node.get(rel.0 as usize) {
+            Some(&n) if n != NO_NODE => Some(n),
+            _ => None,
+        };
         // Dependency edges body-IDB-relation → head relation.
-        let nodes: Vec<RelId> = idb.iter().copied().collect();
-        let index_of: BTreeMap<RelId, usize> =
-            nodes.iter().enumerate().map(|(i, &r)| (r, i)).collect();
-        let mut succ: Vec<BTreeSet<usize>> = vec![BTreeSet::new(); nodes.len()];
+        let mut edges: Vec<(u32, u32)> = Vec::new();
         for rule in &program.rules {
-            let h = index_of[&rule.head.rel];
-            for atom in rule.positive_atoms() {
-                if let Some(&b) = index_of.get(&atom.rel) {
-                    succ[b].insert(h);
+            let h = node[rule.head.rel.0 as usize];
+            edges.extend(
+                rule.positive_atoms()
+                    .filter_map(|a| Some((node_of(a.rel)?, h))),
+            );
+        }
+        let succ = Csr::of(n_nodes as usize, edges);
+        let comp = scc(&succ);
+        let n_comps = comp.iter().map(|&c| c as usize + 1).max().unwrap_or(0);
+        // Condensation edges + Kahn topological order.
+        let mut cond_edges: Vec<(u32, u32)> = Vec::new();
+        for b in 0..n_nodes as usize {
+            for &h in succ.row(b) {
+                let (cb, ch) = (comp[b], comp[h as usize]);
+                if cb != ch {
+                    cond_edges.push((cb, ch));
                 }
             }
         }
-        let comp = scc(&succ);
-        let n_comps = comp.iter().copied().max().map_or(0, |m| m + 1);
-        // Condensation edges + Kahn topological order.
-        let mut cond_succ: Vec<BTreeSet<usize>> = vec![BTreeSet::new(); n_comps];
+        let cond = Csr::of(n_comps, cond_edges);
         let mut indegree = vec![0usize; n_comps];
-        for (b, hs) in succ.iter().enumerate() {
-            for &h in hs {
-                let (cb, ch) = (comp[b], comp[h]);
-                if cb != ch && cond_succ[cb].insert(ch) {
-                    indegree[ch] += 1;
-                }
-            }
+        for &ch in &cond.targets {
+            indegree[ch as usize] += 1;
         }
         let mut order: Vec<usize> = Vec::with_capacity(n_comps);
         let mut queue: Vec<usize> = (0..n_comps).filter(|&c| indegree[c] == 0).collect();
         while let Some(c) = queue.pop() {
             order.push(c);
-            for &d in &cond_succ[c] {
+            for &d in cond.row(c) {
+                let d = d as usize;
                 indegree[d] -= 1;
                 if indegree[d] == 0 {
                     queue.push(d);
@@ -133,24 +158,30 @@ impl PlanIr {
             }
         }
         debug_assert_eq!(order.len(), n_comps, "condensation must be acyclic");
-        let rank_of_comp: BTreeMap<usize, usize> = order
-            .iter()
-            .enumerate()
-            .map(|(rank, &c)| (c, rank))
-            .collect();
-        let mut buckets: Vec<Vec<Rule>> = vec![Vec::new(); n_comps];
-        for rule in &program.rules {
-            let c = comp[index_of[&rule.head.rel]];
-            buckets[rank_of_comp[&c]].push(rule.clone());
+        let mut rank_of_comp = vec![0usize; n_comps];
+        for (rank, &c) in order.iter().enumerate() {
+            rank_of_comp[c] = rank;
         }
+        let comp_of = |rel: RelId| comp[node[rel.0 as usize] as usize] as usize;
+        let mut sizes = vec![0usize; n_comps];
+        for rule in &program.rules {
+            sizes[rank_of_comp[comp_of(rule.head.rel)]] += 1;
+        }
+        let mut buckets: Vec<Vec<Rule>> = sizes.into_iter().map(Vec::with_capacity).collect();
+        for rule in &program.rules {
+            buckets[rank_of_comp[comp_of(rule.head.rel)]].push(rule.clone());
+        }
+        // A stratum is recursive when a positive body atom names a head
+        // relation of its own component.
         let strata = buckets
             .into_iter()
             .filter(|rules| !rules.is_empty())
             .map(|rules| {
-                let heads: BTreeSet<RelId> = rules.iter().map(|r| r.head.rel).collect();
-                let recursive = rules
-                    .iter()
-                    .any(|r| r.positive_atoms().any(|a| heads.contains(&a.rel)));
+                let c = comp_of(rules[0].head.rel);
+                let recursive = rules.iter().any(|r| {
+                    r.positive_atoms()
+                        .any(|a| node_of(a.rel).is_some_and(|n| comp[n as usize] as usize == c))
+                });
                 StratumIr { rules, recursive }
             })
             .collect();
@@ -195,72 +226,77 @@ impl PlanIr {
     }
 }
 
+/// Not an IDB relation (in [`PlanIr::of`]'s dense numbering).
+const NO_NODE: u32 = u32::MAX;
+
+/// A graph in compressed rows: the successors of node `i` are
+/// `targets[offsets[i]..offsets[i + 1]]`, ascending and distinct.
+struct Csr {
+    offsets: Vec<usize>,
+    targets: Vec<u32>,
+}
+
+impl Csr {
+    /// The graph on `n` nodes with the given edges (repeats allowed).
+    fn of(n: usize, mut edges: Vec<(u32, u32)>) -> Csr {
+        edges.sort_unstable();
+        edges.dedup();
+        let mut offsets = vec![0usize; n + 1];
+        for &(a, _) in &edges {
+            offsets[a as usize + 1] += 1;
+        }
+        for i in 0..n {
+            offsets[i + 1] += offsets[i];
+        }
+        let targets = edges.into_iter().map(|(_, b)| b).collect();
+        Csr { offsets, targets }
+    }
+
+    fn len(&self) -> usize {
+        self.offsets.len() - 1
+    }
+
+    fn row(&self, i: usize) -> &[u32] {
+        &self.targets[self.offsets[i]..self.offsets[i + 1]]
+    }
+}
+
 /// Iterative Tarjan SCC; returns the component id of every node.
-fn scc(succ: &[BTreeSet<usize>]) -> Vec<usize> {
+/// Components are numbered in the order they complete.
+fn scc(succ: &Csr) -> Vec<u32> {
     let n = succ.len();
-    let mut comp = vec![usize::MAX; n];
-    let mut index = vec![usize::MAX; n];
-    let mut low = vec![0usize; n];
-    let mut on_stack = vec![false; n];
-    let mut stack: Vec<usize> = Vec::new();
-    let mut next_index = 0usize;
-    let mut next_comp = 0usize;
-    // Explicit DFS stack: (node, iterator position over successors).
+    let mut t = Tarjan {
+        index: vec![usize::MAX; n],
+        low: vec![0; n],
+        on_stack: vec![false; n],
+        stack: Vec::new(),
+        dfs: Vec::new(),
+        next_index: 0,
+    };
+    let mut comp = vec![u32::MAX; n];
+    let mut next_comp = 0u32;
     for root in 0..n {
-        if index[root] != usize::MAX {
+        if t.index[root] != usize::MAX {
             continue;
         }
-        let mut dfs: Vec<(usize, Vec<usize>, usize)> = Vec::new();
-        let push = |v: usize,
-                    dfs: &mut Vec<(usize, Vec<usize>, usize)>,
-                    index: &mut Vec<usize>,
-                    low: &mut Vec<usize>,
-                    on_stack: &mut Vec<bool>,
-                    stack: &mut Vec<usize>,
-                    next_index: &mut usize| {
-            index[v] = *next_index;
-            low[v] = *next_index;
-            *next_index += 1;
-            stack.push(v);
-            on_stack[v] = true;
-            dfs.push((v, succ[v].iter().copied().collect(), 0));
-        };
-        push(
-            root,
-            &mut dfs,
-            &mut index,
-            &mut low,
-            &mut on_stack,
-            &mut stack,
-            &mut next_index,
-        );
-        while let Some((v, children, pos)) = dfs.last_mut() {
-            if *pos < children.len() {
-                let w = children[*pos];
+        t.visit(root);
+        while let Some(&mut (v, ref mut pos)) = t.dfs.last_mut() {
+            if let Some(&w) = succ.row(v).get(*pos) {
                 *pos += 1;
-                if index[w] == usize::MAX {
-                    push(
-                        w,
-                        &mut dfs,
-                        &mut index,
-                        &mut low,
-                        &mut on_stack,
-                        &mut stack,
-                        &mut next_index,
-                    );
-                } else if on_stack[w] {
-                    let v = *v;
-                    low[v] = low[v].min(index[w]);
+                let w = w as usize;
+                if t.index[w] == usize::MAX {
+                    t.visit(w);
+                } else if t.on_stack[w] {
+                    t.low[v] = t.low[v].min(t.index[w]);
                 }
             } else {
-                let v = *v;
-                dfs.pop();
-                if let Some((parent, _, _)) = dfs.last() {
-                    low[*parent] = low[*parent].min(low[v]);
+                t.dfs.pop();
+                if let Some(&(parent, _)) = t.dfs.last() {
+                    t.low[parent] = t.low[parent].min(t.low[v]);
                 }
-                if low[v] == index[v] {
-                    while let Some(w) = stack.pop() {
-                        on_stack[w] = false;
+                if t.low[v] == t.index[v] {
+                    while let Some(w) = t.stack.pop() {
+                        t.on_stack[w] = false;
                         comp[w] = next_comp;
                         if w == v {
                             break;
@@ -272,6 +308,28 @@ fn scc(succ: &[BTreeSet<usize>]) -> Vec<usize> {
         }
     }
     comp
+}
+
+/// The state of [`scc`]'s depth-first search.
+struct Tarjan {
+    index: Vec<usize>,
+    low: Vec<usize>,
+    on_stack: Vec<bool>,
+    stack: Vec<usize>,
+    /// Explicit DFS stack: (node, position in its successor row).
+    dfs: Vec<(usize, usize)>,
+    next_index: usize,
+}
+
+impl Tarjan {
+    fn visit(&mut self, v: usize) {
+        self.index[v] = self.next_index;
+        self.low[v] = self.next_index;
+        self.next_index += 1;
+        self.stack.push(v);
+        self.on_stack[v] = true;
+        self.dfs.push((v, 0));
+    }
 }
 
 #[cfg(test)]

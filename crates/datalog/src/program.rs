@@ -1,10 +1,14 @@
 //! Rule and program representation.
 
+use gomq_core::store::{FxHashMap, FxHasher};
 use gomq_core::{RelId, Term, Vocab};
-use std::collections::hash_map::DefaultHasher;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 use std::fmt;
 use std::hash::{Hash, Hasher};
+
+/// No older kept rule with the same hash (the end of a chain in
+/// [`Program::optimize`]).
+const NONE: u32 = u32::MAX;
 
 /// A term in a rule: a variable or a fixed ground term.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -63,22 +67,24 @@ impl Rule {
     ///
     /// Panics on violated range restriction.
     pub fn new(head: DAtom, body: Vec<Literal>) -> Self {
-        let mut positive_vars: BTreeSet<u32> = BTreeSet::new();
-        for l in &body {
-            if let Literal::Pos(a) = l {
-                for t in &a.args {
-                    if let DTerm::Var(v) = t {
-                        positive_vars.insert(*v);
-                    }
-                }
+        // The variables of the positive body atoms: a bitmask for the
+        // first 64, a scan of the body for any later one.
+        let mut mask = 0u64;
+        let mut slots = 0u32;
+        for v in positive_vars(&body) {
+            slots = slots.max(v + 1);
+            if v < 64 {
+                mask |= 1 << v;
             }
         }
         let check = |t: &DTerm| {
-            if let DTerm::Var(v) = t {
-                assert!(
-                    positive_vars.contains(v),
-                    "variable ?{v} not bound by a positive body atom"
-                );
+            if let DTerm::Var(v) = *t {
+                let bound = if v < 64 {
+                    mask & (1 << v) != 0
+                } else {
+                    positive_vars(&body).any(|p| p == v)
+                };
+                assert!(bound, "variable ?{v} not bound by a positive body atom");
             }
         };
         for t in &head.args {
@@ -92,7 +98,6 @@ impl Rule {
         }
         // Range restriction holds, so positive body atoms mention every
         // variable of the rule.
-        let slots = positive_vars.last().map_or(0, |&v| v + 1);
         Rule { head, body, slots }
     }
 
@@ -114,6 +119,20 @@ impl Rule {
             Literal::Neq(_, _) => None,
         })
     }
+}
+
+/// The variables of the positive atoms of `body`, with repeats.
+fn positive_vars(body: &[Literal]) -> impl Iterator<Item = u32> + '_ {
+    body.iter()
+        .filter_map(|l| match l {
+            Literal::Pos(a) => Some(a.args.iter()),
+            Literal::Neq(_, _) => None,
+        })
+        .flatten()
+        .filter_map(|t| match t {
+            DTerm::Var(v) => Some(*v),
+            DTerm::Ground(_) => None,
+        })
 }
 
 /// A Datalog≠ program with a designated goal relation.
@@ -167,50 +186,63 @@ impl Program {
     /// * deduplicates identical rules (same head, same body literals in
     ///   the same order), keeping the first.
     ///
-    /// Idempotent: an optimized program optimizes to itself.
-    pub fn optimize(&self) -> Program {
-        // Kept rules bucketed by a structural hash of (head, body); a
-        // bucket is verified by equality, so collisions cannot merge
-        // distinct rules.
-        let mut seen: HashMap<u64, Vec<usize>> = HashMap::with_capacity(self.rules.len());
-        let mut rules: Vec<Rule> = Vec::with_capacity(self.rules.len());
-        for r in &self.rules {
-            // Trivially false inequality?
-            let falsum = r.body.iter().any(|l| match l {
-                Literal::Neq(a, b) => a == b,
-                Literal::Pos(_) => false,
-            });
+    /// Rules are moved, not cloned: a kept rule is the input rule with
+    /// its duplicate literals removed. Idempotent: an optimized program
+    /// optimizes to itself.
+    pub fn optimize(self) -> Program {
+        let Program { mut rules, goal } = self;
+        // Kept rules chained by a structural hash of (head, body): the
+        // newest kept index per hash, and for each kept index the next
+        // older one with the same hash. A chain is verified by equality,
+        // so collisions cannot merge distinct rules.
+        let mut newest: FxHashMap<u64, u32> = FxHashMap::default();
+        newest.reserve(rules.len());
+        let mut older: Vec<u32> = Vec::with_capacity(rules.len());
+        let mut kept = 0usize;
+        for i in 0..rules.len() {
+            let r = &mut rules[i];
+            let falsum = r
+                .body
+                .iter()
+                .any(|l| matches!(l, Literal::Neq(a, b) if a == b));
             if falsum {
                 continue;
             }
-            let mut body: Vec<Literal> = Vec::with_capacity(r.body.len());
-            for l in &r.body {
-                if !body.contains(l) {
-                    body.push(l.clone());
+            // Dropping duplicate literals keeps one copy of each, in
+            // order, so the range-restriction checks and the slot count
+            // carry over.
+            let mut len = 0;
+            for j in 0..r.body.len() {
+                if !r.body[..len].contains(&r.body[j]) {
+                    r.body.swap(len, j);
+                    len += 1;
                 }
             }
-            let mut h = DefaultHasher::new();
-            (&r.head, &body).hash(&mut h);
-            let bucket = seen.entry(h.finish()).or_default();
-            if bucket
-                .iter()
-                .any(|&i| rules[i].head == r.head && rules[i].body == body)
-            {
+            if len < r.body.len() {
+                r.body.truncate(len);
+                r.body.shrink_to_fit();
+            }
+            let mut h = FxHasher::default();
+            (&r.head, &r.body).hash(&mut h);
+            let h = h.finish();
+            let mut at = newest.get(&h).copied().unwrap_or(NONE);
+            while at != NONE {
+                let k = &rules[at as usize];
+                if k.head == rules[i].head && k.body == rules[i].body {
+                    break;
+                }
+                at = older[at as usize];
+            }
+            if at != NONE {
                 continue;
             }
-            bucket.push(rules.len());
-            // Dropping duplicate literals keeps one copy of each, so the
-            // range-restriction checks and the slot count carry over.
-            rules.push(Rule {
-                head: r.head.clone(),
-                body,
-                slots: r.slots,
-            });
+            older.push(newest.insert(h, kept as u32).unwrap_or(NONE));
+            rules.swap(kept, i);
+            kept += 1;
         }
-        Program {
-            rules,
-            goal: self.goal,
-        }
+        rules.truncate(kept);
+        rules.shrink_to_fit();
+        Program { rules, goal }
     }
 
     /// Renders the program with relation names from the vocabulary.
@@ -333,7 +365,7 @@ mod tests {
             ],
         );
         let p = Program::new(vec![live.clone(), live, dead], g);
-        let opt = p.optimize();
+        let opt = p.clone().optimize();
         assert_eq!(opt.len(), 1);
         assert_eq!(opt.rules[0].body.len(), 1);
         // Answers unchanged.
@@ -426,9 +458,9 @@ mod tests {
             }
             let p = Program::new(rules, goal);
             let expected = debug_key_optimize(&p);
-            let opt = p.optimize();
+            let opt = p.clone().optimize();
             assert_eq!(opt.rules, expected);
-            assert_eq!(opt.optimize(), opt, "optimize is idempotent");
+            assert_eq!(opt.clone().optimize(), opt, "optimize is idempotent");
             kept_total += opt.len();
             dropped_total += p.len() - opt.len();
         }

@@ -37,9 +37,10 @@
 //! ([`PlanCache::get_or_compile_text`]), as an *alias* of that plan's
 //! entry. So a hit returns exactly what the full path would:
 //!
-//! - the serving vocabulary is append-only for relations, so the same
-//!   text parses to the same relation ids every time, and ontology
-//!   parsing interns no constants;
+//! - the serving vocabulary never drops a relation an accepted text
+//!   interned (a refused request drops only the ones it interned
+//!   itself), so the same text parses to the same relation ids every
+//!   time, and ontology parsing interns no constants;
 //! - whether a text parses, and whether its query occurs in its
 //!   ontology, depends on the text alone once it has parsed once;
 //! - refusals never reach the cache, so they are never aliased and are
@@ -403,10 +404,11 @@ impl PlanCache {
 
         // Leader path: compile outside the cache lock (the vocab lock is
         // held only for the compilation itself), with panic isolation.
+        // The plan keeps the canonical text rendered above.
         let compiled = catch_unwind(AssertUnwindSafe(|| {
             gomq_core::faults::point(gomq_core::faults::CACHE_COMPILE);
             let mut v = lock_recover(vocab);
-            OmqPlan::compile(o, query, &mut v)
+            OmqPlan::compile_canonical(o, query, &mut v, text.clone())
         }));
 
         let mut state = lock_recover(&self.state);

@@ -16,7 +16,8 @@
 //!   plans came before,
 //! * the rewriting pre-**stratified** into SCC strata ([`Strata`]), so
 //!   Datalog evaluation never pays the stratification cost per request,
-//! * the **canonical cache key** ([`canonical_omq_hash`]) under which
+//! * the **canonical cache key**
+//!   ([`canonical_omq_hash`](gomq_rewriting::canonical_omq_hash)) under which
 //!   the plan is stored.
 //!
 //! Compilation is the expensive part of serving (type elimination is
@@ -27,11 +28,10 @@ use crate::backend::native::Strata;
 use gomq_core::{RelId, Vocab};
 use gomq_datalog::Program;
 use gomq_logic::GfOntology;
-use gomq_reasoning::CertainEngine;
 use gomq_rewriting::emit::emit_datalog;
 use gomq_rewriting::{
-    canonical_omq_hash, canonical_omq_text, classify_ontology, emit_sql, ElementTypeSystem,
-    OntologyReport, RewriteError, SqlEmitError, SqlPlan,
+    canonical_omq_text, emit_sql, fnv1a, ElementTypeSystem, OntologyReport, RewriteError,
+    SqlEmitError, SqlPlan,
 };
 use std::fmt;
 use std::sync::Arc;
@@ -120,7 +120,8 @@ impl From<crate::session::SessionError> for EngineError {
 /// A compiled, cacheable plan for one OMQ.
 #[derive(Clone, Debug)]
 pub struct OmqPlan {
-    /// The plan-cache key: [`canonical_omq_hash`] of `(O, q)`.
+    /// The plan-cache key:
+    /// [`canonical_omq_hash`](gomq_rewriting::canonical_omq_hash) of `(O, q)`.
     pub key: u64,
     /// The canonical OMQ text the key hashes (kept for diagnostics and
     /// collision checks).
@@ -166,13 +167,29 @@ impl OmqPlan {
         query: RelId,
         vocab: &mut Vocab,
     ) -> Result<OmqPlan, EngineError> {
-        let key = canonical_omq_hash(o, query, vocab);
         let canonical_text = canonical_omq_text(o, query, vocab);
+        Self::compile_canonical(o, query, vocab, canonical_text)
+    }
+
+    /// [`OmqPlan::compile`] for a caller that has already rendered the
+    /// OMQ's canonical text, which must be
+    /// `canonical_omq_text(o, query, vocab)`: the plan keeps it and its
+    /// key is its FNV-1a hash, so the text is rendered once per compile.
+    ///
+    /// Every stage runs once: the type system is built once, and the
+    /// report's `type_rewritable` is that build's verdict.
+    pub fn compile_canonical(
+        o: &GfOntology,
+        query: RelId,
+        vocab: &mut Vocab,
+        canonical_text: String,
+    ) -> Result<OmqPlan, EngineError> {
+        let key = fnv1a(canonical_text.as_bytes());
+        let sys = ElementTypeSystem::build(o, vocab)?;
         // Classification without materializability probes: the serving
         // layer only needs the syntactic verdict (zone, fragment,
         // rewritability); probing is a research-tool concern.
-        let report = classify_ontology(o, &[], &CertainEngine::new(1), vocab);
-        let sys = ElementTypeSystem::build(o, vocab)?;
+        let report = OntologyReport::syntactic(o, vocab, true);
         // The emitter builds the bitset kernel to read its edge rules
         // off it, so cached plans never pay a first-use stall.
         let program = emit_datalog(&sys, query, vocab);
@@ -208,7 +225,7 @@ mod tests {
         assert!(plan.report.type_rewritable);
         assert!(!plan.program.is_empty());
         assert!(!plan.strata.is_empty());
-        assert_eq!(plan.key, canonical_omq_hash(&o, c, &v));
+        assert_eq!(plan.key, gomq_rewriting::canonical_omq_hash(&o, c, &v));
         assert!(plan.canonical_text.contains("query: C"));
     }
 

@@ -579,6 +579,27 @@ struct Planned {
     compile: Duration,
 }
 
+/// Parses a request's ontology into `vocab` and finds its query
+/// relation, which must occur in the ontology.
+fn parse_omq(
+    req: &QueryRequest<'_>,
+    vocab: &mut Vocab,
+) -> Result<(GfOntology, RelId), EngineError> {
+    let dl = parse_ontology(req.ontology, vocab)
+        .map_err(|e| EngineError::BadRequest(format!("ontology: {e}")))?;
+    let o = to_gf(&dl);
+    let query = vocab
+        .find_rel(req.query)
+        .filter(|rel| o.sig().contains(rel))
+        .ok_or_else(|| {
+            EngineError::BadRequest(format!(
+                "query relation \"{}\" does not occur in the ontology",
+                req.query
+            ))
+        })?;
+    Ok((o, query))
+}
+
 /// Opens a response object: `{` plus the echoed `"id"`, if any.
 fn open_response(id: Option<&str>) -> String {
     let mut out = String::from("{");
@@ -845,19 +866,16 @@ impl ServeSession {
     /// earlier request interned the name must not matter.
     fn resolve_omq(&self, req: &QueryRequest<'_>) -> Result<(GfOntology, RelId), EngineError> {
         let mut vocab = lock_recover(&self.shared.vocab);
-        let dl = parse_ontology(req.ontology, &mut vocab)
-            .map_err(|e| EngineError::BadRequest(format!("ontology: {e}")))?;
-        let o = to_gf(&dl);
-        let query = vocab
-            .find_rel(req.query)
-            .filter(|rel| o.sig().contains(rel))
-            .ok_or_else(|| {
-                EngineError::BadRequest(format!(
-                    "query relation \"{}\" does not occur in the ontology",
-                    req.query
-                ))
-            })?;
-        Ok((o, query))
+        // A refusal takes back every relation the text interned, under
+        // the same lock, so a refused text fixes no arity for later
+        // requests: whether a text parses depends on the texts accepted
+        // before it, never on those refused.
+        let mark = vocab.rel_mark();
+        let resolved = parse_omq(req, &mut vocab);
+        if resolved.is_err() {
+            vocab.truncate_rels(mark);
+        }
+        resolved
     }
 
     /// Parses one request-supplied ABox text straight into a fact store,
@@ -2009,6 +2027,28 @@ mod tests {
     }
 
     #[test]
+    fn refused_requests_leave_the_relation_table_as_they_found_it() {
+        let line = r#"{"ontology": "A sub ex R.B", "query": "B", "abox": "A(x)"}"#;
+        let mut fresh = ServeSession::with_threads(1);
+        let expected = untimed(&fresh.handle_line(line));
+        ok_field(&expected, r#""answers": []"#);
+        let rels = |s: &ServeSession| s.shared().stats()[Counter::VocabRelations];
+        let mut s = ServeSession::with_threads(1);
+        let floor = rels(&s);
+        // Each line interns `R` as a concept before it is refused: for a
+        // parse error, a query outside the ontology, an arity clash.
+        for refused in [
+            r#"{"ontology": "R sub sub B", "query": "B", "abox": ""}"#,
+            r#"{"ontology": "R sub C", "query": "B", "abox": ""}"#,
+            r#"{"ontology": "R sub C\nD sub ex R.C", "query": "C", "abox": ""}"#,
+        ] {
+            ok_field(&s.handle_line(refused), r#""status": "error""#);
+            assert_eq!(rels(&s), floor, "{refused} left relations behind");
+        }
+        assert_eq!(untimed(&s.handle_line(line)), expected);
+    }
+
+    #[test]
     fn arity_clashes_are_bad_requests_not_panics() {
         let mut s = ServeSession::with_threads(1);
         // "R" is first interned as a role (arity 2) by "ex R.A", then
@@ -2021,7 +2061,7 @@ mod tests {
             "\"error\": \"bad request: ontology: line 2: relation `R` used with arity 1 but \
              declared with 2\"",
         );
-        // Across requests too: "A" is a concept of the first ontology.
+        // Within one line too: "A" is a concept, then a role.
         let resp = s.handle_line(r#"{"ontology": "A sub ex A.B", "query": "B", "abox": ""}"#);
         ok_field(
             &resp,

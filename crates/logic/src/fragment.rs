@@ -262,12 +262,7 @@ impl fmt::Display for Fragment {
 
 /// All Figure-1 fragments containing the ontology, most restrictive first.
 pub fn classify(o: &GfOntology, vocab: &Vocab) -> Vec<Fragment> {
-    let features = FragmentFeatures::of(o, vocab);
-    Fragment::all()
-        .iter()
-        .copied()
-        .filter(|fr| fr.contains(&features))
-        .collect()
+    Fragment::containing(&FragmentFeatures::of(o, vocab))
 }
 
 /// The tightest Figure-1 fragment containing the ontology, if any.
@@ -279,16 +274,36 @@ pub fn best_fragment(o: &GfOntology, vocab: &Vocab) -> Option<Fragment> {
 /// most favourable zone among the containing fragments (a dichotomy
 /// fragment membership dominates).
 pub fn best_zone(o: &GfOntology, vocab: &Vocab) -> Zone {
-    let mut best = Zone::Unknown;
-    for fr in classify(o, vocab) {
-        best = match (best, fr.zone()) {
-            (_, Zone::Dichotomy) | (Zone::Dichotomy, _) => Zone::Dichotomy,
-            (Zone::CspHard, _) | (_, Zone::CspHard) => Zone::CspHard,
-            (Zone::NoDichotomy, _) | (_, Zone::NoDichotomy) => Zone::NoDichotomy,
-            _ => Zone::Unknown,
-        };
+    Zone::best_of(&classify(o, vocab))
+}
+
+impl Fragment {
+    /// All fragments containing an ontology with the given features,
+    /// most restrictive first.
+    pub fn containing(features: &FragmentFeatures) -> Vec<Fragment> {
+        Fragment::all()
+            .iter()
+            .copied()
+            .filter(|fr| fr.contains(features))
+            .collect()
     }
-    best
+}
+
+impl Zone {
+    /// The most favourable zone among the fragments' zones (a dichotomy
+    /// fragment dominates; [`Zone::Unknown`] when there are none).
+    pub fn best_of(fragments: &[Fragment]) -> Zone {
+        let mut best = Zone::Unknown;
+        for fr in fragments {
+            best = match (best, fr.zone()) {
+                (_, Zone::Dichotomy) | (Zone::Dichotomy, _) => Zone::Dichotomy,
+                (Zone::CspHard, _) | (_, Zone::CspHard) => Zone::CspHard,
+                (Zone::NoDichotomy, _) | (_, Zone::NoDichotomy) => Zone::NoDichotomy,
+                _ => Zone::Unknown,
+            };
+        }
+        best
+    }
 }
 
 #[cfg(test)]

@@ -2,7 +2,7 @@
 
 use crate::types::ElementTypeSystem;
 use gomq_core::{Instance, Ucq, Vocab};
-use gomq_logic::fragment::{best_fragment, best_zone, classify, Fragment, FragmentFeatures, Zone};
+use gomq_logic::fragment::{best_fragment, Fragment, FragmentFeatures, Zone};
 use gomq_logic::GfOntology;
 use gomq_reasoning::materialize::{atomic_candidates, find_disjunction_witness};
 use gomq_reasoning::CertainEngine;
@@ -47,6 +47,26 @@ impl fmt::Display for OntologyReport {
     }
 }
 
+impl OntologyReport {
+    /// The syntactic verdict on an ontology: its features, extracted
+    /// once, the Figure-1 fragments and zone they place it in, and
+    /// `type_rewritable` as the caller's one
+    /// [`ElementTypeSystem::build`] found it. No materializability
+    /// probe is run.
+    pub fn syntactic(o: &GfOntology, vocab: &Vocab, type_rewritable: bool) -> OntologyReport {
+        let features = FragmentFeatures::of(o, vocab);
+        let fragments = Fragment::containing(&features);
+        let zone = Zone::best_of(&fragments);
+        OntologyReport {
+            features,
+            fragments,
+            zone,
+            type_rewritable,
+            non_materializability_witness: None,
+        }
+    }
+}
+
 /// Classifies an ontology: Figure-1 fragments and zone, rewriter support,
 /// and (optionally) materializability probes on the given instances.
 pub fn classify_ontology(
@@ -55,15 +75,12 @@ pub fn classify_ontology(
     engine: &CertainEngine,
     vocab: &mut Vocab,
 ) -> OntologyReport {
-    let features = FragmentFeatures::of(o, vocab);
-    let fragments = classify(o, vocab);
-    let zone = best_zone(o, vocab);
     let type_rewritable = ElementTypeSystem::build(o, vocab).is_ok();
-    let mut witness = None;
+    let mut report = OntologyReport::syntactic(o, vocab, type_rewritable);
     for d in probe_instances {
         let candidates: Vec<(Ucq, Vec<gomq_core::Term>)> = atomic_candidates(o, d, vocab);
         if let Some(w) = find_disjunction_witness(o, d, &candidates, engine, vocab) {
-            witness = Some(format!(
+            report.non_materializability_witness = Some(format!(
                 "disjunction of {} open atomic queries certain on a {}-fact instance",
                 w.queries.len(),
                 d.len()
@@ -71,13 +88,7 @@ pub fn classify_ontology(
             break;
         }
     }
-    OntologyReport {
-        features,
-        fragments,
-        zone,
-        type_rewritable,
-        non_materializability_witness: witness,
-    }
+    report
 }
 
 /// Convenience re-export: the tightest fragment of an ontology.

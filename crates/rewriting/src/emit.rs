@@ -12,6 +12,7 @@
 use crate::types::ElementTypeSystem;
 use gomq_core::{bitset, RelId, Vocab};
 use gomq_datalog::{DAtom, DTerm, Literal, Program, Rule};
+use std::fmt::Write as _;
 
 /// Emits the Datalog rewriting of the atomic query `query(x)` w.r.t. the
 /// compiled ontology, already [`Program::optimize`]d.
@@ -30,8 +31,26 @@ use gomq_datalog::{DAtom, DTerm, Literal, Program, Rule};
 ///
 /// [`TypeKernel`]: crate::types::TypeKernel
 pub fn emit_datalog(sys: &ElementTypeSystem, query: RelId, vocab: &mut Vocab) -> Program {
+    emit_datalog_unoptimized(sys, query, vocab).optimize()
+}
+
+/// The rewriting [`emit_datalog`] optimizes, rule for rule as emitted.
+///
+/// Every rule body is allocated at its final length.
+pub fn emit_datalog_unoptimized(
+    sys: &ElementTypeSystem,
+    query: RelId,
+    vocab: &mut Vocab,
+) -> Program {
     let n = sys.num_types();
-    let elim: Vec<RelId> = (0..n).map(|t| vocab.rel(&format!("_elim{t}"), 1)).collect();
+    let mut name = String::new();
+    let elim: Vec<RelId> = (0..n)
+        .map(|t| {
+            name.clear();
+            let _ = write!(name, "_elim{t}");
+            vocab.rel(&name, 1)
+        })
+        .collect();
     let dom = vocab.rel("_dom", 1);
     let goal = vocab.rel("_goal", 1);
     let mut rules: Vec<Rule> = Vec::new();
@@ -82,27 +101,23 @@ pub fn emit_datalog(sys: &ElementTypeSystem, query: RelId, vocab: &mut Vocab) ->
                 ));
             }
             // Forward: θ at x dies when all compatible successor types are
-            // eliminated at y.
-            let mut body = vec![Literal::Pos(DAtom::vars(r, &[0, 1]))];
-            if needs_neq {
-                body.push(Literal::Neq(DTerm::Var(0), DTerm::Var(1)));
+            // eliminated at y. Backward: θ at y dies when all compatible
+            // predecessor types are eliminated at x.
+            for (row, at, other) in [
+                (kernel.fwd[ri].row(ti), 0, 1),
+                (kernel.bwd[ri].row(ti), 1, 0),
+            ] {
+                let mut body =
+                    Vec::with_capacity(1 + usize::from(needs_neq) + bitset::count_ones(row));
+                body.push(Literal::Pos(DAtom::vars(r, &[0, 1])));
+                if needs_neq {
+                    body.push(Literal::Neq(DTerm::Var(0), DTerm::Var(1)));
+                }
+                body.extend(
+                    bitset::ones(row).map(|j| Literal::Pos(DAtom::vars(elim[j], &[other]))),
+                );
+                rules.push(Rule::new(DAtom::vars(elim[ti], &[at]), body));
             }
-            body.extend(
-                bitset::ones(kernel.fwd[ri].row(ti))
-                    .map(|j| Literal::Pos(DAtom::vars(elim[j], &[1]))),
-            );
-            rules.push(Rule::new(DAtom::vars(elim[ti], &[0]), body));
-            // Backward: θ at y dies when all compatible predecessor types
-            // are eliminated at x.
-            let mut body = vec![Literal::Pos(DAtom::vars(r, &[0, 1]))];
-            if needs_neq {
-                body.push(Literal::Neq(DTerm::Var(0), DTerm::Var(1)));
-            }
-            body.extend(
-                bitset::ones(kernel.bwd[ri].row(ti))
-                    .map(|j| Literal::Pos(DAtom::vars(elim[j], &[0]))),
-            );
-            rules.push(Rule::new(DAtom::vars(elim[ti], &[1]), body));
         }
     }
 
@@ -137,7 +152,8 @@ pub fn emit_datalog(sys: &ElementTypeSystem, query: RelId, vocab: &mut Vocab) ->
             variants.push(n - 1); // the self-loop supplies one witness
         }
         for k in variants {
-            let mut body: Vec<Literal> = Vec::new();
+            let len = usize::from(k < n) + 2 * k + k * k.saturating_sub(1) / 2 + k * avoiders.len();
+            let mut body: Vec<Literal> = Vec::with_capacity(len);
             if k < n {
                 body.push(Literal::Pos(DAtom::vars(rel, &[0, 0])));
             }
@@ -159,6 +175,7 @@ pub fn emit_datalog(sys: &ElementTypeSystem, query: RelId, vocab: &mut Vocab) ->
                     }));
                 }
             }
+            debug_assert_eq!(body.len(), len);
             rules.push(Rule::new(DAtom::vars(elim[ti], &[0]), body));
         }
     }
@@ -167,13 +184,13 @@ pub fn emit_datalog(sys: &ElementTypeSystem, query: RelId, vocab: &mut Vocab) ->
     // type refuting it is eliminated; a relation outside the ontology's
     // closure is unconstrained, so only its asserted facts are certain.
     if sys.unary_rels().contains(&query) {
-        let bad: Vec<usize> = (0..n)
-            .filter(|&ti| sys.type_has_unary(ti, query) != Some(true))
-            .collect();
-        let mut body = vec![Literal::Pos(DAtom::vars(dom, &[0]))];
+        let bad = |ti: &usize| sys.type_has_unary(*ti, query) != Some(true);
+        let mut body = Vec::with_capacity(1 + (0..n).filter(bad).count());
+        body.push(Literal::Pos(DAtom::vars(dom, &[0])));
         body.extend(
-            bad.iter()
-                .map(|&ti| Literal::Pos(DAtom::vars(elim[ti], &[0]))),
+            (0..n)
+                .filter(bad)
+                .map(|ti| Literal::Pos(DAtom::vars(elim[ti], &[0]))),
         );
         rules.push(Rule::new(DAtom::vars(goal, &[0]), body));
     } else {
@@ -185,13 +202,12 @@ pub fn emit_datalog(sys: &ElementTypeSystem, query: RelId, vocab: &mut Vocab) ->
 
     // Inconsistency (the P_∅ rule): some element has every type
     // eliminated.
-    let mut body = vec![Literal::Pos(DAtom::vars(dom, &[0]))];
-    if n > 0 {
-        body.extend((0..n).map(|ti| Literal::Pos(DAtom::vars(elim[ti], &[1]))));
-    }
+    let mut body = Vec::with_capacity(1 + n);
+    body.push(Literal::Pos(DAtom::vars(dom, &[0])));
+    body.extend((0..n).map(|ti| Literal::Pos(DAtom::vars(elim[ti], &[1]))));
     rules.push(Rule::new(DAtom::vars(goal, &[0]), body));
 
-    Program::new(rules, goal).optimize()
+    Program::new(rules, goal)
 }
 
 #[cfg(test)]

@@ -282,9 +282,10 @@ impl ElementTypeSystem {
             return Err(RewriteError("non-uGF sentences".into()));
         }
         // Closure skeleton: unary relations of the signature.
+        let sig = o.sig();
         let mut unary_rels: Vec<RelId> = Vec::new();
         let mut binary_rels: Vec<RelId> = Vec::new();
-        for r in o.sig() {
+        for &r in &sig {
             match vocab.arity(r) {
                 1 => unary_rels.push(r),
                 2 => binary_rels.push(r),
@@ -346,20 +347,24 @@ impl ElementTypeSystem {
         if n_bits > 20 {
             return Err(RewriteError(format!("closure too large ({n_bits} bits)")));
         }
-        // Enumerate boolean-consistent types.
+        // Enumerate boolean-consistent types: every mask is written into
+        // one buffer, and only the survivors are cloned.
         let nu = builder.unary_rels.len();
         let nq = builder.quants.len();
         let mut types: Vec<TypeBits> = Vec::new();
+        let mut ty = TypeBits {
+            unary: vec![false; nu],
+            quant: vec![false; nq],
+        };
         for mask in 0u32..(1u32 << n_bits) {
-            let ty = TypeBits {
-                unary: (0..nu).map(|i| mask & (1 << i) != 0).collect(),
-                quant: (0..nq).map(|i| mask & (1 << (nu + i)) != 0).collect(),
-            };
+            for (i, bit) in ty.unary.iter_mut().chain(ty.quant.iter_mut()).enumerate() {
+                *bit = mask & (1 << i) != 0;
+            }
             if bodies.iter().all(|b| b.eval(&ty)) {
-                types.push(ty);
+                types.push(ty.clone());
             }
         }
-        let binary_rels = binary_rels_of(&builder.quants, &o.sig(), vocab);
+        let binary_rels = binary_rels_of(&builder.quants, &sig, vocab);
         // Reflexive-transitive closure of the role hierarchy.
         let mut supers: BTreeMap<RelId, BTreeSet<(RelId, bool)>> = BTreeMap::new();
         for &r in &binary_rels {
@@ -395,19 +400,17 @@ impl ElementTypeSystem {
         };
         // Arithmetic consistency: a true `∃≥k` cannot exceed the type's
         // own successor cap (e.g. ∃≥2 together with functionality).
-        let arithmetically_ok: Vec<TypeBits> = system
-            .types
-            .iter()
-            .filter(|t| {
-                system.quants.iter().enumerate().all(|(qi, q)| {
-                    !(q.kind == QuantKind::Exists && t.quant[qi])
-                        || q.count <= system.successor_cap(t, q.rel, q.orient)
-                })
+        let mut types = std::mem::take(&mut system.types);
+        types.retain(|t| {
+            system.quants.iter().enumerate().all(|(qi, q)| {
+                !(q.kind == QuantKind::Exists && t.quant[qi])
+                    || q.count <= system.successor_cap(t, q.rel, q.orient)
             })
-            .cloned()
-            .collect();
-        system.types = arithmetically_ok;
+        });
+        system.types = types;
         system.global_elimination();
+        // The system lives as long as its cached plan.
+        system.types.shrink_to_fit();
         Ok(system)
     }
 
@@ -415,16 +418,17 @@ impl ElementTypeSystem {
     /// requirements cannot be witnessed among surviving types.
     fn global_elimination(&mut self) {
         loop {
-            let before = self.types.len();
-            let snapshot = self.types.clone();
-            self.types = snapshot
+            // Every type is judged against the same pool, this round's.
+            let keep: Vec<bool> = self
+                .types
                 .iter()
-                .filter(|t| self.requirements_witnessed(t, &snapshot))
-                .cloned()
+                .map(|t| self.requirements_witnessed(t, &self.types))
                 .collect();
-            if self.types.len() == before {
+            if keep.iter().all(|&k| k) {
                 return;
             }
+            let mut keep = keep.into_iter();
+            self.types.retain(|_| keep.next() == Some(true));
         }
     }
 

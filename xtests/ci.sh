@@ -60,6 +60,9 @@ cargo test -q --release -p gomq-engine --features chaos --test cert_props
 echo "==> cargo test -q --release -p gomq-engine --test sql_crosscheck (native = SQL)"
 cargo test -q --release -p gomq-engine --test sql_crosscheck
 
+echo "==> cargo test -q --release -p gomq-xtests --test plan_equivalence (one-pass compile = reference pipeline)"
+cargo test -q --release -p gomq-xtests --test plan_equivalence
+
 echo "==> cargo test -q -p gomq-xtests --test chaos (fixed-seed chaos smoke)"
 cargo test -q -p gomq-xtests --test chaos
 
@@ -77,6 +80,9 @@ E16_TINY=1 cargo bench -p gomq-bench --bench e16_cert
 
 echo "==> E17_TINY=1 cargo bench -p gomq-bench --bench e17_sql (smoke)"
 E17_TINY=1 cargo bench -p gomq-bench --bench e17_sql
+
+echo "==> E18_TINY=1 cargo bench -p gomq-bench --bench e18_compile (smoke)"
+E18_TINY=1 cargo bench -p gomq-bench --bench e18_compile
 
 # gomq-cert round-trip smoke on the committed example families: the
 # company OMQ is answered with a certificate on the request-ABox path
@@ -212,6 +218,35 @@ case "$vocab_ok:$vocab_rels" in
         exit 1
         ;;
 esac
+
+# Refusal-rollback smoke: each refused line interns `R` as a concept
+# before it is refused (a parse error, a query outside the ontology).
+# A refusal takes its names back, so the line after them, which uses
+# `R` as a role, answers as on a fresh server, and the vocab_relations
+# gauge reads the same before and after the refusals.
+echo "==> gomq-serve refusal-rollback smoke (stdin, release)"
+refuse_line='{"ontology": "A sub ex R.B", "query": "B", "abox": "A(x)"}'
+refuse_fresh="$(printf '%s\n' "$refuse_line" | target/release/gomq-serve 2>/dev/null \
+    | sed 's/"[a-z_]*_us": [0-9]*/"_us": 0/g')"
+refuse_out="$(printf '%s\n' \
+    '{"op": "stats"}' \
+    '{"ontology": "R sub sub B", "query": "B", "abox": ""}' \
+    '{"ontology": "R sub C", "query": "B", "abox": ""}' \
+    '{"op": "stats"}' \
+    "$refuse_line" \
+    | target/release/gomq-serve 2>/dev/null)"
+refuse_rels="$(printf '%s\n' "$refuse_out" | grep '"op": "stats"' \
+    | sed -n 's/.*"vocab_relations": \([0-9]*\).*/\1/p' | tr '\n' ' ')"
+refuse_last="$(printf '%s\n' "$refuse_out" | tail -n 1 | sed 's/"[a-z_]*_us": [0-9]*/"_us": 0/g')"
+refuse_errors="$(printf '%s\n' "$refuse_out" | grep -c '"status": "error"')"
+set -- $refuse_rels
+if [ "$refuse_errors" != 2 ] || [ "$#" -ne 2 ] || [ "$1" != "$2" ] \
+    || [ "$refuse_last" != "$refuse_fresh" ]; then
+    echo "refusal smoke: $refuse_errors of 2 refused, vocab_relations '$refuse_rels'," >&2
+    echo "answer after refusals: $refuse_last" >&2
+    echo "answer on a fresh server: $refuse_fresh" >&2
+    exit 1
+fi
 
 # Constant-rollback smoke: 200 request ABoxes over one OMQ, each with
 # its own constants, and a stats op before them, after 100 and after
