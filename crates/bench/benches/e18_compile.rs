@@ -20,9 +20,8 @@
 //!   round, and the median round. Running the bench in several
 //!   processes shows the per-process spread of compile time.
 //!
-//! `E18_SEED` picks the names and order (default 1), `E18_ROUNDS` the
-//! rounds (default 20); `E18_TINY` runs one round over 20 OMQs (the CI
-//! smoke).
+//! Names and order come from seed 1, and the set is compiled in 20
+//! rounds; `E18_TINY` runs one round over 20 OMQs (the CI smoke).
 //!
 //! ```text
 //! cargo bench -p gomq-bench --bench e18_compile
@@ -42,6 +41,8 @@ use std::hint::black_box;
 use std::time::Instant;
 
 const OMQS: usize = 320;
+const SEED: u64 = 1;
+const ROUNDS: usize = 20;
 const MAX_RULES: usize = 120;
 
 /// SplitMix64.
@@ -130,21 +131,10 @@ fn stage<T>(n: usize, mut f: impl FnMut(usize) -> T) -> f64 {
 }
 
 fn main() {
-    let env = |name: &str, default: u64| {
-        std::env::var(name)
-            .ok()
-            .and_then(|s| s.parse().ok())
-            .unwrap_or(default)
-    };
     let tiny = std::env::var_os("E18_TINY").is_some();
-    let seed = env("E18_SEED", 1);
-    let rounds = if tiny {
-        1
-    } else {
-        env("E18_ROUNDS", 20) as usize
-    };
+    let rounds = if tiny { 1 } else { ROUNDS };
     let mut v = Vocab::new();
-    let set = omqs(seed, if tiny { 20 } else { OMQS }, &mut v);
+    let set = omqs(SEED, if tiny { 20 } else { OMQS }, &mut v);
 
     let probe = CertainEngine::new(1);
     let systems: Vec<ElementTypeSystem> = set
@@ -157,7 +147,7 @@ fn main() {
         .collect();
     let rules = plans.iter().map(|p| p.program.len()).sum::<usize>() as f64 / plans.len() as f64;
     println!(
-        "e18_compile: seed {seed}, {} OMQs, {rules:.1} rules/plan",
+        "e18_compile: seed {SEED}, {} OMQs, {rules:.1} rules/plan",
         set.len()
     );
     let n = set.len();

@@ -1,7 +1,7 @@
 //! Rule and program representation.
 
 use gomq_core::store::{FxHashMap, FxHasher};
-use gomq_core::{RelId, Term, Vocab};
+use gomq_core::{bitset, RelId, Term, Vocab};
 use std::collections::BTreeSet;
 use std::fmt;
 use std::hash::{Hash, Hasher};
@@ -67,24 +67,18 @@ impl Rule {
     ///
     /// Panics on violated range restriction.
     pub fn new(head: DAtom, body: Vec<Literal>) -> Self {
-        // The variables of the positive body atoms: a bitmask for the
-        // first 64, a scan of the body for any later one.
-        let mut mask = 0u64;
-        let mut slots = 0u32;
+        let slots = positive_vars(&body).map(|v| v + 1).max().unwrap_or(0);
+        // The variables of the positive body atoms, as a bitset.
+        let mut bound = vec![0u64; bitset::words_for(slots as usize)];
         for v in positive_vars(&body) {
-            slots = slots.max(v + 1);
-            if v < 64 {
-                mask |= 1 << v;
-            }
+            bitset::set_bit(&mut bound, v as usize);
         }
         let check = |t: &DTerm| {
             if let DTerm::Var(v) = *t {
-                let bound = if v < 64 {
-                    mask & (1 << v) != 0
-                } else {
-                    positive_vars(&body).any(|p| p == v)
-                };
-                assert!(bound, "variable ?{v} not bound by a positive body atom");
+                assert!(
+                    v < slots && bitset::test_bit(&bound, v as usize),
+                    "variable ?{v} not bound by a positive body atom"
+                );
             }
         };
         for t in &head.args {
@@ -330,6 +324,37 @@ mod tests {
         Rule::new(
             DAtom::vars(t, &[0, 2]),
             vec![Literal::Pos(DAtom::vars(e, &[0, 1]))],
+        );
+    }
+
+    #[test]
+    fn range_restriction_past_64_variables() {
+        let mut v = Vocab::new();
+        let e = v.rel("E", 2);
+        let t = v.rel("T", 2);
+        let r = Rule::new(
+            DAtom::vars(t, &[3, 130]),
+            vec![
+                Literal::Pos(DAtom::vars(e, &[3, 70])),
+                Literal::Pos(DAtom::vars(e, &[70, 130])),
+                Literal::Neq(DTerm::Var(3), DTerm::Var(130)),
+            ],
+        );
+        assert_eq!(r.num_slots(), 131);
+    }
+
+    #[test]
+    #[should_panic(expected = "?129 not bound")]
+    fn unbound_inequality_variable_past_64_panics() {
+        let mut v = Vocab::new();
+        let e = v.rel("E", 2);
+        let t = v.rel("T", 1);
+        Rule::new(
+            DAtom::vars(t, &[3]),
+            vec![
+                Literal::Pos(DAtom::vars(e, &[3, 130])),
+                Literal::Neq(DTerm::Var(3), DTerm::Var(129)),
+            ],
         );
     }
 

@@ -178,12 +178,13 @@ impl OmqPlan {
     ///
     /// Every stage runs once: the type system is built once, and the
     /// report's `type_rewritable` is that build's verdict.
-    pub fn compile_canonical(
+    pub(crate) fn compile_canonical(
         o: &GfOntology,
         query: RelId,
         vocab: &mut Vocab,
         canonical_text: String,
     ) -> Result<OmqPlan, EngineError> {
+        debug_assert_eq!(canonical_text, canonical_omq_text(o, query, vocab));
         let key = fnv1a(canonical_text.as_bytes());
         let sys = ElementTypeSystem::build(o, vocab)?;
         // Classification without materializability probes: the serving
