@@ -27,7 +27,6 @@ use gomq_dl::parser::parse_ontology;
 use gomq_dl::translate::to_gf;
 use gomq_engine::{Certify, Engine, Input, Options};
 use gomq_logic::GfOntology;
-use std::collections::BTreeSet;
 use std::sync::Mutex;
 
 fn odd_cycle_dl(vocab: &mut Vocab) -> (GfOntology, RelId, RelId) {
@@ -75,7 +74,7 @@ fn run(
     ops: &[Op],
     fresh: &[Fact],
     mode: &Mode<'_>,
-) -> (Vec<BTreeSet<Vec<Term>>>, usize) {
+) -> (Vec<Vec<Term>>, usize) {
     let budget = Budget::UNLIMITED;
     let mut store = base.clone();
     let mut next = 0usize;

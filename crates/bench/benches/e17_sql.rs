@@ -74,6 +74,7 @@ fn bench(c: &mut Criterion) {
 
         let oracle = eval_sql_budgeted(sql, &indexed, &v, &Budget::UNLIMITED)
             .expect("non-recursive plan runs as SQL");
+        let oracle: Vec<_> = oracle.into_iter().flatten().collect();
         assert_eq!(native(&indexed), oracle, "backends diverged at n={n}");
 
         group.bench_with_input(BenchmarkId::new("native", n), &n, |b, _| {

@@ -7,7 +7,7 @@ use crate::stats::{nanos, Counter, EngineStats, RequestStats};
 use gomq_core::{FactId, FactStore, IndexedInstance, RelId, Term, Vocab};
 use gomq_datalog::Budget;
 use gomq_logic::GfOntology;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
@@ -55,12 +55,28 @@ pub struct Certify<'a> {
 /// The result of one [`Engine::answer`] call.
 #[derive(Clone, Debug)]
 pub struct Answered {
-    /// One answer set per input ABox, in input order.
-    pub answers: Vec<BTreeSet<Vec<Term>>>,
+    /// One answer list per input ABox, in input order. A served query
+    /// is unary (its goal is `_goal/1`), so each answer is one term;
+    /// every list is sorted, each answer once.
+    pub answers: Vec<Vec<Term>>,
     /// The derivation certificate, when one was requested.
     pub certificate: Option<String>,
     /// The request's statistics (summed over a batch).
     pub stats: RequestStats,
+}
+
+/// The answers a set of `_goal` facts carries, as [`Answered`] lists
+/// them: the goal's one term per fact, sorted.
+pub(crate) fn goal_answers(store: &FactStore, goal_ids: &[u32]) -> Vec<Term> {
+    let mut answers: Vec<Term> = goal_ids
+        .iter()
+        .map(|&id| match store.args(FactId(id)) {
+            [t] => *t,
+            args => unreachable!("the goal is unary, got {} terms", args.len()),
+        })
+        .collect();
+    answers.sort_unstable();
+    answers
 }
 
 /// The refusal for a certificate requested over a batch.
@@ -311,10 +327,7 @@ impl Engine {
         let answer_ids: Vec<u32> = (0..total.len() as u32)
             .filter(|&i| total.store().rel(FactId(i)) == goal)
             .collect();
-        let answers: BTreeSet<Vec<Term>> = answer_ids
-            .iter()
-            .map(|&i| total.store().args(FactId(i)).to_vec())
-            .collect();
+        let answers = goal_answers(total.store(), &answer_ids);
         let source = crate::certify::CertSource {
             instance: &total,
             rules: &plan.program.rules,
@@ -430,12 +443,13 @@ mod tests {
     use gomq_dl::translate::to_gf;
     use std::sync::Arc;
 
+    /// A unary answer set as [`Answered`] lists it.
+    fn listed(tuples: std::collections::BTreeSet<Vec<Term>>) -> Vec<Term> {
+        tuples.into_iter().flatten().collect()
+    }
+
     /// One unlimited, uncertified answer over one plain ABox.
-    fn eval_one(
-        engine: &Engine,
-        plan: &OmqPlan,
-        abox: &Instance,
-    ) -> (BTreeSet<Vec<Term>>, RequestStats) {
+    fn eval_one(engine: &Engine, plan: &OmqPlan, abox: &Instance) -> (Vec<Term>, RequestStats) {
         let mut answered = engine
             .answer(plan, Input::One(abox.store()), &Options::default())
             .expect("the unlimited budget cannot be exceeded");
@@ -457,12 +471,7 @@ mod tests {
         let (answers, rs) = eval_one(&engine, &plan, &abox);
         let ada = Term::Const(v.constant("ada"));
         let grace = Term::Const(v.constant("grace"));
-        assert_eq!(
-            answers,
-            [vec![ada], vec![grace]]
-                .into_iter()
-                .collect::<BTreeSet<_>>()
-        );
+        assert_eq!(answers, [ada, grace]);
         assert_eq!(rs.answers, 2);
         assert!(rs.rounds > 0);
         // Second request for the same OMQ: cache hit, same plan.
@@ -501,7 +510,7 @@ mod tests {
             &IndexedInstance::from_interpretation(&abox),
             1,
         );
-        assert_eq!(typed_answers, datalog_answers);
+        assert_eq!(typed_answers, listed(datalog_answers));
         // Two domain elements, both answers, at least one kernel round.
         assert_eq!(typed_answers.len(), 2);
         assert!(rs.rounds >= 1);
@@ -520,13 +529,13 @@ mod tests {
         let (kernel, _) = eval_one(&engine, &plan, &d);
         assert_eq!(
             kernel,
-            plan.program.eval(&d),
+            listed(plan.program.eval(&d)),
             "{ontology} / {query} / {abox}"
         );
         kernel
             .iter()
-            .map(|t| match t.as_slice() {
-                [Term::Const(c)] => v.const_name(*c).to_owned(),
+            .map(|t| match t {
+                Term::Const(c) => v.const_name(*c).to_owned(),
                 other => panic!("unexpected answer {other:?}"),
             })
             .collect()

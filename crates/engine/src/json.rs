@@ -45,11 +45,10 @@ impl Json {
 
 /// Parses one complete JSON value; trailing non-whitespace is an error.
 pub fn parse(text: &str) -> Result<Json, String> {
-    let bytes = text.as_bytes();
     let mut pos = 0usize;
-    let v = parse_value(bytes, &mut pos)?;
-    skip_ws(bytes, &mut pos);
-    if pos != bytes.len() {
+    let v = parse_value(text, &mut pos)?;
+    skip_ws(text.as_bytes(), &mut pos);
+    if pos != text.len() {
         return Err(format!("trailing input at byte {pos}"));
     }
     Ok(v)
@@ -61,13 +60,14 @@ fn skip_ws(b: &[u8], pos: &mut usize) {
     }
 }
 
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_value(s: &str, pos: &mut usize) -> Result<Json, String> {
+    let b = s.as_bytes();
     skip_ws(b, pos);
     match b.get(*pos) {
         None => Err("unexpected end of input".into()),
-        Some(b'{') => parse_obj(b, pos),
-        Some(b'[') => parse_arr(b, pos),
-        Some(b'"') => parse_string(b, pos).map(Json::Str),
+        Some(b'{') => parse_obj(s, pos),
+        Some(b'[') => parse_arr(s, pos),
+        Some(b'"') => parse_string(s, pos).map(Json::Str),
         Some(b't') => parse_lit(b, pos, "true", Json::Bool(true)),
         Some(b'f') => parse_lit(b, pos, "false", Json::Bool(false)),
         Some(b'n') => parse_lit(b, pos, "null", Json::Null),
@@ -96,7 +96,8 @@ fn parse_num(b: &[u8], pos: &mut usize) -> Result<Json, String> {
         .ok_or_else(|| format!("invalid number at byte {start}"))
 }
 
-fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
+fn parse_string(s: &str, pos: &mut usize) -> Result<String, String> {
+    let b = s.as_bytes();
     debug_assert_eq!(b[*pos], b'"');
     *pos += 1;
     let mut out = String::new();
@@ -149,15 +150,14 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
             }
             Some(_) => {
                 // Copy the whole run up to the next quote or backslash at
-                // once. Both are ASCII, so the run ends on a UTF-8
-                // boundary and one check covers it.
+                // once. The run starts after an ASCII byte and ends before
+                // one, so it is a slice of the already valid input.
                 let start = *pos;
                 *pos += b[start..]
                     .iter()
                     .position(|&c| c == b'"' || c == b'\\')
                     .unwrap_or(b.len() - start);
-                let run = std::str::from_utf8(&b[start..*pos]).map_err(|_| "invalid UTF-8")?;
-                out.push_str(run);
+                out.push_str(&s[start..*pos]);
             }
         }
     }
@@ -172,7 +172,8 @@ fn read_hex4(b: &[u8], at: usize) -> Result<u32, String> {
     u32::from_str_radix(hex, 16).map_err(|_| "bad \\u escape".into())
 }
 
-fn parse_arr(b: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_arr(s: &str, pos: &mut usize) -> Result<Json, String> {
+    let b = s.as_bytes();
     *pos += 1; // '['
     let mut out = Vec::new();
     skip_ws(b, pos);
@@ -181,7 +182,7 @@ fn parse_arr(b: &[u8], pos: &mut usize) -> Result<Json, String> {
         return Ok(Json::Arr(out));
     }
     loop {
-        out.push(parse_value(b, pos)?);
+        out.push(parse_value(s, pos)?);
         skip_ws(b, pos);
         match b.get(*pos) {
             Some(b',') => *pos += 1,
@@ -194,7 +195,8 @@ fn parse_arr(b: &[u8], pos: &mut usize) -> Result<Json, String> {
     }
 }
 
-fn parse_obj(b: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_obj(s: &str, pos: &mut usize) -> Result<Json, String> {
+    let b = s.as_bytes();
     *pos += 1; // '{'
     let mut out = BTreeMap::new();
     skip_ws(b, pos);
@@ -207,13 +209,13 @@ fn parse_obj(b: &[u8], pos: &mut usize) -> Result<Json, String> {
         if b.get(*pos) != Some(&b'"') {
             return Err(format!("expected object key at byte {pos}", pos = *pos));
         }
-        let key = parse_string(b, pos)?;
+        let key = parse_string(s, pos)?;
         skip_ws(b, pos);
         if b.get(*pos) != Some(&b':') {
             return Err(format!("expected ':' at byte {pos}", pos = *pos));
         }
         *pos += 1;
-        let val = parse_value(b, pos)?;
+        let val = parse_value(s, pos)?;
         out.insert(key, val);
         skip_ws(b, pos);
         match b.get(*pos) {
@@ -228,21 +230,29 @@ fn parse_obj(b: &[u8], pos: &mut usize) -> Result<Json, String> {
 }
 
 /// Appends `s` as a JSON string literal (quotes + escapes) to `out`.
+/// Runs of chars that need no escape are copied whole: every char that
+/// does is ASCII, so the runs split `s` on char boundaries.
 pub fn write_str(out: &mut String, s: &str) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
+    let mut run = 0;
+    for (i, &b) in s.as_bytes().iter().enumerate() {
+        if b >= 0x20 && b != b'"' && b != b'\\' {
+            continue;
+        }
+        out.push_str(&s[run..i]);
+        run = i + 1;
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\t' => out.push_str("\\t"),
+            b'\r' => out.push_str("\\r"),
+            b => {
+                let _ = write!(out, "\\u{b:04x}");
             }
-            c => out.push(c),
         }
     }
+    out.push_str(&s[run..]);
     out.push('"');
 }
 
@@ -367,6 +377,79 @@ mod tests {
         let mut out = String::new();
         write_str(&mut out, &want);
         assert_eq!(parse(&out).unwrap().as_str(), Some(want.as_str()));
+    }
+
+    /// One char of a random string: mostly the chars JSON escapes or
+    /// the runs between escapes must carry intact.
+    fn gen_char(kind: usize, code: u32) -> char {
+        const SPECIAL: [char; 16] = [
+            '"',
+            '\\',
+            '/',
+            '\n',
+            '\t',
+            '\r',
+            '\u{8}',
+            '\u{c}',
+            '\u{0}',
+            '\u{7f}',
+            'u',
+            'é',
+            '漢',
+            '\u{1f600}',
+            '\u{10348}',
+            '\u{2028}',
+        ];
+        match kind {
+            0..=3 => SPECIAL[code as usize % SPECIAL.len()],
+            4 => char::from_u32(code % 0x20).expect("a control char"),
+            5 => char::from_u32(0x10000 + code % 0x100000).expect("an astral char"),
+            6 => char::from_u32(code % 0x11_0000).unwrap_or('\u{fffd}'),
+            _ => char::from(b' ' + (code % 95) as u8),
+        }
+    }
+
+    /// `write_str` as it was before it copied runs: one char at a time.
+    fn write_str_by_char(out: &mut String, s: &str) {
+        out.push('"');
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\t' => out.push_str("\\t"),
+                '\r' => out.push_str("\\r"),
+                c if (c as u32) < 0x20 => {
+                    let _ = write!(out, "\\u{:04x}", c as u32);
+                }
+                c => out.push(c),
+            }
+        }
+        out.push('"');
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(500))]
+
+        #[test]
+        fn written_strings_parse_back(
+            chars in proptest::collection::vec((0usize..10, 0u32..0x11_0000), 0..40),
+        ) {
+            let original: String = chars.iter().map(|&(k, c)| gen_char(k, c)).collect();
+            let mut out = String::new();
+            write_str(&mut out, &original);
+            let mut by_char = String::new();
+            write_str_by_char(&mut by_char, &original);
+            proptest::prop_assert_eq!(&out, &by_char);
+            proptest::prop_assert_eq!(parse(&out), Ok(Json::Str(original.clone())));
+            let obj = format!("{{\"abox\": {out}, \"aboxes\": [{out}, {out}]}}");
+            let Ok(Json::Obj(o)) = parse(&obj) else {
+                return Err(proptest::test_runner::TestCaseError::fail(obj));
+            };
+            proptest::prop_assert_eq!(o["abox"].as_str(), Some(original.as_str()));
+            let arr = o["aboxes"].as_arr().expect("an array");
+            proptest::prop_assert!(arr.iter().all(|v| v.as_str() == Some(original.as_str())));
+        }
     }
 
     #[test]

@@ -92,7 +92,7 @@
 //! "malformed"` without being buffered in full ([`CappedLineReader`]).
 
 use crate::cache::{lock_recover, panic_message, PlanCache};
-use crate::engine::{Certify, Engine, Input, Options, CERTIFY_BATCH};
+use crate::engine::{goal_answers, Certify, Engine, Input, Options, CERTIFY_BATCH};
 use crate::json::{self, Json};
 use crate::plan::{EngineError, OmqPlan};
 use crate::session::{
@@ -105,7 +105,7 @@ use gomq_datalog::{Budget, BudgetExceeded, LimitKind, Materialization};
 use gomq_dl::parser::parse_ontology;
 use gomq_dl::translate::to_gf;
 use gomq_logic::GfOntology;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::io::BufRead;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -1023,7 +1023,7 @@ impl ServeSession {
                 None => Materialization::build(rules, goal, &store, budget),
             }
             .map_err(|e| engine.overloaded(e))?;
-            let answers = view.answers();
+            let answers = goal_answers(view.instance().store(), &view.answer_ids());
             let cert = want_cert
                 .then(|| self.view_certificate(&view, position))
                 .transpose()?;
@@ -1079,7 +1079,7 @@ impl ServeSession {
 
     /// Renders the answer part of an `"ok"` query response: `"answers"`
     /// for one ABox or `"batches"` for a batch, then the certificate.
-    fn payload(&self, answers: &[BTreeSet<Vec<Term>>], batch: bool, cert: Option<&str>) -> String {
+    fn payload(&self, answers: &[Vec<Term>], batch: bool, cert: Option<&str>) -> String {
         let mut out = String::new();
         if batch {
             out.push_str("\"batches\": [");
@@ -1313,22 +1313,19 @@ impl ServeSession {
         out
     }
 
-    fn write_answers(&self, out: &mut String, answers: &BTreeSet<Vec<Term>>) {
+    /// Renders one answer list as an array of one-term tuples, in the
+    /// list's (ascending term) order.
+    fn write_answers(&self, out: &mut String, answers: &[Term]) {
         let vocab = lock_recover(&self.shared.vocab);
         out.push('[');
-        for (i, tuple) in answers.iter().enumerate() {
+        for (i, t) in answers.iter().enumerate() {
             if i > 0 {
                 out.push_str(", ");
             }
             out.push('[');
-            for (j, t) in tuple.iter().enumerate() {
-                if j > 0 {
-                    out.push_str(", ");
-                }
-                match t {
-                    Term::Const(c) => json::write_str(out, vocab.const_name(*c)),
-                    Term::Null(_) => json::write_str(out, &t.display(&vocab).to_string()),
-                }
+            match t {
+                Term::Const(c) => json::write_str(out, vocab.const_name(*c)),
+                Term::Null(_) => json::write_str(out, &t.display(&vocab).to_string()),
             }
             out.push(']');
         }
@@ -1584,6 +1581,7 @@ fn finish_line(mut buf: Vec<u8>) -> LineRead {
 mod tests {
     use super::*;
     use crate::scratch::ScratchDir;
+    use std::collections::BTreeSet;
 
     fn ok_field<'a>(response: &'a str, needle: &str) -> &'a str {
         assert!(
@@ -1626,6 +1624,33 @@ mod tests {
         // Responses are valid JSON.
         assert!(crate::json::parse(&resp).is_ok());
         assert!(crate::json::parse(&resp2).is_ok());
+    }
+
+    /// Answers render in ascending constant id, whatever order the
+    /// request text or the kernel's element numbering puts them in: `z`,
+    /// interned by an earlier session assert, comes before `y` on every
+    /// path.
+    #[test]
+    fn answers_render_in_constant_order() {
+        let mut s = ServeSession::with_threads(2);
+        ok_field(
+            &s.handle_line(r#"{"op": "assert", "abox": "A(z)"}"#),
+            "\"status\": \"ok\"",
+        );
+        let omq = r#""ontology": "A sub B", "query": "B""#;
+        let one = s.handle_line(&format!(r#"{{{omq}, "abox": "A(y)\nA(z)"}}"#));
+        ok_field(&one, r#""answers": [["z"], ["y"]]"#);
+        let batch = s.handle_line(&format!(
+            r#"{{{omq}, "aboxes": ["A(y)\nA(z)", "B(y)\nA(z)"]}}"#
+        ));
+        ok_field(&batch, r#""batches": [[["z"], ["y"]], [["z"], ["y"]]]"#);
+        let certified = s.handle_line(&format!(
+            r#"{{{omq}, "abox": "A(y)\nA(z)", "certificate": true}}"#
+        ));
+        ok_field(&certified, r#""answers": [["z"], ["y"]]"#);
+        s.handle_line(r#"{"op": "assert", "abox": "A(y)"}"#);
+        let session = s.handle_line(&format!(r#"{{{omq}, "session": true}}"#));
+        ok_field(&session, r#""answers": [["z"], ["y"]]"#);
     }
 
     /// The stats op's `"engine"` keys, in wire order.

@@ -240,7 +240,6 @@ fn typed_kernel_certificates_verify() {
     use gomq_dl::parser::parse_ontology;
     use gomq_dl::translate::to_gf;
     use gomq_engine::{Certify, Input, Options};
-    use std::collections::BTreeSet;
     use std::sync::Mutex;
 
     let mut v = Vocab::new();
@@ -262,7 +261,7 @@ fn typed_kernel_certificates_verify() {
     let mut kernel = engine
         .answer(&plan, Input::One(abox.store()), &Options::default())
         .expect("uncertified answering succeeds");
-    let kernel_answers: BTreeSet<Vec<Term>> = kernel.answers.remove(0);
+    let kernel_answers: Vec<Term> = kernel.answers.remove(0);
     assert!(kernel.stats.rounds > 0, "the kernel ran");
     let vocab = Mutex::new(v);
     let opts = Options {

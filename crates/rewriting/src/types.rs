@@ -796,9 +796,10 @@ impl ElementTypeSystem {
         for t in d.dom() {
             terms.intern(t);
         }
+        let facts = self.resolve(d, &mut terms);
         let mut counts = EvalStats::default();
         let run = self
-            .propagate(d, &terms, &Budget::UNLIMITED, &mut counts)
+            .propagate(&facts, &Budget::UNLIMITED, &mut counts)
             .expect("the unlimited budget cannot be exceeded");
         let mut surviving: BTreeMap<Term, BTreeSet<usize>> = BTreeMap::new();
         let mut inconsistent = false;
@@ -814,7 +815,7 @@ impl ElementTypeSystem {
             rounds: counts.rounds,
             stats: TypeStats {
                 elements: terms.len(),
-                edges: run.edges,
+                edges: facts.edges.len() + facts.loops.len(),
                 arcs_revised: run.arcs_revised,
                 compat_bits: k.compat_bits,
                 build_ns: k.build_ns,
@@ -843,26 +844,23 @@ impl ElementTypeSystem {
     /// `budget` bounds both as [`gomq_datalog`]'s executor does — its
     /// deadline is also checked every 256 arc revisions — and a blown
     /// budget discards the work done so far.
+    ///
+    /// The goal is unary, so each answer is one term: they come back
+    /// sorted, each once.
     pub fn answer(
         &self,
         d: &FactStore,
         query: RelId,
         budget: &Budget,
-    ) -> Result<(BTreeSet<Vec<Term>>, EvalStats), BudgetExceeded> {
+    ) -> Result<(Vec<Term>, EvalStats), BudgetExceeded> {
         let mut terms = TermInterner::new();
-        for &r in self.unary_rels.iter().chain(&self.binary_rels) {
-            d.each_fact(r, |args| {
-                for &t in args {
-                    terms.intern(t);
-                }
-            });
-        }
+        let facts = self.resolve(d, &mut terms);
         let mut stats = EvalStats::default();
-        let run = self.propagate(d, &terms, budget, &mut stats)?;
-        let mut answers: BTreeSet<Vec<Term>> = BTreeSet::new();
+        let run = self.propagate(&facts, budget, &mut stats)?;
+        let mut answers: Vec<Term> = Vec::new();
         let inconsistent = (0..terms.len()).any(|e| bitset::is_zero(run.row(e)));
         if inconsistent {
-            answers.extend(terms.iter().map(|t| vec![t]));
+            answers.extend(terms.iter());
         }
         match self.unary_rels.iter().position(|&r| r == query) {
             Some(_) if inconsistent => {}
@@ -876,16 +874,20 @@ impl ElementTypeSystem {
                     .collect();
                 for (e, t) in terms.iter().enumerate() {
                     if !bitset::intersects(run.row(e), &refuters) {
-                        answers.insert(vec![t]);
+                        answers.push(t);
                     }
                 }
             }
             None => d.each_fact(query, |args| {
                 if let [t] = args {
-                    answers.insert(vec![*t]);
+                    answers.push(*t);
                 }
             }),
         }
+        // Elements are numbered in first-occurrence order; answers go
+        // out in term order, each once.
+        answers.sort_unstable();
+        answers.dedup();
         stats.derived += answers.len();
         // Rounds and the deadline are checked before each round only, as
         // the executor does; the goal facts still count as derived.
@@ -897,11 +899,39 @@ impl ElementTypeSystem {
         Ok((answers, stats))
     }
 
+    /// The facts of `d` over the closure's relations with their terms
+    /// interned into `terms`, in one pass: one hash per term occurrence.
+    /// Unary relations come first, then binary ones, each in fact order,
+    /// so a term's id is its first occurrence in that order (after the
+    /// terms `terms` already holds).
+    fn resolve(&self, d: &impl FactSource, terms: &mut TermInterner) -> ClosureFacts {
+        let mut facts = ClosureFacts::default();
+        for (ui, &u) in self.unary_rels.iter().enumerate() {
+            d.each_fact(u, |args| {
+                if let [t] = args {
+                    facts.unary.push((ui as u32, terms.intern(*t)));
+                }
+            });
+        }
+        for (ri, &r) in self.binary_rels.iter().enumerate() {
+            d.each_fact(r, |args| {
+                let [a, b] = args else { return };
+                let (u, w) = (terms.intern(*a), terms.intern(*b));
+                if u == w {
+                    facts.loops.push((ri as u32, u));
+                } else {
+                    facts.edges.push((ri as u32, u, w));
+                }
+            });
+        }
+        facts.elements = terms.len();
+        facts
+    }
+
     /// The AC-3 core behind [`ElementTypeSystem::instance_types`] and
     /// [`ElementTypeSystem::answer`]: the greatest arc-consistent type
-    /// assignment to the elements of `terms` under the facts of `d`
-    /// over the closure's relations (every term of such a fact must be
-    /// interned; other elements keep all of `T*`).
+    /// assignment to the elements `0..facts.elements` under the
+    /// resolved closure facts (elements no fact names keep all of `T*`).
     ///
     /// Each round counts into `stats.rounds`, passes the
     /// [`EVAL_ROUND`](gomq_core::faults::EVAL_ROUND) fault seam and
@@ -910,14 +940,13 @@ impl ElementTypeSystem {
     /// deadline is also checked every 256 arc revisions.
     fn propagate(
         &self,
-        d: &impl FactSource,
-        terms: &TermInterner,
+        facts: &ClosureFacts,
         budget: &Budget,
         stats: &mut EvalStats,
     ) -> Result<Propagation, BudgetExceeded> {
         let k = self.kernel();
         let words = k.words;
-        let n_elem = terms.len();
+        let n_elem = facts.elements;
         let pairs = n_elem * self.types.len();
         let deadline = Budget {
             deadline: budget.deadline,
@@ -930,39 +959,25 @@ impl ElementTypeSystem {
         for _ in 0..n_elem {
             surv.extend_from_slice(&k.full);
         }
-        for (ui, &u) in self.unary_rels.iter().enumerate() {
-            d.each_fact(u, |args| {
-                if let [t] = args {
-                    let e = terms.get(*t).expect("domain term") as usize;
-                    bitset::and_assign(&mut surv[e * words..(e + 1) * words], &k.unary_ok[ui]);
-                }
-            });
+        for &(ui, e) in &facts.unary {
+            let e = e as usize;
+            bitset::and_assign(
+                &mut surv[e * words..(e + 1) * words],
+                &k.unary_ok[ui as usize],
+            );
         }
-        // Edges (proper) and self-loops, per dense relation index.
         let nrels = self.binary_rels.len();
         let has_counting = !k.counting.is_empty();
-        let mut edges: Vec<(u32, u32, u32)> = Vec::new();
-        let mut loops = 0usize;
-        let mut has_loop: Vec<Vec<bool>> = vec![Vec::new(); nrels];
-        for (ri, &r) in self.binary_rels.iter().enumerate() {
+        // Self-loops per relation and element, for the counting pass.
+        let mut has_loop = vec![vec![false; if has_counting { n_elem } else { 0 }]; nrels];
+        for &(ri, e) in &facts.loops {
+            let (ri, e) = (ri as usize, e as usize);
             if has_counting {
-                has_loop[ri] = vec![false; n_elem];
+                has_loop[ri][e] = true;
             }
-            d.each_fact(r, |args| {
-                let [a, b] = args else { return };
-                let u = terms.get(*a).expect("domain term") as usize;
-                let w = terms.get(*b).expect("domain term") as usize;
-                if u == w {
-                    loops += 1;
-                    if has_counting {
-                        has_loop[ri][u] = true;
-                    }
-                    bitset::and_assign(&mut surv[u * words..(u + 1) * words], &k.loop_ok[ri]);
-                } else {
-                    edges.push((ri as u32, u as u32, w as u32));
-                }
-            });
+            bitset::and_assign(&mut surv[e * words..(e + 1) * words], &k.loop_ok[ri]);
         }
+        let edges = &facts.edges;
         // Distinct-neighbour CSR adjacency for the counting pass (facts
         // are deduplicated, so so are the lists).
         let (out_adj, in_adj) = if has_counting {
@@ -989,7 +1004,7 @@ impl ElementTypeSystem {
         // matrix). `arcs_of_partner` maps an element to the arcs that
         // must be re-revised when its surviving set shrinks.
         let mut arcs: Vec<(u32, u32, u32, bool)> = Vec::with_capacity(edges.len() * 2);
-        for &(ri, u, w) in &edges {
+        for &(ri, u, w) in edges {
             arcs.push((u, w, ri, true));
             arcs.push((w, u, ri, false));
         }
@@ -1115,7 +1130,6 @@ impl ElementTypeSystem {
         Ok(Propagation {
             words,
             surv,
-            edges: edges.len() + loops,
             arcs_revised,
         })
     }
@@ -1412,13 +1426,25 @@ impl FactSource for FactStore {
     }
 }
 
+/// The facts of one instance over a closure's relations, their terms
+/// resolved to dense element ids by [`ElementTypeSystem::resolve`].
+#[derive(Default)]
+struct ClosureFacts {
+    /// Number of elements: every id below it is in use.
+    elements: usize,
+    /// `(unary relation index, element)` per unary fact.
+    unary: Vec<(u32, u32)>,
+    /// `(binary relation index, element)` per self-loop `R(a, a)`.
+    loops: Vec<(u32, u32)>,
+    /// `(binary relation index, source, target)` per proper edge.
+    edges: Vec<(u32, u32, u32)>,
+}
+
 /// The fixpoint of one propagation run: one surviving-type row per
 /// interned element.
 struct Propagation {
     words: usize,
     surv: Vec<u64>,
-    /// Binary facts visited (proper edges + self-loops).
-    edges: usize,
     /// AC-3 arc revisions performed.
     arcs_revised: usize,
 }
@@ -1756,7 +1782,7 @@ mod tests {
         let (answers, stats) = sys
             .answer(&d, c_rel, &Budget::UNLIMITED)
             .expect("unlimited");
-        assert_eq!(answers, BTreeSet::from([vec![Term::Const(cb)]]));
+        assert_eq!(answers, vec![Term::Const(cb)]);
         assert_eq!(stats.rounds, 1);
         // Derived = eliminated pairs + domain + answers.
         let surviving: usize = sys

@@ -84,6 +84,9 @@ E17_TINY=1 cargo bench -p gomq-bench --bench e17_sql
 echo "==> E18_TINY=1 cargo bench -p gomq-bench --bench e18_compile (smoke)"
 E18_TINY=1 cargo bench -p gomq-bench --bench e18_compile
 
+echo "==> E19_TINY=1 cargo bench -p gomq-bench --bench e19_request (smoke)"
+E19_TINY=1 cargo bench -p gomq-bench --bench e19_request
+
 # gomq-cert round-trip smoke on the committed example families: the
 # company OMQ is answered with a certificate on the request-ABox path
 # and on the session path (snapshot-bound), and both responses must
