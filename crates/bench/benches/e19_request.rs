@@ -10,8 +10,9 @@
 //! cost per fact of each served stage:
 //!
 //! * `json::parse` of the request line;
-//! * `parse_known_facts` of the ABox text (the request's constants are
-//!   rolled back after each call, as the server does);
+//! * `parse_request_facts` of the ABox text against the plan's
+//!   signature, its constants into a reused request table
+//!   ([`RequestConsts`], reset before each call, as the server does);
 //! * `ElementTypeSystem::answer`, the type kernel, on the parsed store;
 //! * a whole `ServeSession::handle_line` on a warm plan cache.
 //!
@@ -23,8 +24,8 @@
 //! cargo bench -p gomq-bench --bench e19_request
 //! ```
 
-use gomq_core::parse::parse_known_facts;
-use gomq_core::Vocab;
+use gomq_core::parse::parse_request_facts;
+use gomq_core::{RelId, RequestConsts, Vocab};
 use gomq_datalog::Budget;
 use gomq_dl::parser::parse_ontology;
 use gomq_dl::translate::to_gf;
@@ -118,6 +119,10 @@ fn main() {
     let o = to_gf(&parse_ontology(ONTOLOGY, &mut v).expect("the ontology parses"));
     let query = v.find_rel(QUERY).expect("the query is a concept");
     let plan = OmqPlan::compile(&o, query, &mut v).expect("the company OMQ is rewritable");
+    let types = &plan.types;
+    let in_sig =
+        |rel: RelId| types.unary_rels().contains(&rel) || types.binary_rels().contains(&rel);
+    let mut consts = RequestConsts::default();
     let mut served = ServeSession::with_threads(1);
     let mut rng = Rng(SEED ^ 0x005e_ed0f_903a_b1c4);
     let warm = served.handle_line(&request(&abox(&mut rng, 4)));
@@ -125,20 +130,19 @@ fn main() {
 
     println!("e19_request: seed {SEED}, {rounds} rounds, median ns per fact");
     println!(
-        "  {:>5}  {:>10}  {:>17}  {:>13}  {:>11}  {:>8}",
-        "facts", "json_parse", "parse_known_facts", "kernel_answer", "handle_line", "answers"
+        "  {:>5}  {:>10}  {:>19}  {:>13}  {:>11}  {:>8}",
+        "facts", "json_parse", "parse_request_facts", "kernel_answer", "handle_line", "answers"
     );
     for &size in sizes {
         let text = abox(&mut rng, size);
         let line = request(&text);
         let json_ns = per_fact(rounds, size, || json::parse(&line).expect("well-formed"));
-        let parse_ns = per_fact(rounds, size, || {
-            let mark = v.const_mark();
-            let store = parse_known_facts(&text, &mut v).expect("the ABox parses");
-            v.truncate_consts(mark);
-            store
-        });
-        let store = parse_known_facts(&text, &mut v).expect("the ABox parses");
+        let mut parse = || {
+            consts.reset(&v);
+            parse_request_facts(&text, &v, in_sig, &mut consts).expect("the ABox parses")
+        };
+        let parse_ns = per_fact(rounds, size, &mut parse);
+        let store = parse();
         let answer = || {
             plan.types
                 .answer(&store, plan.query, &Budget::UNLIMITED)
@@ -148,7 +152,7 @@ fn main() {
         let kernel_ns = per_fact(rounds, size, answer);
         let serve_ns = per_fact(rounds, size, || served.handle_line(&line));
         println!(
-            "  {size:>5}  {json_ns:>10.1}  {parse_ns:>17.1}  {kernel_ns:>13.1}  {serve_ns:>11.1}  {answers:>8}"
+            "  {size:>5}  {json_ns:>10.1}  {parse_ns:>19.1}  {kernel_ns:>13.1}  {serve_ns:>11.1}  {answers:>8}"
         );
     }
 }

@@ -54,5 +54,6 @@ pub use interpretation::{ArityError, Instance, Interpretation};
 pub use query::{Cq, CqAtom, Ucq, VarOrConst};
 pub use store::{FactBuf, FactId, FactRef, FactStore, StoreStats};
 pub use symbols::{
-    is_reserved_rel_name, reserved_rel_message, ConstId, NullId, RelId, Vocab, RESERVED_REL_PREFIX,
+    is_reserved_rel_name, reserved_rel_message, ConstId, NullId, RelId, RequestConsts, Vocab,
+    RESERVED_REL_PREFIX,
 };

@@ -17,10 +17,10 @@
 //! Arguments without the `?` prefix are constants.
 
 use crate::fact::Term;
-use crate::interpretation::{ArityError, Instance};
+use crate::interpretation::Instance;
 use crate::query::{Cq, CqAtom, CqBuilder, Ucq, VarOrConst};
 use crate::store::FactStore;
-use crate::symbols::{is_reserved_rel_name, reserved_rel_message, Vocab};
+use crate::symbols::{is_reserved_rel_name, reserved_rel_message, RelId, RequestConsts, Vocab};
 use std::collections::HashMap;
 use std::fmt;
 
@@ -209,16 +209,67 @@ pub fn parse_instance(text: &str, vocab: &mut Vocab) -> Result<Instance, ParseEr
 /// through to its end before its first new name is interned. Constants
 /// of the lines before a refused line stay interned.
 pub fn parse_facts(text: &str, vocab: &mut Vocab) -> Result<FactStore, ParseError> {
-    scan_facts(text, vocab, true)
+    let mut store = FactStore::new();
+    // One argument buffer, reused by every fact.
+    let mut terms: Vec<Term> = Vec::new();
+    // The first never-seen name triggers one check of the rest of the
+    // text before it is interned; a text over known names is read once.
+    let mut rest_checked = false;
+    let mut lines = FactLines::new(text);
+    while let Some(fact) = lines.next_fact() {
+        let (line, name) = fact?;
+        let arity = lines.args.len();
+        let rel = match vocab.find_rel(name) {
+            Some(rel) if vocab.arity(rel) != arity => {
+                return Err(arity_clash(line, name, arity, vocab.arity(rel)));
+            }
+            Some(rel) => rel,
+            None => {
+                if !rest_checked {
+                    check_unseen_names(lines.rest(), vocab)?;
+                    rest_checked = true;
+                }
+                vocab.rel(name, arity)
+            }
+        };
+        terms.clear();
+        terms.extend(lines.args.iter().map(|a| Term::Const(vocab.constant(a))));
+        store.intern(rel, &terms);
+    }
+    Ok(store)
 }
 
-/// Parses instance text over the relations `vocab` already knows, for
-/// data that only lives as long as one evaluation: a fact over a
-/// relation name `vocab` has never seen is dropped rather than interned,
-/// so such data can never fix the arity of a name a later ontology
-/// uses. Constants are interned; refusals are those of [`parse_facts`].
-pub fn parse_known_facts(text: &str, vocab: &mut Vocab) -> Result<FactStore, ParseError> {
-    scan_facts(text, vocab, false)
+/// Parses one served request's ABox text against its plan's signature,
+/// the relations `in_sig` accepts: a fact over a relation `vocab` does
+/// not name, or names outside the signature, cannot reach an answer and
+/// is dropped, and only relations inside it have their arity checked.
+/// So whether a text parses depends on the plan alone, never on what
+/// other requests interned. Constants go to the request's table
+/// `consts` ([`RequestConsts`]), never into `vocab`. Line refusals are
+/// those of [`parse_facts`].
+pub fn parse_request_facts(
+    text: &str,
+    vocab: &Vocab,
+    in_sig: impl Fn(RelId) -> bool,
+    consts: &mut RequestConsts,
+) -> Result<FactStore, ParseError> {
+    let mut store = FactStore::new();
+    let mut terms: Vec<Term> = Vec::new();
+    let mut lines = FactLines::new(text);
+    while let Some(fact) = lines.next_fact() {
+        let (line, name) = fact?;
+        if let Some(rel) = vocab.find_rel(name).filter(|&rel| in_sig(rel)) {
+            let arity = lines.args.len();
+            if vocab.arity(rel) != arity {
+                return Err(arity_clash(line, name, arity, vocab.arity(rel)));
+            }
+            terms.clear();
+            let args = lines.args.iter();
+            terms.extend(args.map(|a| Term::Const(consts.constant(vocab, a))));
+            store.intern(rel, &terms);
+        }
+    }
+    Ok(store)
 }
 
 /// The fact lines of an instance text, scanned one at a time by
@@ -300,50 +351,6 @@ fn arity_clash(lineno: usize, name: &str, used: usize, declared: usize) -> Parse
         lineno,
         format!("relation `{name}` used with arity {used} but declared with {declared}"),
     )
-}
-
-fn scan_facts(text: &str, vocab: &mut Vocab, intern_rels: bool) -> Result<FactStore, ParseError> {
-    let mut store = FactStore::new();
-    // One argument buffer, reused by every fact.
-    let mut terms: Vec<Term> = Vec::new();
-    // The first never-seen name triggers one check of the rest of the
-    // text before it is interned; a text over known names is read once.
-    let mut rest_checked = false;
-    let mut lines = FactLines::new(text);
-    while let Some(fact) = lines.next_fact() {
-        let (line, name) = fact?;
-        let arity = lines.args.len();
-        let rel = match vocab.find_rel(name) {
-            Some(rel) if vocab.arity(rel) != arity => {
-                return Err(arity_clash(line, name, arity, vocab.arity(rel)));
-            }
-            Some(rel) => rel,
-            None if !intern_rels => continue,
-            None => {
-                if !rest_checked {
-                    check_unseen_names(lines.rest(), vocab)?;
-                    rest_checked = true;
-                }
-                vocab.rel(name, arity)
-            }
-        };
-        terms.clear();
-        terms.extend(lines.args.iter().map(|a| Term::Const(vocab.constant(a))));
-        // The arity checks make this infallible, but the typed check
-        // stays on in release builds: an ill-formed fact must never reach
-        // the store silently.
-        let expected = vocab.arity(rel);
-        if expected != terms.len() {
-            let clash = ArityError {
-                rel,
-                expected,
-                got: terms.len(),
-            };
-            return Err(err(line, clash.to_string()));
-        }
-        store.intern(rel, &terms);
-    }
-    Ok(store)
 }
 
 /// Checks the fact lines `lines` has left without touching `vocab`:
@@ -509,16 +516,25 @@ mod tests {
     fn known_instances_drop_facts_over_unseen_relations() {
         let mut v = Vocab::new();
         let r = v.rel("R", 2);
-        let d = parse_known_facts("R(a, b)\nworksOn(ada)\nworksOn(ada, x, y)\n", &mut v)
-            .expect("parses");
+        v.rel("S", 1);
+        let in_sig = |rel| rel == r;
+        let mut consts = RequestConsts::default();
+        consts.reset(&v);
+        let text = "R(a, b)\nworksOn(ada)\nworksOn(ada, x, y)\nS(a, b)\n";
+        let d = parse_request_facts(text, &v, in_sig, &mut consts).expect("parses");
         assert_eq!(d.len(), 1);
         assert_eq!(d.rel_ids(r).len(), 1);
-        assert!(v.find_rel("worksOn").is_none(), "unseen names stay unseen");
-        // Known relations keep their arity check, reserved names stay
-        // refused even when the rewriting has interned them.
-        assert!(parse_known_facts("R(a)\n", &mut v).is_err());
+        // `S` is named but outside the signature: dropped, arity unchecked.
+        assert_eq!(
+            v.const_count(),
+            0,
+            "request constants stay out of the vocabulary"
+        );
+        // Relations of the signature keep their arity check, reserved
+        // names stay refused even when the rewriting has interned them.
+        assert!(parse_request_facts("R(a)\n", &v, in_sig, &mut consts).is_err());
         v.rel("_goal", 1);
-        let e = parse_known_facts("_goal(eve)\n", &mut v).unwrap_err();
+        let e = parse_request_facts("_goal(eve)\n", &v, |_| true, &mut consts).unwrap_err();
         assert!(e.message.contains("reserved"), "{e}");
     }
 
@@ -757,14 +773,6 @@ mod tests {
         }
     }
 
-    /// The facts of an instance as names, in id order.
-    fn named_facts<'a>(
-        facts: impl Iterator<Item = crate::store::FactRef<'a>>,
-        v: &Vocab,
-    ) -> Vec<String> {
-        facts.map(|f| f.display(v).to_string()).collect()
-    }
-
     fn vocab_names(v: &Vocab) -> (Vec<(String, usize)>, Vec<String>) {
         let rels = v
             .rels()
@@ -794,20 +802,29 @@ mod tests {
             base.rel("R", 2);
             base.rel("_goal", 1);
             base.constant("b");
+            let mut consts = RequestConsts::default();
+            consts.reset(&base);
             let (mut got_v, mut want_v) = (base.clone(), base);
             let want = reference::parse_facts(&text, &mut want_v, !known);
             let got = if known {
-                parse_known_facts(&text, &mut got_v)
+                parse_request_facts(&text, &got_v, |_| true, &mut consts)
             } else {
                 parse_facts(&text, &mut got_v)
             };
             match (got, want) {
                 (Ok(got), Ok(want)) => {
+                    // Same ids: request constants number from the base
+                    // in the order the reference interns them.
+                    let facts = |f: crate::store::FactRef<'_>| f.to_fact();
                     proptest::prop_assert_eq!(
-                        named_facts(got.iter(), &got_v),
-                        named_facts(want.iter(), &want_v),
+                        got.iter().map(facts).collect::<Vec<_>>(),
+                        want.iter().map(facts).collect::<Vec<_>>(),
                         "text {:?}", text
                     );
+                    for c in (0..want_v.const_count() as u32).map(crate::symbols::ConstId) {
+                        let name = if known { consts.name(&got_v, c) } else { got_v.const_name(c) };
+                        proptest::prop_assert_eq!(name, want_v.const_name(c), "text {:?}", text);
+                    }
                     proptest::prop_assert_eq!(got.stats(), want.store_stats());
                 }
                 (got, want) => proptest::prop_assert_eq!(
@@ -816,7 +833,11 @@ mod tests {
                     "text {:?}", text
                 ),
             }
-            proptest::prop_assert_eq!(vocab_names(&got_v), vocab_names(&want_v), "text {:?}", text);
+            let (got_names, want_names) = (vocab_names(&got_v), vocab_names(&want_v));
+            proptest::prop_assert_eq!(&got_names.0, &want_names.0, "text {:?}", text);
+            if !known {
+                proptest::prop_assert_eq!(got_names.1, want_names.1, "text {:?}", text);
+            }
         }
     }
 }

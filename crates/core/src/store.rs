@@ -479,9 +479,10 @@ impl FactStore {
     ///
     /// This is the store-side analogue of
     /// [`Vocab::const_mark`](crate::Vocab::const_mark) /
-    /// [`Vocab::truncate_consts`](crate::Vocab::truncate_consts): a serve
-    /// session can mark the store before a request and truncate after it,
-    /// reclaiming per-request facts without reallocating the arena.
+    /// [`Vocab::truncate_consts`](crate::Vocab::truncate_consts): the
+    /// durable session store rolls back to a mark with it. (A served
+    /// request's ABox is a store of its own, over constants that live in
+    /// the request's [`RequestConsts`](crate::RequestConsts) table.)
     pub fn truncate(&mut self, mark: usize) {
         if mark >= self.rels.len() {
             return;

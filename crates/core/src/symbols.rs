@@ -4,17 +4,19 @@
 //! All structural algorithms work on compact integer ids; a [`Vocab`] owns
 //! the id ↔ name mapping and is only consulted for display and parsing.
 //!
-//! Constants churn: every request ABox interns its own and the serving
-//! session rolls them back afterwards ([`Vocab::const_mark`],
-//! [`Vocab::truncate_consts`]). So the constant table allocates nothing
-//! per name. Names live end to end in one `String` arena with an end
-//! offset per id. Each id also keeps its name's hash, computed once
-//! with the process-keyed SipHash of [`RandomState`]. The index maps a
-//! hash to the newest id that has it, and a chain links each id to the
-//! next older id with the same hash. A lookup hashes the name once and
-//! compares arena slices along the chain. A keyed hash leaves a client
-//! no way to aim names at one chain. Truncation pops the arena and
-//! unhooks ids newest first from their stored hashes, without rehashing.
+//! A served vocabulary holds only durable constants: those of ontologies,
+//! queries and session facts. A request's ABox constants live in the
+//! request's own [`RequestConsts`] table, which numbers them above the
+//! durable ones and forgets them when the next request starts. Both
+//! tables allocate nothing per name. Names live end to end in one
+//! `String` arena with an end offset per id. Each id also keeps its
+//! name's hash, computed once with the process-keyed SipHash of
+//! [`RandomState`]. The index maps a hash to the newest id that has it,
+//! and a chain links each id to the next older id with the same hash. A
+//! lookup hashes the name once and compares arena slices along the
+//! chain. A keyed hash leaves a client no way to aim names at one chain.
+//! Truncation ([`Vocab::truncate_consts`]) pops the arena and unhooks ids
+//! newest first from their stored hashes, without rehashing.
 
 use crate::store::FxHashMap;
 use std::collections::hash_map::RandomState;
@@ -163,19 +165,72 @@ impl ConstTable {
         if mark >= self.len() {
             return;
         }
-        // Newest first: each id is still the head of its hash's chain
-        // when it is reached, because every newer id went before it.
-        for id in (mark..self.len()).rev() {
-            let h = self.hashes[id];
-            match self.older[id] {
-                NO_CONST => self.newest.remove(&h),
-                older => self.newest.insert(h, older),
-            };
+        if mark == 0 {
+            // A request table's reset: every chain goes, in one sweep.
+            self.newest.clear();
+        } else {
+            // Newest first: each id is still the head of its hash's chain
+            // when it is reached, because every newer id went before it.
+            for id in (mark..self.len()).rev() {
+                let h = self.hashes[id];
+                match self.older[id] {
+                    NO_CONST => self.newest.remove(&h),
+                    older => self.newest.insert(h, older),
+                };
+            }
         }
         self.text.truncate(self.start(mark));
         self.ends.truncate(mark);
         self.hashes.truncate(mark);
         self.older.truncate(mark);
+    }
+}
+
+/// The constants of one served request, shared by the ABoxes of a batch.
+///
+/// [`RequestConsts::reset`] fixes the request's `base`: the number of
+/// constants the vocabulary holds when the request starts. A name the
+/// vocabulary holds below `base` keeps its durable id; any other name
+/// gets `base` plus its index here, in the order the request first uses
+/// it. So a request's ids depend on the durable names and its own text
+/// alone, never on concurrent requests, and a name made durable while
+/// the request runs (its id is at least `base`) cannot collide with one
+/// of its ids. The request's names never enter the vocabulary. Reuse one
+/// table across requests: a reset keeps its capacity.
+#[derive(Clone, Debug, Default)]
+pub struct RequestConsts {
+    base: u32,
+    table: ConstTable,
+}
+
+impl RequestConsts {
+    /// Starts a request over `vocab`: forgets the previous request's
+    /// names and fixes `base` at `vocab`'s constant count.
+    pub fn reset(&mut self, vocab: &Vocab) {
+        self.base = vocab.const_count() as u32;
+        self.table.truncate(0);
+    }
+
+    /// The id of the constant `name`, hashed once with `vocab`'s keyed
+    /// hasher: its durable id when `vocab` holds it below `base`, else a
+    /// request id at or above `base`. With no durable constants (`base`
+    /// 0) the vocabulary is not searched at all.
+    pub fn constant(&mut self, vocab: &Vocab, name: &str) -> ConstId {
+        let h = vocab.consts.hash(name);
+        match (self.base > 0).then(|| vocab.consts.find(name, h)) {
+            Some(Some(id)) if id < self.base => ConstId(id),
+            _ => ConstId(self.base + self.table.intern(name, h)),
+        }
+    }
+
+    /// The name of `c`: from this table for the request's own ids, from
+    /// `vocab` for every other id. So a table reset for a request
+    /// without ABoxes names every durable constant, old or new.
+    pub fn name<'a>(&'a self, vocab: &'a Vocab, c: ConstId) -> &'a str {
+        match c.0.checked_sub(self.base) {
+            Some(local) if (local as usize) < self.table.len() => self.table.name(local as usize),
+            _ => vocab.const_name(c),
+        }
     }
 }
 
@@ -274,8 +329,8 @@ impl Vocab {
 
     /// A checkpoint of the constant table, for scoped interning: pass it
     /// to [`Vocab::truncate_consts`] to drop every constant interned
-    /// after this point. Long-lived serving sessions use this to keep
-    /// per-request ABox constants from accumulating forever.
+    /// after this point. (A served request never interns its constants
+    /// here: they live in its [`RequestConsts`].)
     pub fn const_mark(&self) -> usize {
         self.consts.len()
     }
@@ -383,6 +438,44 @@ mod tests {
         // Truncating with a stale (too large) mark is a no-op.
         v.truncate_consts(99);
         assert_eq!(v.const_count(), 2);
+    }
+
+    #[test]
+    fn request_constants_number_new_names_above_the_durable_ones() {
+        let mut v = Vocab::new();
+        let kept = v.constant("kept");
+        let mut r = RequestConsts::default();
+        r.reset(&v);
+        let y = r.constant(&v, "y");
+        let x = r.constant(&v, "x");
+        assert_eq!(
+            (y, x),
+            (ConstId(1), ConstId(2)),
+            "first-seen order above base"
+        );
+        assert_eq!(r.constant(&v, "kept"), kept);
+        assert_eq!(r.constant(&v, "y"), y);
+        // A name made durable mid-request keeps its request id.
+        v.constant("x");
+        assert_eq!(r.constant(&v, "x"), x);
+        assert_eq!(
+            [kept, y, x].map(|c| r.name(&v, c)),
+            ["kept", "y", "x"],
+            "names resolve through both tables"
+        );
+        assert_eq!(
+            v.const_count(),
+            2,
+            "request names stay out of the vocabulary"
+        );
+        // The next request numbers from the new base and forgets `y`.
+        r.reset(&v);
+        assert_eq!(r.constant(&v, "x"), ConstId(1));
+        assert_eq!(r.constant(&v, "y"), ConstId(2));
+        // Ids past the request's own are the vocabulary's.
+        r.reset(&v);
+        let late = v.constant("late");
+        assert_eq!(r.name(&v, late), "late");
     }
 
     #[test]

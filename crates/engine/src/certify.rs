@@ -16,7 +16,7 @@
 //! parser and its own matching logic, so a bug here is caught there.
 
 use crate::json;
-use gomq_core::{FactId, IndexedInstance, RelId, Term, Vocab};
+use gomq_core::{FactId, IndexedInstance, RelId, RequestConsts, Term, Vocab};
 use gomq_datalog::{Derivation, Literal, Rule};
 use std::fmt::Write as _;
 
@@ -78,9 +78,22 @@ impl std::error::Error for CertifyError {}
 /// if* a stale derivation was once recorded for the same id (a kept
 /// EDB duplicate of a derived fact is justified by its presence in the
 /// store, not by a derivation whose premises may since have died).
-/// `derivation` returns the recorded witness of a derived fact.
+/// `derivation` returns the recorded witness of a derived fact. Every
+/// constant is named by `vocab`.
 pub fn emit_certificate<'d>(
     vocab: &Vocab,
+    source: &CertSource<'_>,
+    is_base: impl Fn(u32) -> bool,
+    derivation: impl Fn(u32) -> Option<&'d Derivation>,
+) -> Result<String, CertifyError> {
+    let names = Names(vocab, &RequestConsts::default());
+    emit_named(&names, source, is_base, derivation)
+}
+
+/// [`emit_certificate`] naming constants through a request's table
+/// ([`RequestConsts::name`]).
+pub(crate) fn emit_named<'d>(
+    names: &Names<'_>,
     source: &CertSource<'_>,
     is_base: impl Fn(u32) -> bool,
     derivation: impl Fn(u32) -> Option<&'d Derivation>,
@@ -153,7 +166,7 @@ pub fn emit_certificate<'d>(
     }
 
     let mut out = String::from("{\"v\": 1, \"goal\": ");
-    json::write_str(&mut out, vocab.rel_name(source.goal));
+    json::write_str(&mut out, names.0.rel_name(source.goal));
     match source.snapshot {
         Some((lsn, base)) => {
             let _ = write!(out, ", \"snapshot\": {{\"lsn\": {lsn}, \"base\": {base}}}");
@@ -166,7 +179,7 @@ pub fn emit_certificate<'d>(
         if i > 0 {
             out.push_str(", ");
         }
-        write_rule(&mut out, vocab, &source.rules[ri as usize]);
+        write_rule(&mut out, names, &source.rules[ri as usize]);
     }
     out.push(']');
 
@@ -178,7 +191,7 @@ pub fn emit_certificate<'d>(
         let _ = write!(out, "[{id}, ");
         write_named_fact(
             &mut out,
-            vocab,
+            names,
             store.rel(FactId(id)),
             store.args(FactId(id)),
         );
@@ -203,7 +216,7 @@ pub fn emit_certificate<'d>(
         out.push_str("], ");
         write_named_fact(
             &mut out,
-            vocab,
+            names,
             store.rel(FactId(id)),
             store.args(FactId(id)),
         );
@@ -217,9 +230,9 @@ pub fn emit_certificate<'d>(
             out.push_str(", ");
         }
         let _ = write!(out, "[{id}");
-        for t in store.args(FactId(id)) {
+        for &t in store.args(FactId(id)) {
             out.push_str(", ");
-            json::write_str(&mut out, &format!("{}", t.display(vocab)));
+            names.write_term(&mut out, t);
         }
         out.push(']');
     }
@@ -227,31 +240,43 @@ pub fn emit_certificate<'d>(
     Ok(out)
 }
 
+/// How certificates and responses name symbols: relations by the
+/// vocabulary, constants through a request's table.
+pub(crate) struct Names<'a>(pub(crate) &'a Vocab, pub(crate) &'a RequestConsts);
+
+impl Names<'_> {
+    /// Writes `t` as a JSON string: a constant's name, a null as `_:k`.
+    pub(crate) fn write_term(&self, out: &mut String, t: Term) {
+        match t {
+            Term::Const(c) => json::write_str(out, self.1.name(self.0, c)),
+            Term::Null(_) => json::write_str(out, &t.display(self.0).to_string()),
+        }
+    }
+}
+
 /// Writes `"Rel", arg...` (no surrounding brackets) with arguments
 /// rendered exactly like the response's answer tuples.
-fn write_named_fact(out: &mut String, vocab: &Vocab, rel: RelId, args: &[Term]) {
-    json::write_str(out, vocab.rel_name(rel));
-    for t in args {
+fn write_named_fact(out: &mut String, names: &Names<'_>, rel: RelId, args: &[Term]) {
+    json::write_str(out, names.0.rel_name(rel));
+    for &t in args {
         out.push_str(", ");
-        json::write_str(out, &format!("{}", t.display(vocab)));
+        names.write_term(out, t);
     }
 }
 
 /// Writes one rule object. Variables become integer slots, ground
 /// terms become strings — the int/string split is what keeps the
 /// encoding unambiguous for the verifier.
-fn write_rule(out: &mut String, vocab: &Vocab, rule: &Rule) {
+fn write_rule(out: &mut String, names: &Names<'_>, rule: &Rule) {
     let write_term = |out: &mut String, t: &gomq_datalog::DTerm| match t {
         gomq_datalog::DTerm::Var(v) => {
             let _ = write!(out, "{v}");
         }
-        gomq_datalog::DTerm::Ground(g) => {
-            json::write_str(out, &format!("{}", g.display(vocab)));
-        }
+        gomq_datalog::DTerm::Ground(g) => names.write_term(out, *g),
     };
     let write_atom = |out: &mut String, a: &gomq_datalog::DAtom| {
         out.push('[');
-        json::write_str(out, vocab.rel_name(a.rel));
+        json::write_str(out, names.0.rel_name(a.rel));
         for t in &a.args {
             out.push_str(", ");
             write_term(out, t);

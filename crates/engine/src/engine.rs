@@ -4,7 +4,7 @@ use crate::backend::native::par_map;
 use crate::cache::{lock_recover, PlanCache, PlanOutcome};
 use crate::plan::{EngineError, OmqPlan};
 use crate::stats::{nanos, Counter, EngineStats, RequestStats};
-use gomq_core::{FactId, FactStore, IndexedInstance, RelId, Term, Vocab};
+use gomq_core::{FactId, FactStore, IndexedInstance, RelId, RequestConsts, Term, Vocab};
 use gomq_datalog::Budget;
 use gomq_logic::GfOntology;
 use std::collections::HashMap;
@@ -271,8 +271,23 @@ impl Engine {
         input: Input<'_>,
         opts: &Options<'_>,
     ) -> Result<Answered, EngineError> {
+        self.answer_request(plan, input, opts, &RequestConsts::default())
+    }
+
+    /// [`Engine::answer`] over ABoxes that came with a request, whose
+    /// constants outside the vocabulary live in the request's table
+    /// `consts` ([`RequestConsts`]): a certificate names them through it.
+    pub fn answer_request(
+        &self,
+        plan: &OmqPlan,
+        input: Input<'_>,
+        opts: &Options<'_>,
+        consts: &RequestConsts,
+    ) -> Result<Answered, EngineError> {
         let answered = match (input, &opts.certify) {
-            (Input::One(abox), Some(certify)) => self.certified_eval(plan, abox, opts, certify)?,
+            (Input::One(abox), Some(certify)) => {
+                self.certified_eval(plan, abox, opts, certify, consts)?
+            }
             (Input::Batch(_), Some(_)) => {
                 return Err(EngineError::BadRequest(CERTIFY_BATCH.into()))
             }
@@ -316,6 +331,7 @@ impl Engine {
         abox: &FactStore,
         opts: &Options<'_>,
         certify: &Certify<'_>,
+        consts: &RequestConsts,
     ) -> Result<Answered, EngineError> {
         let t0 = Instant::now();
         let abox = IndexedInstance::from_store(abox.clone());
@@ -337,8 +353,8 @@ impl Engine {
         };
         let cert = {
             let vocab = lock_recover(certify.vocab);
-            crate::certify::emit_certificate(
-                &vocab,
+            crate::certify::emit_named(
+                &crate::certify::Names(&vocab, consts),
                 &source,
                 |id| id < base_len,
                 |id| derivs[id as usize].as_ref(),

@@ -1199,16 +1199,16 @@ fn follow_once(shared: &Arc<ServeShared>, addr: &str, token: &DrainToken) -> Fol
 /// Applies one replicated record to the live session through the
 /// session's apply path, then accounts it and snapshots when the policy
 /// says so, as a live mutation is. The record's names are resolved under
-/// the vocabulary lock as session constants, kept past the scope of any
-/// request in flight; the view maintenance a rollback runs happens
-/// after that lock is released. Returns `Ok(false)` for a duplicate.
+/// the vocabulary lock into durable constants; the view maintenance a
+/// rollback runs happens after that lock is released. Returns
+/// `Ok(false)` for a duplicate.
 pub fn apply_record(
     shared: &ServeShared,
     lsn: u64,
     record: &WalRecord,
 ) -> Result<bool, SessionError> {
     let mut session = shared.session_lock();
-    let facts = shared.with_durable_consts(|vocab| resolve_record(vocab, record))?;
+    let facts = resolve_record(&mut shared.vocab_lock(), record)?;
     let Some(info) = session.apply_replicated(lsn, record, &facts)? else {
         return Ok(false);
     };
@@ -1217,10 +1217,10 @@ pub fn apply_record(
 }
 
 /// Installs a snapshot shipped by the primary over the live session;
-/// its names are session constants, like a replicated record's.
+/// its names are durable constants, like a replicated record's.
 fn install_snapshot(shared: &ServeShared, bytes: &[u8]) -> Result<(u64, u64), SessionError> {
-    let mut session = shared.session_lock();
-    shared.with_durable_consts(|vocab| session.install_replicated_snapshot(bytes, vocab))
+    // session → vocab: the receiver's lock is taken first.
+    (shared.session_lock()).install_replicated_snapshot(bytes, &mut shared.vocab_lock())
 }
 
 fn end(progressed: bool) -> FollowEnd {
@@ -1371,10 +1371,11 @@ mod tests {
         assert_eq!(employees(&mut reads), [["a"]]);
     }
 
-    /// A follower applies replicated asserts while client requests are
-    /// in flight. The record's constants belong to the session store,
-    /// so the in-flight request's scope exit must not roll them back —
-    /// a later read would render (or panic on) a dangling constant.
+    /// A follower applies a replicated assert while client requests
+    /// naming the same constant are in flight. The record's constant is
+    /// durable the moment it lands, so a later session read renders it;
+    /// the requests' own constants never enter the vocabulary, so each
+    /// answers exactly as on a fresh node.
     #[test]
     fn replicated_constants_survive_an_in_flight_request() {
         use crate::serve::ServeSession;
@@ -1386,10 +1387,25 @@ mod tests {
             let f0 = Term::Const(v.constant("f0"));
             WalRecord::Assert(vec![session::sym_fact(&v, manager, &[f0])])
         };
-        // A request's scope is open when the record lands.
-        shared.scope_enter();
-        assert_eq!(apply_record(&shared, 1, &record), Ok(true));
-        shared.scope_exit();
+        // The text names `f0` first, so it answers first whether or not
+        // `f0` is durable when the request starts.
+        let line = r#"{"ontology": "A sub B", "query": "B", "abox": "A(f0)\nA(g1)\nA(g0)"}"#;
+        let answers = r#""answers": [["f0"], ["g1"], ["g0"]]"#;
+        let fresh = ServeSession::with_threads(1).handle_line(line);
+        assert!(fresh.contains(answers), "{fresh}");
+        let mut requests = ServeSession::with_shared(Arc::clone(&shared));
+        std::thread::scope(|scope| {
+            let answering = scope.spawn(move || {
+                (0..200)
+                    .map(|_| requests.handle_line(line))
+                    .collect::<Vec<_>>()
+            });
+            assert_eq!(apply_record(&shared, 1, &record), Ok(true));
+            for got in answering.join().unwrap() {
+                assert!(got.contains(answers), "answered unlike a fresh node: {got}");
+            }
+        });
+        assert_eq!(shared.vocab_lock().find_constant("g1"), None);
         let mut reads = ServeSession::with_shared(Arc::clone(&shared));
         let q = reads.handle_line(
             r#"{"ontology": "Manager sub Employee", "query": "Employee", "session": true}"#,

@@ -61,12 +61,12 @@
 //! It is read-only and answered on every replication role. No other
 //! response carries cumulative totals.
 //!
-//! ABox constants interned while serving a request are rolled back once
-//! no request is in flight, so a long-lived session's [`Vocab`] does not
-//! grow with the ABoxes it has seen (plans keep only relation ids, which
-//! are never rolled back). Constants asserted into the durable session
-//! raise the rollback floor instead — session facts must keep their
-//! names.
+//! A request's ABox constants live in the request's own table
+//! ([`RequestConsts`]), never in the shared [`Vocab`], which holds only
+//! durable names: those of ontologies, queries and session facts. So a
+//! long-lived session's vocabulary does not grow with the ABoxes it has
+//! seen, and a request's answers depend on its own text alone, never on
+//! the requests served beside it.
 //!
 //! ## Session mutations
 //!
@@ -92,6 +92,7 @@
 //! "malformed"` without being buffered in full ([`CappedLineReader`]).
 
 use crate::cache::{lock_recover, panic_message, PlanCache};
+use crate::certify::Names;
 use crate::engine::{goal_answers, Certify, Engine, Input, Options, CERTIFY_BATCH};
 use crate::json::{self, Json};
 use crate::plan::{EngineError, OmqPlan};
@@ -99,8 +100,8 @@ use crate::session::{
     DurableSession, MutationInfo, PersistOptions, RecoveryInfo, SessionError, DEFAULT_MAX_VIEWS,
 };
 use crate::stats::{nanos, Counter, EngineStats, RequestStats};
-use crate::wal::SymFact;
-use gomq_core::{Fact, FactStore, RelId, Term, Vocab};
+use gomq_core::parse::parse_request_facts;
+use gomq_core::{Fact, RelId, RequestConsts, Term, Vocab};
 use gomq_datalog::{Budget, BudgetExceeded, LimitKind, Materialization};
 use gomq_dl::parser::parse_ontology;
 use gomq_dl::translate::to_gf;
@@ -205,22 +206,13 @@ impl Default for ServeConfig {
     }
 }
 
-/// Bookkeeping for rolling back ABox-constant interning: constants are
-/// truncated to the burst's floor once no request is in flight.
-#[derive(Debug, Default)]
-struct ConstScope {
-    active: usize,
-    floor: usize,
-}
-
 /// State shared by every session on one serving process: the engine
-/// (plan cache included), the vocabulary, and the constant-scoping
-/// bookkeeping. Clone the [`Arc`] and build per-thread sessions with
+/// (plan cache included), the vocabulary and the durable session. Clone
+/// the [`Arc`] and build per-thread sessions with
 /// [`ServeSession::with_shared`] to serve concurrently.
 pub struct ServeShared {
     engine: Engine,
     vocab: Mutex<Vocab>,
-    scope: Mutex<ConstScope>,
     session: Mutex<DurableSession>,
     limits: Limits,
     max_line_bytes: usize,
@@ -276,7 +268,6 @@ impl ServeShared {
             ServeShared {
                 engine,
                 vocab: Mutex::new(vocab),
-                scope: Mutex::new(ConstScope::default()),
                 session: Mutex::new(session),
                 limits: config.limits,
                 max_line_bytes: config.max_line_bytes,
@@ -289,16 +280,13 @@ impl ServeShared {
     /// Shared state around an existing engine (used by tests to inject a
     /// cache with a colliding hash function).
     pub fn with_engine(engine: Engine, limits: Limits) -> Self {
-        let mut session = DurableSession::in_memory();
-        session.set_limits(limits);
+        let config = ServeConfig {
+            limits,
+            ..ServeConfig::default()
+        };
         ServeShared {
             engine,
-            vocab: Mutex::new(Vocab::new()),
-            scope: Mutex::new(ConstScope::default()),
-            session: Mutex::new(session),
-            limits,
-            max_line_bytes: DEFAULT_MAX_LINE_BYTES,
-            repl: crate::repl::ReplContext::default(),
+            ..Self::with_config(config)
         }
     }
 
@@ -337,54 +325,6 @@ impl ServeShared {
     /// The vocabulary mutex, poison-recovered (replication internals).
     pub(crate) fn vocab_lock(&self) -> std::sync::MutexGuard<'_, Vocab> {
         lock_recover(&self.vocab)
-    }
-
-    /// Marks a request as in flight; the first request of a burst
-    /// records the constant floor to roll back to.
-    pub(crate) fn scope_enter(&self) {
-        let mut scope = lock_recover(&self.scope);
-        if scope.active == 0 {
-            scope.floor = lock_recover(&self.vocab).const_mark();
-        }
-        scope.active += 1;
-    }
-
-    /// Marks a request as done; the last request of a burst rolls back
-    /// every ABox constant the burst interned. (Rollback must wait for
-    /// quiescence: constants are shared across concurrent requests.)
-    pub(crate) fn scope_exit(&self) {
-        let mut scope = lock_recover(&self.scope);
-        scope.active -= 1;
-        if scope.active == 0 {
-            let floor = scope.floor;
-            lock_recover(&self.vocab).truncate_consts(floor);
-        }
-    }
-
-    /// Raises the burst's rollback floor to `mark`, so no scope exit
-    /// truncates constants below it: session constants are durable.
-    pub(crate) fn keep_consts(&self, mark: usize) {
-        let mut scope = lock_recover(&self.scope);
-        scope.floor = scope.floor.max(mark);
-    }
-
-    /// Runs `f` over the vocabulary as one more in-flight member of the
-    /// constant scope, then keeps every constant it interned. For
-    /// session mutations that arrive outside any request — replicated
-    /// records and snapshots — whose constants the store references: a
-    /// request in flight when they land must not roll those names back
-    /// on its scope exit. A caller that holds the session lock takes it
-    /// first (`session → vocab`).
-    pub(crate) fn with_durable_consts<T>(&self, f: impl FnOnce(&mut Vocab) -> T) -> T {
-        self.scope_enter();
-        let (out, mark) = {
-            let mut vocab = lock_recover(&self.vocab);
-            let out = f(&mut vocab);
-            (out, vocab.const_mark())
-        };
-        self.keep_consts(mark);
-        self.scope_exit();
-        out
     }
 
     /// Accounts an applied mutation — its view maintenance, and its WAL
@@ -457,22 +397,16 @@ impl ServeShared {
     }
 }
 
-/// Where a query's facts come from.
-enum Facts<'a> {
-    /// One request-supplied ABox (`"abox"`).
-    Abox(&'a str),
-    /// A batch of request-supplied ABoxes (`"aboxes"`).
-    Aboxes(Vec<&'a str>),
-    /// The session-resident store (`"session": true`).
-    Session,
-}
-
 /// A query request, parsed and validated once — every illegal
 /// combination of inputs is refused here, before any plan compiles.
 struct QueryRequest<'a> {
     ontology: &'a str,
     query: &'a str,
-    input: Facts<'a>,
+    /// The request-supplied ABoxes — one for `"abox"`, a batch for
+    /// `"aboxes"` — or `None` for the session store (`"session": true`).
+    aboxes: Option<Vec<&'a str>>,
+    /// Whether the ABoxes are a batch.
+    batch: bool,
     certify: bool,
     limits: Limits,
 }
@@ -503,13 +437,13 @@ impl<'a> QueryRequest<'a> {
             return Err(bad(CERTIFY_BATCH));
         }
         let limits = parse_limits(obj)?;
-        let input = if matches!(obj.get("session"), Some(Json::Bool(true))) {
+        let texts = if matches!(obj.get("session"), Some(Json::Bool(true))) {
             if abox || aboxes {
                 return Err(bad(
                     "\"session\": true cannot be combined with \"abox\"/\"aboxes\"",
                 ));
             }
-            Facts::Session
+            None
         } else if let Some(texts) = obj.get("aboxes") {
             if abox {
                 return Err(bad(
@@ -518,19 +452,16 @@ impl<'a> QueryRequest<'a> {
             }
             let not_strings = || bad("\"aboxes\" must be an array of strings");
             let texts = texts.as_arr().ok_or_else(not_strings)?;
-            Facts::Aboxes(
-                texts
-                    .iter()
-                    .map(|t| t.as_str().ok_or_else(not_strings))
-                    .collect::<Result<_, _>>()?,
-            )
+            let texts = texts.iter().map(Json::as_str).collect::<Option<_>>();
+            Some(texts.ok_or_else(not_strings)?)
         } else {
-            Facts::Abox(field("abox")?)
+            Some(vec![field("abox")?])
         };
         Ok(QueryRequest {
             ontology,
             query,
-            input,
+            aboxes: texts,
+            batch: aboxes,
             certify,
             limits,
         })
@@ -648,7 +579,8 @@ impl Drop for ViewCheckout<'_> {
 /// [`Arc<ServeShared>`].
 pub struct ServeSession {
     shared: Arc<ServeShared>,
-    limits: Limits,
+    /// The constants of the request in flight, reused across requests.
+    consts: RequestConsts,
 }
 
 impl Default for ServeSession {
@@ -678,8 +610,8 @@ impl ServeSession {
 
     /// A session over existing shared state (one per serving thread).
     pub fn with_shared(shared: Arc<ServeShared>) -> Self {
-        let limits = shared.limits;
-        ServeSession { shared, limits }
+        let consts = RequestConsts::default();
+        ServeSession { shared, consts }
     }
 
     /// The shared state (clone it to build sibling sessions).
@@ -697,7 +629,6 @@ impl ServeSession {
     /// whatever the input: malformed requests, resource blowups and
     /// panicking corner cases all come back as structured responses.
     pub fn handle_line(&mut self, line: &str) -> String {
-        self.shared.scope_enter();
         let dispatched = catch_unwind(AssertUnwindSafe(|| self.dispatch(line)));
         let (id, outcome) = match dispatched {
             Ok(r) => r,
@@ -712,7 +643,7 @@ impl ServeSession {
                 (id, Err(EngineError::Internal(panic_message(payload))))
             }
         };
-        let out = match outcome {
+        match outcome {
             Ok(body) => body,
             Err(e) => {
                 let mut out = open_response(id.as_deref());
@@ -741,9 +672,7 @@ impl ServeSession {
                 out.push('}');
                 out
             }
-        };
-        self.shared.scope_exit();
-        out
+        }
     }
 
     fn dispatch(&mut self, line: &str) -> (Option<String>, Result<String, EngineError>) {
@@ -793,12 +722,12 @@ impl ServeSession {
     /// [`Engine::answer`] call for request-supplied ABoxes, the
     /// session's own path for `"session": true`.
     fn run_query(
-        &self,
+        &mut self,
         obj: &BTreeMap<String, Json>,
         id: Option<&str>,
     ) -> Result<String, EngineError> {
         let req = QueryRequest::parse(obj)?;
-        let budget = self.limits.clamp(&req.limits).budget_from_now();
+        let budget = self.shared.limits.clamp(&req.limits).budget_from_now();
         // Admission control: a request whose deadline has already passed
         // must not enter the executor at all — it would only burn a
         // worker to discover the same verdict.
@@ -827,38 +756,55 @@ impl ServeSession {
             compile,
         };
         let plan = &planned.plan;
-        let aboxes = match &req.input {
-            Facts::Session => {
-                return self.guarded(id, &planned, || {
-                    self.session_answer(plan, &budget, req.certify)
-                })
-            }
-            Facts::Abox(text) => vec![self.parse_abox(text)?],
-            Facts::Aboxes(texts) => texts
-                .iter()
-                .map(|text| self.parse_abox(text))
-                .collect::<Result<_, _>>()?,
+        // The request's ABoxes are read against the plan's own
+        // signature: the query and every relation the plan reads occur
+        // in the ontology, so a fact over any other name cannot reach an
+        // answer and is dropped, whatever arity other requests gave it.
+        // Their constants go to this session's request table, reset for
+        // every query (a session query leaves it empty, so every
+        // constant it renders is the vocabulary's), never into the
+        // shared vocabulary.
+        let aboxes = {
+            let vocab = lock_recover(&self.shared.vocab);
+            self.consts.reset(&vocab);
+            let types = &plan.types;
+            let in_sig = |r| types.unary_rels().contains(&r) || types.binary_rels().contains(&r);
+            (req.aboxes.iter().flatten())
+                .map(|text| parse_request_facts(text, &vocab, in_sig, &mut self.consts))
+                .collect::<Result<Vec<_>, _>>()
+                .map_err(|e| EngineError::BadRequest(format!("abox: {e}")))?
         };
-        let batch = matches!(req.input, Facts::Aboxes(_));
+        if req.aboxes.is_none() {
+            return self.guarded(id, &planned, || {
+                self.session_answer(plan, &budget, req.certify)
+            });
+        }
         // The ABox came with the request, so a certificate binds to no
         // session position (its base facts are self-contained).
-        let opts = Options {
-            budget,
-            certify: req.certify.then_some(Certify {
-                vocab: &self.shared.vocab,
-                snapshot: None,
-            }),
-        };
+        let opts = self.options(budget, req.certify, None);
         self.guarded(id, &planned, || {
-            let input = if batch {
+            let input = if req.batch {
                 Input::Batch(&aboxes)
             } else {
                 Input::One(&aboxes[0])
             };
-            let answered = self.shared.engine.answer(plan, input, &opts)?;
-            let payload = self.payload(&answered.answers, batch, answered.certificate.as_deref());
+            let answered = (self.shared.engine).answer_request(plan, input, &opts, &self.consts)?;
+            let payload = self.payload(
+                &answered.answers,
+                req.batch,
+                answered.certificate.as_deref(),
+            );
             Ok((payload, answered.stats))
         })
+    }
+
+    /// The evaluation options of a query: its budget and, when it asks
+    /// for one, a certificate bound to the session position `snapshot`
+    /// (`None` for an ABox that came with the request).
+    fn options(&self, budget: Budget, certify: bool, snapshot: Option<(u64, u64)>) -> Options<'_> {
+        let vocab = &self.shared.vocab;
+        let certify = certify.then_some(Certify { vocab, snapshot });
+        Options { budget, certify }
     }
 
     /// Parses a query's ontology into the serving vocabulary and checks
@@ -876,18 +822,6 @@ impl ServeSession {
             vocab.truncate_rels(mark);
         }
         resolved
-    }
-
-    /// Parses one request-supplied ABox text straight into a fact store,
-    /// in one pass that allocates nothing per fact. Facts over relation
-    /// names the vocabulary has never seen are dropped, not interned:
-    /// the query and every relation the plan reads occur in the
-    /// ontology, so such facts cannot reach an answer, and interning
-    /// them would fix an arity for every later ontology.
-    fn parse_abox(&self, text: &str) -> Result<FactStore, EngineError> {
-        let mut vocab = lock_recover(&self.shared.vocab);
-        gomq_core::parse::parse_known_facts(text, &mut vocab)
-            .map_err(|e| EngineError::BadRequest(format!("abox: {e}")))
     }
 
     /// Evaluates a query under its plan's circuit breaker and renders
@@ -999,13 +933,7 @@ impl ServeSession {
         let (answers, cert, stats) = if view.is_none() && !views_on {
             // Maintenance disabled: one engine call over the shared
             // snapshot (absorbs its own stats).
-            let opts = Options {
-                budget: *budget,
-                certify: want_cert.then_some(Certify {
-                    vocab: &self.shared.vocab,
-                    snapshot: Some(position),
-                }),
-            };
+            let opts = self.options(*budget, want_cert, Some(position));
             let answered = engine.answer(plan, Input::One(store.store()), &opts)?;
             (answered.answers, answered.certificate, answered.stats)
         } else {
@@ -1079,7 +1007,10 @@ impl ServeSession {
 
     /// Renders the answer part of an `"ok"` query response: `"answers"`
     /// for one ABox or `"batches"` for a batch, then the certificate.
+    /// Constants are named through the request's table.
     fn payload(&self, answers: &[Vec<Term>], batch: bool, cert: Option<&str>) -> String {
+        let vocab = lock_recover(&self.shared.vocab);
+        let names = Names(&vocab, &self.consts);
         let mut out = String::new();
         if batch {
             out.push_str("\"batches\": [");
@@ -1087,12 +1018,12 @@ impl ServeSession {
                 if i > 0 {
                     out.push_str(", ");
                 }
-                self.write_answers(&mut out, answers);
+                write_answers(&mut out, &names, answers);
             }
             out.push(']');
         } else {
             out.push_str("\"answers\": ");
-            self.write_answers(&mut out, &answers[0]);
+            write_answers(&mut out, &names, &answers[0]);
         }
         if let Some(cert) = cert {
             out.push_str(", \"certificate\": ");
@@ -1221,26 +1152,16 @@ impl ServeSession {
             .ok_or_else(|| EngineError::BadRequest("missing string field \"abox\"".into()))?;
         // Parse and symbolize under the vocab lock; the symbolic copy is
         // what the WAL journals (names survive constant-table shifts).
-        let (facts, syms, const_floor) = {
+        let (facts, syms) = {
             let mut vocab = lock_recover(&self.shared.vocab);
             let d = gomq_core::parse::parse_facts(text, &mut vocab)
                 .map_err(|e| EngineError::BadRequest(format!("abox: {e}")))?;
             let facts: Vec<Fact> = d.iter().map(|f| f.to_fact()).collect();
-            let syms: Vec<SymFact> = facts
-                .iter()
-                .map(|f| crate::session::sym_fact(&vocab, f.rel, &f.args))
-                .collect();
-            (facts, syms, vocab.const_mark())
+            let sym = |f: &Fact| crate::session::sym_fact(&vocab, f.rel, &f.args);
+            let syms = facts.iter().map(sym).collect::<Vec<_>>();
+            (facts, syms)
         };
-        // Session constants are durable: scope_exit must never truncate
-        // names the session store still references.
-        self.shared.keep_consts(const_floor);
-        let (info, snapshotted) = {
-            let mut session = lock_recover(&self.shared.session);
-            let info = session.assert(syms, &facts)?;
-            let snapshotted = self.shared.finish_mutation(&mut session, &info);
-            (info, snapshotted)
-        };
+        let ((), info, snapshotted) = self.mutate(|s| Ok(((), s.assert(syms, &facts)?)))?;
         let mut out = self.mutation_head(id, "assert");
         let _ = write!(
             out,
@@ -1256,12 +1177,7 @@ impl ServeSession {
         if let Some(refusal) = self.refuse_write(id, "mark") {
             return Ok(refusal);
         }
-        let (mark, info, snapshotted) = {
-            let mut session = lock_recover(&self.shared.session);
-            let (mark, info) = session.mark()?;
-            let snapshotted = self.shared.finish_mutation(&mut session, &info);
-            (mark, info, snapshotted)
-        };
+        let (mark, info, snapshotted) = self.mutate(DurableSession::mark)?;
         let mut out = self.mutation_head(id, "mark");
         let _ = write!(
             out,
@@ -1289,12 +1205,7 @@ impl ServeSession {
                 ))
             }
         };
-        let (info, snapshotted) = {
-            let mut session = lock_recover(&self.shared.session);
-            let info = session.rollback(mark)?;
-            let snapshotted = self.shared.finish_mutation(&mut session, &info);
-            (info, snapshotted)
-        };
+        let ((), info, snapshotted) = self.mutate(|s| Ok(((), s.rollback(mark)?)))?;
         let mut out = self.mutation_head(id, "rollback");
         let _ = write!(
             out,
@@ -1305,6 +1216,19 @@ impl ServeSession {
         Ok(out)
     }
 
+    /// Applies one session mutation under the session lock and accounts
+    /// it ([`ServeShared::finish_mutation`]): what `apply` returned, its
+    /// info, and whether a snapshot was cut.
+    fn mutate<T>(
+        &self,
+        apply: impl FnOnce(&mut DurableSession) -> Result<(T, MutationInfo), SessionError>,
+    ) -> Result<(T, MutationInfo, bool), EngineError> {
+        let mut session = lock_recover(&self.shared.session);
+        let (out, info) = apply(&mut session)?;
+        let snapshotted = self.shared.finish_mutation(&mut session, &info);
+        Ok((out, info, snapshotted))
+    }
+
     /// The common `{"id": ..., "status": "ok", "op": ..., ` response
     /// prefix of session mutations and the stats op.
     fn mutation_head(&self, id: Option<&str>, op: &str) -> String {
@@ -1312,25 +1236,21 @@ impl ServeSession {
         let _ = write!(out, "\"status\": \"ok\", \"op\": \"{op}\", ");
         out
     }
+}
 
-    /// Renders one answer list as an array of one-term tuples, in the
-    /// list's (ascending term) order.
-    fn write_answers(&self, out: &mut String, answers: &[Term]) {
-        let vocab = lock_recover(&self.shared.vocab);
-        out.push('[');
-        for (i, t) in answers.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            out.push('[');
-            match t {
-                Term::Const(c) => json::write_str(out, vocab.const_name(*c)),
-                Term::Null(_) => json::write_str(out, &t.display(&vocab).to_string()),
-            }
-            out.push(']');
+/// Renders one answer list as an array of one-term tuples, in the list's
+/// (ascending term) order.
+fn write_answers(out: &mut String, names: &Names<'_>, answers: &[Term]) {
+    out.push('[');
+    for (i, &t) in answers.iter().enumerate() {
+        if i > 0 {
+            out.push_str(", ");
         }
+        out.push('[');
+        names.write_term(out, t);
         out.push(']');
     }
+    out.push(']');
 }
 
 /// One framed read from the request stream.
@@ -2007,13 +1927,18 @@ mod tests {
             r#"{"ontology": "X sub all worksOn.Y\nY sub Z", "query": "Z", "abox": "worksOn(a, b)\nX(a)"}"#,
         );
         ok_field(&resp, r#""answers": [["b"]]"#);
-        // Known names keep their arity check.
-        let resp =
-            s.handle_line(r#"{"ontology": "X sub Y", "query": "Y", "abox": "worksOn(ada)"}"#);
+        // Names of the plan's signature keep their arity check; others
+        // are dropped whatever arity an earlier ontology gave them.
+        let resp = s.handle_line(
+            r#"{"ontology": "X sub all worksOn.Y", "query": "Y", "abox": "worksOn(ada)"}"#,
+        );
         ok_field(
             &resp,
             "bad request: abox: line 1: relation `worksOn` used with arity 1",
         );
+        let resp =
+            s.handle_line(r#"{"ontology": "X sub Y", "query": "Y", "abox": "worksOn(ada)"}"#);
+        ok_field(&resp, r#""answers": []"#);
         // Session asserts still intern: the session store outlives any
         // one ontology.
         s.handle_line(r#"{"op": "assert", "abox": "hired(ada)"}"#);
@@ -2036,6 +1961,18 @@ mod tests {
         // Session constants are durable and count.
         s.handle_line(r#"{"op": "assert", "abox": "A(kept)"}"#);
         assert_eq!(gauge(&s), floor + 1);
+    }
+
+    #[test]
+    fn abox_parsing_does_not_depend_on_server_history() {
+        // `R` is outside the plan's signature: the fact is dropped, on a
+        // fresh server and after another ontology declared `R` a role.
+        let line = r#"{"ontology": "A sub B", "query": "B", "abox": "A(a)\nR(a)"}"#;
+        let mut s = ServeSession::with_threads(1);
+        ok_field(&s.handle_line(line), r#""answers": [["a"]]"#);
+        let other = r#"{"ontology": "X sub ex R.Y", "query": "Y", "abox": "X(q)"}"#;
+        ok_field(&s.handle_line(other), r#""answers": []"#);
+        ok_field(&s.handle_line(line), r#""answers": [["a"]]"#);
     }
 
     #[test]
@@ -2270,7 +2207,7 @@ mod tests {
     fn session_constants_survive_scope_rollback() {
         let mut s = ServeSession::with_threads(1);
         s.handle_line(r#"{"op": "assert", "abox": "Manager(ada)"}"#);
-        // Plain per-request ABoxes still roll their constants back...
+        // Plain per-request ABoxes keep their constants to themselves...
         for i in 0..50 {
             s.handle_line(&format!(
                 r#"{{"ontology": "A sub B", "query": "B", "abox": "A(tmp{i})"}}"#

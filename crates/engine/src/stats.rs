@@ -198,9 +198,10 @@ counters! {
     /// once the OMQs in use have been compiled.
     VocabRelations = "vocab_relations",
     /// Constants interned in the serving vocabulary (gauge, read from
-    /// the vocabulary). A request's ABox constants are rolled back once
-    /// no request is in flight, so between requests the gauge counts
-    /// only the constants of the ontologies, queries and session facts.
+    /// the vocabulary). A request's ABox constants live in the
+    /// request's own table and never enter the vocabulary, so the gauge
+    /// counts only the durable names: those of the ontologies, queries
+    /// and session facts.
     VocabConstants = "vocab_constants",
     /// Plan-cache hits served by the text memo: the request's exact
     /// ontology and query texts were planned before, so the ontology was

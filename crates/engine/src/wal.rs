@@ -21,8 +21,8 @@
 //! re-interns by name in journal order, so the rebuilt session store
 //! assigns the same [`gomq_core::FactId`]s and renders the same answer
 //! strings as the pre-crash session, even though the vocabulary's
-//! internal id assignment may differ (per-request constants interned and
-//! rolled back between mutations shift ids but never names).
+//! internal id assignment may differ (names interned by ontologies and
+//! queries between mutations shift ids but never names).
 //!
 //! Fault seams: [`faults::WAL_WRITE`] (short write / write error) and
 //! [`faults::WAL_FSYNC`] (fsync error) — see [`gomq_core::faults`]. An

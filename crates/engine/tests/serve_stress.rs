@@ -263,3 +263,127 @@ fn adversarial_stream_is_fully_survivable() {
     assert!(stats[Counter::Overloaded] >= 1, "stats: {stats:?}");
     assert!(stats[Counter::CacheSize] <= 2, "stats: {stats:?}");
 }
+
+/// SplitMix64: every run draws the same requests.
+fn splitmix(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
+
+/// Request lines whose ABoxes share the constants `x`, `y`, `z` and
+/// `w`, named in every order, over two OMQs: single ABoxes, batches,
+/// certified ABoxes, and `y`-before-`x` texts padded with filler facts
+/// so they stay in flight while shorter requests run.
+fn overlapping_lines(seed: u64) -> Vec<String> {
+    const OMQS: [(&str, &str); 2] = [("A sub B", "B"), ("A sub B\\nex R.B sub D", "D")];
+    const NAMES: [&str; 4] = ["x", "y", "z", "w"];
+    let mut rng = seed;
+    let abox = |rng: &mut u64| {
+        let facts = 1 + splitmix(rng) % 6;
+        (0..facts)
+            .map(|_| {
+                let a = NAMES[splitmix(rng) as usize % 4];
+                let b = NAMES[splitmix(rng) as usize % 4];
+                match splitmix(rng) % 3 {
+                    0 => format!("R({a}, {b})"),
+                    1 => format!("B({a})"),
+                    _ => format!("A({a})"),
+                }
+            })
+            .collect::<Vec<_>>()
+            .join("\\n")
+    };
+    let mut lines: Vec<String> = (0..40)
+        .map(|i| {
+            let (ontology, query) = OMQS[i % 2];
+            let facts = match i % 5 {
+                0 => format!(r#""aboxes": ["{}", "{}"]"#, abox(&mut rng), abox(&mut rng)),
+                1 => format!(r#""abox": "{}", "certificate": true"#, abox(&mut rng)),
+                _ => format!(r#""abox": "{}""#, abox(&mut rng)),
+            };
+            format!(r#"{{"ontology": "{ontology}", "query": "{query}", {facts}}}"#)
+        })
+        .collect();
+    for (ontology, query) in OMQS {
+        let fillers: String = (0..300).map(|i| format!("\\nA(f{i})")).collect();
+        lines.push(format!(
+            r#"{{"ontology": "{ontology}", "query": "{query}", "abox": "A(y){fillers}\nR(x, y)\nA(x)"}}"#
+        ));
+        lines.push(format!(
+            r#"{{"ontology": "{ontology}", "query": "{query}", "abox": "A(x)\nA(y)"}}"#
+        ));
+    }
+    lines
+}
+
+/// The response with the fields that depend on history or timing by
+/// design masked.
+fn masked(response: &str) -> String {
+    let mut out = response.to_owned();
+    for field in [
+        "\"cached\": ",
+        "\"cache_hit\": ",
+        "\"compile_us\": ",
+        "\"eval_us\": ",
+    ] {
+        if let Some(at) = out.find(field) {
+            let from = at + field.len();
+            let to = from + out[from..].find([',', '}']).expect("a value");
+            out.replace_range(from..to, "_");
+        }
+    }
+    out
+}
+
+/// Concurrent requests over overlapping constants answer exactly as a
+/// fresh session answers each line alone: a request's constants are its
+/// own, so neither the order of its answers nor its certificate depends
+/// on the requests served beside it.
+#[test]
+fn concurrent_requests_answer_like_fresh_sessions() {
+    const THREADS: usize = 4;
+    const ITERS: usize = 150;
+    let lines = overlapping_lines(7);
+    let fresh: Vec<String> = lines
+        .iter()
+        .map(|line| {
+            let resp = ServeSession::with_threads(1).handle_line(line);
+            assert!(resp.contains("\"status\": \"ok\""), "{line}: {resp}");
+            masked(&resp)
+        })
+        .collect();
+    let shared = Arc::new(ServeShared::with_config(ServeConfig {
+        threads: 1,
+        ..ServeConfig::default()
+    }));
+    thread::scope(|scope| {
+        for t in 0..THREADS {
+            let (shared, lines, fresh) = (Arc::clone(&shared), &lines, &fresh);
+            scope.spawn(move || {
+                let mut session = ServeSession::with_shared(shared);
+                let mut rng = t as u64;
+                for _ in 0..ITERS {
+                    // Every other request is one of the four
+                    // `x`/`y`-ordered lines at the end of the pool.
+                    let pick = splitmix(&mut rng) as usize;
+                    let i = match pick % 2 {
+                        0 => lines.len() - 1 - pick / 2 % 4,
+                        _ => pick / 2 % lines.len(),
+                    };
+                    let got = masked(&session.handle_line(&lines[i]));
+                    assert_eq!(got, fresh[i], "thread {t}, line {}", lines[i]);
+                }
+            });
+        }
+    });
+    let stats = shared.stats();
+    assert_eq!(stats[Counter::Panics], 0);
+    assert_eq!(
+        stats[Counter::VocabConstants],
+        0,
+        "request constants stayed out"
+    );
+}

@@ -250,11 +250,34 @@ if [ "$refuse_errors" != 2 ] || [ "$#" -ne 2 ] || [ "$1" != "$2" ] \
     echo "answer on a fresh server: $refuse_fresh" >&2
     exit 1
 fi
+# An accepted ontology that declares `R` a role does not change how an
+# ABox of another plan parses: its fact over `R`, outside that plan's
+# signature, is dropped as on a fresh server.
+sig_line='{"ontology": "A sub B", "query": "B", "abox": "A(a)\nR(a)"}'
+sig_fresh="$(printf '%s\n' "$sig_line" | target/release/gomq-serve 2>/dev/null \
+    | sed 's/"[a-z_]*_us": [0-9]*/"_us": 0/g')"
+sig_last="$(printf '%s\n' \
+    '{"ontology": "X sub ex R.Y", "query": "Y", "abox": "X(q)"}' \
+    "$sig_line" \
+    | target/release/gomq-serve 2>/dev/null | tail -n 1 | sed 's/"[a-z_]*_us": [0-9]*/"_us": 0/g')"
+case "$sig_fresh" in
+    *'"answers": [["a"]]'*) ;;
+    *)
+        echo "signature smoke: a fresh server answered $sig_fresh" >&2
+        exit 1
+        ;;
+esac
+if [ "$sig_last" != "$sig_fresh" ]; then
+    echo "signature smoke: after another ontology declared R a role: $sig_last" >&2
+    echo "answer on a fresh server: $sig_fresh" >&2
+    exit 1
+fi
 
-# Constant-rollback smoke: 200 request ABoxes over one OMQ, each with
+# Request-constant smoke: 200 request ABoxes over one OMQ, each with
 # its own constants, and a stats op before them, after 100 and after
-# 200. A request's constants are rolled back when it ends, so the
-# vocab_constants gauge reads the same all three times.
+# 200. A request's constants live in its own table and never enter the
+# vocabulary, so the vocab_constants gauge stays flat: it reads the
+# same all three times.
 const_aboxes() {
     awk -v from="$1" -v to="$2" 'BEGIN {
         for (i = from; i < to; i++) {
@@ -263,7 +286,7 @@ const_aboxes() {
         }
     }'
 }
-echo "==> gomq-serve constant-rollback smoke (stdin, release)"
+echo "==> gomq-serve request-constant smoke (stdin, release)"
 const_out="$( { echo '{"op": "stats"}'; const_aboxes 0 100; echo '{"op": "stats"}'
     const_aboxes 100 200; echo '{"op": "stats"}'; } \
     | target/release/gomq-serve 2>/dev/null)"
