@@ -22,7 +22,7 @@ use gomq_bench::cycle_instance;
 use gomq_core::{FactStore, Instance, RelId, Vocab};
 use gomq_dl::parser::parse_ontology;
 use gomq_dl::translate::to_gf;
-use gomq_engine::{Engine, Input, Options};
+use gomq_engine::{Budget, Engine, Input};
 use gomq_logic::GfOntology;
 use gomq_rewriting::emit::emit_datalog;
 use gomq_rewriting::ElementTypeSystem;
@@ -76,7 +76,7 @@ fn bench(c: &mut Criterion) {
                 let plan = plan.expect("supported");
                 let stores: Vec<FactStore> = aboxes.iter().map(|d| d.store().clone()).collect();
                 let answered = engine
-                    .answer(&plan, Input::Batch(&stores), &Options::default())
+                    .answer(&plan, Input::Batch(&stores), &Budget::UNLIMITED)
                     .expect("unlimited");
                 std::hint::black_box(answered.answers.len())
             })

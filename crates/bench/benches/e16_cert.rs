@@ -9,10 +9,11 @@
 //!
 //! * `plain`: `Engine::answer` — the plan's type kernel (the
 //!   no-certificate baseline).
-//! * `certified`: `Engine::answer` with a certificate request — on-demand
-//!   indexing, the traced fixpoint of the plan's Datalog≠ program plus
-//!   certificate assembly; the certificate JSON's length
-//!   is black-boxed so assembly cannot be optimized away.
+//! * `certified`: what the server runs for a certified one-shot query —
+//!   the ABox indexed, a recording materialization of the plan's
+//!   Datalog≠ program built over it, and the certificate cut from that
+//!   view ([`gomq_engine::certify`]); the certificate JSON's length is
+//!   black-boxed so assembly cannot be optimized away.
 //! * `verified`: certified plus a standalone `gomq_cert::verify` per
 //!   response — what a client that trusts nothing pays end to end.
 //!
@@ -22,12 +23,11 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use gomq_bench::cycle_instance;
 use gomq_core::{Fact, IndexedInstance, RelId, Term, Vocab};
-use gomq_datalog::Budget;
+use gomq_datalog::{Budget, Materialization};
 use gomq_dl::parser::parse_ontology;
 use gomq_dl::translate::to_gf;
-use gomq_engine::{Certify, Engine, Input, Options};
+use gomq_engine::{certify, Engine, Input};
 use gomq_logic::GfOntology;
-use std::sync::Mutex;
 
 fn odd_cycle_dl(vocab: &mut Vocab) -> (GfOntology, RelId, RelId) {
     let text = "A6 and ex R6.A6 sub E6\n\
@@ -60,10 +60,7 @@ fn stream(a: usize, q: usize, blocks: usize) -> Vec<Op> {
 /// How each query of the stream is answered.
 enum Mode<'a> {
     Plain,
-    Certified {
-        vocab: &'a Mutex<Vocab>,
-        verify: bool,
-    },
+    Certified { vocab: &'a Vocab, verify: bool },
 }
 
 /// Drives one stream; returns per-query answers and total cert bytes.
@@ -89,32 +86,22 @@ fn run(
             }
             Op::Query => match mode {
                 Mode::Plain => {
-                    let opts = Options {
-                        budget,
-                        certify: None,
-                    };
                     let mut a = engine
-                        .answer(plan, Input::One(store.store()), &opts)
+                        .answer(plan, Input::One(store.store()), &budget)
                         .expect("unlimited");
                     answers.push(a.answers.remove(0));
                 }
                 Mode::Certified { vocab, verify } => {
-                    let opts = Options {
-                        budget,
-                        certify: Some(Certify {
-                            vocab,
-                            snapshot: None,
-                        }),
-                    };
-                    let mut a = engine
-                        .answer(plan, Input::One(store.store()), &opts)
+                    let abox = IndexedInstance::from_store(store.store().clone());
+                    let (rules, goal) = (&plan.program.rules, plan.program.goal);
+                    let (view, _) = Materialization::build_recording(rules, goal, &abox, &budget)
                         .expect("unlimited");
-                    let cert = a.certificate.expect("certificate requested");
+                    let cert = certify(vocab, &view, None).expect("certificate assembles");
                     cert_bytes += cert.len();
                     if *verify {
                         gomq_cert::verify(&cert).expect("certificate verifies");
                     }
-                    answers.push(a.answers.remove(0));
+                    answers.push(view.answers().into_iter().flatten().collect());
                 }
             },
         }
@@ -155,21 +142,18 @@ fn bench(c: &mut Criterion) {
                 Fact::consts(r, &[from, to])
             })
             .collect();
-        // Certificate assembly reads the vocab behind the serving tier's
-        // mutex; constants are interned above, outside the measured
-        // region, so the lock is uncontended here exactly as in a
-        // single-connection serving session.
-        let vocab = Mutex::new(std::mem::take(&mut v));
+        // Constants are interned above, outside the measured region.
+        let vocab = &v;
 
         for &(label, a, q, blocks) in ratios {
             let ops = stream(a, q, blocks);
             let (plain, _) = run(&engine, &plan, &base, &ops, &fresh, &Mode::Plain);
             let certified_mode = Mode::Certified {
-                vocab: &vocab,
+                vocab,
                 verify: false,
             };
             let verified_mode = Mode::Certified {
-                vocab: &vocab,
+                vocab,
                 verify: true,
             };
             let (certified, bytes) = run(&engine, &plan, &base, &ops, &fresh, &certified_mode);
@@ -202,7 +186,6 @@ fn bench(c: &mut Criterion) {
                 })
             });
         }
-        v = vocab.into_inner().expect("unpoisoned");
     }
     group.finish();
 }

@@ -620,9 +620,12 @@ where
 /// This is the *reference* traced evaluation: sequential semi-naive
 /// with no stratification. Program bodies contain only positive atoms
 /// and inequalities, so the flat fixpoint is answer-equivalent to the
-/// stratified parallel executor; the certificate path trades its speed
-/// for a derivation order that is trivially topological. `base` must be
-/// a plain (all-live) instance.
+/// stratified parallel executor, and its derivation order is trivially
+/// topological. A certificate cut from a fresh recording
+/// [`crate::Materialization`] over the same base records the same
+/// derivations in the same order, which is what makes this the
+/// reference the serving path's certificates are pinned to. `base` must
+/// be a plain (all-live) instance.
 pub fn fixpoint_traced(
     rules: &[Rule],
     base: &IndexedInstance,

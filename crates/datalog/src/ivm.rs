@@ -5,10 +5,12 @@
 //! recomputing it per query:
 //!
 //! * **Insertions** ([`Materialization::sync`]) are propagated
-//!   semi-naively: the new base facts form an id-set delta
-//!   ([`gomq_core::IdSetView`]) and [`derive_round`] runs restricted to
-//!   it, so the cost is proportional to the consequences of the *changed*
-//!   facts, not to the instance.
+//!   semi-naively: the new base facts form the delta — read in place
+//!   as an id range ([`gomq_core::DeltaView`]) when they are exactly the
+//!   facts past some id, as in every round of a fresh build, else as an
+//!   id set ([`gomq_core::IdSetView`]) — and [`derive_round`] runs
+//!   restricted to it, so the cost is proportional to the consequences
+//!   of the *changed* facts, not to the instance.
 //! * **Retractions** ([`Materialization::rollback`]) run
 //!   delete-rederive (DRed): first every fact with any derivation
 //!   through a doomed fact is *overcounted* out (support set to 0 — the
@@ -34,7 +36,7 @@ use crate::eval::{
     Derivation, EvalStats, TracedBuf,
 };
 use crate::program::Rule;
-use gomq_core::{FactBuf, FactId, IdSetView, IndexedInstance, RelId, Term};
+use gomq_core::{DeltaView, FactBuf, FactId, FactLookup, IdSetView, IndexedInstance, RelId, Term};
 use std::collections::{BTreeSet, HashSet};
 
 /// A maintained fixpoint of one rule set over a base instance.
@@ -374,9 +376,9 @@ impl Materialization {
         Ok(stats)
     }
 
-    /// Semi-naive insertion propagation from an explicit id-set
-    /// frontier: each round restricts [`derive_round`] to the facts
-    /// added or revived by the previous one.
+    /// Semi-naive insertion propagation from an explicit frontier of
+    /// ids: each round restricts [`derive_round`] to the facts added or
+    /// revived by the previous one.
     fn propagate(
         &mut self,
         mut frontier: Vec<u32>,
@@ -391,13 +393,19 @@ impl Materialization {
             stats.rounds = stats.rounds.saturating_add(1);
             staged.clear();
             traced.clear();
-            {
+            frontier.sort_unstable();
+            frontier.dedup();
+            let first = frontier[0];
+            // A frontier that is exactly the id range past its first id
+            // (every round of a fresh build, a sync that interned only new
+            // facts) is read in place; any other is indexed as a set. Both
+            // views yield the same ids in the same order.
+            if frontier.len() == self.total.len() - first as usize {
+                let delta = DeltaView::new(&self.total, first);
+                self.stage_round(&delta, &mut staged, &mut traced);
+            } else {
                 let delta = IdSetView::new(&self.total, &frontier);
-                if self.record {
-                    derive_round_traced(&self.rules, &self.total, &delta, &mut traced);
-                } else {
-                    derive_round(&self.rules, &self.total, &delta, &mut staged);
-                }
+                self.stage_round(&delta, &mut staged, &mut traced);
             }
             frontier.clear();
             let count = if self.record {
@@ -436,10 +444,18 @@ impl Materialization {
                     }
                 }
             }
-            frontier.sort_unstable();
-            frontier.dedup();
         }
         Ok(())
+    }
+
+    /// One semi-naive round of the maintained rules restricted to
+    /// `delta`, staged into `traced` when recording, else `staged`.
+    fn stage_round<D: FactLookup>(&self, delta: &D, staged: &mut FactBuf, traced: &mut TracedBuf) {
+        if self.record {
+            derive_round_traced(&self.rules, &self.total, delta, traced);
+        } else {
+            derive_round(&self.rules, &self.total, delta, staged);
+        }
     }
 }
 

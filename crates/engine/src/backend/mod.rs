@@ -8,8 +8,8 @@
 //! * [`native`] — the in-process semi-naive fixpoint engine (indexed,
 //!   parallel, budgeted). Runs every plan, recursive or not. It is not
 //!   the served answer path: uncertified answers come from the plan's
-//!   type kernel, certified ones from `gomq_datalog::fixpoint_traced`,
-//!   and session reads from maintained views.
+//!   type kernel, and certificates and maintained session reads from
+//!   materializations of the rewriting (`gomq_datalog::Materialization`).
 //! * [`sql`] — executes the portable SQL emitted by
 //!   `gomq_rewriting::emit_sql` against the zero-dependency
 //!   `gomq-sqlexec` table model: the oracle `tests/sql_crosscheck.rs`

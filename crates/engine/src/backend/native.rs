@@ -15,14 +15,14 @@
 //!    each round ([`std::thread::scope`] — no external dependencies),
 //!    merging the per-worker derivations into the next delta.
 //!
-//! [`eval_program`] is answer-equivalent to [`Program::eval`]; the
+//! [`eval_strata`] is answer-equivalent to [`Program::eval`](gomq_datalog::Program::eval); the
 //! property tests in `tests/engine_props.rs` check exactly that, and
 //! `tests/sql_crosscheck.rs` checks it against the SQL backend.
 
-use gomq_core::{DeltaView, FactBuf, IndexedInstance, Instance, RelId, Term};
+use gomq_core::{DeltaView, FactBuf, IndexedInstance, RelId, Term};
 use gomq_datalog::eval::EvalStats;
 use gomq_datalog::ir::{PlanIr, StratumIr};
-use gomq_datalog::{derive_round, Budget, BudgetExceeded, Program, Rule};
+use gomq_datalog::{derive_round, Budget, BudgetExceeded, Rule};
 use std::collections::BTreeSet;
 
 /// Backward-compatible name for the shared [`PlanIr`]: the native
@@ -133,7 +133,7 @@ pub type EvalOutcome = (BTreeSet<Vec<Term>>, EvalStats);
 /// Evaluates `strata` (from `program`) over an indexed instance with up
 /// to `threads` workers; returns the goal tuples and statistics.
 ///
-/// Answer-equivalent to [`Program::eval`] on the corresponding plain
+/// Answer-equivalent to [`Program::eval`](gomq_datalog::Program::eval) on the corresponding plain
 /// instance.
 pub fn eval_strata(
     strata: &PlanIr,
@@ -168,31 +168,10 @@ pub fn eval_strata_budgeted(
     Ok((answers, stats))
 }
 
-/// Stratifies and evaluates `program` in one call (plan-less entry
-/// point; `gomq-engine` plans cache the [`PlanIr`] instead).
-pub fn eval_program(
-    program: &Program,
-    d: &IndexedInstance,
-    threads: usize,
-) -> (BTreeSet<Vec<Term>>, EvalStats) {
-    eval_strata(&PlanIr::of(program), program.goal, d, threads)
-}
-
 /// Evaluates one stratified plan against many instances concurrently
-/// (one instance per worker, work-stealing via an atomic cursor).
-pub fn eval_batch(
-    strata: &PlanIr,
-    goal: RelId,
-    aboxes: &[IndexedInstance],
-    threads: usize,
-) -> Vec<EvalOutcome> {
-    eval_batch_budgeted(strata, goal, aboxes, threads, &Budget::UNLIMITED)
-        .expect("the unlimited budget cannot be exceeded")
-}
-
-/// [`eval_batch`] under a cooperative [`Budget`]. Round and
-/// derived-fact fuel apply *per ABox*; the deadline is shared wall
-/// clock. The first exhausted ABox fails the whole batch (remaining
+/// (one instance per worker, work-stealing via an atomic cursor) under
+/// a cooperative [`Budget`]. Round and derived-fact fuel apply *per
+/// ABox*; the deadline is shared wall clock. The first exhausted ABox fails the whole batch (remaining
 /// workers drain quickly: each checks the budget between rounds).
 pub fn eval_batch_budgeted(
     strata: &PlanIr,
@@ -255,21 +234,11 @@ pub(crate) fn par_map<T: Sync, R: Send>(
         .collect()
 }
 
-/// Convenience: index a plain instance and evaluate (used by tests and
-/// by callers that hold plain [`Instance`]s).
-pub fn eval_plain(
-    program: &Program,
-    d: &Instance,
-    threads: usize,
-) -> (BTreeSet<Vec<Term>>, EvalStats) {
-    eval_program(program, &IndexedInstance::from_interpretation(d), threads)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gomq_core::{Fact, Vocab};
-    use gomq_datalog::{DAtom, DTerm, Literal};
+    use gomq_core::{Fact, Instance, Vocab};
+    use gomq_datalog::{DAtom, DTerm, Literal, Program};
 
     fn tc_program(v: &mut Vocab) -> Program {
         let e = v.rel("E", 2);
@@ -343,7 +312,8 @@ mod tests {
         let d = cycle(&mut v, 7);
         let expected = p.eval(&d);
         for threads in [1, 4] {
-            let (got, stats) = eval_plain(&p, &d, threads);
+            let d = IndexedInstance::from_interpretation(&d);
+            let (got, stats) = eval_strata(&Strata::of(&p), p.goal, &d, threads);
             assert_eq!(got, expected, "threads = {threads}");
             assert!(stats.rounds >= 3);
         }
@@ -358,7 +328,7 @@ mod tests {
         let aboxes: Vec<IndexedInstance> = (3..9)
             .map(|n| IndexedInstance::from_interpretation(&cycle(&mut v, n)))
             .collect();
-        let batch = eval_batch(&strata, p.goal, &aboxes, 4);
+        let batch = eval_batch_budgeted(&strata, p.goal, &aboxes, 4, &Budget::UNLIMITED).unwrap();
         assert_eq!(batch.len(), aboxes.len());
         for (i, d) in aboxes.iter().enumerate() {
             let (individual, _) = eval_strata(&strata, p.goal, d, 1);
@@ -375,7 +345,8 @@ mod tests {
         let mut d = Instance::new();
         d.insert(Fact::consts(g, &[a]));
         // Goal facts already in the EDB are answers, as in Program::eval.
-        let (ans, _) = eval_plain(&p, &d, 2);
+        let indexed = IndexedInstance::from_interpretation(&d);
+        let (ans, _) = eval_strata(&Strata::of(&p), g, &indexed, 2);
         assert_eq!(ans, p.eval(&d));
         assert_eq!(ans.len(), 1);
     }

@@ -1,8 +1,8 @@
 //! The SQL backend: executing a plan's emitted SQL in-process.
 //!
-//! `OmqPlan::compile` eagerly lowers every non-recursive plan to
-//! portable SQL text (`gomq_rewriting::emit_sql`); this module runs
-//! that text against the request's ABox using the dependency-free
+//! `gomq_rewriting::emit_sql` lowers a non-recursive plan's strata to
+//! portable SQL text on demand; this module runs that text against an
+//! ABox using the dependency-free
 //! `gomq-sqlexec` reference executor. The pipeline is deliberately
 //! different from the native fixpoint at every layer — emitted text
 //! instead of rule structs, string tables instead of interned term
@@ -10,9 +10,10 @@
 //! which is exactly what makes the native ≡ SQL cross-check in
 //! `tests/sql_crosscheck.rs` meaningful.
 //!
-//! Recursive plans never reach this module: they carry a typed
-//! [`SqlEmitError::Recursive`](gomq_rewriting::SqlEmitError) instead
-//! of SQL text, so the SQL path refuses rather than under-approximates.
+//! Recursive plans never reach this module: their emission yields a
+//! typed [`SqlEmitError::Recursive`](gomq_rewriting::SqlEmitError)
+//! instead of SQL text, so the SQL path refuses rather than
+//! under-approximates.
 
 use crate::plan::EngineError;
 use gomq_core::{IndexedInstance, Term, Vocab};
@@ -110,10 +111,10 @@ mod tests {
         let o = to_gf(&dl);
         let c = v.find_rel("C").unwrap();
         let plan = OmqPlan::compile(&o, c, &mut v).unwrap();
-        let sql = plan.sql.as_ref().expect("hierarchy plans are acyclic");
+        let sql = gomq_rewriting::emit_sql(&plan.strata, &v).expect("hierarchy plans are acyclic");
         let abox = parse_instance("A(x)\nC(y)\n", &mut v).unwrap();
         let indexed = IndexedInstance::from_interpretation(&abox);
-        let got = eval_sql_budgeted(sql, &indexed, &v, &Budget::UNLIMITED).unwrap();
+        let got = eval_sql_budgeted(&sql, &indexed, &v, &Budget::UNLIMITED).unwrap();
         let (native, _) =
             crate::backend::native::eval_strata(&plan.strata, plan.program.goal, &indexed, 1);
         assert_eq!(got, native);
@@ -127,7 +128,7 @@ mod tests {
         let o = to_gf(&dl);
         let b = v.find_rel("B").unwrap();
         let plan = OmqPlan::compile(&o, b, &mut v).unwrap();
-        let sql = plan.sql.as_ref().expect("acyclic");
+        let sql = gomq_rewriting::emit_sql(&plan.strata, &v).expect("acyclic");
         let mut text = String::new();
         for i in 0..64 {
             text.push_str(&format!("A(x{i})\n"));
@@ -138,7 +139,7 @@ mod tests {
             max_derived: Some(3),
             ..Budget::UNLIMITED
         };
-        match eval_sql_budgeted(sql, &indexed, &v, &budget) {
+        match eval_sql_budgeted(&sql, &indexed, &v, &budget) {
             Err(EngineError::Overloaded(e)) => assert_eq!(e.limit, LimitKind::Derived),
             other => panic!("expected overloaded, got {other:?}"),
         }

@@ -122,9 +122,11 @@ with optional \"id\", optional \"limits\" ({\"max_rounds\", \"max_derived\",
 \"abox\", a batched \"aboxes\": [\"<facts>\", ...] or \"session\": true to
 query the session store. \"certificate\": true attaches a derivation
 certificate (one ABox or the session, not a batch). Uncertified answers
-come from the plan's type kernel, certified ones from the traced
-Datalog fixpoint and session reads from maintained views (with
---max-views 0, as request ABoxes are); gomq-sql prints the SQL rewriting.
+come from the plan's type kernel, session reads from maintained views
+(with --max-views 0, as request ABoxes are), and every certificate from
+a recording materialization of the plan's Datalog rewriting (built for
+that one answer unless a maintained view serves it); gomq-sql prints
+the SQL rewriting.
 Session mutations: {\"op\": \"assert\", \"abox\": ...}, {\"op\": \"mark\"},
 {\"op\": \"rollback\", \"mark\": N}. One JSON response per line; a blown
 limit answers {\"status\": \"overloaded\", ...}, a quarantined plan

@@ -1,7 +1,7 @@
 //! `gomq-sql`: print the portable SQL rewriting of an OMQ.
 //!
 //! Compiles `(ontology, query)` exactly like the serving engine and
-//! prints the plan's emitted SQL text — one CTE per stratum, portable
+//! prints the SQL emitted from the plan's strata — one CTE per stratum, portable
 //! `WITH`/`UNION`/`NOT EXISTS` dialect — so the certain-answer
 //! rewriting can be carried to any SQL database. The header comments
 //! list the base tables the statement expects (`-- requires table
@@ -26,6 +26,7 @@ use gomq_dl::parser::parse_ontology;
 use gomq_dl::translate::to_gf;
 use gomq_engine::plan::EngineError;
 use gomq_engine::OmqPlan;
+use gomq_rewriting::emit_sql;
 
 const USAGE: &str = "gomq-sql — print the portable SQL rewriting of an OMQ
 
@@ -42,8 +43,8 @@ Usage: gomq-sql --ontology FILE --query REL [--abox FILE] [--execute]
 
 The SQL goes to stdout. A recursive rewriting is refused with
 \"non-rewritable-to-sql\" on stderr and exit status 1; gomq-serve
-still answers such plans (from the type kernel, or the traced fixpoint
-when a certificate is asked for).
+still answers such plans (from the type kernel, or a recording
+materialization of the rewriting when a certificate is asked for).
 ";
 
 fn usage_error(message: &str) -> ! {
@@ -150,7 +151,7 @@ fn main() {
             std::process::exit(1);
         }
     };
-    let sql = match &plan.sql {
+    let sql = match emit_sql(&plan.strata, &vocab) {
         Ok(sql) => sql,
         Err(e) => {
             // The typed refusal: the plan's SqlEmitError itself.
@@ -176,7 +177,7 @@ fn main() {
     };
     let indexed = IndexedInstance::from_interpretation(&abox);
     let answers = match gomq_engine::backend::sql::eval_sql_budgeted(
-        sql,
+        &sql,
         &indexed,
         &vocab,
         &Budget::UNLIMITED,

@@ -17,7 +17,7 @@
 
 use crate::json;
 use gomq_core::{FactId, IndexedInstance, RelId, RequestConsts, Term, Vocab};
-use gomq_datalog::{Derivation, Literal, Rule};
+use gomq_datalog::{Derivation, Literal, Materialization, Rule};
 use std::fmt::Write as _;
 
 /// Everything the emitter needs to know about one answered query,
@@ -90,9 +90,50 @@ pub fn emit_certificate<'d>(
     emit_named(&names, source, is_base, derivation)
 }
 
+/// Cuts the certificate of a recording view's current answers, bound to
+/// the session position `snapshot` (`None` for a self-contained ABox):
+/// the view's base facts are cited as base facts, every other fact by
+/// its recorded witness. Every constant is named by `vocab`. A view that
+/// records no witnesses fails with [`CertifyError::MissingWitness`].
+pub fn certify(
+    vocab: &Vocab,
+    view: &Materialization,
+    snapshot: Option<(u64, u64)>,
+) -> Result<String, CertifyError> {
+    let names = Names(vocab, &RequestConsts::default());
+    cut(&names, view, &view.answer_ids(), snapshot)
+}
+
+/// [`certify`] for the answers `answer_ids` (the view's
+/// [`Materialization::answer_ids`]), naming constants through `names`.
+pub(crate) fn cut(
+    names: &Names<'_>,
+    view: &Materialization,
+    answer_ids: &[u32],
+    snapshot: Option<(u64, u64)>,
+) -> Result<String, CertifyError> {
+    let mut base = vec![false; view.len()];
+    for &id in view.base_fact_ids() {
+        base[id as usize] = true;
+    }
+    let source = CertSource {
+        instance: view.instance(),
+        rules: view.rules(),
+        goal: view.goal(),
+        answer_ids,
+        snapshot,
+    };
+    emit_named(
+        names,
+        &source,
+        |id| base[id as usize],
+        |id| view.derivation(id),
+    )
+}
+
 /// [`emit_certificate`] naming constants through a request's table
 /// ([`RequestConsts::name`]).
-pub(crate) fn emit_named<'d>(
+fn emit_named<'d>(
     names: &Names<'_>,
     source: &CertSource<'_>,
     is_base: impl Fn(u32) -> bool,

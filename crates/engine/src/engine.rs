@@ -4,7 +4,7 @@ use crate::backend::native::par_map;
 use crate::cache::{lock_recover, PlanCache, PlanOutcome};
 use crate::plan::{EngineError, OmqPlan};
 use crate::stats::{nanos, Counter, EngineStats, RequestStats};
-use gomq_core::{FactId, FactStore, IndexedInstance, RelId, RequestConsts, Term, Vocab};
+use gomq_core::{FactId, FactStore, RelId, Term, Vocab};
 use gomq_datalog::Budget;
 use gomq_logic::GfOntology;
 use std::collections::HashMap;
@@ -30,28 +30,6 @@ pub enum Input<'a> {
     Batch(&'a [FactStore]),
 }
 
-/// How [`Engine::answer`] evaluates: the resource budget and, for one
-/// ABox, the certificate request. The default is unlimited and
-/// uncertified.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct Options<'a> {
-    /// The cooperative resource budget (per ABox in a batch).
-    pub budget: Budget,
-    /// Attach a derivation certificate (one ABox only).
-    pub certify: Option<Certify<'a>>,
-}
-
-/// A certificate request: the vocabulary to render the certificate
-/// with and the session position to bind it to.
-#[derive(Clone, Copy, Debug)]
-pub struct Certify<'a> {
-    /// The vocabulary the plan and ABox were interned in.
-    pub vocab: &'a Mutex<Vocab>,
-    /// The session position `(lsn, base)` the ABox snapshots, or `None`
-    /// when the ABox came with the request.
-    pub snapshot: Option<(u64, u64)>,
-}
-
 /// The result of one [`Engine::answer`] call.
 #[derive(Clone, Debug)]
 pub struct Answered {
@@ -59,8 +37,6 @@ pub struct Answered {
     /// is unary (its goal is `_goal/1`), so each answer is one term;
     /// every list is sorted, each answer once.
     pub answers: Vec<Vec<Term>>,
-    /// The derivation certificate, when one was requested.
-    pub certificate: Option<String>,
     /// The request's statistics (summed over a batch).
     pub stats: RequestStats,
 }
@@ -78,10 +54,6 @@ pub(crate) fn goal_answers(store: &FactStore, goal_ids: &[u32]) -> Vec<Term> {
     answers.sort_unstable();
     answers
 }
-
-/// The refusal for a certificate requested over a batch.
-pub(crate) const CERTIFY_BATCH: &str =
-    "\"certificate\": true cannot be combined with \"aboxes\" (certify one ABox per request)";
 
 /// A caching, indexed, parallel OMQ serving engine.
 ///
@@ -250,131 +222,40 @@ impl Engine {
         Ok((outcome, hit, t0.elapsed()))
     }
 
-    /// Answers one plan against one ABox or a batch of ABoxes, under
-    /// the cooperative budget in `opts` (a batch shares its deadline;
-    /// the first blown budget fails the whole batch) and, for one ABox,
-    /// optionally with a derivation certificate. The request's stats
-    /// are folded into the cumulative totals exactly once; a blown
-    /// budget returns [`EngineError::Overloaded`] and counts in
-    /// [`Counter::Overloaded`], leaving the engine fully
-    /// serviceable. A certificate covers one ABox: certify + batch is
-    /// refused as a [`EngineError::BadRequest`].
-    ///
-    /// Uncertified answers come from the plan's type kernel
-    /// ([`gomq_rewriting::ElementTypeSystem::answer`]), which answers
-    /// exactly what the plan's Datalog≠ program would; `rounds` and
-    /// `derived` then count kernel rounds and the `_elim`/`_dom`/`_goal`
-    /// facts the program would derive.
+    /// Answers one plan against one ABox or a batch of ABoxes from the
+    /// plan's type kernel ([`gomq_rewriting::ElementTypeSystem::answer`]),
+    /// which answers exactly what the plan's Datalog≠ program would, under
+    /// the cooperative `budget` (per ABox; a batch shares its deadline
+    /// and the first blown budget fails the whole batch). `rounds` and
+    /// `derived` count kernel rounds and the `_elim`/`_dom`/`_goal` facts
+    /// the program would derive. The request's stats are folded into the
+    /// cumulative totals exactly once; a blown budget returns
+    /// [`EngineError::Overloaded`] and counts in [`Counter::Overloaded`],
+    /// leaving the engine fully serviceable.
     pub fn answer(
         &self,
         plan: &OmqPlan,
         input: Input<'_>,
-        opts: &Options<'_>,
-    ) -> Result<Answered, EngineError> {
-        self.answer_request(plan, input, opts, &RequestConsts::default())
-    }
-
-    /// [`Engine::answer`] over ABoxes that came with a request, whose
-    /// constants outside the vocabulary live in the request's table
-    /// `consts` ([`RequestConsts`]): a certificate names them through it.
-    pub fn answer_request(
-        &self,
-        plan: &OmqPlan,
-        input: Input<'_>,
-        opts: &Options<'_>,
-        consts: &RequestConsts,
-    ) -> Result<Answered, EngineError> {
-        let answered = match (input, &opts.certify) {
-            (Input::One(abox), Some(certify)) => {
-                self.certified_eval(plan, abox, opts, certify, consts)?
-            }
-            (Input::Batch(_), Some(_)) => {
-                return Err(EngineError::BadRequest(CERTIFY_BATCH.into()))
-            }
-            (input, None) => {
-                let t0 = Instant::now();
-                let kernel = |abox: &FactStore| plan.types.answer(abox, plan.query, &opts.budget);
-                let results = match input {
-                    Input::One(abox) => vec![kernel(abox)],
-                    Input::Batch(aboxes) => par_map(aboxes, self.threads, kernel),
-                };
-                let mut stats = RequestStats::default();
-                let mut answers = Vec::with_capacity(results.len());
-                for result in results {
-                    let (ans, es) = result.map_err(|e| self.overloaded(e))?;
-                    stats.rounds += es.rounds;
-                    stats.derived += es.derived;
-                    stats.answers += ans.len();
-                    answers.push(ans);
-                }
-                stats.eval = t0.elapsed();
-                Answered {
-                    answers,
-                    certificate: None,
-                    stats,
-                }
-            }
-        };
-        self.absorb(&answered.stats);
-        Ok(answered)
-    }
-
-    /// The certified branch of [`Engine::answer`]: evaluation runs the
-    /// *traced* flat fixpoint of the plan's Datalog≠ program over the
-    /// ABox, indexed on demand, recording one witness per derived
-    /// fact; the certificate is then assembled by walking the witnesses
-    /// backwards from the goal facts. The vocabulary is locked only
-    /// during certificate rendering, never across evaluation.
-    fn certified_eval(
-        &self,
-        plan: &OmqPlan,
-        abox: &FactStore,
-        opts: &Options<'_>,
-        certify: &Certify<'_>,
-        consts: &RequestConsts,
+        budget: &Budget,
     ) -> Result<Answered, EngineError> {
         let t0 = Instant::now();
-        let abox = IndexedInstance::from_store(abox.clone());
-        let base_len = abox.len() as u32;
-        let (total, derivs, eval_stats) =
-            gomq_datalog::fixpoint_traced(&plan.program.rules, &abox, &opts.budget)
-                .map_err(|e| self.overloaded(e))?;
-        let goal = plan.program.goal;
-        let answer_ids: Vec<u32> = (0..total.len() as u32)
-            .filter(|&i| total.store().rel(FactId(i)) == goal)
-            .collect();
-        let answers = goal_answers(total.store(), &answer_ids);
-        let source = crate::certify::CertSource {
-            instance: &total,
-            rules: &plan.program.rules,
-            goal,
-            answer_ids: &answer_ids,
-            snapshot: certify.snapshot,
+        let kernel = |abox: &FactStore| plan.types.answer(abox, plan.query, budget);
+        let results = match input {
+            Input::One(abox) => vec![kernel(abox)],
+            Input::Batch(aboxes) => par_map(aboxes, self.threads, kernel),
         };
-        let cert = {
-            let vocab = lock_recover(certify.vocab);
-            crate::certify::emit_named(
-                &crate::certify::Names(&vocab, consts),
-                &source,
-                |id| id < base_len,
-                |id| derivs[id as usize].as_ref(),
-            )
-            .map_err(|e| EngineError::Internal(format!("certificate assembly: {e}")))?
-        };
-        let stats = RequestStats {
-            eval: t0.elapsed(),
-            rounds: eval_stats.rounds,
-            derived: eval_stats.derived,
-            answers: answers.len(),
-            store: eval_stats.store,
-            cert_bytes: cert.len(),
-            ..RequestStats::default()
-        };
-        Ok(Answered {
-            answers: vec![answers],
-            certificate: Some(cert),
-            stats,
-        })
+        let mut stats = RequestStats::default();
+        let mut answers = Vec::with_capacity(results.len());
+        for result in results {
+            let (ans, es) = result.map_err(|e| self.overloaded(e))?;
+            stats.rounds += es.rounds;
+            stats.derived += es.derived;
+            stats.answers += ans.len();
+            answers.push(ans);
+        }
+        stats.eval = t0.elapsed();
+        self.absorb(&stats);
+        Ok(Answered { answers, stats })
     }
 
     /// Counts a blown budget and wraps it as [`EngineError::Overloaded`].
@@ -410,8 +291,9 @@ impl Engine {
 
     /// Folds one request's statistics into the cumulative totals. The
     /// serving layer calls it for requests answered outside
-    /// [`Engine::answer`] (session queries served from or building a
-    /// maintained materialization).
+    /// [`Engine::answer`]: those answered from a materialization of the
+    /// plan's rewriting (certified requests, and session queries served
+    /// from or building a maintained view).
     pub fn absorb(&self, r: &RequestStats) {
         self.add(Counter::Requests, 1);
         self.add(Counter::Rounds, r.rounds as u64);
@@ -467,7 +349,7 @@ mod tests {
     /// One unlimited, uncertified answer over one plain ABox.
     fn eval_one(engine: &Engine, plan: &OmqPlan, abox: &Instance) -> (Vec<Term>, RequestStats) {
         let mut answered = engine
-            .answer(plan, Input::One(abox.store()), &Options::default())
+            .answer(plan, Input::One(abox.store()), &Budget::UNLIMITED)
             .expect("the unlimited budget cannot be exceeded");
         (answered.answers.remove(0), answered.stats)
     }
@@ -523,7 +405,7 @@ mod tests {
         let (datalog_answers, _) = crate::backend::native::eval_strata(
             &plan.strata,
             plan.program.goal,
-            &IndexedInstance::from_interpretation(&abox),
+            &gomq_core::IndexedInstance::from_interpretation(&abox),
             1,
         );
         assert_eq!(typed_answers, listed(datalog_answers));
@@ -595,15 +477,12 @@ mod tests {
             .collect();
         let abox = parse_instance(&text, &mut v).unwrap();
         assert_eq!(abox.len(), 5000);
-        let opts = Options {
-            budget: Budget {
-                deadline: Some(Instant::now()),
-                ..Budget::UNLIMITED
-            },
-            certify: None,
+        let budget = Budget {
+            deadline: Some(Instant::now()),
+            ..Budget::UNLIMITED
         };
         let err = engine
-            .answer(&plan, Input::One(abox.store()), &opts)
+            .answer(&plan, Input::One(abox.store()), &budget)
             .unwrap_err();
         let EngineError::Overloaded(e) = err else {
             panic!("expected overloaded, got {err:?}");
@@ -657,9 +536,7 @@ mod tests {
         let c = v.find_rel("C").unwrap();
         let (plan, _, _) = engine.plan(&o, c, &mut v);
         let plan = plan.unwrap();
-        let err = plan
-            .sql
-            .as_ref()
+        let err = gomq_rewriting::emit_sql(&plan.strata, &v)
             .expect_err("role-bearing plan should be recursive");
         assert!(matches!(
             err,
@@ -687,32 +564,16 @@ mod tests {
             .map(|t| parse_instance(t, &mut v).unwrap().into_store())
             .collect();
         let batch = engine
-            .answer(&plan, Input::Batch(&aboxes), &Options::default())
+            .answer(&plan, Input::Batch(&aboxes), &Budget::UNLIMITED)
             .unwrap();
         assert_eq!(batch.answers.len(), 4);
         assert_eq!(batch.stats.answers, 1 + 2 + 1);
         for (i, d) in aboxes.iter().enumerate() {
             let single = engine
-                .answer(&plan, Input::One(d), &Options::default())
+                .answer(&plan, Input::One(d), &Budget::UNLIMITED)
                 .unwrap();
             assert_eq!(batch.answers[i], single.answers[0], "abox {i}");
         }
-        // A certificate covers one ABox: certify + batch is refused
-        // before any evaluation.
-        let requests = engine.stats()[Counter::Requests];
-        let vocab = Mutex::new(v);
-        let certify = Options {
-            certify: Some(Certify {
-                vocab: &vocab,
-                snapshot: None,
-            }),
-            ..Options::default()
-        };
-        let err = engine
-            .answer(&plan, Input::Batch(&aboxes), &certify)
-            .unwrap_err();
-        assert_eq!(err, EngineError::BadRequest(CERTIFY_BATCH.into()));
-        assert_eq!(engine.stats()[Counter::Requests], requests);
     }
 
     /// Distinct OMQs over one fixed pool of names, compiled through a

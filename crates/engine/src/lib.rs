@@ -10,7 +10,8 @@
 //! pipeline mostly redundant work. This crate restructures it:
 //!
 //! * [`plan`] — an [`OmqPlan`] bundles the classification verdict, the
-//!   optimized rewriting, and its SCC stratification; compiled once.
+//!   element-type system with its bitset kernel, the optimized
+//!   rewriting, and its SCC stratification; compiled once.
 //! * [`cache`] — a [`PlanCache`] keyed by the canonical OMQ hash
 //!   (`gomq_rewriting::canonical_omq_hash`) but *verified* against the
 //!   full canonical text (hash collisions can never serve the wrong
@@ -22,16 +23,22 @@
 //!   semi-naive evaluation over [`gomq_core::IndexedInstance`]
 //!   (hash probes on every argument position, scoped-thread parallelism across
 //!   rule partitions within a round and across ABoxes within a batch,
-//!   governed by a cooperative [`gomq_datalog::Budget`]), which answers
-//!   every query; and [`backend::sql`], which runs the plan's emitted
-//!   portable SQL via the dependency-free `gomq-sqlexec` executor —
-//!   the SQL text is an artifact for relational engines (`gomq-sql`)
-//!   and its in-process execution the oracle the native engine is
-//!   cross-checked against.
-//! * [`engine`] — the [`Engine`] facade tying cache, executor and the
+//!   governed by a cooperative [`gomq_datalog::Budget`]), the reference
+//!   the type kernel is checked against and the benchmark replays; and
+//!   [`backend::sql`], which runs the portable SQL emitted from a plan
+//!   on demand via the dependency-free `gomq-sqlexec` executor — the
+//!   SQL text is an artifact for relational engines (`gomq-sql`) and
+//!   its in-process execution the oracle the native engine is
+//!   cross-checked against. Neither is on the serving path.
+//! * [`engine`] — the [`Engine`] facade tying cache, type kernel and the
 //!   [`Counter`] table together behind one answer method,
-//!   [`Engine::answer`]: one ABox or a batch, under a budget,
-//!   optionally certified.
+//!   [`Engine::answer`]: one ABox or a batch, under a budget, answered
+//!   by the plan's type kernel.
+//! * [`mod@certify`] — certificates, each cut from a recording
+//!   [`gomq_datalog::Materialization`] of the plan's rewriting
+//!   ([`certify()`]): built for one request ABox, maintained for a
+//!   session, or built once over the session store when view
+//!   maintenance is off.
 //! * [`serve`] + the `gomq-serve` binary — a JSONL stdin/stdout
 //!   protocol: one `{ontology, query, abox | aboxes | session}` request
 //!   per line (optional `"certificate"` and `"limits"`), one
@@ -83,9 +90,9 @@ pub mod wal;
 
 pub use backend::native::{eval_strata, eval_strata_budgeted, Strata};
 pub use cache::{PlanCache, PlanOutcome};
-pub use certify::{emit_certificate, CertSource, CertifyError};
+pub use certify::{certify, emit_certificate, CertSource, CertifyError};
 pub use drain::DrainToken;
-pub use engine::{Answered, Certify, Engine, Input, Options};
+pub use engine::{Answered, Engine, Input};
 pub use gomq_datalog::{Budget, BudgetExceeded, LimitKind};
 pub use net::{NetConfig, NetReport, NetServer};
 pub use plan::{EngineError, OmqPlan};

@@ -29,10 +29,7 @@ use gomq_core::{RelId, Vocab};
 use gomq_datalog::Program;
 use gomq_logic::GfOntology;
 use gomq_rewriting::emit::emit_datalog;
-use gomq_rewriting::{
-    canonical_omq_text, emit_sql, fnv1a, ElementTypeSystem, OntologyReport, RewriteError,
-    SqlEmitError, SqlPlan,
-};
+use gomq_rewriting::{canonical_omq_text, fnv1a, ElementTypeSystem, OntologyReport, RewriteError};
 use std::fmt;
 use std::sync::Arc;
 
@@ -132,21 +129,19 @@ pub struct OmqPlan {
     pub report: OntologyReport,
     /// The Datalog≠ rewriting (goal = the emitted `_goal` relation).
     /// Uncertified answers never run it (they come from `types`); its
-    /// rules are what certified answers trace and cite, what maintained
-    /// session views maintain, and what the benchmark's oracle and
-    /// traced replay evaluate.
+    /// rules are what recording views materialize and certificates cite,
+    /// what maintained session views maintain, and what the benchmark's
+    /// oracle and traced replay evaluate.
     pub program: Program,
     /// The rewriting's rules pre-partitioned into SCC strata — the
     /// backend-agnostic [`gomq_datalog::ir::PlanIr`] the stratified
     /// executor and the SQL emitter consume (`Strata` is its
-    /// engine-historical name); read by the benchmark's traced replay
-    /// and by tests that check the kernel against the executor.
+    /// engine-historical name); read by the benchmark's traced replay,
+    /// by tests that check the kernel against the executor, and by the
+    /// SQL emitter on demand (`emit_sql(&plan.strata, &vocab)`: the SQL
+    /// text is ABox-independent and nothing on the serving path reads
+    /// it, so compiling a plan emits none).
     pub strata: Strata,
-    /// The plan lowered to portable SQL, or the typed reason it cannot
-    /// be (recursive rewriting). Emitted eagerly at compile time: the
-    /// text is ABox-independent — the artifact `gomq-sql` prints for
-    /// relational engines and the oracle `tests/sql_crosscheck.rs` runs.
-    pub sql: Result<SqlPlan, SqlEmitError>,
     /// The element-type system the rewriting was emitted from, with its
     /// bitset propagation kernel pre-built:
     /// [`ElementTypeSystem::answer`] over it answers every uncertified
@@ -195,7 +190,6 @@ impl OmqPlan {
         // off it, so cached plans never pay a first-use stall.
         let program = emit_datalog(&sys, query, vocab);
         let strata = Strata::of(&program);
-        let sql = emit_sql(&strata, vocab);
         let types = Arc::new(sys);
         Ok(OmqPlan {
             key,
@@ -204,7 +198,6 @@ impl OmqPlan {
             report,
             program,
             strata,
-            sql,
             types,
         })
     }

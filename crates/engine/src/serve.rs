@@ -29,16 +29,23 @@
 //! kernel rounds and `"derived"` the facts the plan's Datalog≠ program
 //! would derive — eliminated (element, type) pairs plus domain elements
 //! plus answers — and no fact store is built (`"facts_interned"` stays
-//! put). A certified answer and a maintained session view run the
-//! program itself: `"rounds"` are fixpoint rounds and `"derived"` the
-//! IDB facts it derived. The request's `"limits"` bound the same counts.
+//! put). A certified answer and a maintained session view come from a
+//! materialization of the program itself ([`Materialization`], a
+//! recording one when a certificate is cut from it): `"rounds"` are its
+//! semi-naive rounds and `"derived"` the IDB facts it derived. A
+//! materialization built for one certified answer counts at least one
+//! round, even over an empty ABox. The request's `"limits"` bound the
+//! same counts.
 //!
 //! With `"aboxes": ["...", "..."]` the response carries `"batches"` (one
 //! answer array per ABox, evaluated concurrently) instead of
 //! `"answers"`; with `"certificate": true` (one ABox or the session,
-//! never a batch) it also carries a `"certificate"`. Every query is
-//! parsed and validated once, before any plan compiles, then answered
-//! by one [`Engine::answer`] call (or the session's maintained view).
+//! never a batch) it also carries a `"certificate"`, cut from a
+//! recording materialization by one helper whatever the input: a
+//! request ABox, a maintained session view, or (with view maintenance
+//! off) the session store. Every query is parsed and validated once,
+//! before any plan compiles, then answered by one [`Engine::answer`]
+//! call (the type kernel) or from such a materialization.
 //! Errors come back as
 //! `{"id": ..., "status": "error", "error": "..."}`; a blown resource
 //! budget comes back as `{"id": ..., "status": "overloaded", "error":
@@ -93,7 +100,7 @@
 
 use crate::cache::{lock_recover, panic_message, PlanCache};
 use crate::certify::Names;
-use crate::engine::{goal_answers, Certify, Engine, Input, Options, CERTIFY_BATCH};
+use crate::engine::{goal_answers, Engine, Input};
 use crate::json::{self, Json};
 use crate::plan::{EngineError, OmqPlan};
 use crate::session::{
@@ -101,8 +108,8 @@ use crate::session::{
 };
 use crate::stats::{nanos, Counter, EngineStats, RequestStats};
 use gomq_core::parse::parse_request_facts;
-use gomq_core::{Fact, RelId, RequestConsts, Term, Vocab};
-use gomq_datalog::{Budget, BudgetExceeded, LimitKind, Materialization};
+use gomq_core::{Fact, IndexedInstance, RelId, RequestConsts, Term, Vocab};
+use gomq_datalog::{Budget, BudgetExceeded, EvalStats, LimitKind, Materialization};
 use gomq_dl::parser::parse_ontology;
 use gomq_dl::translate::to_gf;
 use gomq_logic::GfOntology;
@@ -176,8 +183,11 @@ pub struct ServeConfig {
     /// refused as `"malformed"` without being buffered in full.
     pub max_line_bytes: usize,
     /// Maintained session materializations kept per session (LRU-
-    /// evicted beyond this); 0 disables incremental view maintenance
-    /// and session queries fall back to from-scratch fixpoints.
+    /// evicted beyond this); 0 disables incremental view maintenance:
+    /// an uncertified session query is then answered by the type kernel
+    /// over the store, and a certified one from a recording view built
+    /// for that query and dropped after it (never registered, so never
+    /// counted in `views_evicted`).
     pub max_views: usize,
     /// Follower staleness bound: replica session queries whose lsn lag
     /// behind the primary exceeds this are refused with `"status":
@@ -396,6 +406,10 @@ impl ServeShared {
         result.map(|()| true)
     }
 }
+
+/// The refusal for a certificate requested over a batch.
+const CERTIFY_BATCH: &str =
+    "\"certificate\": true cannot be combined with \"aboxes\" (certify one ABox per request)";
 
 /// A query request, parsed and validated once — every illegal
 /// combination of inputs is refused here, before any plan compiles.
@@ -764,7 +778,7 @@ impl ServeSession {
         // every query (a session query leaves it empty, so every
         // constant it renders is the vocabulary's), never into the
         // shared vocabulary.
-        let aboxes = {
+        let mut aboxes = {
             let vocab = lock_recover(&self.shared.vocab);
             self.consts.reset(&vocab);
             let types = &plan.types;
@@ -779,32 +793,26 @@ impl ServeSession {
                 self.session_answer(plan, &budget, req.certify)
             });
         }
-        // The ABox came with the request, so a certificate binds to no
-        // session position (its base facts are self-contained).
-        let opts = self.options(budget, req.certify, None);
         self.guarded(id, &planned, || {
+            if req.certify {
+                // The ABox came with the request, so its certificate
+                // binds to no session position (its base facts are
+                // self-contained).
+                let t0 = Instant::now();
+                let base = IndexedInstance::from_store(aboxes.swap_remove(0));
+                let (view, es) =
+                    one_shot(plan, &base, &budget).map_err(|e| self.shared.engine.overloaded(e))?;
+                return self.answer_view(&view, es, Some(None), false, t0);
+            }
             let input = if req.batch {
                 Input::Batch(&aboxes)
             } else {
                 Input::One(&aboxes[0])
             };
-            let answered = (self.shared.engine).answer_request(plan, input, &opts, &self.consts)?;
-            let payload = self.payload(
-                &answered.answers,
-                req.batch,
-                answered.certificate.as_deref(),
-            );
+            let answered = self.shared.engine.answer(plan, input, &budget)?;
+            let payload = self.payload(&answered.answers, req.batch, None);
             Ok((payload, answered.stats))
         })
-    }
-
-    /// The evaluation options of a query: its budget and, when it asks
-    /// for one, a certificate bound to the session position `snapshot`
-    /// (`None` for an ABox that came with the request).
-    fn options(&self, budget: Budget, certify: bool, snapshot: Option<(u64, u64)>) -> Options<'_> {
-        let vocab = &self.shared.vocab;
-        let certify = certify.then_some(Certify { vocab, snapshot });
-        Options { budget, certify }
     }
 
     /// Parses a query's ontology into the serving vocabulary and checks
@@ -865,8 +873,10 @@ impl ServeSession {
     /// pays one incremental sync over the facts asserted since the view
     /// last looked instead of a from-scratch fixpoint; a miss pays the
     /// one full fixpoint a view ever costs and registers it. With
-    /// maintenance disabled (`max_views` 0) the query is one
-    /// [`Engine::answer`] call over the shared snapshot.
+    /// maintenance disabled (`max_views` 0) an uncertified query is one
+    /// [`Engine::answer`] call over the shared snapshot, and a certified
+    /// one builds a recording view of the snapshot, used once and
+    /// dropped.
     fn session_answer(
         &self,
         plan: &OmqPlan,
@@ -930,18 +940,21 @@ impl ServeSession {
             done: None,
         };
         let t0 = Instant::now();
-        let (answers, cert, stats) = if view.is_none() && !views_on {
-            // Maintenance disabled: one engine call over the shared
-            // snapshot (absorbs its own stats).
-            let opts = self.options(*budget, want_cert, Some(position));
-            let answered = engine.answer(plan, Input::One(store.store()), &opts)?;
-            (answered.answers, answered.certificate, answered.stats)
+        let (mut payload, stats) = if !views_on && !want_cert {
+            // Maintenance disabled: the kernel answers over the shared
+            // snapshot (absorbing its own stats).
+            let answered = engine.answer(plan, Input::One(store.store()), budget)?;
+            (self.payload(&answered.answers, false, None), answered.stats)
         } else {
             let (rules, goal) = (&plan.program.rules, plan.program.goal);
             let (view, es) = match view {
                 // Maintained hit. A failed sync consumes the view — the
                 // registry never holds a half-maintained materialization.
                 Some(mut view) => view.sync(&store, budget).map(|es| (view, es)),
+                // Maintenance disabled, certificate requested: a
+                // recording view of the snapshot, built for this read
+                // and dropped after it, never registered.
+                None if !views_on => one_shot(plan, &store, budget),
                 // Miss: the one full fixpoint this view ever costs;
                 // register it for the next query. Certificate-requesting
                 // sessions build the recording variant, whose
@@ -951,58 +964,62 @@ impl ServeSession {
                 None => Materialization::build(rules, goal, &store, budget),
             }
             .map_err(|e| engine.overloaded(e))?;
-            let answers = goal_answers(view.instance().store(), &view.answer_ids());
-            let cert = want_cert
-                .then(|| self.view_certificate(&view, position))
-                .transpose()?;
-            let stats = RequestStats {
-                eval: t0.elapsed(),
-                rounds: es.rounds,
-                derived: es.derived,
-                answers: answers.len(),
-                store: es.store,
+            let answered = self.answer_view(
+                &view,
+                es,
+                want_cert.then_some(Some(position)),
                 maintained,
-                ivm_deleted: es.ivm_deleted,
-                ivm_rederived: es.ivm_rederived,
-                cert_bytes: cert.as_ref().map_or(0, String::len),
-                ..RequestStats::default()
-            };
-            engine.absorb(&stats);
-            checkout.done = Some(view);
-            (vec![answers], cert, stats)
+                t0,
+            )?;
+            if views_on {
+                checkout.done = Some(view);
+            }
+            answered
         };
         drop(checkout);
-        let mut payload = self.payload(&answers, false, cert.as_deref());
         if let Some(lag) = staleness {
             let _ = write!(payload, ", \"staleness\": {lag}");
         }
         Ok((payload, stats))
     }
 
-    /// Assembles the certificate for a synced recording view, bound to
-    /// the session position its store snapshot was taken at.
-    fn view_certificate(
+    /// Answers a query from a synced `view` and its evaluation stats
+    /// `es`: lists its answers, cuts its certificate when `certify`
+    /// carries the session position to bind it to (`Some(None)` for an
+    /// ABox that came with the request), and folds the request's stats
+    /// into the totals. Returns the response payload and the stats.
+    fn answer_view(
         &self,
         view: &Materialization,
-        position: (u64, u64),
-    ) -> Result<String, EngineError> {
+        es: EvalStats,
+        certify: Option<Option<(u64, u64)>>,
+        maintained: bool,
+        t0: Instant,
+    ) -> Result<(String, RequestStats), EngineError> {
         let answer_ids = view.answer_ids();
-        let base: std::collections::HashSet<u32> = view.base_fact_ids().iter().copied().collect();
-        let source = crate::certify::CertSource {
-            instance: view.instance(),
-            rules: view.rules(),
-            goal: view.goal(),
-            answer_ids: &answer_ids,
-            snapshot: Some(position),
+        let answers = goal_answers(view.instance().store(), &answer_ids);
+        let cert = certify
+            .map(|snapshot| {
+                let vocab = lock_recover(&self.shared.vocab);
+                let names = Names(&vocab, &self.consts);
+                crate::certify::cut(&names, view, &answer_ids, snapshot)
+                    .map_err(|e| EngineError::Internal(format!("certificate assembly: {e}")))
+            })
+            .transpose()?;
+        let stats = RequestStats {
+            eval: t0.elapsed(),
+            rounds: es.rounds,
+            derived: es.derived,
+            answers: answers.len(),
+            store: es.store,
+            maintained,
+            ivm_deleted: es.ivm_deleted,
+            ivm_rederived: es.ivm_rederived,
+            cert_bytes: cert.as_ref().map_or(0, String::len),
+            ..RequestStats::default()
         };
-        let vocab = lock_recover(&self.shared.vocab);
-        crate::certify::emit_certificate(
-            &vocab,
-            &source,
-            |fact| base.contains(&fact),
-            |fact| view.derivation(fact),
-        )
-        .map_err(|e| EngineError::Internal(format!("certificate assembly: {e}")))
+        self.shared.engine.absorb(&stats);
+        Ok((self.payload(&[answers], false, cert.as_deref()), stats))
     }
 
     /// Renders the answer part of an `"ok"` query response: `"answers"`
@@ -1236,6 +1253,23 @@ impl ServeSession {
         let _ = write!(out, "\"status\": \"ok\", \"op\": \"{op}\", ");
         out
     }
+}
+
+/// A recording view of `plan`'s rewriting over `base`, built for one
+/// certified answer and dropped after it. Its stats read as a one-shot
+/// evaluation of `base`: `rounds` counts the round that finds nothing
+/// new even over an empty base, and `dedup_hits` includes the duplicates
+/// `base` folded before evaluation.
+fn one_shot(
+    plan: &OmqPlan,
+    base: &IndexedInstance,
+    budget: &Budget,
+) -> Result<(Materialization, EvalStats), BudgetExceeded> {
+    let (rules, goal) = (&plan.program.rules, plan.program.goal);
+    let (view, mut es) = Materialization::build_recording(rules, goal, base, budget)?;
+    es.rounds = es.rounds.max(1);
+    es.store.dedup_hits += base.store_stats().dedup_hits;
+    Ok((view, es))
 }
 
 /// Renders one answer list as an array of one-term tuples, in the list's
@@ -2448,7 +2482,7 @@ mod tests {
         json::write_str(&mut req, ontology);
         req.push_str(r#", "query": "Staff", "abox": "#);
         json::write_str(&mut req, abox);
-        req.push_str(r#", "backend": "sql"}"#);
+        req.push('}');
         let served = s.handle_line(&req);
         ok_field(&served, "\"status\": \"ok\"");
         ok_field(&served, r#"[["ada"], ["grace"]]"#);
@@ -2461,11 +2495,12 @@ mod tests {
         let (plan, hit, _) = s.engine().plan(&o, staff, &mut vocab);
         assert!(hit, "the served request compiled and cached the plan");
         let plan = plan.unwrap();
-        let sql = plan.sql.as_ref().expect("hierarchy plans are acyclic");
+        let sql =
+            gomq_rewriting::emit_sql(&plan.strata, &vocab).expect("hierarchy plans are acyclic");
         let instance = gomq_core::parse::parse_instance(abox, &mut vocab).unwrap();
         let indexed = gomq_core::IndexedInstance::from_interpretation(&instance);
         let rows =
-            crate::backend::sql::eval_sql_budgeted(sql, &indexed, &vocab, &Budget::UNLIMITED)
+            crate::backend::sql::eval_sql_budgeted(&sql, &indexed, &vocab, &Budget::UNLIMITED)
                 .unwrap();
         let names: BTreeSet<&str> = rows
             .iter()
@@ -2475,37 +2510,6 @@ mod tests {
             })
             .collect();
         assert_eq!(names, BTreeSet::from(["ada", "grace"]));
-    }
-
-    #[test]
-    fn bad_backend_requests_are_typed_errors() {
-        let mut s = ServeSession::with_threads(1);
-        let base = r#""ontology": "A sub B", "query": "B""#;
-        // A "backend" field changes nothing about which input
-        // combinations are refused: each is still a typed error.
-        for (inputs, needle) in [
-            (
-                r#""abox": "A(x)", "backend": "sql", "aboxes": ["A(y)"]"#,
-                r#"\"abox\" cannot be combined with \"aboxes\""#,
-            ),
-            (
-                r#""aboxes": ["A(x)"], "backend": "sql", "certificate": true"#,
-                r#"\"certificate\": true cannot be combined with \"aboxes\""#,
-            ),
-            (
-                r#""session": true, "backend": "sql", "abox": "A(x)""#,
-                r#"\"session\": true cannot be combined"#,
-            ),
-        ] {
-            let resp = s.handle_line(&format!(r#"{{{base}, {inputs}}}"#));
-            ok_field(&resp, "\"status\": \"error\"");
-            ok_field(&resp, needle);
-            assert!(crate::json::parse(&resp).is_ok(), "not JSON: {resp}");
-        }
-        // The session still answers afterwards.
-        let good = s.handle_line(&format!(r#"{{{base}, "abox": "A(x)", "backend": "sql"}}"#));
-        ok_field(&good, "\"status\": \"ok\"");
-        ok_field(&good, r#"[["x"]]"#);
     }
 
     #[test]

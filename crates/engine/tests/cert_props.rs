@@ -2,10 +2,10 @@
 //! certified request answers must come with a certificate that the
 //! *standalone* verifier (`gomq-cert`, which shares no code with the
 //! engine) accepts, and whose verified answers are exactly the answers
-//! in the response — across all three answer paths (one-shot fixpoint,
-//! IVM-maintained session views, the bitset type kernel), in memory and
-//! across a SIGKILL + WAL-replay restart (where the snapshot binding
-//! `(lsn, base)` must also be byte-identical, pinning FactId/LSN
+//! in the response — across all three answer paths (one-shot recording
+//! views, IVM-maintained session views, the bitset type kernel), in
+//! memory and across a SIGKILL + WAL-replay restart (where the snapshot
+//! binding `(lsn, base)` must also be byte-identical, pinning FactId/LSN
 //! determinism of recovery).
 
 mod common;
@@ -13,7 +13,7 @@ mod common;
 use common::{ScratchDir, Serve};
 use gomq_cert::json::{self as cjson, Value};
 use gomq_cert::{verify_value, Snapshot, Verified};
-use gomq_engine::{Budget, Engine, ServeConfig, ServeSession};
+use gomq_engine::{Budget, ServeConfig, ServeSession};
 use proptest::collection::vec;
 use proptest::prelude::*;
 
@@ -80,7 +80,7 @@ fn session(max_views: usize) -> ServeSession {
 }
 
 // ---------------------------------------------------------------------
-// Path 1: one-shot fixpoint over a request ABox.
+// Path 1: a one-shot recording view over a request ABox.
 // ---------------------------------------------------------------------
 
 proptest! {
@@ -229,58 +229,144 @@ proptest! {
 // ---------------------------------------------------------------------
 // Path 3: the bitset type kernel, which serves every uncertified
 // request. It materializes no facts and so cannot witness its answers;
-// the certified engine path must agree with it answer for answer and
-// carry a certificate that verifies.
+// the certified path must agree with it answer for answer and carry a
+// certificate that verifies.
 // ---------------------------------------------------------------------
+
+/// The raw text of a response's `"certificate"` value, exactly as
+/// served (the payload puts it right before `"stats"`).
+fn certificate_text(response: &str) -> &str {
+    let from = response
+        .find("\"certificate\": ")
+        .unwrap_or_else(|| panic!("no certificate in {response}"))
+        + "\"certificate\": ".len();
+    let to = response[from..]
+        .find(", \"stats\": ")
+        .unwrap_or_else(|| panic!("no stats after the certificate in {response}"));
+    &response[from..from + to]
+}
+
+/// A top-level field of a response, parsed by the verifier's parser.
+fn field(response: &str, key: &str) -> Value {
+    let doc = cjson::parse(response).unwrap_or_else(|e| panic!("bad JSON ({e}): {response}"));
+    let obj = doc
+        .as_obj()
+        .unwrap_or_else(|| panic!("not an object: {response}"));
+    obj.get(key)
+        .unwrap_or_else(|| panic!("no {key} in {response}"))
+        .clone()
+}
+
+/// A counter of a response's `"stats"` object.
+fn stat(response: &str, key: &str) -> u64 {
+    let stats = field(response, "stats");
+    let value = stats.as_obj().and_then(|s| s.get(key)?.as_u64());
+    value.unwrap_or_else(|| panic!("no stats.{key} in {response}"))
+}
 
 #[test]
 fn typed_kernel_certificates_verify() {
+    let mut s = session(0);
+    let line = |certify: bool| {
+        format!(
+            r#"{{"ontology": "Manager sub Employee\nEmployee sub Staff\nManager sub ex ReportsTo.Employee", "query": "Staff", "abox": "Manager(ada)\nEmployee(grace)\nReportsTo(grace,ada)", "certificate": {certify}}}"#
+        )
+    };
+    let kernel = s.handle_line(&line(false));
+    assert!(stat(&kernel, "rounds") > 0, "the kernel ran: {kernel}");
+    let certified = s.handle_line(&line(true));
+    assert_eq!(
+        field(&certified, "answers"),
+        field(&kernel, "answers"),
+        "certified path changed answers"
+    );
+    let verified = check_certified(&certified);
+    assert_eq!(verified.answers.len(), 2);
+    assert!(verified.snapshot.is_none());
+    let cert = certificate_text(&certified);
+    assert_eq!(stat(&certified, "cert_bytes"), cert.len() as u64);
+}
+
+// ---------------------------------------------------------------------
+// Reference: a request ABox's certificate is the reference traced
+// fixpoint's, byte for byte.
+// ---------------------------------------------------------------------
+
+/// The certificate the reference evaluator cuts for `(ontology, query)`
+/// over `abox`: [`gomq_datalog::fixpoint_traced`] of the plan's rules,
+/// in a fresh vocabulary, over the ABox's facts in the plan's signature
+/// (the facts a request ABox keeps), emitted by
+/// [`gomq_engine::emit_certificate`].
+fn reference_certificate(ontology: &str, query: &str, abox: &str) -> String {
     use gomq_core::parse::parse_instance;
-    use gomq_core::{Term, Vocab};
+    use gomq_core::{FactId, IndexedInstance, Vocab};
     use gomq_dl::parser::parse_ontology;
     use gomq_dl::translate::to_gf;
-    use gomq_engine::{Certify, Input, Options};
-    use std::sync::Mutex;
+    use gomq_engine::{emit_certificate, CertSource, OmqPlan};
 
     let mut v = Vocab::new();
-    let engine = Engine::with_threads(1);
-    let dl = parse_ontology(
-        "Manager sub Employee\nEmployee sub Staff\nManager sub ex ReportsTo.Employee\n",
-        &mut v,
-    )
-    .unwrap();
-    let o = to_gf(&dl);
-    let staff = v.find_rel("Staff").unwrap();
-    let (plan, _, _) = engine.plan(&o, staff, &mut v);
-    let plan = plan.unwrap();
-    let abox = parse_instance(
-        "Manager(ada)\nEmployee(grace)\nReportsTo(grace,ada)\n",
-        &mut v,
-    )
-    .unwrap();
-    let mut kernel = engine
-        .answer(&plan, Input::One(abox.store()), &Options::default())
-        .expect("uncertified answering succeeds");
-    let kernel_answers: Vec<Term> = kernel.answers.remove(0);
-    assert!(kernel.stats.rounds > 0, "the kernel ran");
-    let vocab = Mutex::new(v);
-    let opts = Options {
-        budget: Budget::UNLIMITED,
-        certify: Some(Certify {
-            vocab: &vocab,
-            snapshot: None,
-        }),
+    let o = to_gf(&parse_ontology(ontology, &mut v).expect("ontology parses"));
+    let q = v.find_rel(query).expect("the query occurs in the ontology");
+    let plan = OmqPlan::compile(&o, q, &mut v).expect("rewritable");
+    let d = parse_instance(abox, &mut v).expect("abox parses");
+    let types = &plan.types;
+    let mut base = IndexedInstance::new();
+    for f in d.store().iter() {
+        if types.unary_rels().contains(&f.rel) || types.binary_rels().contains(&f.rel) {
+            base.insert_ref(f.rel, f.args);
+        }
+    }
+    let (rules, goal) = (&plan.program.rules, plan.program.goal);
+    let (total, derivs, _) =
+        gomq_datalog::fixpoint_traced(rules, &base, &Budget::UNLIMITED).expect("unlimited");
+    let answer_ids: Vec<u32> = (0..total.len() as u32)
+        .filter(|&i| total.store().rel(FactId(i)) == goal)
+        .collect();
+    let source = CertSource {
+        instance: &total,
+        rules,
+        goal,
+        answer_ids: &answer_ids,
+        snapshot: None,
     };
-    let mut answered = engine
-        .answer(&plan, Input::One(abox.store()), &opts)
-        .expect("certified answering succeeds");
-    let answers = answered.answers.remove(0);
-    let cert = answered.certificate.expect("certificate requested");
-    assert_eq!(answers, kernel_answers, "certified path changed answers");
-    assert_eq!(answered.stats.cert_bytes, cert.len());
-    let verified = gomq_cert::verify(&cert).expect("kernel certificate verifies");
-    assert_eq!(verified.answers.len(), answers.len());
-    assert!(verified.snapshot.is_none());
+    let base_len = base.len() as u32;
+    emit_certificate(
+        &v,
+        &source,
+        |id| id < base_len,
+        |id| derivs[id as usize].as_ref(),
+    )
+    .expect("the reference certificate assembles")
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The certificate a fresh session attaches to a request ABox is,
+    /// byte for byte, the reference traced fixpoint's over the same OMQ
+    /// and ABox: same base and step ids, same rules, same answers.
+    #[test]
+    fn request_certificates_match_the_traced_reference(
+        facts in vec((0u8..RELS.len() as u8, 0u8..10), 0..16),
+        omq in 0u8..OMQS.len() as u8,
+    ) {
+        let abox: Vec<String> = facts
+            .iter()
+            .map(|&(r, k)| format!("{}(k{k})", RELS[r as usize]))
+            .collect();
+        let (ontology, query) = OMQS[omq as usize];
+        let line = format!(
+            r#"{{"ontology": "{ontology}", "query": "{query}", "abox": "{}", "certificate": true}}"#,
+            abox.join(r"\n")
+        );
+        let response = session(0).handle_line(&line);
+        let want = reference_certificate(
+            &ontology.replace(r"\n", "\n"),
+            query,
+            &abox.join("\n"),
+        );
+        prop_assert_eq!(certificate_text(&response), want.as_str(), "{}", line);
+    }
 }
 
 // ---------------------------------------------------------------------

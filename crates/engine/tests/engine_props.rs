@@ -9,7 +9,7 @@ use gomq_core::{Fact, IndexedInstance, Instance, RelId, Term, Vocab};
 use gomq_datalog::{DAtom, DTerm, Literal, Program, Rule};
 use gomq_dl::parser::parse_ontology;
 use gomq_dl::translate::to_gf;
-use gomq_engine::{eval_strata, Engine, Input, Options, Strata};
+use gomq_engine::{eval_strata, Budget, Engine, Input, Strata};
 use gomq_rewriting::emit::emit_datalog;
 use gomq_rewriting::ElementTypeSystem;
 use proptest::prelude::*;
@@ -209,7 +209,7 @@ proptest! {
                 let reference = listed(&emit_datalog(&sys, query, &mut v).eval(&abox));
                 let answer = |plan: &gomq_engine::OmqPlan| {
                     engine
-                        .answer(plan, Input::One(abox.store()), &Options::default())
+                        .answer(plan, Input::One(abox.store()), &Budget::UNLIMITED)
                         .expect("unlimited budget")
                         .answers
                         .remove(0)
@@ -313,7 +313,7 @@ proptest! {
         };
         let stores: Vec<_> = aboxes.iter().map(|d| d.store().clone()).collect();
         let batched = engine
-            .answer(&plan, Input::Batch(&stores), &Options::default())
+            .answer(&plan, Input::Batch(&stores), &Budget::UNLIMITED)
             .expect("unlimited budget");
         for (i, d) in aboxes.iter().enumerate() {
             let expected = plan.program.eval(d);
@@ -321,7 +321,7 @@ proptest! {
             let (stratified, _) = eval_strata(&plan.strata, plan.program.goal, &indexed, 1);
             prop_assert_eq!(&stratified, &expected, "abox {}", i);
             let one = engine
-                .answer(&plan, Input::One(d.store()), &Options::default())
+                .answer(&plan, Input::One(d.store()), &Budget::UNLIMITED)
                 .expect("unlimited budget");
             let expected = listed(&expected);
             prop_assert_eq!(&one.answers[0], &expected, "abox {}", i);

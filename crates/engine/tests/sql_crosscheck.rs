@@ -17,8 +17,8 @@ use gomq_datalog::Budget;
 use gomq_dl::parser::parse_ontology;
 use gomq_dl::translate::to_gf;
 use gomq_engine::backend::sql::eval_sql_budgeted;
-use gomq_engine::{Engine, EngineError, Input, OmqPlan, Options};
-use gomq_rewriting::SqlEmitError;
+use gomq_engine::{Engine, EngineError, Input, OmqPlan};
+use gomq_rewriting::{emit_sql, SqlEmitError};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 
@@ -72,7 +72,7 @@ fn compile(ontology: &str, query: &str, v: &mut Vocab) -> Option<Result<OmqPlan,
 fn native(plan: &OmqPlan, abox: &str, v: &mut Vocab) -> Vec<Term> {
     let abox = gomq_core::parse::parse_instance(abox, v).expect("abox must parse");
     Engine::with_threads(2)
-        .answer(plan, Input::One(abox.store()), &Options::default())
+        .answer(plan, Input::One(abox.store()), &Budget::UNLIMITED)
         .expect("unlimited budget")
         .answers
         .remove(0)
@@ -82,11 +82,11 @@ fn native(plan: &OmqPlan, abox: &str, v: &mut Vocab) -> Vec<Term> {
 /// engine lists them (the goal is unary: one term per answer, in
 /// order), or the plan's typed reason for having no SQL.
 fn oracle(plan: &OmqPlan, abox: &str, v: &mut Vocab) -> Result<Vec<Term>, SqlEmitError> {
-    let sql = plan.sql.as_ref().map_err(Clone::clone)?;
+    let sql = emit_sql(&plan.strata, v)?;
     let abox = gomq_core::parse::parse_instance(abox, v).expect("abox must parse");
     let indexed = IndexedInstance::from_interpretation(&abox);
     let answers: BTreeSet<Vec<Term>> =
-        eval_sql_budgeted(sql, &indexed, v, &Budget::UNLIMITED).expect("non-recursive SQL runs");
+        eval_sql_budgeted(&sql, &indexed, v, &Budget::UNLIMITED).expect("non-recursive SQL runs");
     Ok(answers.into_iter().flatten().collect())
 }
 
@@ -110,10 +110,11 @@ proptest! {
             return Ok(()); // queried concept absent in this draw
         };
         let plan = plan.expect("hierarchies are Horn, hence rewritable");
+        let sql = emit_sql(&plan.strata, &v);
         prop_assert!(
-            plan.sql.is_ok(),
+            sql.is_ok(),
             "a pure hierarchy must emit SQL, got {:?}",
-            plan.sql.as_ref().err()
+            sql.as_ref().err()
         );
         let abox = abox_text(&facts, false);
         let sql = oracle(&plan, &abox, &mut v).expect("checked above");
@@ -148,11 +149,12 @@ proptest! {
             return Ok(());
         };
         let recursive = plan.strata.strata.iter().any(|s| s.recursive);
+        let sql = emit_sql(&plan.strata, &v);
         prop_assert_eq!(
-            matches!(plan.sql, Err(SqlEmitError::Recursive { .. })),
+            matches!(sql, Err(SqlEmitError::Recursive { .. })),
             recursive,
             "SQL refusal must track stratum recursion: {:?}",
-            plan.sql.as_ref().err()
+            sql.as_ref().err()
         );
         let abox = abox_text(&facts, true);
         if !recursive {

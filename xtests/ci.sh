@@ -88,11 +88,13 @@ echo "==> E19_TINY=1 cargo bench -p gomq-bench --bench e19_request (smoke)"
 E19_TINY=1 cargo bench -p gomq-bench --bench e19_request
 
 # gomq-cert round-trip smoke on the committed example families: the
-# company OMQ is answered with a certificate on the request-ABox path
-# and on the session path (snapshot-bound), and both responses must
-# verify with the standalone checker. The anatomy family sits outside
-# the rewritable fragment (transitive partOf) and must come back as a
-# typed refusal, never as an uncertified answer.
+# company OMQ is answered with a certificate on the request-ABox path,
+# on the session path (snapshot-bound) and on the session path of a
+# server with view maintenance off (--max-views 0: the certificate
+# comes from a recording view built for that one read), and every
+# response must verify with the standalone checker. The anatomy family
+# sits outside the rewritable fragment (transitive partOf) and must
+# come back as a typed refusal, never as an uncertified answer.
 json_escape_file() {
     awk 'NF && !/^#/ { gsub(/"/, "\\\""); printf "%s%s", (n++ ? "\\n" : ""), $0 }' "$1"
 }
@@ -107,6 +109,12 @@ cert_facts="$(json_escape_file examples/data/company.facts)"
     printf '{"id": "session", "ontology": "%s", "query": "Employee", "session": true, "certificate": true}\n' \
         "$cert_onto"
 } | target/release/gomq-serve --data-dir "$cert_dir/data" 2>/dev/null \
+    | target/release/gomq-cert
+{
+    printf '{"op": "assert", "abox": "%s"}\n' "$cert_facts"
+    printf '{"id": "views-off", "ontology": "%s", "query": "Employee", "session": true, "certificate": true}\n' \
+        "$cert_onto"
+} | target/release/gomq-serve --max-views 0 2>/dev/null \
     | target/release/gomq-cert
 cert_onto="$(json_escape_file examples/data/anatomy.dl)"
 cert_facts="$(json_escape_file examples/data/anatomy.facts)"

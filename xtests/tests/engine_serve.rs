@@ -3,7 +3,7 @@
 
 use gomq_bench::{horn_chain_ontology, propagation_instance};
 use gomq_core::Vocab;
-use gomq_engine::{Counter, Engine, Input, Options, ServeSession};
+use gomq_engine::{Budget, Counter, Engine, Input, ServeSession};
 use gomq_rewriting::emit::emit_datalog;
 use gomq_rewriting::ElementTypeSystem;
 
@@ -61,7 +61,7 @@ fn engine_agrees_with_research_pipeline_on_horn_chain() {
         // The program's goal is unary: one term per answer, in order.
         let reference: Vec<_> = program.eval(&d).into_iter().flatten().collect();
         let answered = engine
-            .answer(&plan, Input::One(d.store()), &Options::default())
+            .answer(&plan, Input::One(d.store()), &Budget::UNLIMITED)
             .unwrap();
         assert_eq!(answered.answers[0], reference, "len {len}");
         assert!(answered.stats.rounds > 0);
@@ -69,7 +69,7 @@ fn engine_agrees_with_research_pipeline_on_horn_chain() {
         let (plan2, hit2, _) = engine.plan(&o, query, &mut v);
         assert!(hit2);
         let again = engine
-            .answer(&plan2.unwrap(), Input::One(d.store()), &Options::default())
+            .answer(&plan2.unwrap(), Input::One(d.store()), &Budget::UNLIMITED)
             .unwrap();
         assert_eq!(
             again.answers[0], reference,

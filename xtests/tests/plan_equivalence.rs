@@ -272,7 +272,7 @@ fn render(plan: &OmqPlan, vocab: &Vocab) -> String {
             rules.display(vocab)
         ));
     }
-    match &plan.sql {
+    match &emit_sql(&plan.strata, vocab) {
         Ok(sql) => out.push_str(&format!(
             "sql {:?} {}\n{}\n",
             sql.tables, sql.goal_columns, sql.sql
@@ -447,7 +447,10 @@ fn compiled_plans_match_the_reference_pipeline() {
             Ok(p) => format!("{:?}", (&p.sql, &p.tables, p.goal_columns)),
             Err(e) => format!("{e:?}"),
         };
-        assert_eq!(sql(&plan.sql), sql(&emit_sql(&expected_ir, &v)));
+        assert_eq!(
+            sql(&emit_sql(&plan.strata, &v)),
+            sql(&emit_sql(&expected_ir, &v))
+        );
     }
     // The draw exercises every branch: refusals, recursive and
     // non-recursive rewritings, and closures past 10 bits.
