@@ -59,7 +59,7 @@ fn bench(c: &mut Criterion) {
                 let mut total_answers = 0usize;
                 for d in &aboxes {
                     let sys = ElementTypeSystem::build(&o, &v).expect("supported");
-                    let program = emit_datalog(&sys, e, &mut v).optimize();
+                    let program = emit_datalog(&sys, e, &mut v);
                     total_answers += program.eval(d).len();
                 }
                 std::hint::black_box(total_answers)

@@ -221,7 +221,7 @@ fn bench(c: &mut Criterion) {
     let mut v = Vocab::new();
     let (o, r, e) = odd_cycle_dl(&mut v);
     let sys = ElementTypeSystem::build(&o, &v).expect("supported");
-    let program = emit_datalog(&sys, e, &mut v).optimize();
+    let program = emit_datalog(&sys, e, &mut v);
 
     // CI smoke (xtests/ci.sh) runs the tiny size only; the recorded
     // BENCH_store.json numbers come from the full sweep.

@@ -30,6 +30,7 @@ use gomq_logic::GfOntology;
 use gomq_rewriting::emit::emit_datalog;
 use gomq_rewriting::ElementTypeSystem;
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 fn odd_cycle_dl(vocab: &mut Vocab) -> (GfOntology, RelId, RelId) {
     let text = "A6 and ex R6.A6 sub E6\n\
@@ -64,7 +65,7 @@ fn stream(a: usize, q: usize, blocks: usize) -> Vec<Op> {
 
 /// The maintained side: build once, then sync per query.
 fn run_maintained(
-    rules: &[Rule],
+    rules: &Arc<[Rule]>,
     goal: RelId,
     base: &IndexedInstance,
     ops: &[Op],
@@ -126,7 +127,7 @@ fn bench(c: &mut Criterion) {
     let mut v = Vocab::new();
     let (o, r, e) = odd_cycle_dl(&mut v);
     let sys = ElementTypeSystem::build(&o, &v).expect("supported");
-    let program = emit_datalog(&sys, e, &mut v).optimize();
+    let program = emit_datalog(&sys, e, &mut v);
     let strata = Strata::of(&program);
 
     // CI smoke (xtests/ci.sh) runs the tiny size only; the recorded

@@ -10,8 +10,8 @@
 //! * `plain`: `Engine::answer` — the plan's type kernel (the
 //!   no-certificate baseline).
 //! * `certified`: what the server runs for a certified one-shot query —
-//!   the ABox indexed, a recording materialization of the plan's
-//!   Datalog≠ program built over it, and the certificate cut from that
+//!   a recording materialization of the plan's Datalog≠ program built
+//!   over the ABox's fact store, and the certificate cut from that
 //!   view ([`gomq_engine::certify`]); the certificate JSON's length is
 //!   black-boxed so assembly cannot be optimized away.
 //! * `verified`: certified plus a standalone `gomq_cert::verify` per
@@ -92,10 +92,14 @@ fn run(
                     answers.push(a.answers.remove(0));
                 }
                 Mode::Certified { vocab, verify } => {
-                    let abox = IndexedInstance::from_store(store.store().clone());
                     let (rules, goal) = (&plan.program.rules, plan.program.goal);
-                    let (view, _) = Materialization::build_recording(rules, goal, &abox, &budget)
-                        .expect("unlimited");
+                    let (view, _) = Materialization::build_recording_from_store(
+                        rules,
+                        goal,
+                        store.store(),
+                        &budget,
+                    )
+                    .expect("unlimited");
                     let cert = certify(vocab, &view, None).expect("certificate assembles");
                     cert_bytes += cert.len();
                     if *verify {

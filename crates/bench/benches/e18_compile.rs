@@ -16,6 +16,9 @@
 //!   time: canonical text, `classify_ontology`,
 //!   `ElementTypeSystem::build`, `emit_datalog`, `PlanIr::of`,
 //!   `emit_sql`;
+//! * `strata_first_read`: the first read of a compiled plan's strata,
+//!   which runs `PlanIr::of` then (`OmqPlan::compile` no longer does;
+//!   `omq_plan_compile` excludes it);
 //! * the wall time of `OmqPlan::compile` over the whole set, once per
 //!   round, and the median round. Running the bench in several
 //!   processes shows the per-process spread of compile time.
@@ -169,6 +172,8 @@ fn main() {
             stage(n, |i| emit_datalog(&systems[i], set[i].1, &mut v)),
         ),
         ("plan_ir", stage(n, |i| PlanIr::of(&plans[i].program))),
+        // The plans are unread so far: this is each one's first read.
+        ("strata_first_read", stage(n, |i| plans[i].strata.len())),
         ("emit_sql", stage(n, |i| emit_sql(&plans[i].strata, &v))),
         (
             "omq_plan_compile",

@@ -106,7 +106,7 @@ impl PlanIr {
             .max()
             .unwrap_or(0);
         let mut node = vec![NO_NODE; n_rels];
-        for r in &program.rules {
+        for r in program.rules.iter() {
             node[r.head.rel.0 as usize] = 0;
         }
         let mut n_nodes = 0u32;
@@ -120,7 +120,7 @@ impl PlanIr {
         };
         // Dependency edges body-IDB-relation → head relation.
         let mut edges: Vec<(u32, u32)> = Vec::new();
-        for rule in &program.rules {
+        for rule in program.rules.iter() {
             let h = node[rule.head.rel.0 as usize];
             edges.extend(
                 rule.positive_atoms()
@@ -164,11 +164,11 @@ impl PlanIr {
         }
         let comp_of = |rel: RelId| comp[node[rel.0 as usize] as usize] as usize;
         let mut sizes = vec![0usize; n_comps];
-        for rule in &program.rules {
+        for rule in program.rules.iter() {
             sizes[rank_of_comp[comp_of(rule.head.rel)]] += 1;
         }
         let mut buckets: Vec<Vec<Rule>> = sizes.into_iter().map(Vec::with_capacity).collect();
-        for rule in &program.rules {
+        for rule in program.rules.iter() {
             buckets[rank_of_comp[comp_of(rule.head.rel)]].push(rule.clone());
         }
         // A stratum is recursive when a positive body atom names a head
@@ -344,7 +344,7 @@ mod tests {
     fn reachability_says_recursive(program: &Program) -> bool {
         let idb = program.idb();
         let mut reach: BTreeSet<(RelId, RelId)> = BTreeSet::new();
-        for rule in &program.rules {
+        for rule in program.rules.iter() {
             for atom in rule.positive_atoms() {
                 if idb.contains(&atom.rel) {
                     reach.insert((atom.rel, rule.head.rel));

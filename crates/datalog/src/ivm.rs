@@ -36,8 +36,11 @@ use crate::eval::{
     Derivation, EvalStats, TracedBuf,
 };
 use crate::program::Rule;
-use gomq_core::{DeltaView, FactBuf, FactId, FactLookup, IdSetView, IndexedInstance, RelId, Term};
+use gomq_core::{
+    DeltaView, FactBuf, FactId, FactLookup, FactStore, IdSetView, IndexedInstance, RelId, Term,
+};
 use std::collections::{BTreeSet, HashSet};
+use std::sync::Arc;
 
 /// A maintained fixpoint of one rule set over a base instance.
 ///
@@ -48,8 +51,9 @@ use std::collections::{BTreeSet, HashSet};
 #[derive(Clone, Debug)]
 pub struct Materialization {
     /// The maintained rule set (flattened; positive Datalog≠ needs no
-    /// stratification for maintenance correctness).
-    rules: Vec<Rule>,
+    /// stratification for maintenance correctness), shared with the
+    /// program the view was built from.
+    rules: Arc<[Rule]>,
     /// The goal relation whose live facts are the answers.
     goal: RelId,
     /// Base ∪ IDB with stable ids; retracted facts stay dead in place.
@@ -72,35 +76,47 @@ impl Materialization {
     /// Builds a materialization of `rules` over `base` by saturating
     /// from scratch (the one full fixpoint a maintained view ever pays).
     pub fn build(
-        rules: &[Rule],
+        rules: &Arc<[Rule]>,
         goal: RelId,
         base: &IndexedInstance,
         budget: &Budget,
     ) -> Result<(Materialization, EvalStats), BudgetExceeded> {
-        Self::build_inner(rules, goal, base, budget, false)
+        Self::build_inner(rules, goal, base.store(), budget, false)
     }
 
     /// [`Materialization::build`] with witness recording: every derived
     /// fact keeps the rule application that produced it, so answers can
     /// be emitted with a derivation certificate without re-evaluating.
     pub fn build_recording(
-        rules: &[Rule],
+        rules: &Arc<[Rule]>,
         goal: RelId,
         base: &IndexedInstance,
+        budget: &Budget,
+    ) -> Result<(Materialization, EvalStats), BudgetExceeded> {
+        Self::build_inner(rules, goal, base.store(), budget, true)
+    }
+
+    /// [`Materialization::build_recording`] over a plain fact store: a
+    /// view reads its base only in interning order, so a base built for
+    /// this one view needs no per-position index.
+    pub fn build_recording_from_store(
+        rules: &Arc<[Rule]>,
+        goal: RelId,
+        base: &FactStore,
         budget: &Budget,
     ) -> Result<(Materialization, EvalStats), BudgetExceeded> {
         Self::build_inner(rules, goal, base, budget, true)
     }
 
     fn build_inner(
-        rules: &[Rule],
+        rules: &Arc<[Rule]>,
         goal: RelId,
-        base: &IndexedInstance,
+        base: &FactStore,
         budget: &Budget,
         record: bool,
     ) -> Result<(Materialization, EvalStats), BudgetExceeded> {
         let mut m = Materialization {
-            rules: rules.to_vec(),
+            rules: Arc::clone(rules),
             goal,
             total: IndexedInstance::new(),
             base_ids: Vec::new(),
@@ -147,8 +163,9 @@ impl Materialization {
         self.derivs.get(id as usize).and_then(Option::as_ref)
     }
 
-    /// The maintained rule set (indices match recorded derivations).
-    pub fn rules(&self) -> &[Rule] {
+    /// The maintained rule set (indices match recorded derivations),
+    /// shared with the program the view was built from.
+    pub fn rules(&self) -> &Arc<[Rule]> {
         &self.rules
     }
 
@@ -211,14 +228,14 @@ impl Materialization {
     ) -> Result<EvalStats, BudgetExceeded> {
         gomq_core::faults::point(gomq_core::faults::IVM_APPLY);
         let mut stats = EvalStats::default();
-        self.sync_inner(base, budget, &mut stats)?;
+        self.sync_inner(base.store(), budget, &mut stats)?;
         stats.store = self.total.store_stats();
         Ok(stats)
     }
 
     fn sync_inner(
         &mut self,
-        base: &IndexedInstance,
+        base: &FactStore,
         budget: &Budget,
         stats: &mut EvalStats,
     ) -> Result<(), BudgetExceeded> {
@@ -231,7 +248,7 @@ impl Materialization {
         );
         let mut frontier: Vec<u32> = Vec::new();
         for idx in self.base_ids.len()..base.len() {
-            let f = base.store().fact_ref(FactId(idx as u32));
+            let f = base.fact_ref(FactId(idx as u32));
             let (id, new) = self.total.intern_ref(f.rel, f.args);
             if new {
                 frontier.push(id.0);

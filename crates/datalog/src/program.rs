@@ -5,9 +5,10 @@ use gomq_core::{bitset, RelId, Term, Vocab};
 use std::collections::BTreeSet;
 use std::fmt;
 use std::hash::{Hash, Hasher};
+use std::sync::Arc;
 
 /// No older kept rule with the same hash (the end of a chain in
-/// [`Program::optimize`]).
+/// [`Program::optimized`]).
 const NONE: u32 = u32::MAX;
 
 /// A term in a rule: a variable or a fixed ground term.
@@ -130,10 +131,14 @@ fn positive_vars(body: &[Literal]) -> impl Iterator<Item = u32> + '_ {
 }
 
 /// A Datalog≠ program with a designated goal relation.
+///
+/// Its rules are immutable and shared: cloning a program, or building a
+/// view of it ([`crate::ivm::Materialization`]), copies a pointer, not
+/// the rules.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct Program {
     /// The rules.
-    pub rules: Vec<Rule>,
+    pub rules: Arc<[Rule]>,
     /// The goal relation (must not occur in rule bodies).
     pub goal: RelId,
 }
@@ -150,7 +155,10 @@ impl Program {
                 assert!(a.rel != goal, "goal relation must not occur in rule bodies");
             }
         }
-        Program { rules, goal }
+        Program {
+            rules: rules.into(),
+            goal,
+        }
     }
 
     /// Whether this is a pure Datalog program (no inequality).
@@ -173,7 +181,8 @@ impl Program {
         self.rules.is_empty()
     }
 
-    /// Simplifies the program without changing its answers:
+    /// The program of `rules`, simplified without changing its answers
+    /// ([`Program::new`] of the simplified rules):
     ///
     /// * drops rules with a trivially false body (`t ≠ t`),
     /// * deduplicates body literals within each rule,
@@ -181,10 +190,9 @@ impl Program {
     ///   the same order), keeping the first.
     ///
     /// Rules are moved, not cloned: a kept rule is the input rule with
-    /// its duplicate literals removed. Idempotent: an optimized program
-    /// optimizes to itself.
-    pub fn optimize(self) -> Program {
-        let Program { mut rules, goal } = self;
+    /// its duplicate literals removed. Idempotent: optimizing an
+    /// optimized program's rules gives the same program.
+    pub fn optimized(mut rules: Vec<Rule>, goal: RelId) -> Program {
         // Kept rules chained by a structural hash of (head, body): the
         // newest kept index per hash, and for each kept index the next
         // older one with the same hash. A chain is verified by equality,
@@ -235,8 +243,7 @@ impl Program {
             kept += 1;
         }
         rules.truncate(kept);
-        rules.shrink_to_fit();
-        Program { rules, goal }
+        Program::new(rules, goal)
     }
 
     /// Renders the program with relation names from the vocabulary.
@@ -276,7 +283,7 @@ impl ProgramDisplay<'_> {
 
 impl fmt::Display for ProgramDisplay<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        for r in &self.program.rules {
+        for r in self.program.rules.iter() {
             self.fmt_atom(&r.head, f)?;
             write!(f, " <- ")?;
             for (i, l) in r.body.iter().enumerate() {
@@ -390,7 +397,7 @@ mod tests {
             ],
         );
         let p = Program::new(vec![live.clone(), live, dead], g);
-        let opt = p.clone().optimize();
+        let opt = Program::optimized(p.rules.to_vec(), p.goal);
         assert_eq!(opt.len(), 1);
         assert_eq!(opt.rules[0].body.len(), 1);
         // Answers unchanged.
@@ -410,7 +417,7 @@ mod tests {
         fn debug_key_optimize(p: &Program) -> Vec<Rule> {
             let mut seen = BTreeSet::new();
             let mut out = Vec::new();
-            for r in &p.rules {
+            for r in p.rules.iter() {
                 if r.body
                     .iter()
                     .any(|l| matches!(l, Literal::Neq(a, b) if a == b))
@@ -483,9 +490,13 @@ mod tests {
             }
             let p = Program::new(rules, goal);
             let expected = debug_key_optimize(&p);
-            let opt = p.clone().optimize();
-            assert_eq!(opt.rules, expected);
-            assert_eq!(opt.clone().optimize(), opt, "optimize is idempotent");
+            let opt = Program::optimized(p.rules.to_vec(), goal);
+            assert_eq!(*opt.rules, expected[..]);
+            assert_eq!(
+                Program::optimized(opt.rules.to_vec(), goal),
+                opt,
+                "optimize is idempotent"
+            );
             kept_total += opt.len();
             dropped_total += p.len() - opt.len();
         }

@@ -95,7 +95,7 @@ pub use drain::DrainToken;
 pub use engine::{Answered, Engine, Input};
 pub use gomq_datalog::{Budget, BudgetExceeded, LimitKind};
 pub use net::{NetConfig, NetReport, NetServer};
-pub use plan::{EngineError, OmqPlan};
+pub use plan::{EngineError, LazyStrata, OmqPlan};
 pub use repl::{FollowConfig, ReplContext, ReplHub, ReplServer, Role};
 pub use serve::{
     handle_connection, CappedLineReader, ConnClose, ConnControl, ConnOutcome, Limits, LineRead,

@@ -9,13 +9,16 @@
 //!   answers every uncertified request,
 //! * the **compiled Datalog≠ rewriting** (Theorem 5: one `elim_θ`
 //!   predicate per surviving element type), as `emit_datalog` returns
-//!   it, optimized — what certificates cite and session views maintain.
+//!   it, optimized — what certificates cite and session views maintain,
+//!   sharing its rules with every view built from it.
 //!   Its IDB relations have fixed reserved names (`_elim{t}`, `_dom`,
 //!   `_goal`, `_sedge{r}`) that every plan in a vocabulary shares, so
 //!   compiling costs the same and interns nothing new however many
 //!   plans came before,
-//! * the rewriting pre-**stratified** into SCC strata ([`Strata`]), so
-//!   Datalog evaluation never pays the stratification cost per request,
+//! * the rewriting's SCC strata ([`LazyStrata`]), built on first read:
+//!   nothing on the serving path reads them (the SQL emitter, the
+//!   stratified executor's callers and tests do), so a compile does not
+//!   pay for them,
 //! * the **canonical cache key**
 //!   ([`canonical_omq_hash`](gomq_rewriting::canonical_omq_hash)) under which
 //!   the plan is stored.
@@ -31,7 +34,8 @@ use gomq_logic::GfOntology;
 use gomq_rewriting::emit::emit_datalog;
 use gomq_rewriting::{canonical_omq_text, fnv1a, ElementTypeSystem, OntologyReport, RewriteError};
 use std::fmt;
-use std::sync::Arc;
+use std::ops::Deref;
+use std::sync::{Arc, OnceLock};
 
 /// Errors surfaced by the engine.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -131,17 +135,18 @@ pub struct OmqPlan {
     /// Uncertified answers never run it (they come from `types`); its
     /// rules are what recording views materialize and certificates cite,
     /// what maintained session views maintain, and what the benchmark's
-    /// oracle and traced replay evaluate.
+    /// oracle and traced replay evaluate. Views share the rules rather
+    /// than copy them.
     pub program: Program,
-    /// The rewriting's rules pre-partitioned into SCC strata — the
+    /// The rewriting's rules partitioned into SCC strata — the
     /// backend-agnostic [`gomq_datalog::ir::PlanIr`] the stratified
     /// executor and the SQL emitter consume (`Strata` is its
-    /// engine-historical name); read by the benchmark's traced replay,
-    /// by tests that check the kernel against the executor, and by the
-    /// SQL emitter on demand (`emit_sql(&plan.strata, &vocab)`: the SQL
-    /// text is ABox-independent and nothing on the serving path reads
-    /// it, so compiling a plan emits none).
-    pub strata: Strata,
+    /// engine-historical name), built on first read: read by the
+    /// benchmark's traced replay, by tests that check the kernel against
+    /// the executor, and by the SQL emitter on demand
+    /// (`emit_sql(&plan.strata, &vocab)`). Nothing on the serving path
+    /// reads them, so compiling a plan builds no strata and emits no SQL.
+    pub strata: LazyStrata,
     /// The element-type system the rewriting was emitted from, with its
     /// bitset propagation kernel pre-built:
     /// [`ElementTypeSystem::answer`] over it answers every uncertified
@@ -151,8 +156,9 @@ pub struct OmqPlan {
 
 impl OmqPlan {
     /// Compiles a plan: classifies the ontology, builds the element-type
-    /// system, emits the optimized Datalog≠ rewriting from its kernel,
-    /// and stratifies it.
+    /// system and emits the optimized Datalog≠ rewriting from its kernel.
+    /// The rewriting is stratified on first read of
+    /// [`OmqPlan::strata`], not here.
     ///
     /// Interns the rewriting's fixed `_elim{t}`/`_dom`/`_goal`/`_sedge{r}`
     /// relations in `vocab` on first use only; a cached plan must only
@@ -189,7 +195,7 @@ impl OmqPlan {
         // The emitter builds the bitset kernel to read its edge rules
         // off it, so cached plans never pay a first-use stall.
         let program = emit_datalog(&sys, query, vocab);
-        let strata = Strata::of(&program);
+        let strata = LazyStrata::new(&program);
         let types = Arc::new(sys);
         Ok(OmqPlan {
             key,
@@ -200,6 +206,39 @@ impl OmqPlan {
             strata,
             types,
         })
+    }
+}
+
+/// A plan's SCC strata, built from its rules on first read.
+///
+/// Holds the plan's rewriting (its shared rules and its goal) and runs
+/// [`Strata::of`] the first time it is dereferenced; concurrent first
+/// reads build the strata once and all read that build.
+#[derive(Clone, Debug)]
+pub struct LazyStrata {
+    program: Program,
+    built: OnceLock<Strata>,
+}
+
+impl LazyStrata {
+    fn new(program: &Program) -> Self {
+        LazyStrata {
+            program: program.clone(),
+            built: OnceLock::new(),
+        }
+    }
+
+    /// Whether the strata have been built (some read came first).
+    pub fn is_built(&self) -> bool {
+        self.built.get().is_some()
+    }
+}
+
+impl Deref for LazyStrata {
+    type Target = Strata;
+
+    fn deref(&self) -> &Strata {
+        self.built.get_or_init(|| Strata::of(&self.program))
     }
 }
 
@@ -221,6 +260,68 @@ mod tests {
         assert!(!plan.strata.is_empty());
         assert_eq!(plan.key, gomq_rewriting::canonical_omq_hash(&o, c, &v));
         assert!(plan.canonical_text.contains("query: C"));
+    }
+
+    fn compile_text(ontology: &str, query: &str, v: &mut Vocab) -> OmqPlan {
+        let o = to_gf(&parse_ontology(ontology, v).unwrap());
+        let q = v.find_rel(query).unwrap();
+        OmqPlan::compile(&o, q, v).unwrap()
+    }
+
+    /// The ontologies of the lazy-strata tests: a hierarchy (one
+    /// non-recursive stratum per level) and two whose rewritings
+    /// recurse along their roles.
+    const LAZY_OMQS: [(&str, &str); 3] = [
+        ("A sub B\nB sub C\n", "C"),
+        ("A sub all R.A\nA sub B\n", "B"),
+        ("A sub ex R.B\nB sub all S.C\nC sub D\n", "D"),
+    ];
+
+    #[test]
+    fn strata_are_built_on_first_read_as_plan_ir_builds_them() {
+        let mut v = Vocab::new();
+        let mut recursive = 0;
+        for (ontology, query) in LAZY_OMQS {
+            let plan = compile_text(ontology, query, &mut v);
+            assert!(!plan.strata.is_built(), "compiling builds no strata");
+            let expected = gomq_datalog::ir::PlanIr::of(&plan.program);
+            assert_eq!(plan.strata.len(), expected.len());
+            assert!(plan.strata.is_built());
+            assert_eq!(plan.strata.goal, expected.goal);
+            for (got, want) in plan.strata.strata.iter().zip(&expected.strata) {
+                assert_eq!(got.rules, want.rules);
+                assert_eq!(got.recursive, want.recursive);
+            }
+            recursive += usize::from(plan.strata.is_recursive());
+        }
+        assert_eq!(recursive, 2, "the two role ontologies recurse");
+    }
+
+    #[test]
+    fn concurrent_first_reads_share_one_build() {
+        let mut v = Vocab::new();
+        for (ontology, query) in LAZY_OMQS {
+            let plan = compile_text(ontology, query, &mut v);
+            assert!(!plan.strata.is_built());
+            let threads = 4;
+            let start = std::sync::Barrier::new(threads);
+            let reads: Vec<&Strata> = std::thread::scope(|scope| {
+                let handles: Vec<_> = (0..threads)
+                    .map(|_| {
+                        scope.spawn(|| {
+                            start.wait();
+                            &*plan.strata
+                        })
+                    })
+                    .collect();
+                handles.into_iter().map(|h| h.join().unwrap()).collect()
+            });
+            assert!(
+                reads.iter().all(|r| std::ptr::eq(*r, &*plan.strata)),
+                "one build, read by all"
+            );
+            assert_eq!(plan.strata.len(), Strata::of(&plan.program).len());
+        }
     }
 
     #[test]

@@ -108,7 +108,7 @@ use crate::session::{
 };
 use crate::stats::{nanos, Counter, EngineStats, RequestStats};
 use gomq_core::parse::parse_request_facts;
-use gomq_core::{Fact, IndexedInstance, RelId, RequestConsts, Term, Vocab};
+use gomq_core::{Fact, FactStore, RelId, RequestConsts, Term, Vocab};
 use gomq_datalog::{Budget, BudgetExceeded, EvalStats, LimitKind, Materialization};
 use gomq_dl::parser::parse_ontology;
 use gomq_dl::translate::to_gf;
@@ -778,7 +778,7 @@ impl ServeSession {
         // every query (a session query leaves it empty, so every
         // constant it renders is the vocabulary's), never into the
         // shared vocabulary.
-        let mut aboxes = {
+        let aboxes = {
             let vocab = lock_recover(&self.shared.vocab);
             self.consts.reset(&vocab);
             let types = &plan.types;
@@ -799,9 +799,8 @@ impl ServeSession {
                 // binds to no session position (its base facts are
                 // self-contained).
                 let t0 = Instant::now();
-                let base = IndexedInstance::from_store(aboxes.swap_remove(0));
-                let (view, es) =
-                    one_shot(plan, &base, &budget).map_err(|e| self.shared.engine.overloaded(e))?;
+                let (view, es) = one_shot(plan, &aboxes[0], &budget)
+                    .map_err(|e| self.shared.engine.overloaded(e))?;
                 return self.answer_view(&view, es, Some(None), false, t0);
             }
             let input = if req.batch {
@@ -954,7 +953,7 @@ impl ServeSession {
                 // Maintenance disabled, certificate requested: a
                 // recording view of the snapshot, built for this read
                 // and dropped after it, never registered.
-                None if !views_on => one_shot(plan, &store, budget),
+                None if !views_on => one_shot(plan, store.store(), budget),
                 // Miss: the one full fixpoint this view ever costs;
                 // register it for the next query. Certificate-requesting
                 // sessions build the recording variant, whose
@@ -1262,13 +1261,13 @@ impl ServeSession {
 /// `base` folded before evaluation.
 fn one_shot(
     plan: &OmqPlan,
-    base: &IndexedInstance,
+    base: &FactStore,
     budget: &Budget,
 ) -> Result<(Materialization, EvalStats), BudgetExceeded> {
     let (rules, goal) = (&plan.program.rules, plan.program.goal);
-    let (view, mut es) = Materialization::build_recording(rules, goal, base, budget)?;
+    let (view, mut es) = Materialization::build_recording_from_store(rules, goal, base, budget)?;
     es.rounds = es.rounds.max(1);
-    es.store.dedup_hits += base.store_stats().dedup_hits;
+    es.store.dedup_hits += base.stats().dedup_hits;
     Ok((view, es))
 }
 
@@ -2217,6 +2216,40 @@ mod tests {
         for resp in [&q1, &q2, &q3, &q4] {
             assert!(crate::json::parse(resp).is_ok(), "not JSON: {resp}");
         }
+    }
+
+    #[test]
+    fn views_share_the_plan_rules_and_serving_builds_no_strata() {
+        let mut s = ServeSession::with_threads(1);
+        let omq = r#""ontology": "A sub B", "query": "B""#;
+        let one = s.handle_line(&format!(
+            r#"{{{omq}, "abox": "A(ada)", "certificate": true}}"#
+        ));
+        ok_field(&one, r#"[["ada"]]"#);
+        ok_field(&one, "\"certificate\"");
+        s.handle_line(r#"{"op": "assert", "abox": "A(bob)"}"#);
+        let read = s.handle_line(&format!(
+            r#"{{{omq}, "session": true, "certificate": true}}"#
+        ));
+        ok_field(&read, r#"[["bob"]]"#);
+        s.handle_line(&format!(r#"{{{omq}, "abox": "A(eve)"}}"#));
+        let plan = s
+            .engine()
+            .cache()
+            .get_text("A sub B", "B")
+            .unwrap()
+            .unwrap();
+        assert!(!plan.strata.is_built(), "serving never reads the strata");
+        // A certified request's one-shot view and the maintained session
+        // view hold the plan's own rules, not copies.
+        let (view, _) = one_shot(&plan, &FactStore::new(), &Budget::UNLIMITED).unwrap();
+        assert!(Arc::ptr_eq(view.rules(), &plan.program.rules));
+        let maintained = lock_recover(&s.shared().session)
+            .views_mut()
+            .take(plan.key)
+            .expect("the session read registered its view");
+        assert!(maintained.is_recording());
+        assert!(Arc::ptr_eq(maintained.rules(), &plan.program.rules));
     }
 
     #[test]

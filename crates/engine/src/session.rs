@@ -1289,14 +1289,14 @@ mod tests {
     use gomq_datalog::{DAtom, Literal, Rule};
 
     /// `B(x) ← A(x)` — the smallest program a view can maintain.
-    fn b_from_a(v: &mut Vocab) -> (Vec<Rule>, RelId) {
+    fn b_from_a(v: &mut Vocab) -> (Arc<[Rule]>, RelId) {
         let a = v.rel("A", 1);
         let b = v.rel("B", 1);
         (
-            vec![Rule::new(
+            Arc::new([Rule::new(
                 DAtom::vars(b, &[0]),
                 vec![Literal::Pos(DAtom::vars(a, &[0]))],
-            )],
+            )]),
             b,
         )
     }

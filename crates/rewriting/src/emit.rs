@@ -15,7 +15,7 @@ use gomq_datalog::{DAtom, DTerm, Literal, Program, Rule};
 use std::fmt::Write as _;
 
 /// Emits the Datalog rewriting of the atomic query `query(x)` w.r.t. the
-/// compiled ontology, already [`Program::optimize`]d.
+/// compiled ontology, already [`Program::optimized`].
 ///
 /// The IDB relations have fixed names: `_elim{t}` for type index `t`,
 /// `_dom`, `_goal`, and `_sedge{r}` for the counted relation with id
@@ -31,7 +31,8 @@ use std::fmt::Write as _;
 ///
 /// [`TypeKernel`]: crate::types::TypeKernel
 pub fn emit_datalog(sys: &ElementTypeSystem, query: RelId, vocab: &mut Vocab) -> Program {
-    emit_datalog_unoptimized(sys, query, vocab).optimize()
+    let (rules, goal) = emit_rules(sys, query, vocab);
+    Program::optimized(rules, goal)
 }
 
 /// The rewriting [`emit_datalog`] optimizes, rule for rule as emitted.
@@ -42,6 +43,12 @@ pub fn emit_datalog_unoptimized(
     query: RelId,
     vocab: &mut Vocab,
 ) -> Program {
+    let (rules, goal) = emit_rules(sys, query, vocab);
+    Program::new(rules, goal)
+}
+
+/// The emitted rules and the goal relation.
+fn emit_rules(sys: &ElementTypeSystem, query: RelId, vocab: &mut Vocab) -> (Vec<Rule>, RelId) {
     let n = sys.num_types();
     let mut name = String::new();
     let elim: Vec<RelId> = (0..n)
@@ -207,7 +214,7 @@ pub fn emit_datalog_unoptimized(
     body.extend((0..n).map(|ti| Literal::Pos(DAtom::vars(elim[ti], &[1]))));
     rules.push(Rule::new(DAtom::vars(goal, &[0]), body));
 
-    Program::new(rules, goal)
+    (rules, goal)
 }
 
 #[cfg(test)]

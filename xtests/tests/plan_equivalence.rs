@@ -44,12 +44,12 @@ use std::collections::hash_map::DefaultHasher;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::hash::{Hash, Hasher};
 
-/// Reference `Program::optimize`: clones every kept literal and buckets
+/// Reference `Program::optimized`: clones every kept literal and buckets
 /// rules by a SipHash of `(head, body)`.
 fn reference_optimize(p: &Program) -> Program {
     let mut seen: HashMap<u64, Vec<usize>> = HashMap::with_capacity(p.rules.len());
     let mut rules: Vec<Rule> = Vec::with_capacity(p.rules.len());
-    for r in &p.rules {
+    for r in p.rules.iter() {
         let falsum = r.body.iter().any(|l| match l {
             Literal::Neq(a, b) => a == b,
             Literal::Pos(_) => false,
@@ -85,7 +85,7 @@ fn reference_plan_ir(program: &Program) -> PlanIr {
     let nodes: Vec<RelId> = idb.iter().copied().collect();
     let index_of: BTreeMap<RelId, usize> = nodes.iter().enumerate().map(|(i, &r)| (r, i)).collect();
     let mut succ: Vec<BTreeSet<usize>> = vec![BTreeSet::new(); nodes.len()];
-    for rule in &program.rules {
+    for rule in program.rules.iter() {
         let h = index_of[&rule.head.rel];
         for atom in rule.positive_atoms() {
             if let Some(&b) = index_of.get(&atom.rel) {
@@ -122,7 +122,7 @@ fn reference_plan_ir(program: &Program) -> PlanIr {
         .map(|(rank, &c)| (c, rank))
         .collect();
     let mut buckets: Vec<Vec<Rule>> = vec![Vec::new(); n_comps];
-    for rule in &program.rules {
+    for rule in program.rules.iter() {
         let c = comp[index_of[&rule.head.rel]];
         buckets[rank_of_comp[&c]].push(rule.clone());
     }
@@ -416,8 +416,9 @@ fn compiled_plans_match_the_reference_pipeline() {
             expected.display(&v).to_string()
         );
         assert_eq!(plan.program, expected);
-        assert_eq!(plan.program.rules.capacity(), plan.program.len());
-        for rule in &plan.program.rules {
+        // The rules are a shared slice, allocated at their exact length.
+        let _: &std::sync::Arc<[Rule]> = &plan.program.rules;
+        for rule in plan.program.rules.iter() {
             let slots = rule
                 .positive_atoms()
                 .flat_map(|a| &a.args)
