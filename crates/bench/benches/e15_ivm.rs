@@ -12,9 +12,10 @@
 //!   fixpoint a view ever pays), then each query is an incremental
 //!   `sync` over the facts asserted since the view last looked —
 //!   counting semi-naive insertion propagation restricted to the delta.
-//! * `recompute_*`: what a view-less session does — every query
-//!   re-runs the full stratified fixpoint over the current store
-//!   (`eval_strata_budgeted`, the serving executor itself).
+//! * `recompute_*`: every query re-runs the full stratified fixpoint
+//!   over the current store (`eval_strata_budgeted`, the stratified
+//!   executor; an uncertified served session read is answered from
+//!   a maintained view or, with views off, from the type kernel).
 //!
 //! Both streams produce the same answer sets; the harness asserts
 //! per-query equality outside the measured region.

@@ -1,4 +1,6 @@
-//! Bottom-up evaluation: naive (reference) and semi-naive (production).
+//! Bottom-up evaluation: naive ([`eval_naive`], the oracle the
+//! semi-naive loop is checked against) and semi-naive ([`semi_naive`],
+//! the one round loop behind every flat and stratified fixpoint).
 //!
 //! The join loop is generic over [`FactLookup`], so the same matcher
 //! runs against plain [`Interpretation`]s (per-relation scan) and
@@ -18,7 +20,7 @@
 
 use crate::program::{DAtom, DTerm, Literal, Program, Rule};
 use gomq_core::{
-    DeltaView, FactBuf, FactLookup, FactRef, IndexedInstance, Instance, Interpretation, RelId,
+    DeltaView, FactBuf, FactLookup, FactStore, IndexedInstance, Instance, Interpretation, RelId,
     StoreStats, Term,
 };
 use std::collections::BTreeSet;
@@ -142,10 +144,10 @@ impl std::error::Error for BudgetExceeded {}
 
 /// A sink for facts staged by the join matcher.
 ///
-/// The matcher is generic over its sink so the production hot path
-/// (plain [`FactBuf`], whose premise hooks are empty and fold away under
-/// monomorphization) and the certificate-recording path ([`TracedBuf`])
-/// share one join loop instead of two drifting copies.
+/// The matcher is generic over its sink so the plain path ([`FactBuf`],
+/// whose premise hooks are empty and fold away under monomorphization)
+/// and the certificate-recording path ([`TracedBuf`]) share one join
+/// loop instead of two drifting copies.
 pub trait Emitter {
     /// Called once per rule before its instantiations are enumerated;
     /// `rule_idx` is the rule's position in the slice being evaluated.
@@ -186,22 +188,30 @@ pub struct Derivation {
     pub premises: Vec<u32>,
 }
 
-/// A [`FactBuf`] that additionally records a [`Derivation`] per staged
-/// fact (aligned by position: `derivs[i]` justifies `buf.get(i)`).
+/// A [`FactBuf`] that, when recording, additionally keeps a
+/// [`Derivation`] per staged fact (aligned by position: `derivs[i]`
+/// justifies `buf.get(i)`). A buffer that does not record stages facts
+/// as a plain [`FactBuf`] does and leaves `derivs` empty, so a caller
+/// that serves both modes stages through one buffer.
 #[derive(Default)]
 pub struct TracedBuf {
     /// The staged facts.
     pub buf: FactBuf,
-    /// `derivs[i]` is the rule application that staged `buf.get(i)`.
+    /// `derivs[i]` is the rule application that staged `buf.get(i)`;
+    /// empty unless the buffer records.
     pub derivs: Vec<Derivation>,
+    record: bool,
     rule_idx: u32,
     trail: Vec<(u32, u32)>,
 }
 
 impl TracedBuf {
-    /// Creates an empty traced buffer.
-    pub fn new() -> Self {
-        Self::default()
+    /// Creates an empty buffer that records derivations iff `record`.
+    pub fn new(record: bool) -> Self {
+        TracedBuf {
+            record,
+            ..TracedBuf::default()
+        }
     }
 
     /// Clears staged facts and derivations, keeping capacity.
@@ -209,11 +219,6 @@ impl TracedBuf {
         self.buf.clear();
         self.derivs.clear();
         self.trail.clear();
-    }
-
-    /// Iterates staged facts together with their derivations.
-    pub fn iter(&self) -> impl Iterator<Item = (FactRef<'_>, &Derivation)> {
-        (0..self.buf.len()).map(|i| (self.buf.get(i), &self.derivs[i]))
     }
 }
 
@@ -226,15 +231,22 @@ impl Emitter for TracedBuf {
     }
 
     fn note_premise(&mut self, atom_idx: usize, id: u32) {
-        self.trail.push((atom_idx as u32, id));
+        if self.record {
+            self.trail.push((atom_idx as u32, id));
+        }
     }
 
     fn unnote_premise(&mut self) {
-        self.trail.pop();
+        if self.record {
+            self.trail.pop();
+        }
     }
 
     fn emit(&mut self, rel: RelId, args: impl Iterator<Item = Term>) {
         self.buf.push_with(rel, args);
+        if !self.record {
+            return;
+        }
         // The trail is in greedy join order; certificates cite premises
         // in body-atom order so the checker can match linearly.
         let mut cited = self.trail.clone();
@@ -269,38 +281,7 @@ impl Program {
         d: &Instance,
         budget: &Budget,
     ) -> Result<(Interpretation, EvalStats), BudgetExceeded> {
-        // The total store is a clone of the EDB's columns (bulk copies,
-        // no per-fact allocation); a round's delta is just the id range
-        // past the previous round's frontier.
-        let mut total = d.clone();
-        let mut stats = EvalStats::default();
-        budget.check(&stats)?;
-        let mut staged = FactBuf::new();
-        let mut frontier = 0u32;
-        loop {
-            gomq_core::faults::point(gomq_core::faults::EVAL_ROUND);
-            stats.rounds = stats.rounds.saturating_add(1);
-            staged.clear();
-            // In the first round the frontier is 0, so the delta view is
-            // `total` itself — no second clone of the input.
-            derive_round(
-                &self.rules,
-                &total,
-                &DeltaView::new(&total, frontier),
-                &mut staged,
-            );
-            frontier = total.len() as u32;
-            for f in staged.iter() {
-                total.insert_ref(f.rel, f.args);
-            }
-            let derived_now = total.len() - frontier as usize;
-            if derived_now == 0 {
-                break;
-            }
-            stats.derived = stats.derived.saturating_add(derived_now);
-            budget.check(&stats)?;
-        }
-        stats.store = total.store_stats();
+        let (total, _, stats) = flat_fixpoint(&self.rules, d, false, budget)?;
         Ok((total, stats))
     }
 
@@ -317,33 +298,124 @@ impl Program {
     }
 }
 
+/// A total store (EDB ∪ IDB) that [`semi_naive`] grows by slice
+/// interning.
+pub trait TotalStore {
+    /// The facts so far; the next new fact gets id `store().len()`.
+    fn store(&self) -> &FactStore;
+
+    /// Interns `rel(args…)`; `true` if the fact was new.
+    fn insert_ref(&mut self, rel: RelId, args: &[Term]) -> bool;
+}
+
+impl TotalStore for Interpretation {
+    fn store(&self) -> &FactStore {
+        Interpretation::store(self)
+    }
+
+    fn insert_ref(&mut self, rel: RelId, args: &[Term]) -> bool {
+        Interpretation::insert_ref(self, rel, args)
+    }
+}
+
+impl TotalStore for IndexedInstance {
+    fn store(&self) -> &FactStore {
+        IndexedInstance::store(self)
+    }
+
+    fn insert_ref(&mut self, rel: RelId, args: &[Term]) -> bool {
+        IndexedInstance::insert_ref(self, rel, args)
+    }
+}
+
+/// The semi-naive round loop behind every flat and stratified fixpoint
+/// ([`Program::fixpoint_budgeted`], [`fixpoint_traced`] and each stratum
+/// of `gomq-engine`'s stratified executor).
+///
+/// Each round checks `budget` against `stats`, passes the
+/// [`EVAL_ROUND`](gomq_core::faults::EVAL_ROUND) fault seam, counts
+/// itself, lets `round(total, frontier, staged)` stage every head with
+/// a body atom at or past fact id `frontier` (0 in the first round, so
+/// the first delta is all of `total`), interns the staged facts into
+/// `total` in staging order and adds the new ones to `stats.derived`;
+/// when `staged` records, each new fact's derivation is pushed onto
+/// `derivs`. The next round's frontier is the first id this round
+/// added. The loop stops after a round that adds nothing, or after its
+/// first round when the rules are not `recursive` (their heads never
+/// feed their bodies, and the inputs are already saturated).
+pub fn semi_naive<S: TotalStore>(
+    total: &mut S,
+    staged: &mut TracedBuf,
+    derivs: &mut Vec<Option<Derivation>>,
+    recursive: bool,
+    stats: &mut EvalStats,
+    budget: &Budget,
+    mut round: impl FnMut(&S, u32, &mut TracedBuf),
+) -> Result<(), BudgetExceeded> {
+    let mut frontier = 0u32;
+    loop {
+        budget.check(stats)?;
+        gomq_core::faults::point(gomq_core::faults::EVAL_ROUND);
+        stats.rounds = stats.rounds.saturating_add(1);
+        staged.clear();
+        round(total, frontier, staged);
+        let added = total.store().len() as u32;
+        for (i, f) in staged.buf.iter().enumerate() {
+            if total.insert_ref(f.rel, f.args) {
+                if let Some(d) = staged.derivs.get(i) {
+                    derivs.push(Some(d.clone()));
+                }
+            }
+        }
+        let derived_now = total.store().len() - added as usize;
+        stats.derived = stats.derived.saturating_add(derived_now);
+        if derived_now == 0 || !recursive {
+            return Ok(());
+        }
+        frontier = added;
+    }
+}
+
+/// A flat (unstratified, sequential) fixpoint of `rules` over `d`: every
+/// round runs every rule against the delta past the frontier. When
+/// `record`, `derivs[id]` is `None` for the facts of `d` and the
+/// derivation of every fact the fixpoint added; otherwise it is empty.
+fn flat_fixpoint<S: TotalStore + FactLookup + Clone>(
+    rules: &[Rule],
+    d: &S,
+    record: bool,
+    budget: &Budget,
+) -> Result<(S, Vec<Option<Derivation>>, EvalStats), BudgetExceeded> {
+    // The total store is a clone of the EDB's columns (bulk copies, no
+    // per-fact allocation).
+    let mut total = d.clone();
+    let mut derivs = vec![None; if record { total.store().len() } else { 0 }];
+    let mut stats = EvalStats::default();
+    semi_naive(
+        &mut total,
+        &mut TracedBuf::new(record),
+        &mut derivs,
+        true,
+        &mut stats,
+        budget,
+        |total, frontier, staged| {
+            derive_round(rules, total, &DeltaView::new(total, frontier), staged)
+        },
+    )?;
+    stats.store = total.store().stats();
+    Ok((total, derivs, stats))
+}
+
 /// One semi-naive round: stages into `out` every head fact of `rules`
 /// with at least one body atom matched in `delta` (`total` must include
 /// `delta`; the delta is typically a [`DeltaView`] over the total store
-/// past the previous round's frontier). This is the building block both
-/// of [`Program::fixpoint`] and of the stratified parallel evaluator in
-/// `gomq-engine`, which calls it concurrently on disjoint rule
-/// partitions, merging the per-worker [`FactBuf`]s afterwards.
-pub fn derive_round<T, D>(rules: &[Rule], total: &T, delta: &D, out: &mut FactBuf)
-where
-    T: FactLookup + ?Sized,
-    D: FactLookup + ?Sized,
-{
-    derive_round_into(rules, total, delta, out);
-}
-
-/// [`derive_round`] with derivation recording: `out.derivs[i]` records
-/// the rule application (rule index into `rules`, premise fact ids in
-/// body-atom order) that staged `out.buf.get(i)`.
-pub fn derive_round_traced<T, D>(rules: &[Rule], total: &T, delta: &D, out: &mut TracedBuf)
-where
-    T: FactLookup + ?Sized,
-    D: FactLookup + ?Sized,
-{
-    derive_round_into(rules, total, delta, out);
-}
-
-fn derive_round_into<T, D, E>(rules: &[Rule], total: &T, delta: &D, out: &mut E)
+/// past the previous round's frontier). Into a [`TracedBuf`] it also
+/// records each staged fact's rule application (rule index into
+/// `rules`, premise fact ids in body-atom order). The stratified
+/// parallel evaluator in `gomq-engine` calls it concurrently on
+/// disjoint rule partitions, merging the per-worker [`FactBuf`]s
+/// afterwards.
+pub fn derive_round<T, D, E>(rules: &[Rule], total: &T, delta: &D, out: &mut E)
 where
     T: FactLookup + ?Sized,
     D: FactLookup + ?Sized,
@@ -351,25 +423,15 @@ where
 {
     for (i, rule) in rules.iter().enumerate() {
         out.begin_rule(i);
-        derive(rule, total, delta, out);
-    }
-}
-
-/// Derives all head facts of `rule` with at least one body atom matched in
-/// `delta` (semi-naive restriction). `total` includes `delta`.
-fn derive<T, D, E>(rule: &Rule, total: &T, delta: &D, out: &mut E)
-where
-    T: FactLookup + ?Sized,
-    D: FactLookup + ?Sized,
-    E: Emitter,
-{
-    let mut join = Join::new(rule, total, delta);
-    // The join restores every frame slot it fills on backtrack, so one
-    // frame serves all pivots.
-    for pivot in 0..join.atoms.len() {
-        join.pivot = Some(pivot);
-        let mut remaining: Vec<usize> = (0..join.atoms.len()).collect();
-        join.run(&mut remaining, out);
+        // Each body atom in turn is the pivot matched against `delta`.
+        // The join restores every frame slot it fills on backtrack, so
+        // one frame serves all pivots.
+        let mut join = Join::new(rule, total, delta);
+        for pivot in 0..join.atoms.len() {
+            join.pivot = Some(pivot);
+            let mut remaining: Vec<usize> = (0..join.atoms.len()).collect();
+            join.run(&mut remaining, out);
+        }
     }
 }
 
@@ -571,35 +633,18 @@ fn resolve(t: &DTerm, frame: &[Option<Term>]) -> Term {
 }
 
 /// One *naive* derivation pass: stages every head fact of every
-/// satisfying instantiation of `rules` over `total` — the `pivot: None`
-/// mode of the matcher, with no delta restriction. [`eval_naive`] loops
-/// this to a fixpoint; incremental maintenance ([`crate::ivm`]) uses a
-/// single pass as the DRed rederivation probe, restricted to the rules
-/// whose head relations were overdeleted.
-pub fn derive_all<T>(rules: &[Rule], total: &T, out: &mut FactBuf)
-where
-    T: FactLookup + ?Sized,
-{
-    derive_all_into(rules, total, out);
-}
-
-/// [`derive_all`] with derivation recording (see
-/// [`derive_round_traced`]). Rule indices in the recorded derivations
-/// refer to positions in `rules` — a caller probing with a rule *subset*
-/// must remap them to its full program afterwards.
-pub fn derive_all_traced<T>(rules: &[Rule], total: &T, out: &mut TracedBuf)
-where
-    T: FactLookup + ?Sized,
-{
-    derive_all_into(rules, total, out);
-}
-
-fn derive_all_into<T, E>(rules: &[Rule], total: &T, out: &mut E)
+/// satisfying instantiation of the `rules` that `keep` selects over
+/// `total` — the `pivot: None` mode of the matcher, with no delta
+/// restriction. [`eval_naive`] loops this to a fixpoint; incremental
+/// maintenance ([`crate::ivm`]) uses a single pass as the DRed
+/// rederivation probe, keeping the rules whose head relations were
+/// overdeleted. Recorded rule indices are positions in `rules`.
+pub fn derive_all<T, E>(rules: &[Rule], keep: impl Fn(&Rule) -> bool, total: &T, out: &mut E)
 where
     T: FactLookup + ?Sized,
     E: Emitter,
 {
-    for (i, rule) in rules.iter().enumerate() {
+    for (i, rule) in rules.iter().enumerate().filter(|(_, r)| keep(r)) {
         out.begin_rule(i);
         let mut join = Join::new(rule, total, total);
         if join.atoms.is_empty() {
@@ -631,38 +676,7 @@ pub fn fixpoint_traced(
     base: &IndexedInstance,
     budget: &Budget,
 ) -> Result<(IndexedInstance, Vec<Option<Derivation>>, EvalStats), BudgetExceeded> {
-    let mut total = base.clone();
-    let mut derivs: Vec<Option<Derivation>> = vec![None; total.len()];
-    let mut stats = EvalStats::default();
-    budget.check(&stats)?;
-    let mut staged = TracedBuf::new();
-    let mut frontier = 0u32;
-    loop {
-        gomq_core::faults::point(gomq_core::faults::EVAL_ROUND);
-        stats.rounds = stats.rounds.saturating_add(1);
-        staged.clear();
-        derive_round_traced(
-            rules,
-            &total,
-            &DeltaView::new(&total, frontier),
-            &mut staged,
-        );
-        frontier = total.len() as u32;
-        for (f, d) in staged.iter() {
-            let (_, new) = total.intern_ref(f.rel, f.args);
-            if new {
-                derivs.push(Some(d.clone()));
-            }
-        }
-        let derived_now = total.len() - frontier as usize;
-        if derived_now == 0 {
-            break;
-        }
-        stats.derived = stats.derived.saturating_add(derived_now);
-        budget.check(&stats)?;
-    }
-    stats.store = total.store_stats();
-    Ok((total, derivs, stats))
+    flat_fixpoint(rules, base, true, budget)
 }
 
 /// Naive (reference) evaluation: applies every rule against the whole
@@ -671,7 +685,7 @@ pub fn eval_naive(p: &Program, d: &Instance) -> BTreeSet<Vec<Term>> {
     let mut total = d.clone();
     loop {
         let mut new_facts = FactBuf::new();
-        derive_all(&p.rules, &total, &mut new_facts);
+        derive_all(&p.rules, |_| true, &total, &mut new_facts);
         let before = total.len();
         for f in new_facts.iter() {
             total.insert_ref(f.rel, f.args);
@@ -954,14 +968,14 @@ mod tests {
         let indexed = IndexedInstance::from_interpretation(&d);
         let mut plain_out = FactBuf::new();
         derive_round(&p.rules, &indexed, &indexed, &mut plain_out);
-        let mut traced_out = TracedBuf::new();
-        derive_round_traced(&p.rules, &indexed, &indexed, &mut traced_out);
+        let mut traced_out = TracedBuf::new(true);
+        derive_round(&p.rules, &indexed, &indexed, &mut traced_out);
         assert_eq!(plain_out.len(), traced_out.buf.len());
         for i in 0..plain_out.len() {
             assert_eq!(plain_out.get(i), traced_out.buf.get(i));
         }
         // Each staged fact has a premise per positive body atom.
-        for (f, deriv) in traced_out.iter() {
+        for (f, deriv) in traced_out.buf.iter().zip(&traced_out.derivs) {
             let rule = &p.rules[deriv.rule as usize];
             assert_eq!(rule.head.rel, f.rel);
             assert_eq!(rule.positive_atoms().count(), deriv.premises.len());

@@ -25,6 +25,10 @@
 //! decide liveness. The counts exist to keep the dead/live boundary
 //! cheap to test and to surface maintenance pressure in statistics.
 //!
+//! Every maintenance round and the rederive probe stage through one
+//! [`TracedBuf`], which records a witness derivation per staged fact
+//! exactly when the view is a recording one.
+//!
 //! The maintained store only ever grows; a rolled-back fact that is
 //! never re-derived stays dead in place. Sessions that churn heavily
 //! should eventually rebuild (the serving layer's view registry drops a
@@ -32,13 +36,10 @@
 //! valve).
 
 use crate::eval::{
-    derive_all, derive_all_traced, derive_round, derive_round_traced, Budget, BudgetExceeded,
-    Derivation, EvalStats, TracedBuf,
+    derive_all, derive_round, Budget, BudgetExceeded, Derivation, EvalStats, TracedBuf,
 };
 use crate::program::Rule;
-use gomq_core::{
-    DeltaView, FactBuf, FactId, FactLookup, FactStore, IdSetView, IndexedInstance, RelId, Term,
-};
+use gomq_core::{DeltaView, FactId, FactStore, IdSetView, IndexedInstance, RelId, Term};
 use std::collections::{BTreeSet, HashSet};
 use std::sync::Arc;
 
@@ -169,13 +170,6 @@ impl Materialization {
         &self.rules
     }
 
-    fn record_deriv(&mut self, id: u32, d: Derivation) {
-        if self.derivs.len() <= id as usize {
-            self.derivs.resize(id as usize + 1, None);
-        }
-        self.derivs[id as usize] = Some(d);
-    }
-
     /// Number of base facts currently incorporated.
     pub fn base_len(&self) -> usize {
         self.base_ids.len()
@@ -265,7 +259,7 @@ impl Materialization {
             }
             self.base_ids.push(id.0);
         }
-        self.propagate(frontier, budget, stats)
+        self.propagate(frontier, &mut TracedBuf::new(self.record), budget, stats)
     }
 
     /// Retracts every base fact past the first `keep` (the session's
@@ -287,7 +281,9 @@ impl Materialization {
 
         // Phase 1 — overcount: transitively mark everything with a
         // derivation using a doomed fact. Nothing is dead yet, so the
-        // delta rounds run over the full pre-deletion store.
+        // delta rounds run over the full pre-deletion store. Marking
+        // needs no witnesses, so these rounds stage into the buffer's
+        // fact column alone.
         let mut marked: HashSet<u32> = doomed
             .iter()
             .filter(|id| !kept.contains(id))
@@ -295,16 +291,15 @@ impl Materialization {
             .collect();
         let mut frontier: Vec<u32> = marked.iter().copied().collect();
         frontier.sort_unstable();
-        let mut staged = FactBuf::new();
+        let mut staged = TracedBuf::new(self.record);
         while !frontier.is_empty() {
             budget.check(&stats)?;
             stats.rounds = stats.rounds.saturating_add(1);
             staged.clear();
             let delta = IdSetView::new(&self.total, &frontier);
-            derive_round(&self.rules, &self.total, &delta, &mut staged);
+            derive_round(&self.rules, &self.total, &delta, &mut staged.buf);
             frontier.clear();
-            for i in 0..staged.len() {
-                let f = staged.get(i);
+            for f in staged.buf.iter() {
                 if let Some(id) = self.total.store().lookup(f.rel, f.args) {
                     if !kept.contains(&id.0) && marked.insert(id.0) {
                         frontier.push(id.0);
@@ -329,66 +324,18 @@ impl Materialization {
             .iter()
             .map(|&id| self.total.store().rel(FactId(id)))
             .collect();
-        let mut probe_idx: Vec<u32> = Vec::new();
-        let probe: Vec<Rule> = self
-            .rules
-            .iter()
-            .enumerate()
-            .filter(|(_, r)| dead_rels.contains(&r.head.rel))
-            .map(|(i, r)| {
-                probe_idx.push(i as u32);
-                r.clone()
-            })
-            .collect();
         staged.clear();
-        let mut traced = TracedBuf::new();
-        if self.record {
-            derive_all_traced(&probe, &self.total, &mut traced);
-            // The traced probe ran over the rule *subset*; recorded rule
-            // indices must refer to the full maintained program.
-            for d in &mut traced.derivs {
-                d.rule = probe_idx[d.rule as usize];
-            }
-        } else {
-            derive_all(&probe, &self.total, &mut staged);
-        }
+        derive_all(
+            &self.rules,
+            |r| dead_rels.contains(&r.head.rel),
+            &self.total,
+            &mut staged,
+        );
         stats.rounds = stats.rounds.saturating_add(1);
         let mut revived: Vec<u32> = Vec::new();
-        let count = if self.record {
-            traced.buf.len()
-        } else {
-            staged.len()
-        };
-        for i in 0..count {
-            let f = if self.record {
-                traced.buf.get(i)
-            } else {
-                staged.get(i)
-            };
-            let (id, new) = self.total.intern_ref(f.rel, f.args);
-            if new {
-                // Unreachable for a correctly maintained view (the old
-                // fixpoint contains the new one), but harmless to keep
-                // sound: treat it as a fresh insertion.
-                stats.derived = stats.derived.saturating_add(1);
-                revived.push(id.0);
-                if self.record {
-                    self.record_deriv(id.0, traced.derivs[i].clone());
-                }
-            } else if !self.total.store().is_live(id.0) {
-                self.total.set_support(id, 1);
-                stats.ivm_rederived = stats.ivm_rederived.saturating_add(1);
-                revived.push(id.0);
-                if self.record {
-                    // The pre-deletion witness went through a doomed
-                    // fact (that is why the fact was overcounted out);
-                    // re-record from the surviving premises the probe
-                    // actually matched.
-                    self.record_deriv(id.0, traced.derivs[i].clone());
-                }
-            }
-        }
-        self.propagate(revived, budget, &mut stats)?;
+        // A live head already has its support; the probe only revives.
+        self.absorb(&staged, false, &mut revived, &mut stats);
+        self.propagate(revived, &mut staged, budget, &mut stats)?;
         stats.store = self.total.store_stats();
         Ok(stats)
     }
@@ -399,17 +346,15 @@ impl Materialization {
     fn propagate(
         &mut self,
         mut frontier: Vec<u32>,
+        staged: &mut TracedBuf,
         budget: &Budget,
         stats: &mut EvalStats,
     ) -> Result<(), BudgetExceeded> {
-        let mut staged = FactBuf::new();
-        let mut traced = TracedBuf::new();
         while !frontier.is_empty() {
             budget.check(stats)?;
             gomq_core::faults::point(gomq_core::faults::EVAL_ROUND);
             stats.rounds = stats.rounds.saturating_add(1);
             staged.clear();
-            traced.clear();
             frontier.sort_unstable();
             frontier.dedup();
             let first = frontier[0];
@@ -419,59 +364,52 @@ impl Materialization {
             // views yield the same ids in the same order.
             if frontier.len() == self.total.len() - first as usize {
                 let delta = DeltaView::new(&self.total, first);
-                self.stage_round(&delta, &mut staged, &mut traced);
+                derive_round(&self.rules, &self.total, &delta, staged);
             } else {
                 let delta = IdSetView::new(&self.total, &frontier);
-                self.stage_round(&delta, &mut staged, &mut traced);
+                derive_round(&self.rules, &self.total, &delta, staged);
             }
             frontier.clear();
-            let count = if self.record {
-                traced.buf.len()
-            } else {
-                staged.len()
-            };
-            for i in 0..count {
-                let f = if self.record {
-                    traced.buf.get(i)
-                } else {
-                    staged.get(i)
-                };
-                let (id, new) = self.total.intern_ref(f.rel, f.args);
-                if new {
-                    stats.derived = stats.derived.saturating_add(1);
-                    frontier.push(id.0);
-                    if self.record {
-                        self.record_deriv(id.0, traced.derivs[i].clone());
-                    }
-                } else if self.total.store().is_live(id.0) {
-                    // One more derivation of an already-live fact; the
-                    // first recorded witness stays — its premises are
-                    // older and themselves still justified.
-                    self.total.add_support(id, 1);
-                } else {
-                    self.total.set_support(id, 1);
-                    stats.ivm_rederived = stats.ivm_rederived.saturating_add(1);
-                    frontier.push(id.0);
-                    if self.record {
-                        // Revival: the pre-retraction witness may cite
-                        // facts that are now dead; replace it with the
-                        // instantiation that just fired, whose premises
-                        // were live this round.
-                        self.record_deriv(id.0, traced.derivs[i].clone());
-                    }
-                }
-            }
+            self.absorb(staged, true, &mut frontier, stats);
         }
         Ok(())
     }
 
-    /// One semi-naive round of the maintained rules restricted to
-    /// `delta`, staged into `traced` when recording, else `staged`.
-    fn stage_round<D: FactLookup>(&self, delta: &D, staged: &mut FactBuf, traced: &mut TracedBuf) {
-        if self.record {
-            derive_round_traced(&self.rules, &self.total, delta, traced);
-        } else {
-            derive_round(&self.rules, &self.total, delta, staged);
+    /// Interns the staged facts. A new fact counts as derived and a dead
+    /// one is revived; both join `frontier`, and a recording view keeps
+    /// the instantiation that staged them as their witness (a revived
+    /// fact's old witness may cite facts that are now dead; the new one's
+    /// premises were live this round). A live fact gains one support when
+    /// `support_live` (one more derivation; its first witness stays, its
+    /// premises older and themselves still justified).
+    fn absorb(
+        &mut self,
+        staged: &TracedBuf,
+        support_live: bool,
+        frontier: &mut Vec<u32>,
+        stats: &mut EvalStats,
+    ) {
+        for (i, f) in staged.buf.iter().enumerate() {
+            let (id, new) = self.total.intern_ref(f.rel, f.args);
+            if new {
+                stats.derived = stats.derived.saturating_add(1);
+            } else if self.total.store().is_live(id.0) {
+                if support_live {
+                    self.total.add_support(id, 1);
+                }
+                continue;
+            } else {
+                self.total.set_support(id, 1);
+                stats.ivm_rederived = stats.ivm_rederived.saturating_add(1);
+            }
+            frontier.push(id.0);
+            if let Some(d) = staged.derivs.get(i) {
+                let slot = id.0 as usize;
+                if self.derivs.len() <= slot {
+                    self.derivs.resize(slot + 1, None);
+                }
+                self.derivs[slot] = Some(d.clone());
+            }
         }
     }
 }

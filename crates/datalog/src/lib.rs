@@ -22,8 +22,8 @@ pub mod ivm;
 pub mod program;
 
 pub use eval::{
-    derive_all, derive_all_traced, derive_round, derive_round_traced, eval_naive, fixpoint_traced,
-    Budget, BudgetExceeded, Derivation, Emitter, EvalStats, LimitKind, TracedBuf,
+    derive_all, derive_round, eval_naive, fixpoint_traced, Budget, BudgetExceeded, Derivation,
+    Emitter, EvalStats, LimitKind, TracedBuf,
 };
 pub use ir::{PlanIr, Rewritability, StratumIr};
 pub use ivm::Materialization;

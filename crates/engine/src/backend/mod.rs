@@ -1,9 +1,9 @@
 //! Executors over the shared plan IR.
 //!
-//! [`OmqPlan::compile`](crate::plan::OmqPlan) lowers an OMQ to a
-//! [`gomq_datalog::ir::PlanIr`] — a stratified rule graph annotated
-//! with recursion and `≠` information — and both modules consume that
-//! one IR:
+//! A plan's [`LazyStrata`](crate::plan::LazyStrata) lowers its
+//! rewriting to a [`gomq_datalog::ir::PlanIr`] — a stratified rule
+//! graph annotated with recursion and `≠` information — on the first
+//! read that needs it, and both modules consume that one IR:
 //!
 //! * [`native`] — the in-process semi-naive fixpoint engine (indexed,
 //!   parallel, budgeted). Runs every plan, recursive or not. It is not

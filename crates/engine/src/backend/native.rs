@@ -20,18 +20,15 @@
 //! `tests/sql_crosscheck.rs` checks it against the SQL backend.
 
 use gomq_core::{DeltaView, FactBuf, IndexedInstance, RelId, Term};
-use gomq_datalog::eval::EvalStats;
-use gomq_datalog::ir::{PlanIr, StratumIr};
-use gomq_datalog::{derive_round, Budget, BudgetExceeded, Rule};
+use gomq_datalog::eval::{semi_naive, EvalStats};
+use gomq_datalog::ir::PlanIr;
+use gomq_datalog::{derive_round, Budget, BudgetExceeded, Rule, TracedBuf};
 use std::collections::BTreeSet;
 
 /// Backward-compatible name for the shared [`PlanIr`]: the native
 /// executor predates the backend split and its callers construct and
 /// pass "strata".
 pub type Strata = PlanIr;
-
-/// Backward-compatible name for [`StratumIr`].
-pub type Stratum = StratumIr;
 
 /// Minimum number of delta facts per round before a round is worth
 /// splitting across threads; below this the spawn overhead dominates.
@@ -78,55 +75,6 @@ fn parallel_round(
     });
 }
 
-/// Interns the staged facts into `total` (slice interning — the only
-/// copy is the new facts' arguments landing in the arena) and returns
-/// how many were new. The next round's delta is `total`'s id range past
-/// the pre-absorb frontier.
-fn absorb(staged: &FactBuf, total: &mut IndexedInstance) -> usize {
-    let before = total.len();
-    for f in staged.iter() {
-        total.insert_ref(f.rel, f.args);
-    }
-    total.len() - before
-}
-
-/// Runs the semi-naive fixpoint of one stratum on top of `total`,
-/// checking the cooperative budget between rounds.
-fn fixpoint_stratum(
-    stratum: &StratumIr,
-    total: &mut IndexedInstance,
-    threads: usize,
-    stats: &mut EvalStats,
-    budget: &Budget,
-) -> Result<(), BudgetExceeded> {
-    budget.check(stats)?;
-    // First pass: every fact so far is "new" for this stratum, so the
-    // delta view starts at id 0 (the whole saturated total). The pass is
-    // complete for the stratum's inputs because earlier strata are
-    // already saturated.
-    gomq_core::faults::point(gomq_core::faults::EVAL_ROUND);
-    stats.rounds = stats.rounds.saturating_add(1);
-    let mut staged = FactBuf::new();
-    parallel_round(&stratum.rules, total, 0, threads, &mut staged);
-    let mut frontier = total.len() as u32;
-    stats.derived = stats.derived.saturating_add(absorb(&staged, total));
-    if !stratum.recursive {
-        // Heads never feed bodies within this stratum: one pass is the
-        // fixpoint, skip the would-be-empty confirmation round.
-        return Ok(());
-    }
-    while (frontier as usize) < total.len() {
-        budget.check(stats)?;
-        gomq_core::faults::point(gomq_core::faults::EVAL_ROUND);
-        stats.rounds = stats.rounds.saturating_add(1);
-        staged.clear();
-        parallel_round(&stratum.rules, total, frontier, threads, &mut staged);
-        frontier = total.len() as u32;
-        stats.derived = stats.derived.saturating_add(absorb(&staged, total));
-    }
-    Ok(())
-}
-
 /// An answer set paired with its evaluation statistics.
 pub type EvalOutcome = (BTreeSet<Vec<Term>>, EvalStats);
 
@@ -160,8 +108,22 @@ pub fn eval_strata_budgeted(
     // round then appends into this one arena.
     let mut total = d.clone();
     let mut stats = EvalStats::default();
+    let mut staged = TracedBuf::new(false);
+    // Each stratum's first round reads every fact so far as its delta;
+    // that pass is complete for the stratum's inputs because earlier
+    // strata are already saturated.
     for stratum in &strata.strata {
-        fixpoint_stratum(stratum, &mut total, threads, &mut stats, budget)?;
+        semi_naive(
+            &mut total,
+            &mut staged,
+            &mut Vec::new(),
+            stratum.recursive,
+            &mut stats,
+            budget,
+            |total, frontier, staged| {
+                parallel_round(&stratum.rules, total, frontier, threads, &mut staged.buf)
+            },
+        )?;
     }
     let answers = total.facts_of(goal).map(|f| f.args.to_vec()).collect();
     stats.store = total.store_stats();

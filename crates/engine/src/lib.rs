@@ -11,7 +11,8 @@
 //!
 //! * [`plan`] — an [`OmqPlan`] bundles the classification verdict, the
 //!   element-type system with its bitset kernel, the optimized
-//!   rewriting, and its SCC stratification; compiled once.
+//!   rewriting, compiled once, and its SCC stratification
+//!   ([`LazyStrata`]), built on the first read that needs it.
 //! * [`cache`] — a [`PlanCache`] keyed by the canonical OMQ hash
 //!   (`gomq_rewriting::canonical_omq_hash`) but *verified* against the
 //!   full canonical text (hash collisions can never serve the wrong

@@ -42,9 +42,6 @@ cargo test -q --release -p gomq-engine --test ivm_props
 echo "==> cargo test -q --release -p gomq-engine --lib follower_views"
 cargo test -q --release -p gomq-engine --lib follower_views
 
-echo "==> cargo test -q --release -p gomq-engine --test repl_chaos"
-cargo test -q --release -p gomq-engine --test repl_chaos
-
 echo "==> cargo test -q --release -p gomq-engine --features chaos --test ivm_props (chaos build, no plan)"
 cargo test -q --release -p gomq-engine --features chaos --test ivm_props
 
